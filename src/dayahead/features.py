@@ -12,6 +12,7 @@ contains a 2-day or 3-day load lag.
 from __future__ import annotations
 
 import datetime as dt
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,6 +160,15 @@ def temp_term(
     return np.asarray(values)
 
 
+@functools.lru_cache(maxsize=64)
+def _koyck_weights(lam: float, order: int) -> tuple:
+    """For each truncation j_max in 0..order: the read-only weight prefix
+    lam^0..lam^j_max and its sum."""
+    weights = np.array([lam**j for j in range(order + 1)])
+    weights.flags.writeable = False
+    return tuple((weights[: j + 1], np.sum(weights[: j + 1])) for j in range(order + 1))
+
+
 def koyck_transform(series: np.ndarray, lam: float, order: int = KOYCK_ORDER) -> np.ndarray:
     """Truncated, renormalized geometric distributed lag within one day.
 
@@ -174,14 +184,27 @@ def koyck_transform(series: np.ndarray, lam: float, order: int = KOYCK_ORDER) ->
     x = np.asarray(series, dtype=float)
     if x.shape != (24,):
         raise ValidationError("koyck_transform expects a 24-vector")
-    weights = np.array([lam**j for j in range(order + 1)])
+    prefixes = _koyck_weights(lam, order)
     out = np.empty(24)
     for t in range(1, 25):
         j_max = min(order, t - 1)
-        w = weights[: j_max + 1]
+        w, total = prefixes[j_max]
         seg = x[t - 1 - j_max : t][::-1]
-        out[t - 1] = float(np.dot(w, seg) / np.sum(w))
+        out[t - 1] = float(np.dot(w, seg) / total)
     return out
+
+
+@functools.lru_cache(maxsize=128)
+def _koyck_column(series: bytes, lam: float) -> np.ndarray:
+    """Read-only ``koyck_transform`` of the 24-vector with these bytes.
+
+    Model a's lagged pulse columns do not depend on the data, models b and c
+    lag the same two series of a day, and consecutive target days share a
+    training day, so most columns are looked up rather than recomputed.
+    """
+    col = koyck_transform(np.frombuffer(series), lam)
+    col.flags.writeable = False
+    return col
 
 
 def legal_training_days(
@@ -205,35 +228,62 @@ def legal_training_days(
     return days
 
 
-def _day_regressors(
-    window: SeriesWindow, day: dt.date, model_id: str, lam: float, temp_mode: str
-) -> np.ndarray:
-    """24 x n_cols regressor block for one day (training or target)."""
+def _day_blocks(
+    window: SeriesWindow, day: dt.date, model_id: str, lams, temp_mode: str
+) -> list[np.ndarray]:
+    """24 x n_cols regressor blocks for one day (training or target), one per
+    decay in ``lams``.  Only the two distributed-lag columns depend on the
+    decay; the others are built once."""
     lag1 = window.load_on(day - dt.timedelta(days=1)).as_array()
     half = halfday_lag_profile(window, day).as_array()
     lag7 = window.load_on(day - dt.timedelta(days=7)).as_array()
-    ones = np.ones(24)
+    fixed = [np.ones(24), lag1, half, lag7]
 
     if model_id == "a":
-        cols = [ones, lag1, half, lag7]
-        cols += [indicator(h) for h in (9, 10, 19, 20)]
-        cols += [koyck_transform(indicator(h), lam) for h in (11, 21)]
-        return np.column_stack(cols)
+        fixed += [indicator(h) for h in (9, 10, 19, 20)]
+        lagged = [[_koyck_column(indicator(h).tobytes(), lam) for h in (11, 21)]
+                  for lam in lams]
+    elif model_id in ("b", "c"):
+        t2 = temp_term(window, day, 2, temp_mode)
+        t8 = temp_term(window, day, 8, temp_mode)
+        near = (lag1 - half) * t2
+        far = (half - lag7) * t8
+        if model_id == "c":
+            fixed += [t2, t8, lag1 * t2 - lag7 * t8]
+        lagged = [[_koyck_column(near.tobytes(), lam), _koyck_column(far.tobytes(), lam)]
+                  for lam in lams]
+    else:
+        raise ValidationError(f"unknown model id {model_id!r}")
+    return [np.column_stack(fixed + cols) for cols in lagged]
 
-    t2 = temp_term(window, day, 2, temp_mode)
-    t8 = temp_term(window, day, 8, temp_mode)
-    near = (lag1 - half) * t2
-    far = (half - lag7) * t8
-    if model_id == "b":
-        cols = [ones, lag1, half, lag7,
-                koyck_transform(near, lam), koyck_transform(far, lam)]
-        return np.column_stack(cols)
-    if model_id == "c":
-        combo = lag1 * t2 - lag7 * t8
-        cols = [ones, lag1, half, lag7, t2, t8, combo,
-                koyck_transform(near, lam), koyck_transform(far, lam)]
-        return np.column_stack(cols)
-    raise ValidationError(f"unknown model id {model_id!r}")
+
+def design_matrices(
+    window: SeriesWindow,
+    model_id: str,
+    training_days: list[dt.date],
+    lams,
+    temp_mode: str = "hour",
+) -> list[DesignMatrix]:
+    """One design per decay in ``lams`` over the same training days; each
+    equals ``design_matrix`` at that decay."""
+    if model_id not in MODEL_IDS:
+        raise ValidationError(f"unknown model id {model_id!r}")
+    if not training_days:
+        raise ValidationError("no training days supplied")
+    per_day = [_day_blocks(window, day, model_id, lams, temp_mode) for day in training_days]
+    response = np.concatenate([window.load_on(day).as_array() for day in training_days])
+    response.flags.writeable = False
+    rows = tuple((day, h) for day in training_days for h in range(1, 25))
+    return [
+        DesignMatrix(
+            model_id=model_id,
+            rows=rows,
+            names=COLUMN_NAMES[model_id],
+            matrix=np.vstack(blocks),
+            response=response,
+        )
+        for blocks in zip(*per_day)
+    ]
 
 
 def design_matrix(
@@ -244,24 +294,7 @@ def design_matrix(
     temp_mode: str = "hour",
 ) -> DesignMatrix:
     """Stack per-day regressor blocks and responses over the training days."""
-    if model_id not in MODEL_IDS:
-        raise ValidationError(f"unknown model id {model_id!r}")
-    if not training_days:
-        raise ValidationError("no training days supplied")
-    blocks = []
-    responses = []
-    rows = []
-    for day in training_days:
-        blocks.append(_day_regressors(window, day, model_id, lam, temp_mode))
-        responses.append(window.load_on(day).as_array())
-        rows.extend((day, h) for h in range(1, 25))
-    return DesignMatrix(
-        model_id=model_id,
-        rows=tuple(rows),
-        names=COLUMN_NAMES[model_id],
-        matrix=np.vstack(blocks),
-        response=np.concatenate(responses),
-    )
+    return design_matrices(window, model_id, training_days, (lam,), temp_mode)[0]
 
 
 def target_regressors(
@@ -269,4 +302,4 @@ def target_regressors(
 ) -> np.ndarray:
     """24 x n_cols regressor block for the target day; temperature terms are
     drawn from the forecast."""
-    return _day_regressors(window, window.target_date, model_id, lam, temp_mode)
+    return _day_blocks(window, window.target_date, model_id, (lam,), temp_mode)[0]

@@ -10,7 +10,7 @@ the fast baseline and as the rho=0 oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -19,7 +19,8 @@ from .errors import ValidationError
 from .features import (
     LAMBDA_GRID,
     MODEL_IDS,
-    design_matrix,
+    design_matrices,
+    design_matrix,  # noqa: F401  re-exported: callers may look it up here
     legal_training_days,
     target_regressors,
 )
@@ -34,6 +35,11 @@ MAX_GOLDEN_ITER = 200
 CLAMP_FLOOR_MW = 1.0
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+try:  # the gufunc behind np.linalg.lstsq; older numpy splits it in two
+    from numpy.linalg._umath_linalg import lstsq as _LSTSQ_GUFUNC
+except ImportError:
+    _LSTSQ_GUFUNC = None
 
 
 @dataclass(frozen=True)
@@ -92,23 +98,55 @@ def ols_fit(design) -> FitResult:
     )
 
 
-def _ar1_whiten(matrix: np.ndarray, y: np.ndarray, rho: float):
-    """Stationary AR(1) whitening transform that keeps the first row."""
-    xs = matrix.copy()
-    ys = y.copy()
-    scale = math.sqrt(1.0 - rho * rho)
-    xs[0] *= scale
-    ys[0] *= scale
-    xs[1:] -= rho * matrix[:-1]
-    ys[1:] -= rho * y[:-1]
-    return xs, ys
+def _raise_svd_error(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
-def _gls_at_rho(matrix: np.ndarray, y: np.ndarray, rho: float):
-    xs, ys = _ar1_whiten(matrix, y, rho)
-    coef, rank = _lstsq(xs, ys)
-    resid = ys - xs @ coef
-    return coef, float(resid @ resid), rank
+def _lstsq_stack(matrices: np.ndarray, responses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.lstsq(matrices[i], responses[i], rcond=None)`` for every
+    slice of a stack, in one call.
+
+    This calls the LAPACK (dgelsd) gufunc that ``np.linalg.lstsq`` calls, with
+    the same rcond and floating-point error handling, so every slice's
+    solution and rank have the same bits as the public call and a slice the
+    SVD cannot solve raises ``LinAlgError``.  Where numpy does not expose the
+    gufunc the public call is looped.
+    """
+    if _LSTSQ_GUFUNC is None:
+        solved = [np.linalg.lstsq(a, b, rcond=None) for a, b in zip(matrices, responses)]
+        return np.array([s[0] for s in solved]), np.array([s[2] for s in solved])
+    m, n = matrices.shape[-2:]
+    rcond = np.finfo(np.float64).eps * max(m, n)
+    with np.errstate(call=_raise_svd_error, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        coef, _, rank, _ = _LSTSQ_GUFUNC(
+            matrices, responses[..., None], rcond, signature="ddd->ddid"
+        )
+    return coef[..., 0], rank
+
+
+def _ar1_whiten(systems: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Stationary AR(1) whitening transform that keeps the first row, applied
+    to a stack of [design | response] systems with one rho per slice."""
+    scale = np.sqrt(1.0 - rho * rho)
+    white = systems.copy()
+    white[:, 0] *= scale[:, None]
+    white[:, 1:] -= rho[:, None, None] * systems[:, :-1]
+    return white
+
+
+def _gls_stack(systems: np.ndarray, rho: np.ndarray):
+    """GLS coefficients, whitened SSR and rank of every slice at its rho.
+
+    The stacked matmuls run, slice by slice, the same BLAS calls as
+    ``w - x @ b`` and ``r @ r`` on one slice.
+    """
+    white = _ar1_whiten(systems, rho)
+    xs, ws = white[..., :-1], white[..., -1]
+    coef, rank = _lstsq_stack(xs, ws)
+    resid = ws - np.matmul(xs, coef[..., None])[..., 0]
+    ssr = np.matmul(resid[:, None, :], resid[:, :, None])[:, 0, 0]
+    return coef, ssr.tolist(), rank
 
 
 def _concentrated_loglik(ssr_white: float, rho: float, n: int) -> float:
@@ -131,97 +169,87 @@ def exact_ml_ar1_fit(design) -> FitResult:
     broken at rho = 0.  The returned rho never has lower exact likelihood
     than rho = 0 with the OLS coefficients.
     """
-    n, k = design.matrix.shape
+    return exact_ml_ar1_fits([design])[0]
+
+
+def exact_ml_ar1_fits(designs: list) -> list[FitResult]:
+    """``exact_ml_ar1_fit`` of each design; all designs share one shape.
+
+    The rho searches run in lockstep: each golden-section step whitens the
+    designs still searching, each at its own probe, and solves them in one
+    stacked call.  A search that has converged leaves the stack, so every
+    design takes the branches and iteration count it would take alone, and
+    its result has the same bits.
+    """
+    n, k = designs[0].matrix.shape
     if n < k + 1:
         raise ValidationError(f"need at least {k + 1} rows, got {n}")
-    matrix, y = design.matrix, design.response
+    systems = np.stack([np.column_stack([d.matrix, d.response]) for d in designs])
 
-    _, ssr0, _ = _gls_at_rho(matrix, y, 0.0)
-    scale = float(y @ y) + 1.0
-    if ssr0 <= 1e-16 * scale:
-        base = ols_fit(design)
-        diagnostics = dict(base.diagnostics)
-        diagnostics["rho_tie_break"] = True
-        return FitResult(
-            model_id=base.model_id,
-            coefficients=base.coefficients,
-            residuals=base.residuals,
-            ssr=base.ssr,
-            rho=0.0,
+    def objective(rho: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        _, ssr, _ = _gls_stack(systems[idx], rho)
+        return np.array([_concentrated_loglik(s, r, n) for s, r in zip(ssr, rho.tolist())])
+
+    coef0, ssr0, rank0 = _gls_stack(systems, np.zeros(len(designs)))
+    fits = {}
+    for i, design in enumerate(designs):
+        y = design.response
+        if ssr0[i] <= 1e-16 * (float(y @ y) + 1.0):
+            base = ols_fit(design)
+            fits[i] = replace(base, method="exact_ml_ar1",
+                              diagnostics={**base.diagnostics, "rho_tie_break": True})
+    search = np.array([i for i in range(len(designs)) if i not in fits], dtype=int)
+
+    lo = np.full(len(search), -RHO_BOUND)
+    hi = np.full(len(search), RHO_BOUND)
+    c = hi - _GOLDEN * (hi - lo)
+    d = lo + _GOLDEN * (hi - lo)
+    fc, fd = objective(c, search), objective(d, search)
+    iterations = np.zeros(len(search), dtype=int)
+    active = hi - lo > RHO_TOL
+    while active.any():
+        iterations[active] += 1
+        if iterations.max() > MAX_GOLDEN_ITER:
+            raise ValidationError("rho search failed to converge in 200 iterations")
+        left = active & (fc >= fd)
+        right = active & ~(fc >= fd)
+        hi[left], d[left], fd[left] = d[left], c[left], fc[left]
+        c[left] = hi[left] - _GOLDEN * (hi[left] - lo[left])
+        lo[right], c[right], fc[right] = c[right], d[right], fd[right]
+        d[right] = lo[right] + _GOLDEN * (hi[right] - lo[right])
+        value = objective(np.where(left, c, d)[active], search[active])
+        fc[left] = value[left[active]]
+        fd[right] = value[right[active]]
+        active = hi - lo > RHO_TOL
+    rho_hat = 0.5 * (lo + hi)
+    coef_hat, ssr_hat, rank_hat = _gls_stack(systems[search], rho_hat)
+
+    for j, i in enumerate(search.tolist()):
+        design = designs[i]
+        rho = float(rho_hat[j])
+        loglik = _concentrated_loglik(ssr_hat[j], rho, n)
+        coef, rank = coef_hat[j], rank_hat[j]
+        # Keep whichever of {rho_hat, 0} has the better exact likelihood;
+        # this guarantees monotone improvement over the OLS baseline.
+        loglik0 = _concentrated_loglik(ssr0[i], 0.0, n)
+        if loglik < loglik0:
+            rho, loglik, coef, rank = 0.0, loglik0, coef0[i], rank0[i]
+        residuals = design.response - design.matrix @ coef
+        diagnostics = {"loglik": loglik, "iterations": int(iterations[j])}
+        if rank < k:
+            diagnostics["rank_deficient"] = True
+            diagnostics["rank"] = int(rank)
+        fits[i] = FitResult(
+            model_id=design.model_id,
+            coefficients=dict(zip(design.names, (float(v) for v in coef))),
+            residuals=residuals,
+            ssr=float(residuals @ residuals),
+            rho=rho,
             lam=0.0,
             method="exact_ml_ar1",
             diagnostics=diagnostics,
         )
-
-    def objective(rho: float) -> float:
-        _, ssr, _ = _gls_at_rho(matrix, y, rho)
-        return _concentrated_loglik(ssr, rho, n)
-
-    lo, hi = -RHO_BOUND, RHO_BOUND
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc, fd = objective(c), objective(d)
-    iterations = 0
-    while hi - lo > RHO_TOL:
-        iterations += 1
-        if iterations > MAX_GOLDEN_ITER:
-            raise ValidationError("rho search failed to converge in 200 iterations")
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = objective(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = objective(d)
-    rho_hat = 0.5 * (lo + hi)
-
-    # Keep whichever of {rho_hat, 0} has the better exact likelihood; this
-    # guarantees monotone improvement over the OLS baseline.
-    if objective(rho_hat) < objective(0.0):
-        rho_hat = 0.0
-    coef, ssr_white, rank = _gls_at_rho(matrix, y, rho_hat)
-    residuals = y - matrix @ coef
-    diagnostics = {
-        "loglik": _concentrated_loglik(ssr_white, rho_hat, n),
-        "iterations": iterations,
-    }
-    if rank < k:
-        diagnostics["rank_deficient"] = True
-        diagnostics["rank"] = rank
-    return FitResult(
-        model_id=design.model_id,
-        coefficients=dict(zip(design.names, (float(v) for v in coef))),
-        residuals=residuals,
-        ssr=float(residuals @ residuals),
-        rho=float(rho_hat),
-        lam=0.0,
-        method="exact_ml_ar1",
-        diagnostics=diagnostics,
-    )
-
-
-def _fit_at(design, method: str) -> FitResult:
-    if method == "ols":
-        return ols_fit(design)
-    if method == "exact_ml_ar1":
-        return exact_ml_ar1_fit(design)
-    raise ValidationError(f"unknown estimation method {method!r}")
-
-
-def _with_context(fit: FitResult, lam: float, temp_mode: str) -> FitResult:
-    diagnostics = dict(fit.diagnostics)
-    diagnostics["temp_mode"] = temp_mode
-    return FitResult(
-        model_id=fit.model_id,
-        coefficients=fit.coefficients,
-        residuals=fit.residuals,
-        ssr=fit.ssr,
-        rho=fit.rho,
-        lam=lam,
-        method=fit.method,
-        diagnostics=diagnostics,
-    )
+    return [fits[i] for i in range(len(designs))]
 
 
 def fit_model(
@@ -253,13 +281,19 @@ def fit_model(
     else:
         raise ValidationError(f"unknown lambda policy {lambda_policy!r}")
 
-    best: Optional[FitResult] = None
-    for cand in candidates:
-        design = design_matrix(window, model_id, days, cand, temp_mode)
-        fit = _with_context(_fit_at(design, method), cand, temp_mode)
-        if best is None or fit.ssr < best.ssr:
-            best = fit
-    return best
+    designs = design_matrices(window, model_id, days, candidates, temp_mode)
+    if method == "ols":
+        fits = [ols_fit(design) for design in designs]
+    elif method == "exact_ml_ar1":
+        fits = exact_ml_ar1_fits(designs)
+    else:
+        raise ValidationError(f"unknown estimation method {method!r}")
+    best = min(range(len(fits)), key=lambda i: fits[i].ssr)
+    return replace(
+        fits[best],
+        lam=candidates[best],
+        diagnostics={**fits[best].diagnostics, "temp_mode": temp_mode},
+    )
 
 
 def forecast_day(window: SeriesWindow, fits: dict) -> dict:

@@ -7,9 +7,30 @@ number.
 
 import datetime as dt
 import math
+from dataclasses import replace
 from decimal import Decimal, getcontext
 
+import numpy as np
+
+from dayahead.errors import ValidationError
+from dayahead.features import (
+    COLUMN_NAMES,
+    LAMBDA_GRID,
+    DesignMatrix,
+    halfday_lag_profile,
+    indicator,
+    legal_training_days,
+    temp_term,
+)
 from dayahead.ingest import Record
+from dayahead.regress import (
+    MAX_GOLDEN_ITER,
+    RHO_BOUND,
+    RHO_TOL,
+    FitResult,
+    _concentrated_loglik,
+    ols_fit,
+)
 
 PI_50 = Decimal("3.14159265358979323846264338327950288419716939937511")
 
@@ -103,3 +124,144 @@ def entropy_oracle(theta: float, digits: int = 50) -> tuple[float, float]:
         return -(p * p.ln() + q * q.ln())
 
     return float(h2((1 - cos_chi) / 2)), float(h2((1 - sin_chi) / 2))
+
+
+# --- Scalar estimation path -------------------------------------------------
+# The decay-by-decay design build and the one-design golden-section rho
+# search, kept as the reference for the engine's shared-column builder and
+# lockstep search.  Both must agree with these bit for bit.
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def koyck_transform(series, lam: float, order: int = 3) -> np.ndarray:
+    x = np.asarray(series, dtype=float)
+    weights = np.array([lam**j for j in range(order + 1)])
+    out = np.empty(24)
+    for t in range(1, 25):
+        j_max = min(order, t - 1)
+        w = weights[: j_max + 1]
+        seg = x[t - 1 - j_max : t][::-1]
+        out[t - 1] = float(np.dot(w, seg) / np.sum(w))
+    return out
+
+
+def day_regressors(window, day, model_id: str, lam: float, temp_mode: str) -> np.ndarray:
+    lag1 = window.load_on(day - dt.timedelta(days=1)).as_array()
+    half = halfday_lag_profile(window, day).as_array()
+    lag7 = window.load_on(day - dt.timedelta(days=7)).as_array()
+    ones = np.ones(24)
+    if model_id == "a":
+        cols = [ones, lag1, half, lag7]
+        cols += [indicator(h) for h in (9, 10, 19, 20)]
+        cols += [koyck_transform(indicator(h), lam) for h in (11, 21)]
+        return np.column_stack(cols)
+    t2 = temp_term(window, day, 2, temp_mode)
+    t8 = temp_term(window, day, 8, temp_mode)
+    near = (lag1 - half) * t2
+    far = (half - lag7) * t8
+    cols = [ones, lag1, half, lag7]
+    if model_id == "c":
+        cols += [t2, t8, lag1 * t2 - lag7 * t8]
+    cols += [koyck_transform(near, lam), koyck_transform(far, lam)]
+    return np.column_stack(cols)
+
+
+def design_matrix(window, model_id: str, days, lam: float, temp_mode: str) -> DesignMatrix:
+    return DesignMatrix(
+        model_id=model_id,
+        rows=tuple((day, h) for day in days for h in range(1, 25)),
+        names=COLUMN_NAMES[model_id],
+        matrix=np.vstack([day_regressors(window, d, model_id, lam, temp_mode) for d in days]),
+        response=np.concatenate([window.load_on(d).as_array() for d in days]),
+    )
+
+
+def ar1_whiten(matrix: np.ndarray, y: np.ndarray, rho: float):
+    xs = matrix.copy()
+    ys = y.copy()
+    scale = math.sqrt(1.0 - rho * rho)
+    xs[0] *= scale
+    ys[0] *= scale
+    xs[1:] -= rho * matrix[:-1]
+    ys[1:] -= rho * y[:-1]
+    return xs, ys
+
+
+def gls_at_rho(matrix: np.ndarray, y: np.ndarray, rho: float):
+    """GLS coefficients, whitened SSR and rank at one rho."""
+    xs, ys = ar1_whiten(matrix, y, rho)
+    coef, _, rank, _ = np.linalg.lstsq(xs, ys, rcond=None)
+    resid = ys - xs @ coef
+    return coef, float(resid @ resid), int(rank)
+
+
+def exact_ml_ar1_fit(design) -> FitResult:
+    """Golden-section search for the exact-ML rho of one design."""
+    n, k = design.matrix.shape
+    if n < k + 1:
+        raise ValidationError(f"need at least {k + 1} rows, got {n}")
+    matrix, y = design.matrix, design.response
+
+    _, ssr0, _ = gls_at_rho(matrix, y, 0.0)
+    if ssr0 <= 1e-16 * (float(y @ y) + 1.0):
+        base = ols_fit(design)
+        return replace(base, method="exact_ml_ar1",
+                       diagnostics={**base.diagnostics, "rho_tie_break": True})
+
+    def objective(rho: float) -> float:
+        _, ssr, _ = gls_at_rho(matrix, y, rho)
+        return _concentrated_loglik(ssr, rho, n)
+
+    lo, hi = -RHO_BOUND, RHO_BOUND
+    c = hi - _GOLDEN * (hi - lo)
+    d = lo + _GOLDEN * (hi - lo)
+    fc, fd = objective(c), objective(d)
+    iterations = 0
+    while hi - lo > RHO_TOL:
+        iterations += 1
+        if iterations > MAX_GOLDEN_ITER:
+            raise ValidationError("rho search failed to converge in 200 iterations")
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _GOLDEN * (hi - lo)
+            fc = objective(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _GOLDEN * (hi - lo)
+            fd = objective(d)
+    rho_hat = 0.5 * (lo + hi)
+    if objective(rho_hat) < objective(0.0):
+        rho_hat = 0.0
+    coef, ssr_white, rank = gls_at_rho(matrix, y, rho_hat)
+    residuals = y - matrix @ coef
+    diagnostics = {
+        "loglik": _concentrated_loglik(ssr_white, rho_hat, n),
+        "iterations": iterations,
+    }
+    if rank < k:
+        diagnostics["rank_deficient"] = True
+        diagnostics["rank"] = rank
+    return FitResult(
+        model_id=design.model_id,
+        coefficients=dict(zip(design.names, (float(v) for v in coef))),
+        residuals=residuals,
+        ssr=float(residuals @ residuals),
+        rho=float(rho_hat),
+        lam=0.0,
+        method="exact_ml_ar1",
+        diagnostics=diagnostics,
+    )
+
+
+def fit_model_grid(window, model_id: str, temp_mode: str = "hour") -> FitResult:
+    """Exact-ML fit at every decay of the grid, one at a time; keeps the
+    first minimal-SSR fit."""
+    days = legal_training_days(window, model_id, temp_mode)
+    best = None
+    for lam in LAMBDA_GRID:
+        fit = exact_ml_ar1_fit(design_matrix(window, model_id, days, lam, temp_mode))
+        fit = replace(fit, lam=lam, diagnostics={**fit.diagnostics, "temp_mode": temp_mode})
+        if best is None or fit.ssr < best.ssr:
+            best = fit
+    return best

@@ -9,7 +9,9 @@ from dayahead.errors import ValidationError
 from dayahead.features import (
     COLUMN_ROLES,
     MODEL_IDS,
+    LAMBDA_GRID,
     DesignMatrix,
+    design_matrices,
     design_matrix,
     halfday_lag_profile,
     indicator,
@@ -18,6 +20,9 @@ from dayahead.features import (
     target_regressors,
     temp_term,
 )
+from dayahead.ingest import SynthParams, synth_window
+
+import oracles
 from conftest import TARGET, day, make_window, profile
 
 
@@ -212,3 +217,31 @@ def test_target_regressors_share_columns_with_training():
         dm = design_matrix(window, model_id, [day(1)], 0.1)
         assert block.shape == (24, dm.n_cols)
         assert np.all(block[:, 0] == 1.0)
+
+
+def test_koyck_matches_uncached_oracle_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for lam in LAMBDA_GRID + (0.05, 0.37, 0.999):
+        for order in (1, 3, 23):
+            x = rng.normal(size=24) * 1e3
+            assert np.array_equal(
+                koyck_transform(x, lam, order), oracles.koyck_transform(x, lam, order)
+            )
+
+
+@pytest.mark.parametrize("temp_mode", ["hour", "day"])
+def test_design_matrices_match_decay_by_decay_oracle(temp_mode):
+    window, _ = synth_window(SynthParams(days=12, seed=4))
+    for model_id in MODEL_IDS:
+        days = legal_training_days(window, model_id, temp_mode)
+        designs = design_matrices(window, model_id, days, LAMBDA_GRID, temp_mode)
+        for lam, design in zip(LAMBDA_GRID, designs):
+            want = oracles.design_matrix(window, model_id, days, lam, temp_mode)
+            assert design.rows == want.rows and design.names == want.names
+            assert np.array_equal(design.matrix, want.matrix)
+            assert np.array_equal(design.response, want.response)
+            block = target_regressors(window, model_id, lam, temp_mode)
+            target = oracles.day_regressors(
+                window, window.target_date, model_id, lam, temp_mode
+            )
+            assert np.array_equal(block, target)

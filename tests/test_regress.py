@@ -3,18 +3,34 @@ import datetime as dt
 import numpy as np
 import pytest
 
+from dayahead import regress
 from dayahead.errors import ValidationError
-from dayahead.features import DesignMatrix, design_matrix, legal_training_days
-from dayahead.ingest import LOAD_KIND, SynthParams, assemble_window, synth_window
+from dayahead.features import (
+    LAMBDA_GRID,
+    DesignMatrix,
+    design_matrices,
+    design_matrix,
+    legal_training_days,
+)
+from dayahead.ingest import (
+    LOAD_KIND,
+    SynthParams,
+    assemble_window,
+    synth_dataset,
+    synth_window,
+)
 from dayahead.regress import (
+    _concentrated_loglik,
     ensemble_mean,
     exact_ml_ar1_fit,
+    exact_ml_ar1_fits,
     fit_model,
     forecast_day,
     ols_fit,
     ModelForecast,
 )
 
+import oracles
 from conftest import TARGET, day, make_window, profile
 from oracles import MODEL_A_COEFFS, model_a_records
 
@@ -150,8 +166,6 @@ def test_exact_ml_constant_response_tie_break():
 
 
 def test_exact_ml_loglik_never_below_rho_zero():
-    from dayahead.regress import _concentrated_loglik, _gls_at_rho
-
     for seed in range(5):
         rng = np.random.default_rng(seed)
         design = full_rank_design(seed=seed + 10)
@@ -159,8 +173,8 @@ def test_exact_ml_loglik_never_below_rho_zero():
         noisy = with_response(design, y)
         fit = exact_ml_ar1_fit(noisy)
         n = noisy.n_rows
-        _, ssr_hat, _ = _gls_at_rho(noisy.matrix, noisy.response, fit.rho)
-        _, ssr0, _ = _gls_at_rho(noisy.matrix, noisy.response, 0.0)
+        _, ssr_hat, _ = oracles.gls_at_rho(noisy.matrix, noisy.response, fit.rho)
+        _, ssr0, _ = oracles.gls_at_rho(noisy.matrix, noisy.response, 0.0)
         assert (
             _concentrated_loglik(ssr_hat, fit.rho, n)
             >= _concentrated_loglik(ssr0, 0.0, n) - 1e-9
@@ -275,3 +289,117 @@ def test_ensemble_mean_identical_and_symmetric():
         {"a": forecasts["b"], "b": forecasts["c"], "c": forecasts["a"]}
     )
     assert ensemble_mean(forecasts) == permuted
+
+
+# --- Lockstep rho search against the scalar oracle --------------------------
+
+def assert_same_fit(got, want):
+    """Field-by-field equality with ``==``: no tolerance."""
+    for name in ("model_id", "method", "lam", "rho", "ssr", "coefficients", "diagnostics"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert np.array_equal(got.residuals, want.residuals)
+
+
+@pytest.mark.parametrize("seed", [1, 20071])
+@pytest.mark.parametrize("temp_mode", ["hour", "day"])
+def test_fit_model_matches_scalar_oracle_over_backtest(seed, temp_mode):
+    # Every day of the 31-day acceptance backtest on synth --days 40.
+    records, _ = synth_dataset(SynthParams(days=40, seed=seed))
+    target = dt.date(2004, 1, 10)
+    while target <= dt.date(2004, 2, 9):
+        window = assemble_window(records, target)
+        for model_id in ("a", "b", "c"):
+            got = fit_model(window, model_id, temp_mode=temp_mode)
+            want = oracles.fit_model_grid(window, model_id, temp_mode)
+            assert_same_fit(got, want)
+        target += dt.timedelta(days=1)
+
+
+def test_lockstep_stack_with_tie_break_slice():
+    window, _ = synth_window(SynthParams(days=12, seed=21))
+    designs = design_matrices(
+        window, "c", legal_training_days(window, "c"), LAMBDA_GRID
+    )
+    constant = with_response(designs[4], np.full(designs[4].n_rows, 7.5))
+    stack = designs[:4] + [constant] + designs[4:]
+    got = exact_ml_ar1_fits(stack)
+    assert got[4].diagnostics.get("rho_tie_break") is True
+    assert sum("rho_tie_break" in fit.diagnostics for fit in got) == 1
+    for fit, design in zip(got, stack):
+        assert_same_fit(fit, oracles.exact_ml_ar1_fit(design))
+
+
+def test_exact_ml_single_design_matches_scalar_oracle():
+    rng = np.random.default_rng(5)
+    design = full_rank_design("b", seed=17, lam=0.4)
+    noisy = with_response(design, design.response + rng.normal(0, 25, design.n_rows))
+    assert_same_fit(exact_ml_ar1_fit(noisy), oracles.exact_ml_ar1_fit(noisy))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_rho_search_never_beaten_by_likelihood_grid(seed):
+    # Golden-section rho against an 801-point grid on (-0.999, 0.999).
+    grid = np.linspace(-0.999, 0.999, 801).tolist()
+    window, _ = synth_window(SynthParams(days=12, seed=seed))
+    for model_id in ("a", "b", "c"):
+        designs = design_matrices(
+            window, model_id, legal_training_days(window, model_id), LAMBDA_GRID
+        )
+        for design, fit in zip(designs, exact_ml_ar1_fits(designs)):
+            best = max(
+                _concentrated_loglik(
+                    oracles.gls_at_rho(design.matrix, design.response, rho)[1],
+                    rho,
+                    design.n_rows,
+                )
+                for rho in grid
+            )
+            assert best <= fit.diagnostics["loglik"] + 1e-9, (model_id, fit.rho)
+
+
+# --- Stacked least-squares helper -------------------------------------------
+
+def _lstsq_each(matrices, responses):
+    solved = [np.linalg.lstsq(a, b, rcond=None) for a, b in zip(matrices, responses)]
+    return [s[0] for s in solved], [int(s[2]) for s in solved]
+
+
+def _random_stack(seed, size=7, n=48, k=9):
+    rng = np.random.default_rng(seed)
+    matrices = rng.normal(size=(size, n, k)) * rng.uniform(0.1, 1e3, size=(size, 1, k))
+    responses = rng.normal(size=(size, n)) * 1e3
+    return matrices, responses
+
+
+@pytest.mark.parametrize("gufunc", ["present", "missing"])
+def test_lstsq_stack_bit_equal_to_public_lstsq(monkeypatch, gufunc):
+    if gufunc == "missing":
+        monkeypatch.setattr(regress, "_LSTSQ_GUFUNC", None)
+    for seed in range(20):
+        matrices, responses = _random_stack(seed)
+        matrices[3, :, 5] = matrices[3, :, 2]  # one rank-deficient slice
+        coef, rank = regress._lstsq_stack(matrices, responses)
+        want_coef, want_rank = _lstsq_each(matrices, responses)
+        assert [int(r) for r in rank] == want_rank
+        assert want_rank[3] == 8 and all(r == 9 for i, r in enumerate(want_rank) if i != 3)
+        for got, want in zip(coef, want_coef):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("gufunc", ["present", "missing"])
+def test_lstsq_stack_nan_slice_raises(monkeypatch, gufunc):
+    if gufunc == "missing":
+        monkeypatch.setattr(regress, "_LSTSQ_GUFUNC", None)
+    matrices, responses = _random_stack(99)
+    matrices[2, 10, 1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.lstsq(matrices[2], responses[2], rcond=None)
+    with pytest.raises(np.linalg.LinAlgError):
+        regress._lstsq_stack(matrices, responses)
+
+
+def test_fit_model_without_gufunc_matches(monkeypatch):
+    window, _ = synth_window(SynthParams(days=12, seed=30))
+    fast = fit_model(window, "b")
+    monkeypatch.setattr(regress, "_LSTSQ_GUFUNC", None)
+    assert_same_fit(fit_model(window, "b"), fast)
