@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DegeneracyError, ValidationError
-from .ingest import HOURS, LOAD_KIND, DayProfile, Record, assemble_window
+from .ingest import HISTORY_DAYS, LOAD_KIND, Dataset, DayProfile, Record, assemble_window
 from .pipeline import EngineSettings, run_day
 from .report import daily_relative_error
 from .verdict import CriticalValues
@@ -47,34 +47,8 @@ class MonthlySummary:
     excluded_days: int
 
 
-def _actual_profile(by_key: dict, day: dt.date) -> DayProfile:
-    values = []
-    for hour in HOURS:
-        rec = by_key.get((day, hour))
-        if rec is None or rec.load_mw is None:
-            raise ValidationError(f"missing actual load for ({day}, hour {hour})")
-        values.append(rec.load_mw)
-    return DayProfile(day, tuple(values), LOAD_KIND)
-
-
-def _check_coverage(by_key: dict, start: dt.date, end: dt.date) -> None:
-    day = start
-    while day <= end:
-        for hour in HOURS:
-            rec = by_key.get((day, hour))
-            if rec is None:
-                raise ValidationError(
-                    f"insufficient coverage: missing ({day}, hour {hour})"
-                )
-            if rec.load_mw is None:
-                raise ValidationError(
-                    f"insufficient coverage: missing load for ({day}, hour {hour})"
-                )
-        day += dt.timedelta(days=1)
-
-
 def run_backtest(
-    dataset: list[Record],
+    records: list[Record],
     from_date: dt.date,
     to_date: dt.date,
     critical_values: CriticalValues,
@@ -82,22 +56,23 @@ def run_backtest(
 ) -> tuple[list[BacktestRow], list[MonthlySummary]]:
     """Score every day in [from_date, to_date]; returns rows plus the
     calendar-month summary.  The dataset must fully cover
-    [from_date - 9 days, to_date]."""
+    [from_date - 9 days, to_date]; records are indexed once and every
+    window is a row slice of that index."""
     if from_date > to_date:
         raise ValidationError("from_date must not exceed to_date")
-    by_key = {}
-    for rec in dataset:
-        key = (rec.date, rec.hour)
-        if key in by_key:
-            raise ValidationError(f"duplicate key ({rec.date}, hour {rec.hour})")
-        by_key[key] = rec
-    _check_coverage(by_key, from_date - dt.timedelta(days=9), to_date)
+    dataset = Dataset.from_records(records)
+    first = from_date - dt.timedelta(days=HISTORY_DAYS)
+    gap = dataset.first_gap(first, (to_date - first).days + 1, "load")
+    if gap is not None:
+        day, hour, lack = gap
+        what = "missing" if lack == "record" else "missing load for"
+        raise ValidationError(f"insufficient coverage: {what} ({day}, hour {hour})")
 
     rows: list[BacktestRow] = []
     day = from_date
     while day <= to_date:
         window = assemble_window(dataset, day)
-        actual = _actual_profile(by_key, day)
+        actual = DayProfile(day, dataset.loads[dataset.index[day]], LOAD_KIND)
         try:
             dispatch, _ = run_day(window, critical_values, settings)
         except DegeneracyError as exc:

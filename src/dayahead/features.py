@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .ingest import DayProfile, SeriesWindow
+from .ingest import SeriesWindow
 
 MODEL_IDS = ("a", "b", "c")
 
@@ -101,22 +101,14 @@ class DesignMatrix:
         return len(self.names)
 
 
-def halfday_lag_profile(window: SeriesWindow, for_day: dt.date) -> DayProfile:
+def halfday_lag_profile(window: SeriesWindow, for_day: dt.date) -> np.ndarray:
     """Load profile built from the two most recent complete half-days.
 
     Hours 1..12 take the afternoon of two days back; hours 13..24 take the
     morning of the previous day.
     """
-    two_back = for_day - dt.timedelta(days=2)
-    one_back = for_day - dt.timedelta(days=1)
-    for day in (two_back, one_back):
-        if not window.has_day(day):
-            raise ValidationError(f"required history day {day} absent from window")
-    afternoon = window.load_on(two_back)
-    morning = window.load_on(one_back)
-    values = [afternoon.value_at(t + 12) for t in range(1, 13)]
-    values += [morning.value_at(t - 12) for t in range(13, 25)]
-    return DayProfile(for_day, tuple(values), afternoon.kind)
+    afternoon = window.load_on(for_day - dt.timedelta(days=2))[12:]
+    return np.concatenate((afternoon, window.load_on(for_day - dt.timedelta(days=1))[:12]))
 
 
 def indicator(hour: int) -> np.ndarray:
@@ -141,23 +133,11 @@ def temp_term(
     if lag not in (2, 8):
         raise ValidationError(f"temperature lag must be 2 or 8, got {lag}")
     if mode == "day":
-        src = for_day - dt.timedelta(days=lag)
-        if not (window.has_day(src) or src == window.target_date):
-            raise ValidationError(f"required history day {src} absent from window")
-        return window.temp_on(src).as_array()
+        return window.temp_on(for_day - dt.timedelta(days=lag))
     if mode != "hour":
         raise ValidationError(f"unknown temperature lag mode {mode!r}")
-    prev = for_day - dt.timedelta(days=1)
-    for day in (for_day, prev):
-        if not (window.has_day(day) or day == window.target_date):
-            raise ValidationError(f"required history day {day} absent from window")
-    same = window.temp_on(for_day)
-    tail = window.temp_on(prev)
-    values = []
-    for t in range(1, 25):
-        idx = t - lag
-        values.append(same.value_at(idx) if idx >= 1 else tail.value_at(24 + idx))
-    return np.asarray(values)
+    tail = window.temp_on(for_day - dt.timedelta(days=1))[24 - lag :]
+    return np.concatenate((tail, window.temp_on(for_day)[: 24 - lag]))
 
 
 @functools.lru_cache(maxsize=64)
@@ -234,9 +214,9 @@ def _day_blocks(
     """24 x n_cols regressor blocks for one day (training or target), one per
     decay in ``lams``.  Only the two distributed-lag columns depend on the
     decay; the others are built once."""
-    lag1 = window.load_on(day - dt.timedelta(days=1)).as_array()
-    half = halfday_lag_profile(window, day).as_array()
-    lag7 = window.load_on(day - dt.timedelta(days=7)).as_array()
+    lag1 = window.load_on(day - dt.timedelta(days=1))
+    half = halfday_lag_profile(window, day)
+    lag7 = window.load_on(day - dt.timedelta(days=7))
     fixed = [np.ones(24), lag1, half, lag7]
 
     if model_id == "a":
@@ -271,7 +251,7 @@ def design_matrices(
     if not training_days:
         raise ValidationError("no training days supplied")
     per_day = [_day_blocks(window, day, model_id, lams, temp_mode) for day in training_days]
-    response = np.concatenate([window.load_on(day).as_array() for day in training_days])
+    response = np.concatenate([window.load_on(day) for day in training_days])
     response.flags.writeable = False
     rows = tuple((day, h) for day in training_days for h in range(1, 25))
     return [

@@ -16,6 +16,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -67,69 +68,139 @@ class DayProfile:
                 raise ValidationError(f"non-positive load at ({self.date}, hour {h})")
         object.__setattr__(self, "values", vals)
 
-    def value_at(self, hour: int) -> float:
-        if hour < 1 or hour > 24:
-            raise ValidationError(f"hour {hour} out of range 1..24")
-        return self.values[hour - 1]
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeriesWindow:
     """Nine consecutive history days of load and temperature plus the target
-    day's hourly temperature forecast."""
+    day's hourly temperature forecast.
+
+    Row k of the 9 x 24 ``loads`` and ``temps`` is day ``target_date - (9 - k)``;
+    ``forecast`` holds the target day's 24 temperatures.  :func:`assemble_window`
+    validates the values and returns read-only views of its :class:`Dataset`.
+    """
 
     target_date: dt.date
-    load_history: tuple
-    temp_history: tuple
-    temp_forecast: DayProfile
+    loads: np.ndarray
+    temps: np.ndarray
+    forecast: np.ndarray
 
     def __post_init__(self):
-        loads = tuple(self.load_history)
-        temps = tuple(self.temp_history)
-        if len(loads) != HISTORY_DAYS or len(temps) != HISTORY_DAYS:
-            raise ValidationError("window requires exactly 9 history days")
-        expected = [self.target_date - dt.timedelta(days=k) for k in range(9, 0, -1)]
-        for seq, kind in ((loads, LOAD_KIND), (temps, TEMP_KIND)):
-            for prof, day in zip(seq, expected):
-                if prof.kind != kind:
-                    raise ValidationError(
-                        f"profile for {prof.date} has kind {prof.kind}, expected {kind}"
-                    )
-                if prof.date != day:
-                    raise ValidationError(
-                        f"history dates must be consecutive and end the day before "
-                        f"{self.target_date}: found {prof.date}, expected {day}"
-                    )
-        if self.temp_forecast.kind != TEMP_KIND:
-            raise ValidationError("temp_forecast must have kind temp_c")
-        if self.temp_forecast.date != self.target_date:
-            raise ValidationError("temp_forecast date must equal target_date")
-        object.__setattr__(self, "load_history", loads)
-        object.__setattr__(self, "temp_history", temps)
+        shapes = (self.loads.shape, self.temps.shape, self.forecast.shape)
+        if shapes != ((HISTORY_DAYS, 24), (HISTORY_DAYS, 24), (24,)):
+            raise ValidationError("window requires 9 x 24 history arrays and a 24-hour forecast")
+
+    def __eq__(self, other):
+        if not isinstance(other, SeriesWindow):
+            return NotImplemented
+        return self.target_date == other.target_date and all(
+            np.array_equal(getattr(self, f), getattr(other, f))
+            for f in ("loads", "temps", "forecast")
+        )
 
     def _history_index(self, day: dt.date) -> int:
         offset = (self.target_date - day).days
         if not 1 <= offset <= HISTORY_DAYS:
             raise ValidationError(
-                f"day {day} is outside the window ending {self.target_date}"
+                f"required history day {day} absent from the window ending {self.target_date}"
             )
         return HISTORY_DAYS - offset
 
-    def load_on(self, day: dt.date) -> DayProfile:
-        return self.load_history[self._history_index(day)]
+    def load_on(self, day: dt.date) -> np.ndarray:
+        return self.loads[self._history_index(day)]
 
-    def temp_on(self, day: dt.date) -> DayProfile:
-        """Temperature profile for a day; the target day resolves to the
-        forecast, history days to observed temperatures."""
+    def temp_on(self, day: dt.date) -> np.ndarray:
+        """Temperatures for a day; the target day resolves to the forecast,
+        history days to observed temperatures."""
         if day == self.target_date:
-            return self.temp_forecast
-        return self.temp_history[self._history_index(day)]
+            return self.forecast
+        return self.temps[self._history_index(day)]
 
     def has_day(self, day: dt.date) -> bool:
         return 1 <= (self.target_date - day).days <= HISTORY_DAYS
+
+
+def _reject_first(flat: list, bad: np.ndarray, problem: str) -> None:
+    """Reject the first record flagged in ``bad``; ``flat`` holds the
+    records' fields one after another."""
+    if bad.any():
+        i = 4 * int(bad.argmax())
+        raise ValidationError(f"{problem} ({flat[i]}, hour {flat[i + 1]})")
+
+
+# What a (day, hour) can lack, in the order it is checked.
+GAP_LEVELS = ("record", "load", "positive")
+
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """Every record of a dataset, indexed by calendar day.
+
+    ``index`` maps each day that has a record to its row; rows follow the
+    days in calendar order.  Row r of the read-only (D + 1) x 24 arrays holds
+    that day's hours: ``has_temp`` marks the hours with a record and
+    ``has_load`` those whose record carries a load; ``loads``/``temps`` are
+    NaN where absent.  The last row is absent throughout and stands in for
+    days without records.  ``len()`` is the number of records.
+    """
+
+    index: dict
+    loads: np.ndarray
+    temps: np.ndarray
+    has_load: np.ndarray
+    has_temp: np.ndarray
+    n_records: int
+
+    def __len__(self) -> int:
+        return self.n_records
+
+    @classmethod
+    def from_records(cls, records: Iterable[Record]) -> Dataset:
+        """Index records given in any order.  Rejects an hour outside 1..24,
+        a non-finite value and a duplicate (date, hour) key, each the first
+        in record order; a NaN load reads as absent."""
+        # The four fields of every record in a row, split by strided slices:
+        # one pass over the records, where zip(*records) would make an
+        # iterator per record and set the garbage collector off.
+        flat = list(chain.from_iterable(records))
+        dates, hours, loads, temps = (flat[i::4] for i in range(4))
+        n = len(dates)
+        hour = np.fromiter(hours, dtype=np.int64, count=n)
+        load = np.array(loads, dtype=float)  # None -> NaN
+        temp = np.fromiter(temps, dtype=float, count=n)
+        _reject_first(flat, (hour < 1) | (hour > 24), "hour out of range 1..24 at")
+        _reject_first(flat, ~np.isfinite(temp) | np.isinf(load), "non-finite value at")
+        ordinal = np.fromiter(map(dt.date.toordinal, dates), dtype=np.int64, count=n)
+        ordinals, day_row = np.unique(ordinal, return_inverse=True)
+        slot = 24 * day_row + hour - 1
+        repeat = np.ones(n, dtype=bool)
+        repeat[np.unique(slot, return_index=True)[1]] = False
+        _reject_first(flat, repeat, "duplicate key")
+
+        shape = (len(ordinals) + 1, 24)
+        load_arr, temp_arr = np.full(shape, np.nan), np.full(shape, np.nan)
+        load_arr.flat[slot] = load
+        temp_arr.flat[slot] = temp
+        arrays = (load_arr, temp_arr, ~np.isnan(load_arr), ~np.isnan(temp_arr))
+        for arr in arrays:
+            arr.flags.writeable = False
+        index = {dt.date.fromordinal(o): row for row, o in enumerate(ordinals.tolist())}
+        return cls(index, *arrays, n)
+
+    def first_gap(
+        self, first: dt.date, days: int, need: str = "record"
+    ) -> Optional[tuple[dt.date, int, str]]:
+        """The first (day, hour, lack) in (day, hour) order over ``days``
+        days from ``first``, checking the levels of ``GAP_LEVELS`` up to
+        ``need``; None when nothing is lacking."""
+        rows = [self.index.get(first + dt.timedelta(days=k), -1) for k in range(days)]
+        masks = (self.has_temp[rows], self.has_load[rows], self.loads[rows] > 0.0)
+        masks = masks[: GAP_LEVELS.index(need) + 1]
+        ok = np.logical_and.reduce(masks)
+        if ok.all():
+            return None
+        d, h = divmod(int(ok.argmin()), 24)
+        lack = next(level for level, mask in zip(GAP_LEVELS, masks) if not mask[d, h])
+        return first + dt.timedelta(days=d), h + 1, lack
 
 
 def parse_csv(text: str) -> list[Record]:
@@ -193,52 +264,40 @@ def serialize_csv(records: Iterable[Record]) -> str:
     return "\n".join(out) + "\n"
 
 
-def assemble_window(records: Iterable[Record], target_date: dt.date) -> SeriesWindow:
+_WINDOW_GAPS = {"record": "missing data for", "load": "missing load_mw for",
+                "positive": "non-positive load at"}
+
+
+def assemble_window(data: Dataset | Iterable[Record], target_date: dt.date) -> SeriesWindow:
     """Build a validated window ending the day before ``target_date``.
 
     Requires full 24-hour load and temperature coverage for each of the nine
     preceding days plus 24 forecast-temperature hours for the target day.
     The first gap found in (day, hour) order is reported; the outcome does
     not depend on record order.  Rows for the target day may carry a load
-    value (e.g. in a backtest dataset); it is ignored here.
+    value (e.g. in a backtest dataset); it is ignored here.  Records are
+    indexed once through :meth:`Dataset.from_records`; the window's arrays
+    are views of the dataset's rows.
     """
-    by_key: dict[tuple[dt.date, int], Record] = {}
-    for rec in records:
-        key = (rec.date, rec.hour)
-        if key in by_key:
-            raise ValidationError(f"duplicate key ({rec.date}, hour {rec.hour})")
-        by_key[key] = rec
-
-    loads = []
-    temps = []
-    for k in range(9, 0, -1):
-        day = target_date - dt.timedelta(days=k)
-        load_vals = []
-        temp_vals = []
-        for hour in HOURS:
-            rec = by_key.get((day, hour))
-            if rec is None:
-                raise ValidationError(f"missing data for ({day}, hour {hour})")
-            if rec.load_mw is None:
-                raise ValidationError(f"missing load_mw for ({day}, hour {hour})")
-            if rec.load_mw <= 0.0:
-                raise ValidationError(f"non-positive load at ({day}, hour {hour})")
-            load_vals.append(rec.load_mw)
-            temp_vals.append(rec.temp_c)
-        loads.append(DayProfile(day, tuple(load_vals), LOAD_KIND))
-        temps.append(DayProfile(day, tuple(temp_vals), TEMP_KIND))
-
-    forecast_vals = []
-    for hour in HOURS:
-        rec = by_key.get((target_date, hour))
-        if rec is None:
-            raise ValidationError(
-                f"missing forecast temperature for ({target_date}, hour {hour})"
-            )
-        forecast_vals.append(rec.temp_c)
-    forecast = DayProfile(target_date, tuple(forecast_vals), TEMP_KIND)
-
-    return SeriesWindow(target_date, tuple(loads), tuple(temps), forecast)
+    if not isinstance(data, Dataset):
+        data = Dataset.from_records(data)
+    first = target_date - dt.timedelta(days=HISTORY_DAYS)
+    gap = data.first_gap(first, HISTORY_DAYS, "positive")
+    if gap is not None:
+        day, hour, lack = gap
+        raise ValidationError(f"{_WINDOW_GAPS[lack]} ({day}, hour {hour})")
+    gap = data.first_gap(target_date, 1)
+    if gap is not None:
+        raise ValidationError(
+            f"missing forecast temperature for ({target_date}, hour {gap[1]})"
+        )
+    i = data.index[first]
+    return SeriesWindow(
+        target_date,
+        data.loads[i : i + HISTORY_DAYS],
+        data.temps[i : i + HISTORY_DAYS],
+        data.temps[i + HISTORY_DAYS],
+    )
 
 
 @dataclass(frozen=True)

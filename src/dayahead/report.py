@@ -15,7 +15,7 @@ import datetime as dt
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import __version__
 from .errors import ValidationError
@@ -95,26 +95,6 @@ def daily_relative_error(actual: DayProfile, forecast: DayProfile) -> float:
         abs(f - a) for f, a in zip(forecast.values, actual.values)
     ) / 24.0
     return err / peak * 100.0
-
-
-def mmre(actuals: Iterable[DayProfile], forecasts: Iterable[DayProfile]) -> float:
-    """Mean over days of the daily relative error (percent)."""
-    actuals = list(actuals)
-    forecasts = list(forecasts)
-    if not actuals:
-        raise ValidationError("mmre requires at least one day")
-    if len(actuals) != len(forecasts):
-        raise ValidationError("actuals and forecasts must have equal length")
-    errors = [daily_relative_error(a, f) for a, f in zip(actuals, forecasts)]
-    return sum(errors) / len(errors)
-
-
-def monthly_mmre(daily: Iterable[tuple[dt.date, float]]) -> dict:
-    """Group daily errors by calendar month; arithmetic mean per month."""
-    groups: dict[tuple[int, int], list[float]] = {}
-    for day, err in daily:
-        groups.setdefault((day.year, day.month), []).append(err)
-    return {key: sum(vals) / len(vals) for key, vals in sorted(groups.items())}
 
 
 def build_report(

@@ -55,7 +55,7 @@ class ThermoState:
 
 def demean(profile) -> np.ndarray:
     """Subtract the 24-hour mean; accepts a DayProfile or a 24-vector."""
-    x = profile.as_array() if isinstance(profile, DayProfile) else np.asarray(profile, dtype=float)
+    x = np.asarray(profile.values if isinstance(profile, DayProfile) else profile, dtype=float)
     if x.shape != (24,):
         raise ValidationError("expected a 24-vector")
     if not np.all(np.isfinite(x)):
@@ -78,6 +78,8 @@ def cointegration_angle(p: np.ndarray, q: np.ndarray) -> float:
     pp = float(p @ p) / 24.0
     qq = float(q @ q) / 24.0
     pq = float(p @ q) / 24.0
+    if not (math.isfinite(pp) and math.isfinite(qq) and math.isfinite(pq)):
+        raise DegeneracyError("second moments of the centered profiles overflow", "(4)")
     if pp <= ZERO_SERIES_TOL and qq <= ZERO_SERIES_TOL:
         raise DegeneracyError("degenerate series: both centered profiles vanish", "(4)")
     return abs(0.5 * math.atan2(2.0 * pq, pp - qq))

@@ -116,6 +116,8 @@ def scaled_time(
         raise ValidationError(f"base must be 2 or 1.5, got {base}")
     if not math.isclose(hi / lo, base, rel_tol=1e-9):
         raise ValidationError("window width must equal the scaling base")
+    if not math.isfinite(raw):
+        raise DegeneracyError(f"non-finite time statistic {raw}", "(11)")
     if raw <= 0.0:
         raise DegeneracyError(f"non-positive time statistic {raw}", "(11)")
     guess = math.floor(math.log(hi / raw) / math.log(base))

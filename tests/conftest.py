@@ -1,11 +1,11 @@
 import datetime as dt
 import math
 
+import numpy as np
 import pytest
 
 from dayahead.ingest import (
     LOAD_KIND,
-    TEMP_KIND,
     DayProfile,
     Record,
     SeriesWindow,
@@ -26,23 +26,19 @@ def profile(date, values, kind=LOAD_KIND) -> DayProfile:
 
 def make_window(load_by_offset=None, temp_by_offset=None, forecast=None,
                 target=TARGET) -> SeriesWindow:
-    """Window with per-offset overrides; defaults are a mild double-peaked
-    load shape and a diurnal temperature curve."""
+    """Read-only window with per-offset overrides; defaults are a mild
+    double-peaked load shape and a diurnal temperature curve."""
     load_by_offset = load_by_offset or {}
     temp_by_offset = temp_by_offset or {}
-    loads = []
-    temps = []
-    for k in range(9, 0, -1):
-        d = target - dt.timedelta(days=k)
-        lv = load_by_offset.get(k, default_load(k))
-        tv = temp_by_offset.get(k, default_temp(k))
-        loads.append(profile(d, lv, LOAD_KIND))
-        temps.append(profile(d, tv, TEMP_KIND))
-    fc = forecast if forecast is not None else default_temp(0)
-    return SeriesWindow(
-        target, tuple(loads), tuple(temps),
-        profile(target, fc, TEMP_KIND),
-    )
+    offsets = range(9, 0, -1)
+    arrays = [
+        np.array([load_by_offset.get(k, default_load(k)) for k in offsets], dtype=float),
+        np.array([temp_by_offset.get(k, default_temp(k)) for k in offsets], dtype=float),
+        np.array(forecast if forecast is not None else default_temp(0), dtype=float),
+    ]
+    for arr in arrays:
+        arr.flags.writeable = False
+    return SeriesWindow(target, *arrays)
 
 
 def default_load(offset: int):
@@ -68,13 +64,13 @@ def default_temp(offset: int):
 def records_for_window(window: SeriesWindow, target_loads=None):
     """Flatten a window back into CSV records (plus optional target loads)."""
     recs = []
-    for lp, tp in zip(window.load_history, window.temp_history):
+    for k, (loads, temps) in enumerate(zip(window.loads, window.temps)):
+        date = window.target_date - dt.timedelta(days=9 - k)
         for h in range(1, 25):
-            recs.append(Record(lp.date, h, lp.value_at(h), tp.value_at(h)))
+            recs.append(Record(date, h, float(loads[h - 1]), float(temps[h - 1])))
     for h in range(1, 25):
         load = None if target_loads is None else float(target_loads[h - 1])
-        recs.append(Record(window.target_date, h, load,
-                           window.temp_forecast.value_at(h)))
+        recs.append(Record(window.target_date, h, load, float(window.forecast[h - 1])))
     return recs
 
 

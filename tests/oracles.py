@@ -17,12 +17,10 @@ from dayahead.features import (
     COLUMN_NAMES,
     LAMBDA_GRID,
     DesignMatrix,
-    halfday_lag_profile,
     indicator,
     legal_training_days,
-    temp_term,
 )
-from dayahead.ingest import Record
+from dayahead.ingest import HOURS, Record, SeriesWindow
 from dayahead.regress import (
     MAX_GOLDEN_ITER,
     RHO_BOUND,
@@ -146,10 +144,115 @@ def koyck_transform(series, lam: float, order: int = 3) -> np.ndarray:
     return out
 
 
+# --- Dict-based window path -------------------------------------------------
+# A (date, hour) dict over every record, rebuilt per window, and hour-by-hour
+# regressor loops: the reference for the engine's indexed Dataset and its
+# array slices.
+
+
+def assemble_window(records, target_date: dt.date) -> SeriesWindow:
+    by_key = {}
+    for rec in records:
+        key = (rec.date, rec.hour)
+        if key in by_key:
+            raise ValidationError(f"duplicate key ({rec.date}, hour {rec.hour})")
+        by_key[key] = rec
+
+    loads = []
+    temps = []
+    for k in range(9, 0, -1):
+        day = target_date - dt.timedelta(days=k)
+        load_vals = []
+        temp_vals = []
+        for hour in HOURS:
+            rec = by_key.get((day, hour))
+            if rec is None:
+                raise ValidationError(f"missing data for ({day}, hour {hour})")
+            if rec.load_mw is None:
+                raise ValidationError(f"missing load_mw for ({day}, hour {hour})")
+            if rec.load_mw <= 0.0:
+                raise ValidationError(f"non-positive load at ({day}, hour {hour})")
+            load_vals.append(rec.load_mw)
+            temp_vals.append(rec.temp_c)
+        loads.append(load_vals)
+        temps.append(temp_vals)
+
+    forecast = []
+    for hour in HOURS:
+        rec = by_key.get((target_date, hour))
+        if rec is None:
+            raise ValidationError(
+                f"missing forecast temperature for ({target_date}, hour {hour})"
+            )
+        forecast.append(rec.temp_c)
+    return SeriesWindow(target_date, np.array(loads), np.array(temps), np.array(forecast))
+
+
+def backtest_input_error(records, start: dt.date, end: dt.date):
+    """The message with which a backtest over [start, end] rejects its input
+    before any forecast can fail, or None: duplicate keys, then coverage of
+    [start - 9 days, end], then day by day the window and the actual load."""
+    by_key = {}
+    try:
+        for rec in records:
+            if (rec.date, rec.hour) in by_key:
+                raise ValidationError(f"duplicate key ({rec.date}, hour {rec.hour})")
+            by_key[(rec.date, rec.hour)] = rec
+        day = start - dt.timedelta(days=9)
+        while day <= end:
+            for hour in HOURS:
+                rec = by_key.get((day, hour))
+                if rec is None:
+                    return f"insufficient coverage: missing ({day}, hour {hour})"
+                if rec.load_mw is None:
+                    return f"insufficient coverage: missing load for ({day}, hour {hour})"
+            day += dt.timedelta(days=1)
+        day = start
+        while day <= end:
+            assemble_window(records, day)
+            for hour in HOURS:
+                if by_key[(day, hour)].load_mw <= 0.0:
+                    return f"non-positive load at ({day}, hour {hour})"
+            day += dt.timedelta(days=1)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def _temp_row(window, day) -> list:
+    if day == window.target_date:
+        return list(window.forecast)
+    return list(window.temps[9 - (window.target_date - day).days])
+
+
+def _load_row(window, day) -> list:
+    return list(window.loads[9 - (window.target_date - day).days])
+
+
+def halfday_lag_profile(window, day) -> np.ndarray:
+    afternoon = _load_row(window, day - dt.timedelta(days=2))
+    morning = _load_row(window, day - dt.timedelta(days=1))
+    values = [afternoon[t + 12 - 1] for t in range(1, 13)]
+    values += [morning[t - 12 - 1] for t in range(13, 25)]
+    return np.asarray(values)
+
+
+def temp_term(window, day, lag: int, mode: str) -> np.ndarray:
+    if mode == "day":
+        return np.asarray(_temp_row(window, day - dt.timedelta(days=lag)))
+    same = _temp_row(window, day)
+    tail = _temp_row(window, day - dt.timedelta(days=1))
+    values = []
+    for t in range(1, 25):
+        idx = t - lag
+        values.append(same[idx - 1] if idx >= 1 else tail[24 + idx - 1])
+    return np.asarray(values)
+
+
 def day_regressors(window, day, model_id: str, lam: float, temp_mode: str) -> np.ndarray:
-    lag1 = window.load_on(day - dt.timedelta(days=1)).as_array()
-    half = halfday_lag_profile(window, day).as_array()
-    lag7 = window.load_on(day - dt.timedelta(days=7)).as_array()
+    lag1 = np.asarray(_load_row(window, day - dt.timedelta(days=1)))
+    half = halfday_lag_profile(window, day)
+    lag7 = np.asarray(_load_row(window, day - dt.timedelta(days=7)))
     ones = np.ones(24)
     if model_id == "a":
         cols = [ones, lag1, half, lag7]
@@ -173,7 +276,7 @@ def design_matrix(window, model_id: str, days, lam: float, temp_mode: str) -> De
         rows=tuple((day, h) for day in days for h in range(1, 25)),
         names=COLUMN_NAMES[model_id],
         matrix=np.vstack([day_regressors(window, d, model_id, lam, temp_mode) for d in days]),
-        response=np.concatenate([window.load_on(d).as_array() for d in days]),
+        response=np.concatenate([_load_row(window, d) for d in days]),
     )
 
 

@@ -253,3 +253,82 @@ def test_synth_output_feeds_backtest_unmodified(tmp_path):
     ])
     assert code == 0
     assert out.read_text().count("ok") >= 1
+
+
+def scaled_loads_to(tmp_path, factor, days=12, seed=1):
+    """A synth dataset with every load multiplied by ``factor``."""
+    records = parse_csv(synth_to(tmp_path, "raw.csv", days=days, seed=seed).read_text())
+    data = tmp_path / "scaled.csv"
+    data.write_text(serialize_csv([r._replace(load_mw=r.load_mw * factor) for r in records]))
+    return data
+
+
+def test_forecast_loads_times_1e200_exits_3_naming_eq4(tmp_path, capsys):
+    # The centered profiles' second moments overflow; the NaN they leave
+    # must stop at Eq. (4) instead of reaching the time statistics.
+    hist, fc, target = split_forecast_inputs(tmp_path, scaled_loads_to(tmp_path, 1e200))
+    code = cli.main([
+        "forecast", "--history", str(hist), "--temp-forecast", str(fc),
+        "--target-date", target.isoformat(),
+        "--critical-values", write_cv(tmp_path),
+    ])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "(Eq. (4))" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_backtest_loads_times_1e200_aborts_days_at_eq4(tmp_path, capsys):
+    data = scaled_loads_to(tmp_path, 1e200)
+    out = tmp_path / "bt.csv"
+    code = cli.main([
+        "backtest", "--data", str(data),
+        "--from", "2004-01-10", "--to", "2004-01-12",
+        "--critical-values", write_cv(tmp_path),
+        "--report", str(out),
+    ])
+    assert code == 0
+    rows = out.read_text().split("\n")[1:4]
+    assert [r.split(",")[-1] for r in rows] == ["aborted:eq4"] * 3
+    assert "nan" not in out.read_text().lower()
+    assert capsys.readouterr().out == ""
+
+
+def forecast_with_weather(tmp_path, capsys, edit_weather):
+    """Run ``forecast`` after replacing the weather file's records with
+    ``edit_weather(weather, history)``; returns the exit code, stdout,
+    stderr, the target day and the history records."""
+    hist, fc, target = split_forecast_inputs(tmp_path, synth_to(tmp_path, "data.csv"))
+    weather = edit_weather(parse_csv(fc.read_text()), parse_csv(hist.read_text()))
+    fc.write_text(serialize_csv(weather))
+    code = cli.main([
+        "forecast", "--history", str(hist), "--temp-forecast", str(fc),
+        "--target-date", target.isoformat(),
+        "--critical-values", write_cv(tmp_path),
+    ])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, target, parse_csv(hist.read_text())
+
+
+def test_forecast_weather_repeating_a_history_key_exits_2(tmp_path, capsys):
+    # History and weather are merged into one dataset, so a (date, hour)
+    # present in both files is a duplicate even though each file is clean.
+    code, out, err, _, history = forecast_with_weather(
+        tmp_path, capsys,
+        lambda weather, history: weather + [history[-1]._replace(load_mw=None)],
+    )
+    last = history[-1]
+    assert code == 2
+    assert out == ""
+    assert f"duplicate key ({last.date}, hour {last.hour})" in err
+
+
+def test_forecast_weather_missing_an_hour_exits_2(tmp_path, capsys):
+    code, out, err, target, _ = forecast_with_weather(
+        tmp_path, capsys,
+        lambda weather, history: [r for r in weather if r.hour != 17],
+    )
+    assert code == 2
+    assert out == ""
+    assert f"missing forecast temperature for ({target}, hour 17)" in err

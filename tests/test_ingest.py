@@ -102,7 +102,8 @@ def test_assemble_window_complete():
     records = records_for_window(window)
     rebuilt = assemble_window(records, TARGET)
     assert rebuilt == window
-    assert len(rebuilt.load_history) == 9
+    assert rebuilt.loads.shape == rebuilt.temps.shape == (9, 24)
+    assert not rebuilt.loads.flags.writeable
 
 
 def test_assemble_window_order_independent():
@@ -213,7 +214,8 @@ def test_synth_params_validation():
 
 def test_window_accessors():
     window = make_window()
-    assert window.load_on(day(1)).date == day(1)
-    assert window.temp_on(TARGET) is window.temp_forecast
-    with pytest.raises(ValidationError, match="outside the window"):
+    assert np.array_equal(window.load_on(day(1)), window.loads[8])
+    assert np.array_equal(window.temp_on(day(9)), window.temps[0])
+    assert window.temp_on(TARGET) is window.forecast
+    with pytest.raises(ValidationError, match="absent from the window"):
         window.load_on(day(10))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dayahead.backtest import BacktestRow, summarize_monthly
 from dayahead.errors import ValidationError
 from dayahead.ingest import SynthParams, synth_window
 from dayahead.pipeline import run_day
@@ -17,8 +18,6 @@ from dayahead.report import (
     build_report,
     daily_relative_error,
     error_reduction,
-    mmre,
-    monthly_mmre,
     parse_report,
     price,
     serialize_report,
@@ -92,36 +91,40 @@ def test_daily_relative_error_hand_case():
 def test_mmre_perfect_forecast_and_errors():
     days = [TARGET + dt.timedelta(days=i) for i in range(3)]
     actuals = [profile(d, [100.0 + i] * 24) for i, d in enumerate(days)]
-    assert mmre(actuals, actuals) == 0.0
-    with pytest.raises(ValidationError, match="at least one"):
-        mmre([], [])
+    assert all(daily_relative_error(a, a) == 0.0 for a in actuals)
+    assert summarize_monthly([]) == []
     shifted = [profile(days[(i + 1) % 3], a.values) for i, a in enumerate(actuals)]
-    with pytest.raises(ValidationError, match="misaligned"):
-        mmre(actuals, shifted)
+    for a, f in zip(actuals, shifted):
+        with pytest.raises(ValidationError, match="misaligned"):
+            daily_relative_error(a, f)
 
 
 @given(st.floats(min_value=0.01, max_value=100.0))
 @settings(max_examples=40, deadline=None)
 def test_mmre_scale_invariant(c):
     rng = np.random.default_rng(17)
-    actuals = [profile(TARGET, rng.uniform(50, 150, 24))]
-    forecasts = [profile(TARGET, rng.uniform(50, 150, 24))]
-    scaled_a = [profile(TARGET, [c * v for v in actuals[0].values])]
-    scaled_f = [profile(TARGET, [c * v for v in forecasts[0].values])]
-    assert mmre(scaled_a, scaled_f) == pytest.approx(
-        mmre(actuals, forecasts), rel=1e-9
+    actual = profile(TARGET, rng.uniform(50, 150, 24))
+    forecast = profile(TARGET, rng.uniform(50, 150, 24))
+    scaled_a = profile(TARGET, [c * v for v in actual.values])
+    scaled_f = profile(TARGET, [c * v for v in forecast.values])
+    assert daily_relative_error(scaled_a, scaled_f) == pytest.approx(
+        daily_relative_error(actual, forecast), rel=1e-9
     )
 
 
 def test_monthly_mmre_groups_by_calendar_month():
-    daily = [
-        (dt.date(2004, 4, 29), 2.0),
-        (dt.date(2004, 4, 30), 4.0),
-        (dt.date(2004, 5, 1), 6.0),
+    rows = [
+        BacktestRow(day, err, err, err, err, 0.0, "ok")
+        for day, err in (
+            (dt.date(2004, 4, 29), 2.0),
+            (dt.date(2004, 4, 30), 4.0),
+            (dt.date(2004, 5, 1), 6.0),
+        )
     ]
-    summary = monthly_mmre(daily)
-    assert summary[(2004, 4)] == pytest.approx(3.0)
-    assert summary[(2004, 5)] == pytest.approx(6.0)
+    april, may = summarize_monthly(rows)
+    assert (april.year, april.month, may.year, may.month) == (2004, 4, 2004, 5)
+    assert april.mmre_ensemble == pytest.approx(3.0)
+    assert may.mmre_ensemble == pytest.approx(6.0)
 
 
 def _sample_report(stub):

@@ -248,3 +248,14 @@ def test_compute_state_consistency():
     assert state.p1_am <= state.p2_am
     assert state.p1_pm <= state.p2_pm
     assert math.isfinite(state.mu) and math.isfinite(state.sigma)
+
+
+def test_angle_overflowing_moments_name_eq4():
+    # Loads near 1e200 square past the double range: the moments turn
+    # inf/NaN, which every <= guard would let through.
+    rng = np.random.default_rng(4)
+    p = demean(rng.normal(size=24)) * 1e200
+    q = demean(rng.normal(size=24)) * 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DegeneracyError, match=r"\(4\)"):
+            cointegration_angle(p, q)

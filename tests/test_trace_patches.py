@@ -1,0 +1,54 @@
+"""The benchmark's tracer patches names in the engine's modules; a rename
+there would otherwise only surface when a traced benchmark run breaks."""
+
+import importlib
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from perfbench.tracing import PATCHES, Tracer  # noqa: E402
+
+from dayahead import cli  # noqa: E402
+
+
+def test_every_patched_name_resolves():
+    for module_name, attr, span in PATCHES:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), f"{module_name}.{attr} ({span})"
+
+
+def test_traced_commands_count_parsed_rows_and_indexed_records(tmp_path):
+    data = tmp_path / "data.csv"
+    assert cli.main(["synth", "--days", "12", "--seed", "3", "--out", str(data)]) == 0
+    header, *lines = data.read_text().splitlines()
+    history, weather = tmp_path / "history.csv", tmp_path / "weather.csv"
+    history.write_text("\n".join([header, *lines[:-24]]) + "\n")
+    weather.write_text("\n".join(
+        [header, *(",".join(ln.split(",")[:2] + ["", ln.split(",")[3]]) for ln in lines[-24:])]
+    ) + "\n")
+    cv = tmp_path / "cv.json"
+    cv.write_text(json.dumps({"lvl1_5pct": 5.5, "lvl1_10pct": 4.8, "lvl2_5pct": 12.0,
+                              "lvl2_10pct": 10.5, "lvl3_5pct": 18.0}))
+    flags = ["--critical-values", str(cv), "--method", "ols", "--koyck", "off"]
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["backtest", "--data", str(data), "--from", "2004-01-11",
+                         "--to", "2004-01-12", "--report", str(tmp_path / "bt.csv"),
+                         *flags]) == 0
+        assert cli.main(["forecast", "--history", str(history),
+                         "--temp-forecast", str(weather), "--target-date", "2004-01-12",
+                         "--out", str(tmp_path / "fc.json"), *flags]) == 0
+    finally:
+        assert tracer.uninstall()
+
+    counts = tracer.counts["setup"]
+    # len() of each parse_csv result: the dataset, then history and weather
+    assert counts["ingest.rows_parsed"] == 288 + 264 + 24
+    # len() of each dataset handed to assemble_window: two backtest days,
+    # then the merged forecast input
+    assert counts["ingest.records_scanned"] == 3 * 288
+    assert tracer.summary("setup")["ingest.assemble_window"]["calls"] == 3

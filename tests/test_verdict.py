@@ -62,6 +62,12 @@ def test_scaled_time_rejects_nonpositive():
         scaled_time(-3.0, 2.0, T16_WINDOW)
 
 
+@pytest.mark.parametrize("raw", [math.inf, math.nan])
+def test_scaled_time_rejects_non_finite(raw):
+    with pytest.raises(DegeneracyError, match=r"non-finite.*\(11\)"):
+        scaled_time(raw, 2.0, T16_WINDOW)
+
+
 def test_scaled_time_exponent_bound():
     with pytest.raises(DegeneracyError, match="no exponent"):
         scaled_time(1e308, 1.5, T24_WINDOW)
