@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DegeneracyError, ValidationError
-from .ingest import HISTORY_DAYS, LOAD_KIND, Dataset, DayProfile, Record, assemble_window
+from .ingest import LOAD_KIND, Dataset, DayProfile, Record, assemble_window, history_start
 from .pipeline import EngineSettings, run_day
 from .report import daily_relative_error
 from .verdict import CriticalValues
@@ -48,7 +48,7 @@ class MonthlySummary:
 
 
 def run_backtest(
-    records: list[Record],
+    data: Dataset | list[Record],
     from_date: dt.date,
     to_date: dt.date,
     critical_values: CriticalValues,
@@ -56,12 +56,12 @@ def run_backtest(
 ) -> tuple[list[BacktestRow], list[MonthlySummary]]:
     """Score every day in [from_date, to_date]; returns rows plus the
     calendar-month summary.  The dataset must fully cover
-    [from_date - 9 days, to_date]; records are indexed once and every
-    window is a row slice of that index."""
+    [from_date - 9 days, to_date].  ``data`` is a Dataset, or records that
+    are indexed once; every window is a row slice of the dataset."""
     if from_date > to_date:
         raise ValidationError("from_date must not exceed to_date")
-    dataset = Dataset.from_records(records)
-    first = from_date - dt.timedelta(days=HISTORY_DAYS)
+    dataset = data if isinstance(data, Dataset) else Dataset.from_records(data)
+    first = history_start(from_date)
     gap = dataset.first_gap(first, (to_date - first).days + 1, "load")
     if gap is not None:
         day, hour, lack = gap
@@ -69,8 +69,8 @@ def run_backtest(
         raise ValidationError(f"insufficient coverage: {what} ({day}, hour {hour})")
 
     rows: list[BacktestRow] = []
-    day = from_date
-    while day <= to_date:
+    for offset in range((to_date - from_date).days + 1):
+        day = from_date + dt.timedelta(days=offset)
         window = assemble_window(dataset, day)
         actual = DayProfile(day, dataset.loads[dataset.index[day]], LOAD_KIND)
         try:
@@ -92,7 +92,6 @@ def run_backtest(
                     status="ok",
                 )
             )
-        day += dt.timedelta(days=1)
 
     return rows, summarize_monthly(rows)
 

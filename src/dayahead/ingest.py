@@ -17,7 +17,7 @@ import datetime as dt
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -140,7 +140,8 @@ class Dataset:
     that day's hours: ``has_temp`` marks the hours with a record and
     ``has_load`` those whose record carries a load; ``loads``/``temps`` are
     NaN where absent.  The last row is absent throughout and stands in for
-    days without records.  ``len()`` is the number of records.
+    days without records.  ``slots`` holds each record's flat position in
+    those arrays, in record order, so ``len()`` is the number of records.
     """
 
     index: dict
@@ -148,10 +149,25 @@ class Dataset:
     temps: np.ndarray
     has_load: np.ndarray
     has_temp: np.ndarray
-    n_records: int
+    slots: np.ndarray
 
     def __len__(self) -> int:
-        return self.n_records
+        return len(self.slots)
+
+    def __add__(self, other: Dataset) -> Dataset:
+        """The records of both datasets, these first, indexed as one
+        dataset; a (date, hour) present in both is a duplicate key."""
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        columns = zip(self._columns(), other._columns())
+        return _index(*map(np.concatenate, columns), _no_line)
+
+    def _columns(self) -> tuple:
+        """Each record's day ordinal, hour, load and temperature, in
+        record order."""
+        days = np.fromiter(map(dt.date.toordinal, self.index), np.int64, len(self.index))
+        row, hour = np.divmod(self.slots, 24)
+        return days[row], hour + 1, self.loads.flat[self.slots], self.temps.flat[self.slots]
 
     @classmethod
     def from_records(cls, records: Iterable[Record]) -> Dataset:
@@ -170,21 +186,7 @@ class Dataset:
         _reject_first(flat, (hour < 1) | (hour > 24), "hour out of range 1..24 at")
         _reject_first(flat, ~np.isfinite(temp) | np.isinf(load), "non-finite value at")
         ordinal = np.fromiter(map(dt.date.toordinal, dates), dtype=np.int64, count=n)
-        ordinals, day_row = np.unique(ordinal, return_inverse=True)
-        slot = 24 * day_row + hour - 1
-        repeat = np.ones(n, dtype=bool)
-        repeat[np.unique(slot, return_index=True)[1]] = False
-        _reject_first(flat, repeat, "duplicate key")
-
-        shape = (len(ordinals) + 1, 24)
-        load_arr, temp_arr = np.full(shape, np.nan), np.full(shape, np.nan)
-        load_arr.flat[slot] = load
-        temp_arr.flat[slot] = temp
-        arrays = (load_arr, temp_arr, ~np.isnan(load_arr), ~np.isnan(temp_arr))
-        for arr in arrays:
-            arr.flags.writeable = False
-        index = {dt.date.fromordinal(o): row for row, o in enumerate(ordinals.tolist())}
-        return cls(index, *arrays, n)
+        return _index(ordinal, hour, load, temp, _no_line)
 
     def first_gap(
         self, first: dt.date, days: int, need: str = "record"
@@ -203,65 +205,218 @@ class Dataset:
         return first + dt.timedelta(days=d), h + 1, lack
 
 
-def parse_csv(text: str) -> list[Record]:
-    """Parse CSV text into records, preserving file order.
+def _no_line(record: int) -> str:
+    return ""
 
-    Raises :class:`ValidationError` for a malformed row (reported with its
-    line number), a duplicate (date, hour) key or an hour outside 1..24.
+
+def _index(ordinal, hour, load, temp, line: Callable[[int], str]) -> Dataset:
+    """Index records given as columns in record order: day ordinals, hours
+    in 1..24, loads (NaN where absent) and finite temperatures.
+
+    This is the one duplicate-key check: it rejects the first record whose
+    (date, hour) an earlier record holds, its message prefixed by
+    ``line(record)``.
     """
-    lines = text.split("\n")
-    if not lines or lines[0].strip() != CSV_HEADER:
+    ordinals, day_row = np.unique(ordinal, return_inverse=True)
+    slots = 24 * day_row + hour - 1
+    shape = (len(ordinals) + 1, 24)
+    taken = np.zeros(shape, dtype=bool)
+    taken.flat[slots] = True
+    if np.count_nonzero(taken) < len(slots):
+        repeat = np.ones(len(slots), dtype=bool)
+        repeat[np.unique(slots, return_index=True)[1]] = False
+        i = int(repeat.argmax())
+        day = dt.date.fromordinal(int(ordinal[i]))
+        raise ValidationError(f"{line(i)}duplicate key ({day}, hour {hour[i]})")
+
+    load_arr, temp_arr = np.full(shape, np.nan), np.full(shape, np.nan)
+    load_arr.flat[slots] = load
+    temp_arr.flat[slots] = temp
+    arrays = (load_arr, temp_arr, ~np.isnan(load_arr), taken, slots)
+    for arr in arrays:
+        arr.flags.writeable = False
+    index = {dt.date.fromordinal(o): row for row, o in enumerate(ordinals.tolist())}
+    return Dataset(index, *arrays)
+
+
+# Characters read per step, so that a file's field strings do not all exist
+# at once.
+_CHUNK_CHARS = 1 << 15
+
+# Hour fields as ``serialize_csv`` writes them.
+_HOUR_FIELDS = {str(hour): hour for hour in HOURS}
+
+
+def _ordinal(field: str) -> int:
+    """The day ordinal of an ISO date field; 0 (no day's) when it is bad."""
+    try:
+        return dt.date.fromisoformat(field.strip()).toordinal()
+    except ValueError:
+        return 0
+
+
+def _hour(field: str) -> int:
+    """An hour field's value; 0 when it is bad or outside 1..24."""
+    try:
+        hour = int(field.strip())
+    except ValueError:
+        return 0
+    return hour if 1 <= hour <= 24 else 0
+
+
+def _by_distinct(convert, fields: list) -> np.ndarray:
+    """``convert`` of every field, called once per distinct string."""
+    table = {field: convert(field) for field in set(fields)}
+    return np.fromiter(map(table.__getitem__, fields), np.int64, len(fields))
+
+
+def _hours(fields: list) -> np.ndarray:
+    try:
+        return np.fromiter(map(_HOUR_FIELDS.__getitem__, fields), np.int64, len(fields))
+    except KeyError:
+        return _by_distinct(_hour, fields)
+
+
+def _float(field: str) -> float:
+    field = field.strip()
+    if not field:
+        return math.nan
+    try:
+        value = float(field)
+    except ValueError:
+        return math.inf
+    return value if math.isfinite(value) else math.inf
+
+
+def _floats(fields: list) -> np.ndarray:
+    """The fields as floats: NaN for a blank field, inf for one that is not
+    a finite number."""
+    try:
+        values = np.fromiter(map(float, fields), float, len(fields))
+    except ValueError:
+        return np.fromiter(map(_float, fields), float, len(fields))
+    values[~np.isfinite(values)] = math.inf
+    return values
+
+
+def _field_problem(fields: list) -> str:
+    """What is wrong with a line's four fields, named by the first check
+    that fails: date, hour, load, temperature."""
+    raw_date, raw_hour, raw_load, raw_temp = map(str.strip, fields)
+    if not _ordinal(raw_date):
+        return f"bad date {raw_date!r}"
+    try:
+        hour = int(raw_hour)
+    except ValueError:
+        return f"bad hour {raw_hour!r}"
+    if not 1 <= hour <= 24:
+        return f"hour {hour} out of range 1..24"
+    numbers = [("load_mw", raw_load)] if raw_load else []  # a blank load is absent
+    for name, raw in numbers + [("temp_c", raw_temp)]:
+        try:
+            value = float(raw)
+        except ValueError:
+            return f"bad {name} {raw!r}"
+        if not math.isfinite(value):
+            return f"non-finite {name}"
+    raise AssertionError(f"no problem with the fields {fields!r}")
+
+
+def _read_chunk(piece: str, first: int) -> tuple[tuple, Optional[str]]:
+    """The columns of the lines in ``piece``, numbered from ``first``, up to
+    its first bad line, and what is wrong with that line (None if none)."""
+    # Commas per line, counted on the encoded text: ',' and '\n' are single
+    # bytes in UTF-8 and occur in no other character's bytes.
+    buf = np.frombuffer(piece.encode("utf-8", "surrogatepass"), np.uint8)
+    at = np.flatnonzero(buf == ord(","))
+    commas = np.diff(np.searchsorted(at, np.flatnonzero(buf == ord("\n"))),
+                     prepend=0, append=len(at))
+    problem = None
+    if (commas == 3).all():
+        rows = np.arange(len(commas))
+        fields = piece.replace("\n", ",").split(",")
+    else:
+        # Blank lines are skipped; any other line without four fields is bad.
+        lines = piece.split("\n")
+        stop = next((i for i in np.flatnonzero(commas != 3).tolist() if lines[i].strip()),
+                    len(lines))
+        if stop < len(lines):
+            problem = f"line {first + stop}: expected 4 fields, got {commas[stop] + 1}"
+        rows = np.flatnonzero(commas[:stop] == 3)
+        fields = ",".join([lines[i] for i in rows.tolist()]).split(",") if len(rows) else []
+    columns = (
+        _by_distinct(_ordinal, fields[0::4]),
+        _hours(fields[1::4]),
+        _floats(fields[2::4]),
+        _floats(fields[3::4]),
+        first + rows,
+    )
+    ordinal, hour, load, temp, lineno = columns
+    bad = (ordinal == 0) | (hour == 0) | np.isinf(load) | ~np.isfinite(temp)
+    if bad.any():
+        i = int(bad.argmax())
+        problem = f"line {lineno[i]}: {_field_problem(fields[4 * i : 4 * i + 4])}"
+        columns = tuple(column[:i] for column in columns)
+    return columns, problem
+
+
+def parse_csv(text: str) -> Dataset:
+    """Parse CSV text into a :class:`Dataset`.
+
+    Raises :class:`ValidationError` for a malformed row, an hour outside
+    1..24, a non-finite value or a duplicate (date, hour) key, naming the
+    first bad line in file order by its number.  The text is read a chunk of
+    lines at a time and column by column, with no object per row: each
+    distinct date or hour string is parsed once, and loads and temperatures
+    go straight into arrays.
+    """
+    newline = text.find("\n")
+    header = text if newline < 0 else text[:newline]
+    if header.strip() != CSV_HEADER:
         raise ValidationError(f"expected header {CSV_HEADER!r}")
-    records: list[Record] = []
-    seen: set[tuple[dt.date, int]] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line.strip() == "":
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ValidationError(f"line {lineno}: expected 4 fields, got {len(parts)}")
-        raw_date, raw_hour, raw_load, raw_temp = (p.strip() for p in parts)
-        try:
-            date = dt.date.fromisoformat(raw_date)
-        except ValueError:
-            raise ValidationError(f"line {lineno}: bad date {raw_date!r}") from None
-        try:
-            hour = int(raw_hour)
-        except ValueError:
-            raise ValidationError(f"line {lineno}: bad hour {raw_hour!r}") from None
-        if hour < 1 or hour > 24:
-            raise ValidationError(f"line {lineno}: hour {hour} out of range 1..24")
-        load: Optional[float] = None
-        if raw_load != "":
-            try:
-                load = float(raw_load)
-            except ValueError:
-                raise ValidationError(
-                    f"line {lineno}: bad load_mw {raw_load!r}"
-                ) from None
-            if not math.isfinite(load):
-                raise ValidationError(f"line {lineno}: non-finite load_mw")
-        try:
-            temp = float(raw_temp)
-        except ValueError:
-            raise ValidationError(f"line {lineno}: bad temp_c {raw_temp!r}") from None
-        if not math.isfinite(temp):
-            raise ValidationError(f"line {lineno}: non-finite temp_c")
-        key = (date, hour)
-        if key in seen:
-            raise ValidationError(f"line {lineno}: duplicate key ({date}, hour {hour})")
-        seen.add(key)
-        records.append(Record(date, hour, load, temp))
-    return records
+    end = len(text) - text.endswith("\n")  # the empty line after a final newline
+    columns = []
+    pos, lineno = len(header) + 1, 2
+    while pos < end:
+        stop = text.find("\n", pos + _CHUNK_CHARS, end)
+        stop = end if stop < 0 else stop
+        piece = text[pos:stop]
+        chunk, problem = _read_chunk(piece, lineno)
+        columns.append(chunk)
+        if problem is not None:
+            _index_lines(columns)  # a duplicate key on an earlier line comes first
+            raise ValidationError(problem)
+        lineno += piece.count("\n") + 1
+        pos = stop + 1
+    return _index_lines(columns)
+
+
+def _index_lines(columns: list) -> Dataset:
+    """Index the columns read from every chunk; errors name the line."""
+    if not columns:
+        columns = [(np.zeros(0, np.int64),) * 5]
+    ordinal, hour, load, temp, lineno = map(np.concatenate, zip(*columns))
+    return _index(ordinal, hour, load, temp, lambda i: f"line {lineno[i]}: ")
 
 
 def serialize_csv(records: Iterable[Record]) -> str:
-    """Render records back to CSV text; parse(serialize(r)) == r."""
+    """Render records back to CSV text, which ``parse_csv`` reads back to
+    the same dataset."""
     out = [CSV_HEADER]
     for rec in records:
         load = "" if rec.load_mw is None else repr(float(rec.load_mw))
         out.append(f"{rec.date.isoformat()},{rec.hour},{load},{repr(float(rec.temp_c))}")
     return "\n".join(out) + "\n"
+
+
+def history_start(target_date: dt.date) -> dt.date:
+    """The first of the nine history days before ``target_date``."""
+    if target_date.toordinal() <= HISTORY_DAYS:
+        raise ValidationError(
+            f"missing history: the calendar has fewer than {HISTORY_DAYS} days "
+            f"before {target_date}"
+        )
+    return target_date - dt.timedelta(days=HISTORY_DAYS)
 
 
 _WINDOW_GAPS = {"record": "missing data for", "load": "missing load_mw for",
@@ -281,7 +436,7 @@ def assemble_window(data: Dataset | Iterable[Record], target_date: dt.date) -> S
     """
     if not isinstance(data, Dataset):
         data = Dataset.from_records(data)
-    first = target_date - dt.timedelta(days=HISTORY_DAYS)
+    first = history_start(target_date)
     gap = data.first_gap(first, HISTORY_DAYS, "positive")
     if gap is not None:
         day, hour, lack = gap

@@ -86,11 +86,13 @@ def ols_fit(design) -> FitResult:
     if rank < k:
         diagnostics["rank_deficient"] = True
         diagnostics["rank"] = rank
+    with np.errstate(over="ignore"):  # an infinite SSR ranks last on the decay grid
+        ssr = float(residuals @ residuals)
     return FitResult(
         model_id=design.model_id,
         coefficients=dict(zip(design.names, (float(c) for c in coef))),
         residuals=residuals,
-        ssr=float(residuals @ residuals),
+        ssr=ssr,
         rho=0.0,
         lam=0.0,
         method="ols",
@@ -159,6 +161,17 @@ def _concentrated_loglik(ssr_white: float, rho: float, n: int) -> float:
     )
 
 
+def _residuals_vanish(ssr: float, y: np.ndarray) -> bool:
+    """``ssr <= 1e-16 * (y @ y + 1)``; where ``y @ y`` overflows, the same
+    test on y scaled by its largest magnitude."""
+    yy = float(y @ y)
+    if math.isfinite(yy):
+        return ssr <= 1e-16 * (yy + 1.0)
+    top = float(np.max(np.abs(y)))
+    unit = y / top
+    return ssr / top / top <= 1e-16 * (float(unit @ unit) + 1.0 / top / top)
+
+
 def exact_ml_ar1_fit(design) -> FitResult:
     """Exact maximum likelihood for a linear model with AR(1) disturbances.
 
@@ -172,6 +185,10 @@ def exact_ml_ar1_fit(design) -> FitResult:
     return exact_ml_ar1_fits([design])[0]
 
 
+# Loads near the double range overflow y @ y and the SSRs: the tie-break test
+# rescales, and an infinite SSR has likelihood -inf and ranks last on the
+# decay grid.  One errstate per call keeps it off the golden-section steps.
+@np.errstate(over="ignore")
 def exact_ml_ar1_fits(designs: list) -> list[FitResult]:
     """``exact_ml_ar1_fit`` of each design; all designs share one shape.
 
@@ -193,8 +210,7 @@ def exact_ml_ar1_fits(designs: list) -> list[FitResult]:
     coef0, ssr0, rank0 = _gls_stack(systems, np.zeros(len(designs)))
     fits = {}
     for i, design in enumerate(designs):
-        y = design.response
-        if ssr0[i] <= 1e-16 * (float(y @ y) + 1.0):
+        if _residuals_vanish(ssr0[i], design.response):
             base = ols_fit(design)
             fits[i] = replace(base, method="exact_ml_ar1",
                               diagnostics={**base.diagnostics, "rho_tie_break": True})

@@ -75,9 +75,10 @@ def cointegration_angle(p: np.ndarray, q: np.ndarray) -> float:
     q = np.asarray(q, dtype=float)
     if p.shape != (24,) or q.shape != (24,):
         raise ValidationError("expected centered 24-vectors")
-    pp = float(p @ p) / 24.0
-    qq = float(q @ q) / 24.0
-    pq = float(p @ q) / 24.0
+    with np.errstate(over="ignore"):  # an overflow raises at Eq. (4) below
+        pp = float(p @ p) / 24.0
+        qq = float(q @ q) / 24.0
+        pq = float(p @ q) / 24.0
     if not (math.isfinite(pp) and math.isfinite(qq) and math.isfinite(pq)):
         raise DegeneracyError("second moments of the centered profiles overflow", "(4)")
     if pp <= ZERO_SERIES_TOL and qq <= ZERO_SERIES_TOL:

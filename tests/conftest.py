@@ -61,6 +61,17 @@ def default_temp(offset: int):
     ]
 
 
+def same_dataset(a, b) -> bool:
+    """Two Datasets hold the same days, the same values (NaN where absent)
+    and the same number of records."""
+    return (
+        list(a.index.items()) == list(b.index.items())
+        and all(np.array_equal(getattr(a, f), getattr(b, f), equal_nan=True)
+                for f in ("loads", "temps", "has_load", "has_temp"))
+        and len(a) == len(b)
+    )
+
+
 def records_for_window(window: SeriesWindow, target_loads=None):
     """Flatten a window back into CSV records (plus optional target loads)."""
     recs = []

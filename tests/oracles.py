@@ -20,7 +20,7 @@ from dayahead.features import (
     indicator,
     legal_training_days,
 )
-from dayahead.ingest import HOURS, Record, SeriesWindow
+from dayahead.ingest import CSV_HEADER, HOURS, Record, SeriesWindow
 from dayahead.regress import (
     MAX_GOLDEN_ITER,
     RHO_BOUND,
@@ -142,6 +142,63 @@ def koyck_transform(series, lam: float, order: int = 3) -> np.ndarray:
         seg = x[t - 1 - j_max : t][::-1]
         out[t - 1] = float(np.dot(w, seg) / np.sum(w))
     return out
+
+
+# --- Line-by-line CSV parser ------------------------------------------------
+# One Record per line and a set of seen keys: the reference for the engine's
+# columnar parse_csv, and the way tests read a CSV back into records.
+
+
+def parse_csv_records(text: str) -> list:
+    """Parse CSV text into records, preserving file order.
+
+    Raises ValidationError for a malformed row (reported with its line
+    number), a duplicate (date, hour) key or an hour outside 1..24.
+    """
+    lines = text.split("\n")
+    if not lines or lines[0].strip() != CSV_HEADER:
+        raise ValidationError(f"expected header {CSV_HEADER!r}")
+    records = []
+    seen = set()
+    for lineno, line in enumerate(lines[1:], start=2):
+        if line.strip() == "":
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise ValidationError(f"line {lineno}: expected 4 fields, got {len(parts)}")
+        raw_date, raw_hour, raw_load, raw_temp = (p.strip() for p in parts)
+        try:
+            date = dt.date.fromisoformat(raw_date)
+        except ValueError:
+            raise ValidationError(f"line {lineno}: bad date {raw_date!r}") from None
+        try:
+            hour = int(raw_hour)
+        except ValueError:
+            raise ValidationError(f"line {lineno}: bad hour {raw_hour!r}") from None
+        if hour < 1 or hour > 24:
+            raise ValidationError(f"line {lineno}: hour {hour} out of range 1..24")
+        load = None
+        if raw_load != "":
+            try:
+                load = float(raw_load)
+            except ValueError:
+                raise ValidationError(
+                    f"line {lineno}: bad load_mw {raw_load!r}"
+                ) from None
+            if not math.isfinite(load):
+                raise ValidationError(f"line {lineno}: non-finite load_mw")
+        try:
+            temp = float(raw_temp)
+        except ValueError:
+            raise ValidationError(f"line {lineno}: bad temp_c {raw_temp!r}") from None
+        if not math.isfinite(temp):
+            raise ValidationError(f"line {lineno}: non-finite temp_c")
+        key = (date, hour)
+        if key in seen:
+            raise ValidationError(f"line {lineno}: duplicate key ({date}, hour {hour})")
+        seen.add(key)
+        records.append(Record(date, hour, load, temp))
+    return records
 
 
 # --- Dict-based window path -------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dayahead.errors import ValidationError
 from dayahead.ingest import (
+    Dataset,
     DayProfile,
     Record,
     SynthParams,
@@ -17,22 +18,27 @@ from dayahead.ingest import (
     synth_window,
 )
 
-from conftest import TARGET, day, make_window, records_for_window
+from conftest import TARGET, day, make_window, records_for_window, same_dataset
+from oracles import parse_csv_records
 
 HEADER = "date,hour,load_mw,temp_c"
 
 
 def test_parse_single_row():
     text = f"{HEADER}\n2004-05-01,1,4200.5,11.2\n"
-    records = parse_csv(text)
-    assert records == [Record(dt.date(2004, 5, 1), 1, 4200.5, 11.2)]
+    data = parse_csv(text)
+    record = Record(dt.date(2004, 5, 1), 1, 4200.5, 11.2)
+    assert same_dataset(data, Dataset.from_records([record]))
+    assert list(data.index) == [dt.date(2004, 5, 1)]
+    assert (data.loads[0, 0], data.temps[0, 0]) == (4200.5, 11.2)
 
 
 def test_parse_empty_load_field():
     text = f"{HEADER}\n2004-05-01,1,,11.2\n"
-    (rec,) = parse_csv(text)
-    assert rec.load_mw is None
-    assert rec.temp_c == 11.2
+    data = parse_csv(text)
+    assert len(data) == 1
+    assert not data.has_load.any()
+    assert data.has_temp[0, 0] and data.temps[0, 0] == 11.2
 
 
 def test_parse_hour_out_of_range():
@@ -94,7 +100,9 @@ def test_parse_serialize_round_trip(raw):
         Record(dt.date(2004, 1, 1) + dt.timedelta(days=d), h, load, temp)
         for d, h, load, temp in raw
     ]
-    assert parse_csv(serialize_csv(records)) == records
+    text = serialize_csv(records)
+    assert parse_csv_records(text) == records
+    assert same_dataset(parse_csv(text), Dataset.from_records(records))
 
 
 def test_assemble_window_complete():

@@ -1,4 +1,5 @@
 import datetime as dt
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -163,6 +164,26 @@ def test_exact_ml_constant_response_tie_break():
     fit = exact_ml_ar1_fit(stack_design(matrix, y))
     assert fit.rho == 0.0
     assert abs(fit.coef_vector()[0] - 7.5) < 1e-12
+
+
+def test_tie_break_test_survives_an_overflowing_response():
+    # Loads x 1e150 square past the double range in y @ y.  Residuals that do
+    # not vanish must still run the rho search, and the fits must agree with
+    # those at x 1e140, where y @ y is finite.
+    window, _ = synth_window(SynthParams(days=12, seed=1))
+
+    def scaled(factor):
+        loads = window.loads * factor
+        loads.flags.writeable = False
+        return replace(window, loads=loads)
+
+    for model_id in "abc":
+        big, ref = fit_model(scaled(1e150), model_id), fit_model(scaled(1e140), model_id)
+        assert "rho_tie_break" not in big.diagnostics
+        assert big.lam == ref.lam
+        assert abs(big.rho - ref.rho) <= 1e-5
+    constant = exact_ml_ar1_fit(stack_design(np.ones((48, 1)), np.full(48, 7.5e160)))
+    assert constant.diagnostics["rho_tie_break"] and constant.rho == 0.0
 
 
 def test_exact_ml_loglik_never_below_rho_zero():
