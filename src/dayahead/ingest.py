@@ -243,9 +243,6 @@ def _index(ordinal, hour, load, temp, line: Callable[[int], str]) -> Dataset:
 # at once.
 _CHUNK_CHARS = 1 << 15
 
-# Hour fields as ``serialize_csv`` writes them.
-_HOUR_FIELDS = {str(hour): hour for hour in HOURS}
-
 
 def _ordinal(field: str) -> int:
     """The day ordinal of an ISO date field; 0 (no day's) when it is bad."""
@@ -268,13 +265,6 @@ def _by_distinct(convert, fields: list) -> np.ndarray:
     """``convert`` of every field, called once per distinct string."""
     table = {field: convert(field) for field in set(fields)}
     return np.fromiter(map(table.__getitem__, fields), np.int64, len(fields))
-
-
-def _hours(fields: list) -> np.ndarray:
-    try:
-        return np.fromiter(map(_HOUR_FIELDS.__getitem__, fields), np.int64, len(fields))
-    except KeyError:
-        return _by_distinct(_hour, fields)
 
 
 def _float(field: str) -> float:
@@ -346,7 +336,7 @@ def _read_chunk(piece: str, first: int) -> tuple[tuple, Optional[str]]:
         fields = ",".join([lines[i] for i in rows.tolist()]).split(",") if len(rows) else []
     columns = (
         _by_distinct(_ordinal, fields[0::4]),
-        _hours(fields[1::4]),
+        _by_distinct(_hour, fields[1::4]),
         _floats(fields[2::4]),
         _floats(fields[3::4]),
         first + rows,
