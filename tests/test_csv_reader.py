@@ -156,7 +156,7 @@ def test_history_and_weather_merge_matches_the_oracle():
             assert outcome.startswith("duplicate key (")
 
 
-def test_merged_dataset_keeps_record_order_and_count():
+def test_merged_dataset_holds_the_records_of_both_files():
     records, _ = synth_dataset(SynthParams(days=2, seed=1))
     merged = parse_csv(serialize_csv(records[24:])) + parse_csv(serialize_csv(records[:24]))
     assert len(merged) == 48
