@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DegeneracyError, ValidationError
-from .ingest import LOAD_KIND, Dataset, DayProfile, Record, assemble_window, history_start
+from .ingest import LOAD_KIND, Dataset, DayProfile, assemble_window, history_start
 from .pipeline import EngineSettings, run_day
 from .report import daily_relative_error
 from .verdict import CriticalValues
@@ -48,7 +48,7 @@ class MonthlySummary:
 
 
 def run_backtest(
-    data: Dataset | list[Record],
+    dataset: Dataset,
     from_date: dt.date,
     to_date: dt.date,
     critical_values: CriticalValues,
@@ -56,11 +56,10 @@ def run_backtest(
 ) -> tuple[list[BacktestRow], list[MonthlySummary]]:
     """Score every day in [from_date, to_date]; returns rows plus the
     calendar-month summary.  The dataset must fully cover
-    [from_date - 9 days, to_date].  ``data`` is a Dataset, or records that
-    are indexed once; every window is a row slice of the dataset."""
+    [from_date - 9 days, to_date]; every window is a row slice of the
+    dataset."""
     if from_date > to_date:
         raise ValidationError("from_date must not exceed to_date")
-    dataset = data if isinstance(data, Dataset) else Dataset.from_records(data)
     first = history_start(from_date)
     gap = dataset.first_gap(first, (to_date - first).days + 1, "load")
     if gap is not None:

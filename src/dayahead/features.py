@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .ingest import SeriesWindow
+from .ingest import HISTORY_DAYS, SeriesWindow
 
 MODEL_IDS = ("a", "b", "c")
 
@@ -200,11 +200,10 @@ def legal_training_days(
         raise ValidationError(f"unknown model id {model_id!r}")
     days = []
     for k in (2, 1):
-        day = window.target_date - dt.timedelta(days=k)
-        if model_id in ("b", "c") and temp_mode == "day":
-            if not window.has_day(day - dt.timedelta(days=8)):
-                continue
-        days.append(day)
+        # Training day target - k lags its temperature to target - (k + 8).
+        if model_id in ("b", "c") and temp_mode == "day" and k + 8 > HISTORY_DAYS:
+            continue
+        days.append(window.target_date - dt.timedelta(days=k))
     return days
 
 

@@ -115,9 +115,6 @@ class SeriesWindow:
             return self.forecast
         return self.temps[self._history_index(day)]
 
-    def has_day(self, day: dt.date) -> bool:
-        return 1 <= (self.target_date - day).days <= HISTORY_DAYS
-
 
 def _reject_first(flat: list, bad: np.ndarray, problem: str) -> None:
     """Reject the first record flagged in ``bad``; ``flat`` holds the
@@ -321,19 +318,15 @@ def _read_chunk(piece: str, first: int) -> tuple[tuple, Optional[str]]:
     at = np.flatnonzero(buf == ord(","))
     commas = np.diff(np.searchsorted(at, np.flatnonzero(buf == ord("\n"))),
                      prepend=0, append=len(at))
+    # Blank lines are skipped; any other line without four fields is bad.
+    lines = piece.split("\n")
+    stop = next((i for i in np.flatnonzero(commas != 3).tolist() if lines[i].strip()),
+                len(lines))
     problem = None
-    if (commas == 3).all():
-        rows = np.arange(len(commas))
-        fields = piece.replace("\n", ",").split(",")
-    else:
-        # Blank lines are skipped; any other line without four fields is bad.
-        lines = piece.split("\n")
-        stop = next((i for i in np.flatnonzero(commas != 3).tolist() if lines[i].strip()),
-                    len(lines))
-        if stop < len(lines):
-            problem = f"line {first + stop}: expected 4 fields, got {commas[stop] + 1}"
-        rows = np.flatnonzero(commas[:stop] == 3)
-        fields = ",".join([lines[i] for i in rows.tolist()]).split(",") if len(rows) else []
+    if stop < len(lines):
+        problem = f"line {first + stop}: expected 4 fields, got {commas[stop] + 1}"
+    rows = np.flatnonzero(commas[:stop] == 3)
+    fields = ",".join([lines[i] for i in rows.tolist()]).split(",") if len(rows) else []
     columns = (
         _by_distinct(_ordinal, fields[0::4]),
         _by_distinct(_hour, fields[1::4]),
@@ -413,19 +406,16 @@ _WINDOW_GAPS = {"record": "missing data for", "load": "missing load_mw for",
                 "positive": "non-positive load at"}
 
 
-def assemble_window(data: Dataset | Iterable[Record], target_date: dt.date) -> SeriesWindow:
+def assemble_window(data: Dataset, target_date: dt.date) -> SeriesWindow:
     """Build a validated window ending the day before ``target_date``.
 
     Requires full 24-hour load and temperature coverage for each of the nine
     preceding days plus 24 forecast-temperature hours for the target day.
     The first gap found in (day, hour) order is reported; the outcome does
     not depend on record order.  Rows for the target day may carry a load
-    value (e.g. in a backtest dataset); it is ignored here.  Records are
-    indexed once through :meth:`Dataset.from_records`; the window's arrays
-    are views of the dataset's rows.
+    value (e.g. in a backtest dataset); it is ignored here.  The window's
+    arrays are views of the dataset's rows.
     """
-    if not isinstance(data, Dataset):
-        data = Dataset.from_records(data)
     first = history_start(target_date)
     gap = data.first_gap(first, HISTORY_DAYS, "positive")
     if gap is not None:
@@ -568,4 +558,4 @@ def synth_window(params: SynthParams) -> tuple[SeriesWindow, dict]:
         raise ValidationError("synth_window requires days >= 10")
     records, truth = synth_dataset(params)
     target = params.start_date + dt.timedelta(days=params.days - 1)
-    return assemble_window(records, target), truth
+    return assemble_window(Dataset.from_records(records), target), truth

@@ -4,7 +4,7 @@ import pytest
 
 from dayahead.backtest import render_backtest_csv, run_backtest
 from dayahead.errors import ValidationError
-from dayahead.ingest import SynthParams, synth_dataset
+from dayahead.ingest import Dataset, SynthParams, synth_dataset
 from dayahead.pipeline import EngineSettings
 
 from fixtures import recoherence_backtest_records
@@ -16,7 +16,9 @@ OLS_OFF = EngineSettings(method="ols", lambda_policy="off")
 def test_single_day_range_gives_one_row(permissive_criticals):
     records, _ = synth_dataset(SynthParams(days=12, seed=6))
     target = records[-1].date
-    rows, monthly = run_backtest(records, target, target, permissive_criticals)
+    rows, monthly = run_backtest(
+        Dataset.from_records(records), target, target, permissive_criticals
+    )
     assert len(rows) == 1
     assert rows[0].date == target
     assert rows[0].status == "ok"
@@ -31,7 +33,7 @@ def test_model_a_generator_recovered(permissive_criticals):
     start = records[0].date + dt.timedelta(days=10)
     end = records[-1].date
     rows, monthly = run_backtest(
-        records, start, end, permissive_criticals, OLS_OFF
+        Dataset.from_records(records), start, end, permissive_criticals, OLS_OFF
     )
     assert all(r.status == "ok" for r in rows)
     assert all(r.mmre_a < 0.1 for r in rows)
@@ -42,9 +44,9 @@ def test_coverage_validation(permissive_criticals):
     records, _ = synth_dataset(SynthParams(days=12, seed=6))
     target = records[-1].date
     with pytest.raises(ValidationError, match="insufficient coverage"):
-        run_backtest(records[:-24], target, target, permissive_criticals)
+        run_backtest(Dataset.from_records(records[:-24]), target, target, permissive_criticals)
     with pytest.raises(ValidationError, match="from_date"):
-        run_backtest(records, target, target - dt.timedelta(days=1),
+        run_backtest(Dataset.from_records(records), target, target - dt.timedelta(days=1),
                      permissive_criticals)
 
 
@@ -52,7 +54,7 @@ def test_aborted_day_bookkeeping(permissive_criticals):
     degenerate = dt.date(2004, 5, 10)
     records = recoherence_backtest_records(degenerate, tail_days=1)
     rows, monthly = run_backtest(
-        records,
+        Dataset.from_records(records),
         degenerate,
         degenerate + dt.timedelta(days=1),
         permissive_criticals,
@@ -70,7 +72,7 @@ def test_summary_means_daily_errors(permissive_criticals):
     records, _ = synth_dataset(SynthParams(days=14, seed=9))
     start = records[0].date + dt.timedelta(days=10)
     end = records[-1].date
-    rows, monthly = run_backtest(records, start, end, permissive_criticals)
+    rows, monthly = run_backtest(Dataset.from_records(records), start, end, permissive_criticals)
     scored = [r for r in rows if r.status == "ok"]
     assert len(scored) == len(rows)
     by_month = {}
@@ -85,8 +87,8 @@ def test_backtest_deterministic(permissive_criticals):
     records, _ = synth_dataset(SynthParams(days=13, seed=2))
     start = records[0].date + dt.timedelta(days=10)
     end = records[-1].date
-    first = run_backtest(records, start, end, permissive_criticals)
-    second = run_backtest(records, start, end, permissive_criticals)
+    first = run_backtest(Dataset.from_records(records), start, end, permissive_criticals)
+    second = run_backtest(Dataset.from_records(records), start, end, permissive_criticals)
     assert render_backtest_csv(*first) == render_backtest_csv(*second)
 
 
@@ -94,7 +96,7 @@ def test_render_backtest_csv_shape(permissive_criticals):
     degenerate = dt.date(2004, 5, 10)
     records = recoherence_backtest_records(degenerate, tail_days=1)
     rows, monthly = run_backtest(
-        records, degenerate, degenerate + dt.timedelta(days=1),
+        Dataset.from_records(records), degenerate, degenerate + dt.timedelta(days=1),
         permissive_criticals,
     )
     text = render_backtest_csv(rows, monthly)

@@ -344,6 +344,35 @@ def test_backtest_from_the_calendar_start_exits_2(tmp_path, capsys):
     assert not (tmp_path / "bt.csv").exists()
 
 
+def test_forecast_day_lag_mode_on_the_first_day_with_history_exits_0(tmp_path, capsys):
+    # The 8-day temperature lag of the earliest training day would fall
+    # before 0001-01-01; the day must be left out, not dated.
+    data = synth_to(tmp_path, "data.csv", days=10, seed=1, extra=("--start-date", "0001-01-01"))
+    hist, fc, target = split_forecast_inputs(tmp_path, data)
+    assert target == dt.date(1, 1, 10)
+    code = cli.main([
+        "forecast", "--history", str(hist), "--temp-forecast", str(fc),
+        "--target-date", target.isoformat(), "--critical-values", write_cv(tmp_path),
+        "--temp-lag-mode", "day", "--out", str(tmp_path / "report.json"),
+    ])
+    assert code == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_backtest_day_lag_mode_from_the_first_day_with_history_exits_0(tmp_path, capsys):
+    data = synth_to(tmp_path, "data.csv", days=11, seed=1, extra=("--start-date", "0001-01-01"))
+    out = tmp_path / "bt.csv"
+    code = cli.main([
+        "backtest", "--data", str(data), "--from", "0001-01-10", "--to", "0001-01-11",
+        "--critical-values", write_cv(tmp_path), "--report", str(out),
+        "--temp-lag-mode", "day",
+    ])
+    assert code == 0
+    assert capsys.readouterr() == ("", "")
+    rows = out.read_text().split("\n")
+    assert [r.split(",")[0] for r in rows[1:3]] == ["0001-01-10", "0001-01-11"]
+
+
 def test_backtest_to_the_calendar_end_exits_0(tmp_path, capsys):
     data = synth_to(tmp_path, "data.csv", days=11, extra=("--start-date", "9999-12-21"))
     out = tmp_path / "bt.csv"

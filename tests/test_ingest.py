@@ -108,7 +108,7 @@ def test_parse_serialize_round_trip(raw):
 def test_assemble_window_complete():
     window = make_window()
     records = records_for_window(window)
-    rebuilt = assemble_window(records, TARGET)
+    rebuilt = assemble_window(Dataset.from_records(records), TARGET)
     assert rebuilt == window
     assert rebuilt.loads.shape == rebuilt.temps.shape == (9, 24)
     assert not rebuilt.loads.flags.writeable
@@ -118,7 +118,7 @@ def test_assemble_window_order_independent():
     window = make_window()
     records = records_for_window(window)
     shuffled = list(reversed(records))
-    assert assemble_window(shuffled, TARGET) == window
+    assert assemble_window(Dataset.from_records(shuffled), TARGET) == window
 
 
 def test_assemble_window_names_first_gap():
@@ -128,7 +128,7 @@ def test_assemble_window_names_first_gap():
         if not (r.date == day(4) and r.hour == 13)
     ]
     with pytest.raises(ValidationError, match=rf"{day(4)}, hour 13"):
-        assemble_window(records, TARGET)
+        assemble_window(Dataset.from_records(records), TARGET)
 
 
 def test_assemble_window_rejects_nonpositive_load():
@@ -139,7 +139,7 @@ def test_assemble_window_rejects_nonpositive_load():
             r = Record(r.date, r.hour, 0.0, r.temp_c)
         records.append(r)
     with pytest.raises(ValidationError, match="non-positive load"):
-        assemble_window(records, TARGET)
+        assemble_window(Dataset.from_records(records), TARGET)
 
 
 def test_assemble_window_requires_forecast_hours():
@@ -149,7 +149,7 @@ def test_assemble_window_requires_forecast_hours():
         if not (r.date == TARGET and r.hour == 7)
     ]
     with pytest.raises(ValidationError, match=rf"{TARGET}, hour 7"):
-        assemble_window(records, TARGET)
+        assemble_window(Dataset.from_records(records), TARGET)
 
 
 def test_profile_validation():

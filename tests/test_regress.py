@@ -15,6 +15,7 @@ from dayahead.features import (
 )
 from dayahead.ingest import (
     LOAD_KIND,
+    Dataset,
     SynthParams,
     assemble_window,
     synth_dataset,
@@ -213,7 +214,7 @@ def test_fit_model_off_equals_fixed_zero():
 def test_fit_model_grid_recovers_zero_decay_generator():
     records = model_a_records(12)
     target = records[-1].date
-    window = assemble_window(records, target)
+    window = assemble_window(Dataset.from_records(records), target)
     fit = fit_model(window, "a", method="ols", lambda_policy="grid")
     assert fit.lam == 0.0
     for name, value in MODEL_A_COEFFS.items():
@@ -326,9 +327,10 @@ def assert_same_fit(got, want):
 def test_fit_model_matches_scalar_oracle_over_backtest(seed, temp_mode):
     # Every day of the 31-day acceptance backtest on synth --days 40.
     records, _ = synth_dataset(SynthParams(days=40, seed=seed))
+    data = Dataset.from_records(records)
     target = dt.date(2004, 1, 10)
     while target <= dt.date(2004, 2, 9):
-        window = assemble_window(records, target)
+        window = assemble_window(data, target)
         for model_id in ("a", "b", "c"):
             got = fit_model(window, model_id, temp_mode=temp_mode)
             want = oracles.fit_model_grid(window, model_id, temp_mode)
