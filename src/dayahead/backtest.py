@@ -2,9 +2,12 @@
 
 For each day in the requested range the harness assembles the window ending
 the day before, forecasts the day, and scores each model and the ensemble
-against the actual load.  Days on which the computation chain degenerates
-are flagged as aborted, carry no numeric results, and are excluded from the
-monthly summary (their count is reported instead of being imputed).
+against the actual load.  Consecutive days are fitted in runs: a run's
+windows go through one stacked solve per model, and each day's chain then
+runs with the fits of its window.  Days on which the computation chain
+degenerates are flagged as aborted, carry no numeric results, and are
+excluded from the monthly summary (their count is reported instead of being
+imputed).
 """
 
 from __future__ import annotations
@@ -13,11 +16,20 @@ import datetime as dt
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import DegeneracyError, ValidationError
+from .features import LAMBDA_GRID
 from .ingest import LOAD_KIND, Dataset, DayProfile, assemble_window, history_start
-from .pipeline import EngineSettings, run_day
+from .pipeline import EngineSettings, fit_windows, run_day
 from .report import daily_relative_error
 from .verdict import CriticalValues
+
+
+# The most least-squares systems a model's stacked solve takes: a run of days
+# fits each of its days at every decay together, and peak RSS grows with the
+# stack (see README).  40 is 40 days without the decay grid, 4 with it.
+_SYSTEMS_PER_SOLVE = 40
 
 
 @dataclass(frozen=True)
@@ -67,32 +79,49 @@ def run_backtest(
         what = "missing" if lack == "record" else "missing load for"
         raise ValidationError(f"insufficient coverage: {what} ({day}, hour {hour})")
 
+    days = [from_date + dt.timedelta(days=k) for k in range((to_date - from_date).days + 1)]
+    decays = len(LAMBDA_GRID) if settings.lambda_policy == "grid" else 1
+    run_length = max(1, _SYSTEMS_PER_SOLVE // decays)
     rows: list[BacktestRow] = []
-    for offset in range((to_date - from_date).days + 1):
-        day = from_date + dt.timedelta(days=offset)
-        window = assemble_window(dataset, day)
-        actual = DayProfile(day, dataset.loads[dataset.index[day]], LOAD_KIND)
+    for start in range(0, len(days), run_length):
+        run = days[start : start + run_length]
+        windows, failure = [], None
+        for day in run:
+            try:
+                windows.append(assemble_window(dataset, day))
+            except ValidationError as exc:
+                failure = exc  # raised after the days before it are scored
+                break
         try:
-            dispatch, _ = run_day(window, critical_values, settings)
-        except DegeneracyError as exc:
-            eq = exc.equation.strip("()")
-            rows.append(
-                BacktestRow(day, None, None, None, None, None, f"aborted:eq{eq}")
-            )
-        else:
-            rows.append(
-                BacktestRow(
-                    date=day,
-                    mmre_a=daily_relative_error(actual, dispatch.forecasts["a"]),
-                    mmre_b=daily_relative_error(actual, dispatch.forecasts["b"]),
-                    mmre_c=daily_relative_error(actual, dispatch.forecasts["c"]),
-                    mmre_ensemble=daily_relative_error(actual, dispatch.ensemble),
-                    delta_pct=dispatch.delta_pct,
-                    status="ok",
-                )
-            )
+            fits = fit_windows(windows, settings)
+        except (ValidationError, np.linalg.LinAlgError):
+            # Each day fits alone instead, so the error comes from its own day.
+            fits = [None] * len(windows)
+        for window, day_fits in zip(windows, fits):
+            rows.append(_score_day(dataset, window, critical_values, settings, day_fits))
+        if failure is not None:
+            raise failure
 
     return rows, summarize_monthly(rows)
+
+
+def _score_day(dataset, window, critical_values, settings, fits) -> BacktestRow:
+    day = window.target_date
+    actual = DayProfile(day, dataset.loads[dataset.index[day]], LOAD_KIND)
+    try:
+        dispatch, _ = run_day(window, critical_values, settings, fits=fits)
+    except DegeneracyError as exc:
+        eq = exc.equation.strip("()")
+        return BacktestRow(day, None, None, None, None, None, f"aborted:eq{eq}")
+    return BacktestRow(
+        date=day,
+        mmre_a=daily_relative_error(actual, dispatch.forecasts["a"]),
+        mmre_b=daily_relative_error(actual, dispatch.forecasts["b"]),
+        mmre_c=daily_relative_error(actual, dispatch.forecasts["c"]),
+        mmre_ensemble=daily_relative_error(actual, dispatch.ensemble),
+        delta_pct=dispatch.delta_pct,
+        status="ok",
+    )
 
 
 def _mean(values: list[float]) -> float:

@@ -209,10 +209,10 @@ def legal_training_days(
 
 def _day_blocks(
     window: SeriesWindow, day: dt.date, model_id: str, lams, temp_mode: str
-) -> list[np.ndarray]:
-    """24 x n_cols regressor blocks for one day (training or target), one per
-    decay in ``lams``.  Only the two distributed-lag columns depend on the
-    decay; the others are built once."""
+) -> np.ndarray:
+    """len(lams) x 24 x n_cols regressor blocks for one day (training or
+    target), one per decay in ``lams``.  Only the two distributed-lag columns
+    depend on the decay; the others are built once."""
     lag1 = window.load_on(day - dt.timedelta(days=1))
     half = halfday_lag_profile(window, day)
     lag7 = window.load_on(day - dt.timedelta(days=7))
@@ -220,20 +220,22 @@ def _day_blocks(
 
     if model_id == "a":
         fixed += [indicator(h) for h in (9, 10, 19, 20)]
-        lagged = [[_koyck_column(indicator(h).tobytes(), lam) for h in (11, 21)]
-                  for lam in lams]
+        series = [indicator(h) for h in (11, 21)]
     elif model_id in ("b", "c"):
         t2 = temp_term(window, day, 2, temp_mode)
         t8 = temp_term(window, day, 8, temp_mode)
-        near = (lag1 - half) * t2
-        far = (half - lag7) * t8
+        series = [(lag1 - half) * t2, (half - lag7) * t8]
         if model_id == "c":
             fixed += [t2, t8, lag1 * t2 - lag7 * t8]
-        lagged = [[_koyck_column(near.tobytes(), lam), _koyck_column(far.tobytes(), lam)]
-                  for lam in lams]
     else:
         raise ValidationError(f"unknown model id {model_id!r}")
-    return [np.column_stack(fixed + cols) for cols in lagged]
+    blocks = np.empty((len(lams), 24, len(fixed) + 2))
+    blocks[:, :, :-2] = np.column_stack(fixed)
+    keys = [s.tobytes() for s in series]
+    for block, lam in zip(blocks, lams):
+        block[:, -2] = _koyck_column(keys[0], lam)
+        block[:, -1] = _koyck_column(keys[1], lam)
+    return blocks
 
 
 def design_matrices(
@@ -249,7 +251,9 @@ def design_matrices(
         raise ValidationError(f"unknown model id {model_id!r}")
     if not training_days:
         raise ValidationError("no training days supplied")
-    per_day = [_day_blocks(window, day, model_id, lams, temp_mode) for day in training_days]
+    matrices = np.concatenate(
+        [_day_blocks(window, day, model_id, lams, temp_mode) for day in training_days], axis=1
+    )
     response = np.concatenate([window.load_on(day) for day in training_days])
     response.flags.writeable = False
     rows = tuple((day, h) for day in training_days for h in range(1, 25))
@@ -258,11 +262,47 @@ def design_matrices(
             model_id=model_id,
             rows=rows,
             names=COLUMN_NAMES[model_id],
-            matrix=np.vstack(blocks),
+            matrix=matrix,
             response=response,
         )
-        for blocks in zip(*per_day)
+        for matrix in matrices
     ]
+
+
+def _follows(prev: SeriesWindow, window: SeriesWindow) -> bool:
+    """``window`` targets the day after ``prev`` and the rows they share hold
+    the same bits, as for windows assembled from one dataset."""
+    return (
+        (window.target_date - prev.target_date).days == 1
+        and prev.loads[1:].tobytes() == window.loads[:-1].tobytes()
+        and prev.temps[1:].tobytes() == window.temps[:-1].tobytes()
+        and prev.forecast.tobytes() == window.temps[-1].tobytes()
+    )
+
+
+def run_designs(windows: list[SeriesWindow], model_id: str, lams, temp_mode: str = "hour"):
+    """Training designs of consecutive windows of one dataset, at every decay.
+
+    Returns ``(matrices, responses, blocks)``: ``matrices[i, j]`` and
+    ``responses[i]`` are the matrix and response of ``design_matrices`` for
+    ``windows[i]`` over its legal training days at decay ``lams[j]``.  A
+    day's regressors read the same dataset rows whether the day trains one
+    window or is the target of another, so each calendar day's blocks are
+    built once; ``blocks`` maps every training day to them.
+    """
+    for prev, window in zip(windows, windows[1:]):
+        if not _follows(prev, window):
+            raise ValidationError("windows must be consecutive target days of one dataset")
+    blocks: dict[dt.date, np.ndarray] = {}
+    matrices, responses = [], []
+    for window in windows:
+        days = legal_training_days(window, model_id, temp_mode)
+        for day in days:
+            if day not in blocks:
+                blocks[day] = _day_blocks(window, day, model_id, lams, temp_mode)
+        matrices.append(np.concatenate([blocks[day] for day in days], axis=1))
+        responses.append(np.concatenate([window.load_on(day) for day in days]))
+    return np.stack(matrices), np.stack(responses), blocks
 
 
 def design_matrix(

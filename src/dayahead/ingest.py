@@ -461,6 +461,14 @@ class SynthParams:
     def __post_init__(self):
         if self.days < 1:
             raise ValidationError("days must be a positive integer")
+        if self.days - 1 > dt.date.max.toordinal() - self.start_date.toordinal():
+            raise ValidationError(f"days run past {dt.date.max} from start_date {self.start_date}")
+        if self.seed < 0:
+            raise ValidationError("seed must be a nonnegative integer")
+        for name in ("base_mw", "peak_amp_mw", "temp_sensitivity_pct_per_2c", "ar_rho",
+                     "noise_sd_mw", "temp_base_c", "temp_amp_c", "temp_offset_c"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         if self.base_mw <= 0:
             raise ValidationError("base_mw must be positive")
         if not -1.0 < self.ar_rho < 1.0:
@@ -520,6 +528,11 @@ def synth_dataset(params: SynthParams) -> tuple[list[Record], dict]:
                 + slope * (temp - params.temp_base_c)
                 + noise
             )
+            if not (math.isfinite(load) and math.isfinite(temp)):
+                raise ValidationError(
+                    f"generator produced a non-finite value at ({day}, hour {hour}); "
+                    "adjust parameters"
+                )
             if load <= 0.0:
                 raise ValidationError(
                     f"generator produced non-positive load at ({day}, hour {hour}); "

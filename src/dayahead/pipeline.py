@@ -8,7 +8,7 @@ failing formula named.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from . import regress, report, thermo, verdict
@@ -25,24 +25,28 @@ class EngineSettings:
     temp_mode: str = "hour"
 
 
+def fit_windows(windows: list[SeriesWindow], settings: EngineSettings) -> list[dict]:
+    """The three model fits of each of consecutive windows of one dataset;
+    each equals the fit of its window alone."""
+    # EngineSettings' fields are the estimation keywords of regress.fit_model(s).
+    per_model = [regress.fit_models(windows, m, **asdict(settings)) for m in MODEL_IDS]
+    return [dict(zip(MODEL_IDS, fits)) for fits in zip(*per_model)]
+
+
 def run_day(
     window: SeriesWindow,
     critical_values: CriticalValues,
     settings: EngineSettings = EngineSettings(),
     config: Optional[dict] = None,
+    fits: Optional[dict] = None,
 ):
-    """Run the full chain for one window; returns (DispatchReport, forecasts)."""
-    fits = {
-        model_id: regress.fit_model(
-            window,
-            model_id,
-            method=settings.method,
-            lambda_policy=settings.lambda_policy,
-            lam=settings.lam,
-            temp_mode=settings.temp_mode,
-        )
-        for model_id in MODEL_IDS
-    }
+    """Run the full chain for one window; returns (DispatchReport, forecasts).
+
+    ``fits`` are the window's three fits when they were already computed
+    (see :func:`fit_windows`); without them each model is fitted here.
+    """
+    if fits is None:
+        fits = {m: regress.fit_model(window, m, **asdict(settings)) for m in MODEL_IDS}
     forecasts = regress.forecast_day(window, fits)
     ensemble = regress.ensemble_mean(forecasts)
 

@@ -10,18 +10,18 @@ the fast baseline and as the rho=0 oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import ValidationError
 from .features import (
+    COLUMN_NAMES,
     LAMBDA_GRID,
     MODEL_IDS,
-    design_matrices,
     design_matrix,  # noqa: F401  re-exported: callers may look it up here
-    legal_training_days,
+    run_designs,
     target_regressors,
 )
 from .ingest import LOAD_KIND, DayProfile, SeriesWindow
@@ -52,6 +52,9 @@ class FitResult:
     lam: float
     method: str
     diagnostics: dict = field(default_factory=dict)
+    # The window's target-day regressors at ``lam`` (24 x n_cols), which
+    # forecast_day applies the coefficients to; set by fit_models.
+    target_block: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def coef_vector(self) -> np.ndarray:
         return np.array(list(self.coefficients.values()))
@@ -65,9 +68,44 @@ class ModelForecast:
     clamped_hours: tuple = ()
 
 
-def _lstsq(matrix: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
-    coef, _, rank, _ = np.linalg.lstsq(matrix, y, rcond=None)
-    return coef, int(rank)
+def _rank_diagnostics(rank: int, k: int) -> dict:
+    return {"rank_deficient": True, "rank": int(rank)} if rank < k else {}
+
+
+def _residuals(matrices: np.ndarray, responses: np.ndarray, coef: np.ndarray):
+    """Residuals and SSR of every slice.  The stacked matmuls run, slice by
+    slice, the same BLAS calls as ``y - x @ b`` and ``r @ r`` on one slice."""
+    residuals = responses - np.matmul(matrices, coef[..., None])[..., 0]
+    with np.errstate(over="ignore"):  # an infinite SSR ranks last on the decay grid
+        ssr = np.matmul(residuals[:, None, :], residuals[:, :, None])[:, 0, 0]
+    return residuals, ssr.tolist()
+
+
+def _ols_stack(matrices: np.ndarray, responses: np.ndarray) -> list[tuple]:
+    """Least squares of every slice of a stack, as
+    ``(coef, residuals, ssr, rho, diagnostics)``."""
+    coef, rank = _lstsq_stack(matrices, responses)
+    residuals, ssr = _residuals(matrices, responses, coef)
+    k = matrices.shape[2]
+    return [(coef[i], residuals[i], ssr[i], 0.0, _rank_diagnostics(rank[i], k))
+            for i in range(len(ssr))]
+
+
+def _fit_result(
+    model_id: str, names: tuple, method: str, solved: tuple, lam=0.0, target_block=None
+) -> FitResult:
+    coef, residuals, ssr, rho, diagnostics = solved
+    return FitResult(
+        model_id=model_id,
+        coefficients=dict(zip(names, (float(c) for c in coef))),
+        residuals=residuals,
+        ssr=ssr,
+        rho=rho,
+        lam=lam,
+        method=method,
+        diagnostics=diagnostics,
+        target_block=target_block,
+    )
 
 
 def ols_fit(design) -> FitResult:
@@ -80,24 +118,8 @@ def ols_fit(design) -> FitResult:
     n, k = design.matrix.shape
     if n < k:
         raise ValidationError(f"need at least {k} rows, got {n}")
-    coef, rank = _lstsq(design.matrix, design.response)
-    residuals = design.response - design.matrix @ coef
-    diagnostics = {}
-    if rank < k:
-        diagnostics["rank_deficient"] = True
-        diagnostics["rank"] = rank
-    with np.errstate(over="ignore"):  # an infinite SSR ranks last on the decay grid
-        ssr = float(residuals @ residuals)
-    return FitResult(
-        model_id=design.model_id,
-        coefficients=dict(zip(design.names, (float(c) for c in coef))),
-        residuals=residuals,
-        ssr=ssr,
-        rho=0.0,
-        lam=0.0,
-        method="ols",
-        diagnostics=diagnostics,
-    )
+    solved = _ols_stack(design.matrix[None], design.response[None])[0]
+    return _fit_result(design.model_id, design.names, "ols", solved)
 
 
 def _raise_svd_error(err, flag):
@@ -138,17 +160,11 @@ def _ar1_whiten(systems: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def _gls_stack(systems: np.ndarray, rho: np.ndarray):
-    """GLS coefficients, whitened SSR and rank of every slice at its rho.
-
-    The stacked matmuls run, slice by slice, the same BLAS calls as
-    ``w - x @ b`` and ``r @ r`` on one slice.
-    """
+    """GLS coefficients, whitened SSR and rank of every slice at its rho."""
     white = _ar1_whiten(systems, rho)
     xs, ws = white[..., :-1], white[..., -1]
     coef, rank = _lstsq_stack(xs, ws)
-    resid = ws - np.matmul(xs, coef[..., None])[..., 0]
-    ssr = np.matmul(resid[:, None, :], resid[:, :, None])[:, 0, 0]
-    return coef, ssr.tolist(), rank
+    return coef, _residuals(xs, ws, coef)[1], rank
 
 
 def _concentrated_loglik(ssr_white: float, rho: float, n: int) -> float:
@@ -185,36 +201,45 @@ def exact_ml_ar1_fit(design) -> FitResult:
     return exact_ml_ar1_fits([design])[0]
 
 
+def exact_ml_ar1_fits(designs: list) -> list[FitResult]:
+    """``exact_ml_ar1_fit`` of each design; all designs share one shape."""
+    matrices = np.stack([d.matrix for d in designs])
+    responses = np.stack([d.response for d in designs])
+    return [_fit_result(d.model_id, d.names, "exact_ml_ar1", solved)
+            for d, solved in zip(designs, _exact_ml_stack(matrices, responses))]
+
+
 # Loads near the double range overflow y @ y and the SSRs: the tie-break test
 # rescales, and an infinite SSR has likelihood -inf and ranks last on the
-# decay grid.  One errstate per call keeps it off the golden-section steps.
+# decay grid.
 @np.errstate(over="ignore")
-def exact_ml_ar1_fits(designs: list) -> list[FitResult]:
-    """``exact_ml_ar1_fit`` of each design; all designs share one shape.
+def _exact_ml_stack(matrices: np.ndarray, responses: np.ndarray) -> list[tuple]:
+    """Exact-ML AR(1) fit of every slice of a stack, as
+    ``(coef, residuals, ssr, rho, diagnostics)``.
 
     The rho searches run in lockstep: each golden-section step whitens the
-    designs still searching, each at its own probe, and solves them in one
+    slices still searching, each at its own probe, and solves them in one
     stacked call.  A search that has converged leaves the stack, so every
-    design takes the branches and iteration count it would take alone, and
+    slice takes the branches and iteration count it would take alone, and
     its result has the same bits.
     """
-    n, k = designs[0].matrix.shape
+    count, n, k = matrices.shape
     if n < k + 1:
         raise ValidationError(f"need at least {k + 1} rows, got {n}")
-    systems = np.stack([np.column_stack([d.matrix, d.response]) for d in designs])
+    systems = np.concatenate((matrices, responses[:, :, None]), axis=2)
 
     def objective(rho: np.ndarray, idx: np.ndarray) -> np.ndarray:
         _, ssr, _ = _gls_stack(systems[idx], rho)
         return np.array([_concentrated_loglik(s, r, n) for s, r in zip(ssr, rho.tolist())])
 
-    coef0, ssr0, rank0 = _gls_stack(systems, np.zeros(len(designs)))
+    coef0, ssr0, rank0 = _gls_stack(systems, np.zeros(count))
+    ties = [i for i in range(count) if _residuals_vanish(ssr0[i], responses[i])]
     fits = {}
-    for i, design in enumerate(designs):
-        if _residuals_vanish(ssr0[i], design.response):
-            base = ols_fit(design)
-            fits[i] = replace(base, method="exact_ml_ar1",
-                              diagnostics={**base.diagnostics, "rho_tie_break": True})
-    search = np.array([i for i in range(len(designs)) if i not in fits], dtype=int)
+    if ties:
+        for i, (coef, resid, ssr, rho, diag) in zip(
+                ties, _ols_stack(matrices[ties], responses[ties])):
+            fits[i] = (coef, resid, ssr, rho, {**diag, "rho_tie_break": True})
+    search = np.array([i for i in range(count) if i not in fits], dtype=int)
 
     lo = np.full(len(search), -RHO_BOUND)
     hi = np.full(len(search), RHO_BOUND)
@@ -240,32 +265,35 @@ def exact_ml_ar1_fits(designs: list) -> list[FitResult]:
     rho_hat = 0.5 * (lo + hi)
     coef_hat, ssr_hat, rank_hat = _gls_stack(systems[search], rho_hat)
 
+    kept = []
+    coefs = np.empty((len(search), k))
     for j, i in enumerate(search.tolist()):
-        design = designs[i]
         rho = float(rho_hat[j])
         loglik = _concentrated_loglik(ssr_hat[j], rho, n)
-        coef, rank = coef_hat[j], rank_hat[j]
+        coefs[j], rank = coef_hat[j], rank_hat[j]
         # Keep whichever of {rho_hat, 0} has the better exact likelihood;
         # this guarantees monotone improvement over the OLS baseline.
         loglik0 = _concentrated_loglik(ssr0[i], 0.0, n)
         if loglik < loglik0:
-            rho, loglik, coef, rank = 0.0, loglik0, coef0[i], rank0[i]
-        residuals = design.response - design.matrix @ coef
-        diagnostics = {"loglik": loglik, "iterations": int(iterations[j])}
-        if rank < k:
-            diagnostics["rank_deficient"] = True
-            diagnostics["rank"] = int(rank)
-        fits[i] = FitResult(
-            model_id=design.model_id,
-            coefficients=dict(zip(design.names, (float(v) for v in coef))),
-            residuals=residuals,
-            ssr=float(residuals @ residuals),
-            rho=rho,
-            lam=0.0,
-            method="exact_ml_ar1",
-            diagnostics=diagnostics,
-        )
-    return [fits[i] for i in range(len(designs))]
+            rho, loglik, coefs[j], rank = 0.0, loglik0, coef0[i], rank0[i]
+        kept.append((rho, {"loglik": loglik, "iterations": int(iterations[j]),
+                           **_rank_diagnostics(rank, k)}))
+    residuals, ssr = _residuals(matrices[search], responses[search], coefs)
+    for j, i in enumerate(search.tolist()):
+        fits[i] = (coefs[j], residuals[j], ssr[j], *kept[j])
+    return [fits[i] for i in range(count)]
+
+
+def _decays(lambda_policy: str, lam: Optional[float]) -> list[float]:
+    if lambda_policy == "off":
+        return [0.0]
+    if lambda_policy == "fixed":
+        if lam is None:
+            raise ValidationError("lambda_policy 'fixed' requires lam")
+        return [float(lam)]
+    if lambda_policy == "grid":
+        return list(LAMBDA_GRID)
+    raise ValidationError(f"unknown lambda policy {lambda_policy!r}")
 
 
 def fit_model(
@@ -276,44 +304,62 @@ def fit_model(
     lam: Optional[float] = None,
     temp_mode: str = "hour",
 ) -> FitResult:
-    """Fit one model over the legal training days.
+    """Fit one model over the legal training days of one window:
+    ``fit_models([window], ...)[0]``."""
+    return fit_models([window], model_id, method, lambda_policy, lam, temp_mode)[0]
+
+
+def fit_models(
+    windows: list[SeriesWindow],
+    model_id: str,
+    method: str = "exact_ml_ar1",
+    lambda_policy: str = "grid",
+    lam: Optional[float] = None,
+    temp_mode: str = "hour",
+) -> list[FitResult]:
+    """Fit one model to each of consecutive windows of one dataset, over each
+    window's legal training days.
 
     lambda_policy "grid" fits at each decay value in {0.0, ..., 0.9} and
     keeps the minimal-SSR fit (ties break toward the smaller value);
-    "fixed" uses ``lam``; "off" is equivalent to fixed 0.
+    "fixed" uses ``lam``; "off" is equivalent to fixed 0.  The designs of
+    every window and decay are solved together, in one stacked least-squares
+    call for OLS or one lockstep rho search for exact ML; each window's fit
+    has the same bits as when its window is fitted alone.
     """
-    days = legal_training_days(window, model_id, temp_mode)
-    if not days:
-        raise ValidationError(f"no legal training days for model {model_id}")
-
-    if lambda_policy == "off":
-        candidates = [0.0]
-    elif lambda_policy == "fixed":
-        if lam is None:
-            raise ValidationError("lambda_policy 'fixed' requires lam")
-        candidates = [float(lam)]
-    elif lambda_policy == "grid":
-        candidates = list(LAMBDA_GRID)
-    else:
-        raise ValidationError(f"unknown lambda policy {lambda_policy!r}")
-
-    designs = design_matrices(window, model_id, days, candidates, temp_mode)
+    decays = _decays(lambda_policy, lam)
+    if not windows:
+        return []
+    matrices, responses, blocks = run_designs(windows, model_id, decays, temp_mode)
+    count, n_decays, n, k = matrices.shape
+    matrices = matrices.reshape(count * n_decays, n, k)
+    responses = np.repeat(responses, n_decays, axis=0)
     if method == "ols":
-        fits = [ols_fit(design) for design in designs]
+        solved = _ols_stack(matrices, responses)
     elif method == "exact_ml_ar1":
-        fits = exact_ml_ar1_fits(designs)
+        solved = _exact_ml_stack(matrices, responses)
     else:
         raise ValidationError(f"unknown estimation method {method!r}")
-    best = min(range(len(fits)), key=lambda i: fits[i].ssr)
-    return replace(
-        fits[best],
-        lam=candidates[best],
-        diagnostics={**fits[best].diagnostics, "temp_mode": temp_mode},
-    )
+    fits = []
+    for i, window in enumerate(windows):
+        ssr = [s[2] for s in solved[i * n_decays:(i + 1) * n_decays]]
+        best = min(range(n_decays), key=ssr.__getitem__)
+        *fitted, diagnostics = solved[i * n_decays + best]
+        day_blocks = blocks.get(window.target_date)
+        if day_blocks is None:
+            target = target_regressors(window, model_id, decays[best], temp_mode)
+        else:
+            target = day_blocks[best]
+        fits.append(_fit_result(
+            model_id, COLUMN_NAMES[model_id], method,
+            (*fitted, {**diagnostics, "temp_mode": temp_mode}), decays[best], target,
+        ))
+    return fits
 
 
 def forecast_day(window: SeriesWindow, fits: dict) -> dict:
-    """Apply the three fits to the target day's regressors.
+    """Apply the three fits of this window, from ``fit_model`` or
+    ``fit_models``, to the target day's regressors they carry.
 
     Temperature terms are drawn from the forecast.  Predictions below 1 MW
     are clamped to 1 MW and the affected hours are flagged.
@@ -324,9 +370,9 @@ def forecast_day(window: SeriesWindow, fits: dict) -> dict:
     out = {}
     for model_id in MODEL_IDS:
         fit = fits[model_id]
-        temp_mode = fit.diagnostics.get("temp_mode", "hour")
-        block = target_regressors(window, model_id, fit.lam, temp_mode)
-        raw = block @ fit.coef_vector()
+        if fit.target_block is None:
+            raise ValidationError(f"fit for model {model_id} carries no target-day regressors")
+        raw = fit.target_block @ fit.coef_vector()
         clamped = tuple(h for h in range(1, 25) if raw[h - 1] < CLAMP_FLOOR_MW)
         values = tuple(
             CLAMP_FLOOR_MW if h in clamped else float(raw[h - 1]) for h in range(1, 25)

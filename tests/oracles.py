@@ -17,6 +17,7 @@ from dayahead.features import (
     COLUMN_NAMES,
     LAMBDA_GRID,
     DesignMatrix,
+    design_matrices,
     indicator,
     legal_training_days,
 )
@@ -27,7 +28,7 @@ from dayahead.regress import (
     RHO_TOL,
     FitResult,
     _concentrated_loglik,
-    ols_fit,
+    exact_ml_ar1_fits,
 )
 
 PI_50 = Decimal("3.14159265358979323846264338327950288419716939937511")
@@ -337,6 +338,28 @@ def design_matrix(window, model_id: str, days, lam: float, temp_mode: str) -> De
     )
 
 
+def ols_fit(design) -> FitResult:
+    """Least squares of one design through ``np.linalg.lstsq``."""
+    n, k = design.matrix.shape
+    if n < k:
+        raise ValidationError(f"need at least {k} rows, got {n}")
+    coef, _, rank, _ = np.linalg.lstsq(design.matrix, design.response, rcond=None)
+    residuals = design.response - design.matrix @ coef
+    diagnostics = {"rank_deficient": True, "rank": int(rank)} if rank < k else {}
+    with np.errstate(over="ignore"):
+        ssr = float(residuals @ residuals)
+    return FitResult(
+        model_id=design.model_id,
+        coefficients=dict(zip(design.names, (float(c) for c in coef))),
+        residuals=residuals,
+        ssr=ssr,
+        rho=0.0,
+        lam=0.0,
+        method="ols",
+        diagnostics=diagnostics,
+    )
+
+
 def ar1_whiten(matrix: np.ndarray, y: np.ndarray, rho: float):
     xs = matrix.copy()
     ys = y.copy()
@@ -425,3 +448,20 @@ def fit_model_grid(window, model_id: str, temp_mode: str = "hour") -> FitResult:
         if best is None or fit.ssr < best.ssr:
             best = fit
     return best
+
+
+def fit_model(window, model_id: str, method: str = "exact_ml_ar1",
+              lambda_policy: str = "grid", lam=None, temp_mode: str = "hour") -> FitResult:
+    """One window fitted alone, decay by decay: its designs come from
+    ``design_matrices`` and each is solved on its own (OLS) or in the
+    window's own lockstep stack (exact ML); keeps the first minimal-SSR fit."""
+    days = legal_training_days(window, model_id, temp_mode)
+    decays = {"off": [0.0], "fixed": [lam], "grid": list(LAMBDA_GRID)}[lambda_policy]
+    designs = design_matrices(window, model_id, days, decays, temp_mode)
+    if method == "ols":
+        fits = [ols_fit(design) for design in designs]
+    else:
+        fits = exact_ml_ar1_fits(designs)
+    best = min(range(len(fits)), key=lambda i: fits[i].ssr)
+    return replace(fits[best], lam=decays[best],
+                   diagnostics={**fits[best].diagnostics, "temp_mode": temp_mode})

@@ -1,7 +1,9 @@
 import datetime as dt
 
+import numpy as np
 import pytest
 
+from dayahead import backtest
 from dayahead.backtest import render_backtest_csv, run_backtest
 from dayahead.errors import ValidationError
 from dayahead.ingest import Dataset, SynthParams, synth_dataset
@@ -109,3 +111,34 @@ def test_render_backtest_csv_shape(permissive_criticals):
     assert trailer[1].startswith("2004-05,")
     assert trailer[1].endswith(",1")
     assert "nan" not in text.lower()
+
+
+def _alone(windows, settings):
+    return [None] * len(windows)
+
+
+def _singular(windows, settings):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _invalid(windows, settings):
+    raise ValidationError("rho search failed to converge in 200 iterations")
+
+
+@pytest.mark.parametrize("replacement", [_alone, _singular, _invalid])
+@pytest.mark.parametrize("settings, span", [
+    (OLS_OFF, 45),  # two runs: 40 days, then 5
+    (EngineSettings(), 6),  # runs of 4 days under the decay grid
+    (EngineSettings(method="ols", lambda_policy="fixed", lam=0.5, temp_mode="day"), 41),
+])
+def test_runs_of_days_score_as_days_fitted_alone(
+        monkeypatch, stub_criticals, settings, span, replacement):
+    # The day at 2004-05-10 aborts inside the first run.
+    degenerate = dt.date(2004, 5, 10)
+    data = Dataset.from_records(recoherence_backtest_records(degenerate, tail_days=span))
+    first, last = degenerate - dt.timedelta(days=1), degenerate + dt.timedelta(days=span - 2)
+    rows, monthly = run_backtest(data, first, last, stub_criticals, settings)
+    assert rows[1].aborted and len(rows) == span
+    # Every day fitted in its own run_day, as when a run's stacked fit fails.
+    monkeypatch.setattr(backtest, "fit_windows", replacement)
+    assert run_backtest(data, first, last, stub_criticals, settings) == (rows, monthly)

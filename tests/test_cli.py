@@ -1,6 +1,8 @@
 import datetime as dt
 import json
 
+import pytest
+
 from dayahead import cli, regress
 from dayahead.ingest import LOAD_KIND, serialize_csv
 from dayahead.regress import ModelForecast
@@ -56,6 +58,23 @@ def test_synth_validation_exit_code(tmp_path, capsys):
                      "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, name", [
+    (["--start-date", "9999-12-30"], "days run past 9999-12-31"),
+    (["--seed", "-1"], "seed"),
+    (["--base-mw", "nan"], "base_mw"),
+    (["--noise-sd-mw", "inf"], "noise_sd_mw"),
+    (["--temp-base-c", "nan"], "temp_base_c"),
+    (["--base-mw", "1e308", "--peak-amp-mw", "1e308"], "non-finite value at (2004-01-01"),
+])
+def test_synth_rejects_parameters_it_cannot_generate_from(tmp_path, capsys, flags, name):
+    out = tmp_path / "x.csv"
+    code = cli.main(["synth", "--days", "5", "--seed", "1", *flags, "--out", str(out)])
+    _, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("dayahead: error: ") and name in err
+    assert not out.exists()
 
 
 def test_synth_stdout_only_payload(capsys):

@@ -75,9 +75,10 @@ def test_window_matches_dict_oracle_under_seeded_damage():
 
 
 def test_backtest_rejects_input_as_before(monkeypatch):
-    def no_forecast(window, critical_values, settings):
+    def no_forecast(window, critical_values, settings, fits):
         raise DegeneracyError("stub", "(4)")
 
+    monkeypatch.setattr(backtest, "fit_windows", lambda windows, settings: [None] * len(windows))
     monkeypatch.setattr(backtest, "run_day", no_forecast)
     records, _ = synth_dataset(SynthParams(days=16, seed=5))
     messages = set()

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dayahead import regress
+from dayahead import backtest, regress
 from dayahead.errors import ValidationError
 from dayahead.features import (
     LAMBDA_GRID,
@@ -12,10 +12,12 @@ from dayahead.features import (
     design_matrices,
     design_matrix,
     legal_training_days,
+    target_regressors,
 )
 from dayahead.ingest import (
     LOAD_KIND,
     Dataset,
+    SeriesWindow,
     SynthParams,
     assemble_window,
     synth_dataset,
@@ -260,19 +262,21 @@ def test_forecast_day_clamps_negative_predictions():
     fits = {m: fit_model(window, m, method="ols", lambda_policy="off")
             for m in ("a", "b", "c")}
     # Force a negative prediction through a doctored intercept.
-    bad = fits["a"]
-    coeffs = dict(bad.coefficients)
+    coeffs = dict(fits["a"].coefficients)
     coeffs["a0"] -= 1e7
-    from dayahead.regress import FitResult
-
-    fits["a"] = FitResult(
-        model_id="a", coefficients=coeffs, residuals=bad.residuals,
-        ssr=bad.ssr, rho=bad.rho, lam=bad.lam, method=bad.method,
-        diagnostics=bad.diagnostics,
-    )
+    fits["a"] = replace(fits["a"], coefficients=coeffs)
     forecasts = forecast_day(window, fits)
     assert forecasts["a"].clamped_hours == tuple(range(1, 25))
     assert all(v == 1.0 for v in forecasts["a"].prediction.values)
+
+
+def test_forecast_day_requires_the_target_regressors_of_a_fit():
+    window, _ = synth_window(SynthParams(days=12, seed=6))
+    fits = {m: fit_model(window, m, method="ols", lambda_policy="off")
+            for m in ("a", "b", "c")}
+    fits["b"] = ols_fit(full_rank_design("b"))
+    with pytest.raises(ValidationError, match="model b carries no target-day regressors"):
+        forecast_day(window, fits)
 
 
 def test_forecast_day_deterministic():
@@ -336,6 +340,58 @@ def test_fit_model_matches_scalar_oracle_over_backtest(seed, temp_mode):
             want = oracles.fit_model_grid(window, model_id, temp_mode)
             assert_same_fit(got, want)
         target += dt.timedelta(days=1)
+
+
+# synth --days, backtest days from 2004-01-10, method, decay policy
+RUN_CASES = {
+    "exact_ml_grid": (40, 31, "exact_ml_ar1", "grid"),
+    "ols_off": (72, 63, "ols", "off"),
+    "ols_grid": (72, 63, "ols", "grid"),
+}
+
+
+def backtest_windows(synth_days: int, seed: int, n_days: int) -> list:
+    records, _ = synth_dataset(SynthParams(days=synth_days, seed=seed))
+    data = Dataset.from_records(records)
+    first = dt.date(2004, 1, 10)
+    return [assemble_window(data, first + dt.timedelta(days=i)) for i in range(n_days)]
+
+
+@pytest.mark.parametrize("case", sorted(RUN_CASES))
+@pytest.mark.parametrize("seed", [1, 20071])
+@pytest.mark.parametrize("temp_mode", ["hour", "day"])
+def test_fit_models_match_each_window_fitted_alone(case, seed, temp_mode):
+    synth_days, n_days, method, policy = RUN_CASES[case]
+    windows = backtest_windows(synth_days, seed, n_days)
+    decays = len(LAMBDA_GRID) if policy == "grid" else 1
+    run_length = max(1, backtest._SYSTEMS_PER_SOLVE // decays)
+    # One stacked call over every day (well past the backtest's cap), the
+    # backtest's runs, and a run of one day.
+    runs = [windows, *(windows[i:i + run_length] for i in range(0, n_days, run_length)),
+            windows[n_days // 2:n_days // 2 + 1]]
+    for model_id in ("a", "b", "c"):
+        want = {w.target_date: oracles.fit_model(w, model_id, method, policy, None, temp_mode)
+                for w in windows}
+        for run in runs:
+            got = regress.fit_models(run, model_id, method, policy, None, temp_mode)
+            assert len(got) == len(run)
+            for fit, window in zip(got, run):
+                alone = want[window.target_date]
+                assert_same_fit(fit, alone)
+                block = target_regressors(window, model_id, alone.lam, temp_mode)
+                assert np.array_equal(fit.target_block, block)
+
+
+def test_fit_models_take_consecutive_windows_of_one_dataset():
+    windows = backtest_windows(40, 1, 5)
+    other = backtest_windows(40, 2, 5)
+    first = windows[0]
+    warmer = SeriesWindow(first.target_date, first.loads, first.temps, first.forecast + 1.0)
+    assert regress.fit_models([], "a") == []
+    for bad in ([windows[0], windows[2]], [windows[1], windows[0]],
+                [windows[0], other[1]], [windows[0], windows[0]], [warmer, windows[1]]):
+        with pytest.raises(ValidationError, match="consecutive target days"):
+            regress.fit_models(bad, "a", method="ols")
 
 
 def test_lockstep_stack_with_tie_break_slice():

@@ -19,7 +19,9 @@ def test_every_patched_name_resolves():
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr} ({span})"
 
 
-def test_traced_commands_count_parsed_rows_and_indexed_records(tmp_path):
+def write_inputs(tmp_path):
+    """A 12-day dataset, the history and weather files for its last day, and
+    critical values."""
     data = tmp_path / "data.csv"
     assert cli.main(["synth", "--days", "12", "--seed", "3", "--out", str(data)]) == 0
     header, *lines = data.read_text().splitlines()
@@ -31,6 +33,38 @@ def test_traced_commands_count_parsed_rows_and_indexed_records(tmp_path):
     cv = tmp_path / "cv.json"
     cv.write_text(json.dumps({"lvl1_5pct": 5.5, "lvl1_10pct": 4.8, "lvl2_5pct": 12.0,
                               "lvl2_10pct": 10.5, "lvl3_5pct": 18.0}))
+    return data, history, weather, cv
+
+
+def test_traced_default_commands_write_the_untraced_bytes(tmp_path):
+    data, history, weather, cv = write_inputs(tmp_path)
+    commands = {
+        # exact ML over the decay grid, three days in one run
+        "bt.csv": ["backtest", "--data", str(data), "--from", "2004-01-10",
+                   "--to", "2004-01-12", "--critical-values", str(cv), "--report"],
+        "fc.json": ["forecast", "--history", str(history), "--temp-forecast", str(weather),
+                    "--target-date", "2004-01-12", "--critical-values", str(cv), "--out"],
+    }
+    originals = [getattr(importlib.import_module(m), a) for m, a, _ in PATCHES]
+    for name, argv in commands.items():
+        out = tmp_path / name  # the report echoes its path
+        assert cli.main([*argv, str(out)]) == 0
+        untraced = out.read_bytes()
+        out.unlink()
+        tracer = Tracer()
+        tracer.install()
+        try:
+            assert cli.main([*argv, str(out)]) == 0
+        finally:
+            assert tracer.uninstall()
+        assert out.read_bytes() == untraced
+        assert tracer.summary("setup")["cli.main"]["calls"] == 1
+        restored = [getattr(importlib.import_module(m), a) for m, a, _ in PATCHES]
+        assert all(now is was for now, was in zip(restored, originals))
+
+
+def test_traced_commands_count_parsed_rows_and_indexed_records(tmp_path):
+    data, history, weather, cv = write_inputs(tmp_path)
     flags = ["--critical-values", str(cv), "--method", "ols", "--koyck", "off"]
 
     tracer = Tracer()
