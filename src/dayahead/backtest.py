@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegeneracyError, ValidationError
 from .features import LAMBDA_GRID
-from .ingest import LOAD_KIND, Dataset, DayProfile, assemble_window, history_start
+from .ingest import Dataset, DayProfile, assemble_window, history_start
 from .pipeline import EngineSettings, fit_windows, run_day
 from .report import daily_relative_error
 from .verdict import CriticalValues
@@ -107,9 +107,9 @@ def run_backtest(
 
 def _score_day(dataset, window, critical_values, settings, fits) -> BacktestRow:
     day = window.target_date
-    actual = DayProfile(day, dataset.loads[dataset.index[day]], LOAD_KIND)
+    actual = DayProfile(day, dataset.loads[dataset.index[day]])
     try:
-        dispatch, _ = run_day(window, critical_values, settings, fits=fits)
+        dispatch = run_day(window, critical_values, settings, fits=fits)
     except DegeneracyError as exc:
         eq = exc.equation.strip("()")
         return BacktestRow(day, None, None, None, None, None, f"aborted:eq{eq}")

@@ -44,6 +44,8 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"cannot read {path}: not UTF-8 at byte {exc.start}") from None
 
 
 def _write_text(path: str, text: str) -> None:
@@ -105,7 +107,7 @@ def cmd_forecast(args) -> int:
         "method": args.method,
         "koyck": args.koyck,
     }
-    dispatch, _ = run_day(window, cv, _settings(args), config=config)
+    dispatch = run_day(window, cv, _settings(args), config=config)
     _write_text(args.out, serialize_report(dispatch))
     return EXIT_OK
 

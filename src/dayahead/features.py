@@ -238,37 +238,6 @@ def _day_blocks(
     return blocks
 
 
-def design_matrices(
-    window: SeriesWindow,
-    model_id: str,
-    training_days: list[dt.date],
-    lams,
-    temp_mode: str = "hour",
-) -> list[DesignMatrix]:
-    """One design per decay in ``lams`` over the same training days; each
-    equals ``design_matrix`` at that decay."""
-    if model_id not in MODEL_IDS:
-        raise ValidationError(f"unknown model id {model_id!r}")
-    if not training_days:
-        raise ValidationError("no training days supplied")
-    matrices = np.concatenate(
-        [_day_blocks(window, day, model_id, lams, temp_mode) for day in training_days], axis=1
-    )
-    response = np.concatenate([window.load_on(day) for day in training_days])
-    response.flags.writeable = False
-    rows = tuple((day, h) for day in training_days for h in range(1, 25))
-    return [
-        DesignMatrix(
-            model_id=model_id,
-            rows=rows,
-            names=COLUMN_NAMES[model_id],
-            matrix=matrix,
-            response=response,
-        )
-        for matrix in matrices
-    ]
-
-
 def _follows(prev: SeriesWindow, window: SeriesWindow) -> bool:
     """``window`` targets the day after ``prev`` and the rows they share hold
     the same bits, as for windows assembled from one dataset."""
@@ -284,7 +253,7 @@ def run_designs(windows: list[SeriesWindow], model_id: str, lams, temp_mode: str
     """Training designs of consecutive windows of one dataset, at every decay.
 
     Returns ``(matrices, responses, blocks)``: ``matrices[i, j]`` and
-    ``responses[i]`` are the matrix and response of ``design_matrices`` for
+    ``responses[i]`` are the matrix and response of ``design_matrix`` for
     ``windows[i]`` over its legal training days at decay ``lams[j]``.  A
     day's regressors read the same dataset rows whether the day trains one
     window or is the target of another, so each calendar day's blocks are
@@ -305,6 +274,7 @@ def run_designs(windows: list[SeriesWindow], model_id: str, lams, temp_mode: str
     return np.stack(matrices), np.stack(responses), blocks
 
 
+# No command calls this; the benchmark tracer (perfbench/tracing.py) looks it up.
 def design_matrix(
     window: SeriesWindow,
     model_id: str,
@@ -313,7 +283,18 @@ def design_matrix(
     temp_mode: str = "hour",
 ) -> DesignMatrix:
     """Stack per-day regressor blocks and responses over the training days."""
-    return design_matrices(window, model_id, training_days, (lam,), temp_mode)[0]
+    if not training_days:
+        raise ValidationError("no training days supplied")
+    blocks = [_day_blocks(window, day, model_id, (lam,), temp_mode)[0] for day in training_days]
+    response = np.concatenate([window.load_on(day) for day in training_days])
+    response.flags.writeable = False
+    return DesignMatrix(
+        model_id=model_id,
+        rows=tuple((day, h) for day in training_days for h in range(1, 25)),
+        names=COLUMN_NAMES[model_id],
+        matrix=np.concatenate(blocks),
+        response=response,
+    )
 
 
 def target_regressors(

@@ -23,9 +23,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-LOAD_KIND = "load_mw"
-TEMP_KIND = "temp_c"
-
 HOURS = tuple(range(1, 25))
 HISTORY_DAYS = 9
 
@@ -43,19 +40,16 @@ class Record(NamedTuple):
 
 @dataclass(frozen=True)
 class DayProfile:
-    """24 hourly values for one calendar day.
+    """24 hourly loads for one calendar day.
 
-    ``kind`` is either ``load_mw`` or ``temp_c``.  Load values must be
-    strictly positive because logarithms of load peaks are taken downstream.
+    Loads must be strictly positive because logarithms of load peaks are
+    taken downstream.
     """
 
     date: dt.date
     values: tuple
-    kind: str
 
     def __post_init__(self):
-        if self.kind not in (LOAD_KIND, TEMP_KIND):
-            raise ValidationError(f"unknown profile kind {self.kind!r}")
         vals = tuple(float(v) for v in self.values)
         if len(vals) != 24:
             raise ValidationError(
@@ -64,7 +58,7 @@ class DayProfile:
         for h, v in zip(HOURS, vals):
             if not math.isfinite(v):
                 raise ValidationError(f"non-finite value at ({self.date}, hour {h})")
-            if self.kind == LOAD_KIND and v <= 0.0:
+            if v <= 0.0:
                 raise ValidationError(f"non-positive load at ({self.date}, hour {h})")
         object.__setattr__(self, "values", vals)
 

@@ -39,8 +39,8 @@ def run_day(
     settings: EngineSettings = EngineSettings(),
     config: Optional[dict] = None,
     fits: Optional[dict] = None,
-):
-    """Run the full chain for one window; returns (DispatchReport, forecasts).
+) -> report.DispatchReport:
+    """Run the full chain for one window and return its report.
 
     ``fits`` are the window's three fits when they were already computed
     (see :func:`fit_windows`); without them each model is fitted here.
@@ -60,7 +60,7 @@ def run_day(
     )
     reserve_test = verdict.energy_test(state.w1, state.w2, state.beta)
 
-    dispatch = report.build_report(
+    return report.build_report(
         target_date=window.target_date,
         forecasts={m: forecasts[m].prediction for m in MODEL_IDS},
         thermo=state,
@@ -69,4 +69,3 @@ def run_day(
         ensemble=ensemble,
         config=config,
     )
-    return dispatch, forecasts

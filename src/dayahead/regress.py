@@ -20,11 +20,11 @@ from .features import (
     COLUMN_NAMES,
     LAMBDA_GRID,
     MODEL_IDS,
-    design_matrix,  # noqa: F401  re-exported: callers may look it up here
+    design_matrix,  # noqa: F401  the benchmark tracer looks it up here
     run_designs,
     target_regressors,
 )
-from .ingest import LOAD_KIND, DayProfile, SeriesWindow
+from .ingest import DayProfile, SeriesWindow
 
 RHO_BOUND = 0.999
 RHO_TOL = 1e-6
@@ -108,6 +108,7 @@ def _fit_result(
     )
 
 
+# No command calls this; the benchmark tracer (perfbench/tracing.py) looks it up.
 def ols_fit(design) -> FitResult:
     """Least squares via orthogonal (SVD) decomposition.
 
@@ -188,6 +189,7 @@ def _residuals_vanish(ssr: float, y: np.ndarray) -> bool:
     return ssr / top / top <= 1e-16 * (float(unit @ unit) + 1.0 / top / top)
 
 
+# No command calls this; the benchmark tracer (perfbench/tracing.py) looks it up.
 def exact_ml_ar1_fit(design) -> FitResult:
     """Exact maximum likelihood for a linear model with AR(1) disturbances.
 
@@ -198,15 +200,8 @@ def exact_ml_ar1_fit(design) -> FitResult:
     broken at rho = 0.  The returned rho never has lower exact likelihood
     than rho = 0 with the OLS coefficients.
     """
-    return exact_ml_ar1_fits([design])[0]
-
-
-def exact_ml_ar1_fits(designs: list) -> list[FitResult]:
-    """``exact_ml_ar1_fit`` of each design; all designs share one shape."""
-    matrices = np.stack([d.matrix for d in designs])
-    responses = np.stack([d.response for d in designs])
-    return [_fit_result(d.model_id, d.names, "exact_ml_ar1", solved)
-            for d, solved in zip(designs, _exact_ml_stack(matrices, responses))]
+    solved = _exact_ml_stack(design.matrix[None], design.response[None])[0]
+    return _fit_result(design.model_id, design.names, "exact_ml_ar1", solved)
 
 
 # Loads near the double range overflow y @ y and the SSRs: the tie-break test
@@ -296,6 +291,7 @@ def _decays(lambda_policy: str, lam: Optional[float]) -> list[float]:
     raise ValidationError(f"unknown lambda policy {lambda_policy!r}")
 
 
+# The benchmark tracer (perfbench/tracing.py) also looks this name up.
 def fit_model(
     window: SeriesWindow,
     model_id: str,
@@ -377,7 +373,7 @@ def forecast_day(window: SeriesWindow, fits: dict) -> dict:
         values = tuple(
             CLAMP_FLOOR_MW if h in clamped else float(raw[h - 1]) for h in range(1, 25)
         )
-        prediction = DayProfile(window.target_date, values, LOAD_KIND)
+        prediction = DayProfile(window.target_date, values)
         out[model_id] = ModelForecast(model_id, fit, prediction, clamped)
     return out
 
@@ -398,4 +394,4 @@ def ensemble_mean(forecasts: dict) -> DayProfile:
         lo, mid, hi = sorted(p.values[h] for p in profiles)
         values.append(lo + ((mid - lo) + (hi - lo)) / 3.0)
     target = profiles[0].date
-    return DayProfile(target, tuple(values), LOAD_KIND)
+    return DayProfile(target, tuple(values))

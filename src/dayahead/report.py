@@ -19,8 +19,8 @@ from typing import Optional
 
 from . import __version__
 from .errors import ValidationError
-from .ingest import LOAD_KIND, DayProfile
-from .thermo import ThermoState, WORK_OFFSET, entropies, induced_chi, peak_bounds
+from .ingest import DayProfile
+from .thermo import ThermoState
 from .verdict import ReserveTestResult, TimeTestResult
 
 # Normalization constant of the error-reduction formula (Eq. 15).
@@ -41,8 +41,7 @@ class DispatchReport:
     """Everything the engine reports for one target day.
 
     ``forecasts`` maps model ids "a"/"b"/"c" to 24-hour prediction profiles;
-    the full fit diagnostics stay with the pipeline result and are not part
-    of the report schema.
+    the fit diagnostics are not part of the report schema.
     """
 
     target_date: dt.date
@@ -204,81 +203,3 @@ def serialize_report(report: DispatchReport) -> str:
     }
     return _json_value(payload) + "\n"
 
-
-def parse_report(text: str) -> DispatchReport:
-    """Rebuild a DispatchReport from its JSON rendering.
-
-    Fields not carried by the schema (induced chi values, per-angle
-    entropies, peak bounds, work offsets) are deterministic functions of the
-    serialized quantities and are recomputed, so parse(serialize(r)) == r.
-    """
-    obj = json.loads(text)
-    target = dt.date.fromisoformat(obj["target_date"])
-    forecasts = {
-        m: DayProfile(target, tuple(obj["forecasts"][m]), LOAD_KIND)
-        for m in ("a", "b", "c")
-    }
-    ensemble = DayProfile(target, tuple(obj["ensemble"]), LOAD_KIND)
-    th = obj["thermo"]
-    s1, sp1 = entropies(th["theta1"])
-    s2, sp2 = entropies(th["theta2"])
-    p1_am, p2_am, p1_pm, p2_pm = peak_bounds(
-        forecasts["a"], forecasts["b"], forecasts["c"]
-    )
-    thermo = ThermoState(
-        theta1=th["theta1"],
-        theta2=th["theta2"],
-        chi1=induced_chi(th["theta1"]),
-        chi2=induced_chi(th["theta2"]),
-        s_theta1=s1,
-        s_theta2=s2,
-        sp_theta1=sp1,
-        sp_theta2=sp2,
-        delta_s=th["delta_s"],
-        delta_sp=th["delta_sp"],
-        beta=th["beta"],
-        p1_am=p1_am,
-        p2_am=p2_am,
-        p1_pm=p1_pm,
-        p2_pm=p2_pm,
-        w1=th["w1"],
-        w2=th["w2"],
-        mu=th["mu"],
-        sigma=th["sigma"],
-    )
-    tt = obj["time_test"]
-    time_test = TimeTestResult(
-        t6_1=tt["t6_1"],
-        t6_2=tt["t6_2"],
-        t16=tt["t16"],
-        t24=tt["t24"],
-        i=tt["exponents"]["i"],
-        k=tt["exponents"]["k"],
-        m=tt["exponents"]["m"],
-        n=tt["exponents"]["n"],
-        pass_t6=tt["verdicts"]["t6"],
-        pass_t16=tt["verdicts"]["t16"],
-        pass_t24=tt["verdicts"]["t24"],
-        branch_t16=tt["verdicts"]["t16_branch"],
-        branch_t24=tt["verdicts"]["t24_branch"],
-    )
-    rt = obj["reserve_test"]
-    reserve_test = ReserveTestResult(
-        w0_1=th["w1"] - WORK_OFFSET,
-        w0_2=th["w2"] - WORK_OFFSET,
-        r1=rt["r1"],
-        r2=rt["r2"],
-        passed=rt["pass"],
-    )
-    return DispatchReport(
-        target_date=target,
-        forecasts=forecasts,
-        ensemble=ensemble,
-        thermo=thermo,
-        time_test=time_test,
-        reserve_test=reserve_test,
-        price_c=obj["price_c"],
-        delta_pct=obj["delta_pct"],
-        temp_equiv_c=obj["temp_equiv_c"],
-        meta=obj["meta"],
-    )

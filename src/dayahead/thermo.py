@@ -32,21 +32,14 @@ LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class ThermoState:
+    """What the report writes; the entropies (Eq. 5) and peak bounds (Eq. 9)
+    follow from the angles and the forecasts."""
+
     theta1: float
     theta2: float
-    chi1: float
-    chi2: float
-    s_theta1: float
-    s_theta2: float
-    sp_theta1: float
-    sp_theta2: float
     delta_s: float
     delta_sp: float
     beta: float
-    p1_am: float
-    p2_am: float
-    p1_pm: float
-    p2_pm: float
     w1: float
     w2: float
     mu: float
@@ -75,7 +68,7 @@ def cointegration_angle(p: np.ndarray, q: np.ndarray) -> float:
     q = np.asarray(q, dtype=float)
     if p.shape != (24,) or q.shape != (24,):
         raise ValidationError("expected centered 24-vectors")
-    with np.errstate(over="ignore"):  # an overflow raises at Eq. (4) below
+    with np.errstate(over="ignore", invalid="ignore"):  # inf/NaN raises at Eq. (4) below
         pp = float(p @ p) / 24.0
         qq = float(q @ q) / 24.0
         pq = float(p @ q) / 24.0
@@ -103,10 +96,6 @@ def _binary_entropy(prob: float) -> float:
     if prob <= 0.0 or prob >= 1.0:
         return 0.0
     return -prob * math.log(prob) - (1.0 - prob) * math.log(1.0 - prob)
-
-
-def induced_chi(theta: float) -> float:
-    return math.acos(math.exp(-0.5 * math.pi * theta))
 
 
 def coherence_deltas(theta1: float, theta2: float) -> tuple[float, float]:
@@ -194,29 +183,16 @@ def compute_state(pa: DayProfile, pb: DayProfile, pc: DayProfile) -> ThermoState
     """
     theta1 = cointegration_angle(demean(pa), demean(pb))
     theta2 = cointegration_angle(demean(pc), demean(pb))
-    s1, sp1 = entropies(theta1)
-    s2, sp2 = entropies(theta2)
     delta_s, delta_sp = coherence_deltas(theta1, theta2)
     beta = inverse_temperature(delta_s, delta_sp)
-    p1_am, p2_am, p1_pm, p2_pm = peak_bounds(pa, pb, pc)
-    w1, w2 = daily_work(p1_am, p2_am, p1_pm, p2_pm, beta)
+    w1, w2 = daily_work(*peak_bounds(pa, pb, pc), beta)
     mu, sigma = evolution_moments(theta1, theta2, w1, w2)
     return ThermoState(
         theta1=theta1,
         theta2=theta2,
-        chi1=induced_chi(theta1),
-        chi2=induced_chi(theta2),
-        s_theta1=s1,
-        s_theta2=s2,
-        sp_theta1=sp1,
-        sp_theta2=sp2,
         delta_s=delta_s,
         delta_sp=delta_sp,
         beta=beta,
-        p1_am=p1_am,
-        p2_am=p2_am,
-        p1_pm=p1_pm,
-        p2_pm=p2_pm,
         w1=w1,
         w2=w2,
         mu=mu,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,7 +50,7 @@ class CriticalValues:
             value = getattr(self, key)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValidationError(f"critical value {key} must be a number")
-            if not math.isfinite(value):
+            if not abs(value) <= sys.float_info.max:  # also an int past the double range
                 raise ValidationError(f"critical value {key} must be finite")
 
 
@@ -57,7 +58,7 @@ def load_critical_values(text: str) -> CriticalValues:
     """Parse the critical-values JSON object; unknown keys are rejected."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
         raise ValidationError(f"bad critical-values JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ValidationError("critical-values JSON must be an object")
@@ -89,17 +90,9 @@ class TimeTestResult:
 
 @dataclass(frozen=True)
 class ReserveTestResult:
-    w0_1: float
-    w0_2: float
     r1: Optional[float]
     r2: Optional[float]
     passed: bool
-
-    @property
-    def diagnostic(self) -> Optional[str]:
-        if self.w0_1 < 0.0 or self.w0_2 < 0.0:
-            return "negative work offset"
-        return None
 
 
 def scaled_time(
@@ -211,19 +204,17 @@ def energy_test(w1: float, w2: float, beta: float) -> ReserveTestResult:
 
     R_i = exp(W0_i beta) - sqrt(2 / (1 + sqrt(W0_i))) with W0_i = W_i -
     11.608.  Passes iff both reserves are positive.  A negative work offset
-    makes the inner square root undefined; the test then reports failure
-    with a diagnostic instead of aborting the pipeline.
+    makes the inner square root undefined; the test then fails with both
+    reserves None instead of aborting the pipeline.
     """
     w0_1 = w1 - WORK_OFFSET
     w0_2 = w2 - WORK_OFFSET
     if w0_1 < 0.0 or w0_2 < 0.0:
-        return ReserveTestResult(w0_1=w0_1, w0_2=w0_2, r1=None, r2=None, passed=False)
+        return ReserveTestResult(r1=None, r2=None, passed=False)
 
     def reserve(w0: float) -> float:
         return math.exp(w0 * beta) - math.sqrt(2.0 / (1.0 + math.sqrt(w0)))
 
     r1 = reserve(w0_1)
     r2 = reserve(w0_2)
-    return ReserveTestResult(
-        w0_1=w0_1, w0_2=w0_2, r1=r1, r2=r2, passed=(r1 > 0.0 and r2 > 0.0)
-    )
+    return ReserveTestResult(r1=r1, r2=r2, passed=(r1 > 0.0 and r2 > 0.0))

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from dayahead.ingest import (
-    LOAD_KIND,
     DayProfile,
     Record,
     SeriesWindow,
@@ -20,8 +19,8 @@ def day(offset: int) -> dt.date:
     return TARGET - dt.timedelta(days=offset)
 
 
-def profile(date, values, kind=LOAD_KIND) -> DayProfile:
-    return DayProfile(date, tuple(float(v) for v in values), kind)
+def profile(date, values) -> DayProfile:
+    return DayProfile(date, tuple(float(v) for v in values))
 
 
 def make_window(load_by_offset=None, temp_by_offset=None, forecast=None,

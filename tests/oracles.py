@@ -17,18 +17,17 @@ from dayahead.features import (
     COLUMN_NAMES,
     LAMBDA_GRID,
     DesignMatrix,
-    design_matrices,
     indicator,
     legal_training_days,
 )
 from dayahead.ingest import CSV_HEADER, HOURS, Record, SeriesWindow
+from dayahead import regress
 from dayahead.regress import (
     MAX_GOLDEN_ITER,
     RHO_BOUND,
     RHO_TOL,
     FitResult,
     _concentrated_loglik,
-    exact_ml_ar1_fits,
 )
 
 PI_50 = Decimal("3.14159265358979323846264338327950288419716939937511")
@@ -452,16 +451,15 @@ def fit_model_grid(window, model_id: str, temp_mode: str = "hour") -> FitResult:
 
 def fit_model(window, model_id: str, method: str = "exact_ml_ar1",
               lambda_policy: str = "grid", lam=None, temp_mode: str = "hour") -> FitResult:
-    """One window fitted alone, decay by decay: its designs come from
-    ``design_matrices`` and each is solved on its own (OLS) or in the
-    window's own lockstep stack (exact ML); keeps the first minimal-SSR fit."""
+    """One window fitted alone, decay by decay: each decay's design comes
+    from ``design_matrix`` above and is solved on its own, by ``ols_fit``
+    above or the engine's one-design exact ML; keeps the first minimal-SSR
+    fit."""
     days = legal_training_days(window, model_id, temp_mode)
     decays = {"off": [0.0], "fixed": [lam], "grid": list(LAMBDA_GRID)}[lambda_policy]
-    designs = design_matrices(window, model_id, days, decays, temp_mode)
-    if method == "ols":
-        fits = [ols_fit(design) for design in designs]
-    else:
-        fits = exact_ml_ar1_fits(designs)
+    designs = [design_matrix(window, model_id, days, decay, temp_mode) for decay in decays]
+    solve = ols_fit if method == "ols" else regress.exact_ml_ar1_fit
+    fits = [solve(design) for design in designs]
     best = min(range(len(fits)), key=lambda i: fits[i].ssr)
     return replace(fits[best], lam=decays[best],
                    diagnostics={**fits[best].diagnostics, "temp_mode": temp_mode})

@@ -17,7 +17,6 @@ from dayahead import cli, regress
 from dayahead.errors import DegeneracyError
 from dayahead.features import DesignMatrix, design_matrix, legal_training_days
 from dayahead.ingest import (
-    LOAD_KIND,
     SynthParams,
     parse_csv,
     serialize_csv,
@@ -208,7 +207,7 @@ def test_criterion_5_anchored_constants(tmp_path):
     from dayahead.report import serialize_report
     from dayahead.verdict import load_critical_values
 
-    dispatch, _ = run_day(window, load_critical_values(CV_JSON))
+    dispatch = run_day(window, load_critical_values(CV_JSON))
     parsed = json.loads(serialize_report(dispatch))
     assert parsed["meta"]["p_v"] == 0.8803
     assert parsed["meta"]["p_r"] == 0.96806
@@ -299,7 +298,7 @@ def test_criterion_7_degeneracy_routing(tmp_path, capsys, monkeypatch):
         vb[0], vb[1] = 150.0, 50.0
         vc[2], vc[3] = 160.0, 40.0
         return {
-            m: ModelForecast(m, None, profile(window.target_date, v, LOAD_KIND))
+            m: ModelForecast(m, None, profile(window.target_date, v))
             for m, v in (("a", va), ("b", vb), ("c", vc))
         }
 

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from dayahead import cli, regress
-from dayahead.ingest import LOAD_KIND, serialize_csv
+from dayahead.ingest import serialize_csv
 from dayahead.regress import ModelForecast
 
 from conftest import profile
@@ -121,16 +121,26 @@ def test_forecast_writes_stdout_with_dash(tmp_path, capsys):
     assert report["meta"]["config"]["koyck"] == "fixed=0.3"
 
 
-def test_forecast_missing_critical_values(tmp_path, capsys):
+@pytest.mark.parametrize("damage", ["absent", "critical_values_not_utf8", "history_not_utf8"])
+def test_forecast_missing_critical_values(tmp_path, capsys, damage):
     data = synth_to(tmp_path, "data.csv")
     hist, fc, target = split_forecast_inputs(tmp_path, data)
+    cv = unreadable = tmp_path / "cv.json"  # absent unless written below
+    if damage == "critical_values_not_utf8":
+        cv.write_bytes(b"\xff" + CV_JSON.encode())
+    elif damage == "history_not_utf8":
+        cv.write_text(CV_JSON)
+        unreadable = hist
+        text = hist.read_bytes()
+        first_field = text.index(b"\n") + 1
+        hist.write_bytes(text[:first_field] + b"\xff" + text[first_field:])
     code = cli.main([
         "forecast", "--history", str(hist), "--temp-forecast", str(fc),
         "--target-date", target.isoformat(),
-        "--critical-values", str(tmp_path / "absent.json"),
+        "--critical-values", str(cv),
     ])
     assert code == 2
-    assert "cannot read" in capsys.readouterr().err
+    assert f"cannot read {unreadable}" in capsys.readouterr().err
 
 
 def test_forecast_bad_koyck_flag(tmp_path, capsys):
@@ -182,7 +192,7 @@ def test_forecast_sigma_fixture_exits_3_naming_eq13(tmp_path, capsys, monkeypatc
         vb[0], vb[1] = 150.0, 50.0
         vc[2], vc[3] = 160.0, 40.0
         return {
-            m: ModelForecast(m, None, profile(window.target_date, v, LOAD_KIND))
+            m: ModelForecast(m, None, profile(window.target_date, v))
             for m, v in (("a", va), ("b", vb), ("c", vc))
         }
 
@@ -299,18 +309,24 @@ def test_forecast_loads_times_1e200_exits_3_naming_eq4(tmp_path, capsys):
     assert only_the_cli_line(captured.err)
 
 
-def test_backtest_loads_times_1e200_aborts_days_at_eq4(tmp_path, capsys):
-    data = scaled_loads_to(tmp_path, 1e200)
+@pytest.mark.parametrize("factor, first, last", [
+    (1e200, 10, 12),
+    # On 2004-01-18 the moments also meet inf * 0, which numpy flags as invalid.
+    (1e300, 18, 18),
+], ids=["1e200", "1e300"])
+def test_backtest_loads_times_1e200_aborts_days_at_eq4(tmp_path, capsys, factor, first, last):
+    data = scaled_loads_to(tmp_path, factor, days=last)
     out = tmp_path / "bt.csv"
     code = cli.main([
         "backtest", "--data", str(data),
-        "--from", "2004-01-10", "--to", "2004-01-12",
+        "--from", f"2004-01-{first}", "--to", f"2004-01-{last}",
         "--critical-values", write_cv(tmp_path),
         "--report", str(out),
     ])
     assert code == 0
-    rows = out.read_text().split("\n")[1:4]
-    assert [r.split(",")[-1] for r in rows] == ["aborted:eq4"] * 3
+    days = last - first + 1
+    rows = out.read_text().split("\n")[1:1 + days]
+    assert [r.split(",")[-1] for r in rows] == ["aborted:eq4"] * days
     assert "nan" not in out.read_text().lower()
     assert capsys.readouterr() == ("", "")
 

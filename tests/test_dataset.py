@@ -18,8 +18,8 @@ from dayahead.errors import DegeneracyError, ValidationError
 from dayahead.features import (
     LAMBDA_GRID,
     MODEL_IDS,
-    design_matrices,
     legal_training_days,
+    run_designs,
     target_regressors,
 )
 from dayahead.ingest import Dataset, SynthParams, assemble_window, synth_dataset
@@ -103,26 +103,27 @@ def test_backtest_rejects_input_as_before(monkeypatch):
 def test_backtest_windows_give_oracle_design_matrices(seed):
     records, _ = synth_dataset(SynthParams(days=40, seed=seed))
     dataset = Dataset.from_records(records)
-    target = dt.date(2004, 1, 10)
-    while target <= dt.date(2004, 2, 9):
-        window = assemble_window(dataset, target)
-        want_window = oracles.assemble_window(records, target)
+    targets = [dt.date(2004, 1, 10) + dt.timedelta(days=i) for i in range(31)]
+    windows = [assemble_window(dataset, target) for target in targets]
+    want_windows = [oracles.assemble_window(records, target) for target in targets]
+    for window, want_window in zip(windows, want_windows):
         assert window == want_window
         assert not window.loads.flags.writeable
-        for temp_mode in ("hour", "day"):
-            for model_id in MODEL_IDS:
+    for temp_mode in ("hour", "day"):
+        for model_id in MODEL_IDS:
+            # The whole range as one run, as the backtest's runs are built.
+            matrices, responses, _ = run_designs(windows, model_id, LAMBDA_GRID, temp_mode)
+            for i, (window, want_window) in enumerate(zip(windows, want_windows)):
                 days = legal_training_days(window, model_id, temp_mode)
-                designs = design_matrices(window, model_id, days, LAMBDA_GRID, temp_mode)
-                for lam, design in zip(LAMBDA_GRID, designs):
+                for lam, matrix in zip(LAMBDA_GRID, matrices[i]):
                     want = oracles.design_matrix(want_window, model_id, days, lam, temp_mode)
-                    assert (design.matrix == want.matrix).all()
-                    assert (design.response == want.response).all()
+                    assert (matrix == want.matrix).all()
+                    assert (responses[i] == want.response).all()
                     block = target_regressors(window, model_id, lam, temp_mode)
                     want_block = oracles.day_regressors(
-                        want_window, target, model_id, lam, temp_mode
+                        want_window, window.target_date, model_id, lam, temp_mode
                     )
                     assert (block == want_block).all()
-        target += dt.timedelta(days=1)
 
 
 def test_dataset_len_is_record_count_and_rows_follow_the_calendar():

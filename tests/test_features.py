@@ -11,12 +11,12 @@ from dayahead.features import (
     MODEL_IDS,
     LAMBDA_GRID,
     DesignMatrix,
-    design_matrices,
     design_matrix,
     halfday_lag_profile,
     indicator,
     koyck_transform,
     legal_training_days,
+    run_designs,
     target_regressors,
     temp_term,
 )
@@ -233,9 +233,12 @@ def test_design_matrices_match_decay_by_decay_oracle(temp_mode):
     window, _ = synth_window(SynthParams(days=12, seed=4))
     for model_id in MODEL_IDS:
         days = legal_training_days(window, model_id, temp_mode)
-        designs = design_matrices(window, model_id, days, LAMBDA_GRID, temp_mode)
-        for lam, design in zip(LAMBDA_GRID, designs):
+        matrices, responses, _ = run_designs([window], model_id, LAMBDA_GRID, temp_mode)
+        for lam, matrix in zip(LAMBDA_GRID, matrices[0]):
             want = oracles.design_matrix(window, model_id, days, lam, temp_mode)
+            assert np.array_equal(matrix, want.matrix)
+            assert np.array_equal(responses[0], want.response)
+            design = design_matrix(window, model_id, days, lam, temp_mode)
             assert design.rows == want.rows and design.names == want.names
             assert np.array_equal(design.matrix, want.matrix)
             assert np.array_equal(design.response, want.response)

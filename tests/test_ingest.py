@@ -154,10 +154,9 @@ def test_assemble_window_requires_forecast_hours():
 
 def test_profile_validation():
     with pytest.raises(ValidationError, match="expected 24"):
-        DayProfile(TARGET, (1.0,) * 23, "load_mw")
+        DayProfile(TARGET, (1.0,) * 23)
     with pytest.raises(ValidationError, match="non-positive load"):
-        DayProfile(TARGET, (0.0,) + (1.0,) * 23, "load_mw")
-    DayProfile(TARGET, (0.0,) + (1.0,) * 23, "temp_c")  # temps may be zero
+        DayProfile(TARGET, (0.0,) + (1.0,) * 23)
 
 
 def test_synth_degenerate_generator_is_flat():

@@ -9,13 +9,11 @@ from dayahead.errors import ValidationError
 from dayahead.features import (
     LAMBDA_GRID,
     DesignMatrix,
-    design_matrices,
     design_matrix,
     legal_training_days,
     target_regressors,
 )
 from dayahead.ingest import (
-    LOAD_KIND,
     Dataset,
     SeriesWindow,
     SynthParams,
@@ -27,7 +25,6 @@ from dayahead.regress import (
     _concentrated_loglik,
     ensemble_mean,
     exact_ml_ar1_fit,
-    exact_ml_ar1_fits,
     fit_model,
     forecast_day,
     ols_fit,
@@ -289,7 +286,7 @@ def test_forecast_day_deterministic():
 
 
 def _constant_forecast(value: float) -> ModelForecast:
-    prof = profile(TARGET, [value] * 24, LOAD_KIND)
+    prof = profile(TARGET, [value] * 24)
     return ModelForecast(model_id="a", fit=None, prediction=prof)
 
 
@@ -396,12 +393,13 @@ def test_fit_models_take_consecutive_windows_of_one_dataset():
 
 def test_lockstep_stack_with_tie_break_slice():
     window, _ = synth_window(SynthParams(days=12, seed=21))
-    designs = design_matrices(
-        window, "c", legal_training_days(window, "c"), LAMBDA_GRID
-    )
+    days = legal_training_days(window, "c")
+    designs = [design_matrix(window, "c", days, lam) for lam in LAMBDA_GRID]
     constant = with_response(designs[4], np.full(designs[4].n_rows, 7.5))
     stack = designs[:4] + [constant] + designs[4:]
-    got = exact_ml_ar1_fits(stack)
+    solved = regress._exact_ml_stack(np.stack([d.matrix for d in stack]),
+                                     np.stack([d.response for d in stack]))
+    got = [regress._fit_result("c", d.names, "exact_ml_ar1", s) for d, s in zip(stack, solved)]
     assert got[4].diagnostics.get("rho_tie_break") is True
     assert sum("rho_tie_break" in fit.diagnostics for fit in got) == 1
     for fit, design in zip(got, stack):
@@ -421,10 +419,10 @@ def test_rho_search_never_beaten_by_likelihood_grid(seed):
     grid = np.linspace(-0.999, 0.999, 801).tolist()
     window, _ = synth_window(SynthParams(days=12, seed=seed))
     for model_id in ("a", "b", "c"):
-        designs = design_matrices(
-            window, model_id, legal_training_days(window, model_id), LAMBDA_GRID
-        )
-        for design, fit in zip(designs, exact_ml_ar1_fits(designs)):
+        days = legal_training_days(window, model_id)
+        for lam in LAMBDA_GRID:
+            design = design_matrix(window, model_id, days, lam)
+            fit = exact_ml_ar1_fit(design)
             best = max(
                 _concentrated_loglik(
                     oracles.gls_at_rho(design.matrix, design.response, rho)[1],

@@ -1,6 +1,7 @@
 import datetime as dt
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from dayahead.report import (
     build_report,
     daily_relative_error,
     error_reduction,
-    parse_report,
     price,
     serialize_report,
     temp_equivalence,
@@ -129,7 +129,7 @@ def test_monthly_mmre_groups_by_calendar_month():
 
 def _sample_report(stub):
     window, _ = synth_window(SynthParams(days=12, seed=3))
-    dispatch, _ = run_day(window, stub, config={"method": "exact-ml"})
+    dispatch = run_day(window, stub, config={"method": "exact-ml"})
     return dispatch
 
 
@@ -164,11 +164,29 @@ def test_report_schema_keys(stub_criticals):
 
 
 def test_report_round_trip(stub_criticals):
+    # 17 significant digits are lossless: every number reads back equal.
     dispatch = _sample_report(stub_criticals)
     text = serialize_report(dispatch)
-    rebuilt = parse_report(text)
-    assert rebuilt == dispatch
-    assert serialize_report(rebuilt) == text
+    obj = json.loads(text)
+    assert obj["target_date"] == dispatch.target_date.isoformat()
+    assert obj["forecasts"] == {m: list(p.values) for m, p in dispatch.forecasts.items()}
+    assert obj["ensemble"] == list(dispatch.ensemble.values)
+    assert obj["thermo"] == asdict(dispatch.thermo)
+    t = dispatch.time_test
+    assert obj["time_test"] == {
+        "t6_1": t.t6_1, "t6_2": t.t6_2, "t16": t.t16, "t24": t.t24,
+        "exponents": {"i": t.i, "k": t.k, "m": t.m, "n": t.n},
+        "verdicts": {"t6": t.pass_t6, "t16": t.pass_t16, "t24": t.pass_t24,
+                     "t16_branch": t.branch_t16, "t24_branch": t.branch_t24},
+    }
+    r = dispatch.reserve_test
+    assert obj["reserve_test"] == {"r1": r.r1, "r2": r.r2, "pass": r.passed}
+    assert (obj["price_c"], obj["delta_pct"], obj["temp_equiv_c"]) == (
+        dispatch.price_c, dispatch.delta_pct, dispatch.temp_equiv_c)
+    assert obj["meta"] == dispatch.meta
+    # The rendering is deterministic, also for the report of a fresh run.
+    assert serialize_report(dispatch) == text
+    assert serialize_report(_sample_report(stub_criticals)) == text
 
 
 def test_report_numbers_have_seventeen_significant_digits(stub_criticals):

@@ -244,9 +244,12 @@ def test_compute_state_consistency():
     state = compute_state(pa, pb, pc)
     assert 0.0 <= state.theta1 <= math.pi / 2
     assert 0.0 <= state.theta2 <= math.pi / 2
-    assert state.delta_s == state.s_theta1 - state.s_theta2
-    assert state.p1_am <= state.p2_am
-    assert state.p1_pm <= state.p2_pm
+    (s1, _), (s2, _) = entropies(state.theta1), entropies(state.theta2)
+    assert state.delta_s == s1 - s2
+    p1_am, p2_am, p1_pm, p2_pm = peak_bounds(pa, pb, pc)
+    assert p1_am <= p2_am
+    assert p1_pm <= p2_pm
+    assert (state.w1, state.w2) == daily_work(p1_am, p2_am, p1_pm, p2_pm, state.beta)
     assert math.isfinite(state.mu) and math.isfinite(state.sigma)
 
 
