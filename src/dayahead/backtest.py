@@ -94,7 +94,7 @@ def run_backtest(
                 break
         try:
             fits = fit_windows(windows, settings)
-        except (ValidationError, np.linalg.LinAlgError):
+        except (ValidationError, DegeneracyError, np.linalg.LinAlgError):
             # Each day fits alone instead, so the error comes from its own day.
             fits = [None] * len(windows)
         for window, day_fits in zip(windows, fits):

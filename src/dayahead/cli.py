@@ -140,8 +140,7 @@ def cmd_synth(args) -> int:
         temp_amp_c=args.temp_amp_c,
         temp_offset_c=args.temp_offset_c,
     )
-    records, _ = synth_dataset(params)
-    _write_text(args.out, serialize_csv(records))
+    _write_text(args.out, serialize_csv(synth_dataset(params)))
     return EXIT_OK
 
 

@@ -92,14 +92,6 @@ class DesignMatrix:
         if len(self.rows) and not np.all(self.matrix[:, 0] == 1.0):
             raise ValidationError("first column must be the intercept")
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.names)
-
 
 def halfday_lag_profile(window: SeriesWindow, for_day: dt.date) -> np.ndarray:
     """Load profile built from the two most recent complete half-days.
@@ -207,6 +199,9 @@ def legal_training_days(
     return days
 
 
+# Loads near the double range overflow the interaction terms and their
+# distributed lags; the fit rejects a design that is not finite.
+@np.errstate(over="ignore", invalid="ignore")
 def _day_blocks(
     window: SeriesWindow, day: dt.date, model_id: str, lams, temp_mode: str
 ) -> np.ndarray:

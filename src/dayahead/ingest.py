@@ -38,28 +38,29 @@ class Record(NamedTuple):
     temp_c: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DayProfile:
-    """24 hourly loads for one calendar day.
+    """24 hourly loads for one calendar day, as a read-only float array.
 
     Loads must be strictly positive because logarithms of load peaks are
     taken downstream.
     """
 
     date: dt.date
-    values: tuple
+    values: np.ndarray
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if len(vals) != 24:
+        vals = np.array(self.values, dtype=float)
+        if vals.shape != (24,):
             raise ValidationError(
-                f"profile for {self.date} has {len(vals)} values, expected 24"
+                f"profile for {self.date} has {vals.size} values, expected 24"
             )
-        for h, v in zip(HOURS, vals):
-            if not math.isfinite(v):
-                raise ValidationError(f"non-finite value at ({self.date}, hour {h})")
-            if v <= 0.0:
-                raise ValidationError(f"non-positive load at ({self.date}, hour {h})")
+        bad = ~np.isfinite(vals) | (vals <= 0.0)
+        if bad.any():
+            h = int(bad.argmax())
+            problem = "non-positive load" if np.isfinite(vals[h]) else "non-finite value"
+            raise ValidationError(f"{problem} at ({self.date}, hour {h + 1})")
+        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
 
@@ -82,14 +83,6 @@ class SeriesWindow:
         shapes = (self.loads.shape, self.temps.shape, self.forecast.shape)
         if shapes != ((HISTORY_DAYS, 24), (HISTORY_DAYS, 24), (24,)):
             raise ValidationError("window requires 9 x 24 history arrays and a 24-hour forecast")
-
-    def __eq__(self, other):
-        if not isinstance(other, SeriesWindow):
-            return NotImplemented
-        return self.target_date == other.target_date and all(
-            np.array_equal(getattr(self, f), getattr(other, f))
-            for f in ("loads", "temps", "forecast")
-        )
 
     def _history_index(self, day: dt.date) -> int:
         offset = (self.target_date - day).days
@@ -493,7 +486,7 @@ def _peak_shape(hour: int) -> float:
     return morning + EVENING_PEAK_RATIO * evening
 
 
-def synth_dataset(params: SynthParams) -> tuple[list[Record], dict]:
+def synth_dataset(params: SynthParams) -> list[Record]:
     """Generate ``params.days`` days of hourly load and temperature records.
 
     load(d, h) = base + peak_amp * bumps(h)
@@ -503,8 +496,7 @@ def synth_dataset(params: SynthParams) -> tuple[list[Record], dict]:
     so a uniform +2 degC offset shifts every load value by exactly
     temp_sensitivity_pct_per_2c percent of base_mw.  The AR(1) noise chain is
     stationary with marginal standard deviation ``noise_sd_mw`` and runs
-    hour by hour across day boundaries.  Returns the records plus a ground
-    truth description of the generating coefficients.
+    hour by hour across day boundaries.
     """
     rng = np.random.default_rng(params.seed)
     slope = params.temp_sensitivity_pct_per_2c / 100.0 * params.base_mw / 2.0
@@ -536,25 +528,10 @@ def synth_dataset(params: SynthParams) -> tuple[list[Record], dict]:
             if params.noise_sd_mw > 0:
                 noise = params.ar_rho * noise + rng.normal(0.0, innov_sd)
 
-    truth = {
-        "base_mw": params.base_mw,
-        "peak_amp_mw": params.peak_amp_mw,
-        "peak_centers_h": PEAK_CENTERS,
-        "peak_width_h": PEAK_WIDTH_H,
-        "evening_peak_ratio": EVENING_PEAK_RATIO,
-        "slope_mw_per_c": slope,
-        "temp_base_c": params.temp_base_c,
-        "temp_amp_c": params.temp_amp_c,
-        "temp_offset_c": params.temp_offset_c,
-        "ar_rho": params.ar_rho,
-        "noise_sd_mw": params.noise_sd_mw,
-        "innovation_sd_mw": innov_sd,
-        "seed": params.seed,
-    }
-    return records, truth
+    return records
 
 
-def synth_window(params: SynthParams) -> tuple[SeriesWindow, dict]:
+def synth_window(params: SynthParams) -> SeriesWindow:
     """Generate a dataset and assemble the window targeting its last day.
 
     Needs at least 10 generated days (9 history plus the target).  The
@@ -563,6 +540,5 @@ def synth_window(params: SynthParams) -> tuple[SeriesWindow, dict]:
     """
     if params.days < 10:
         raise ValidationError("synth_window requires days >= 10")
-    records, truth = synth_dataset(params)
     target = params.start_date + dt.timedelta(days=params.days - 1)
-    return assemble_window(Dataset.from_records(records), target), truth
+    return assemble_window(Dataset.from_records(synth_dataset(params)), target)

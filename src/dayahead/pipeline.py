@@ -50,11 +50,7 @@ def run_day(
     forecasts = regress.forecast_day(window, fits)
     ensemble = regress.ensemble_mean(forecasts)
 
-    state = thermo.compute_state(
-        forecasts["a"].prediction,
-        forecasts["b"].prediction,
-        forecasts["c"].prediction,
-    )
+    state = thermo.compute_state(forecasts["a"], forecasts["b"], forecasts["c"])
     time_test = verdict.time_tests(
         state.theta1, state.theta2, state.w1, state.w2, critical_values
     )
@@ -62,7 +58,7 @@ def run_day(
 
     return report.build_report(
         target_date=window.target_date,
-        forecasts={m: forecasts[m].prediction for m in MODEL_IDS},
+        forecasts=forecasts,
         thermo=state,
         time_test=time_test,
         reserve_test=reserve_test,

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DegeneracyError, ValidationError
 from .features import (
     COLUMN_NAMES,
     LAMBDA_GRID,
@@ -33,6 +33,9 @@ MAX_GOLDEN_ITER = 200
 # Predictions below this floor are clamped so downstream logarithms stay
 # defined.
 CLAMP_FLOOR_MW = 1.0
+
+# Each model's regression in the README's formula catalog.
+_EQUATIONS = {"a": "(1)", "b": "(2)", "c": "(3)"}
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -60,14 +63,6 @@ class FitResult:
         return np.array(list(self.coefficients.values()))
 
 
-@dataclass(frozen=True)
-class ModelForecast:
-    model_id: str
-    fit: Optional[FitResult]
-    prediction: DayProfile
-    clamped_hours: tuple = ()
-
-
 def _rank_diagnostics(rank: int, k: int) -> dict:
     return {"rank_deficient": True, "rank": int(rank)} if rank < k else {}
 
@@ -75,15 +70,23 @@ def _rank_diagnostics(rank: int, k: int) -> dict:
 def _residuals(matrices: np.ndarray, responses: np.ndarray, coef: np.ndarray):
     """Residuals and SSR of every slice.  The stacked matmuls run, slice by
     slice, the same BLAS calls as ``y - x @ b`` and ``r @ r`` on one slice."""
-    residuals = responses - np.matmul(matrices, coef[..., None])[..., 0]
-    with np.errstate(over="ignore"):  # an infinite SSR ranks last on the decay grid
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite SSR ranks last
+        residuals = responses - np.matmul(matrices, coef[..., None])[..., 0]
         ssr = np.matmul(residuals[:, None, :], residuals[:, :, None])[:, 0, 0]
     return residuals, ssr.tolist()
+
+
+def _require_finite(*systems: np.ndarray) -> None:
+    """Reject a least-squares system that is not finite before LAPACK sees it:
+    ``dgelsd`` cannot solve one and prints its complaint to standard output."""
+    if not all(np.isfinite(a).all() for a in systems):
+        raise FloatingPointError("least-squares system is not finite")
 
 
 def _ols_stack(matrices: np.ndarray, responses: np.ndarray) -> list[tuple]:
     """Least squares of every slice of a stack, as
     ``(coef, residuals, ssr, rho, diagnostics)``."""
+    _require_finite(matrices, responses)
     coef, rank = _lstsq_stack(matrices, responses)
     residuals, ssr = _residuals(matrices, responses, coef)
     k = matrices.shape[2]
@@ -162,7 +165,9 @@ def _ar1_whiten(systems: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def _gls_stack(systems: np.ndarray, rho: np.ndarray):
     """GLS coefficients, whitened SSR and rank of every slice at its rho."""
-    white = _ar1_whiten(systems, rho)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+        white = _ar1_whiten(systems, rho)
+    _require_finite(white)
     xs, ws = white[..., :-1], white[..., -1]
     coef, rank = _lstsq_stack(xs, ws)
     return coef, _residuals(xs, ws, coef)[1], rank
@@ -321,7 +326,9 @@ def fit_models(
     "fixed" uses ``lam``; "off" is equivalent to fixed 0.  The designs of
     every window and decay are solved together, in one stacked least-squares
     call for OLS or one lockstep rho search for exact ML; each window's fit
-    has the same bits as when its window is fitted alone.
+    has the same bits as when its window is fitted alone.  A design or
+    whitened system that is not finite raises :class:`DegeneracyError`
+    naming the model's formula.
     """
     decays = _decays(lambda_policy, lam)
     if not windows:
@@ -330,12 +337,13 @@ def fit_models(
     count, n_decays, n, k = matrices.shape
     matrices = matrices.reshape(count * n_decays, n, k)
     responses = np.repeat(responses, n_decays, axis=0)
-    if method == "ols":
-        solved = _ols_stack(matrices, responses)
-    elif method == "exact_ml_ar1":
-        solved = _exact_ml_stack(matrices, responses)
-    else:
+    solve = {"ols": _ols_stack, "exact_ml_ar1": _exact_ml_stack}.get(method)
+    if solve is None:
         raise ValidationError(f"unknown estimation method {method!r}")
+    try:
+        solved = solve(matrices, responses)
+    except FloatingPointError as exc:
+        raise DegeneracyError(f"model {model_id}: {exc}", _EQUATIONS[model_id]) from None
     fits = []
     for i, window in enumerate(windows):
         ssr = [s[2] for s in solved[i * n_decays:(i + 1) * n_decays]]
@@ -355,10 +363,11 @@ def fit_models(
 
 def forecast_day(window: SeriesWindow, fits: dict) -> dict:
     """Apply the three fits of this window, from ``fit_model`` or
-    ``fit_models``, to the target day's regressors they carry.
+    ``fit_models``, to the target day's regressors they carry; returns
+    ``{model_id: DayProfile}``.
 
     Temperature terms are drawn from the forecast.  Predictions below 1 MW
-    are clamped to 1 MW and the affected hours are flagged.
+    are clamped to 1 MW.
     """
     for model_id in MODEL_IDS:
         if model_id not in fits:
@@ -369,17 +378,12 @@ def forecast_day(window: SeriesWindow, fits: dict) -> dict:
         if fit.target_block is None:
             raise ValidationError(f"fit for model {model_id} carries no target-day regressors")
         raw = fit.target_block @ fit.coef_vector()
-        clamped = tuple(h for h in range(1, 25) if raw[h - 1] < CLAMP_FLOOR_MW)
-        values = tuple(
-            CLAMP_FLOOR_MW if h in clamped else float(raw[h - 1]) for h in range(1, 25)
-        )
-        prediction = DayProfile(window.target_date, values)
-        out[model_id] = ModelForecast(model_id, fit, prediction, clamped)
+        out[model_id] = DayProfile(window.target_date, np.maximum(raw, CLAMP_FLOOR_MW))
     return out
 
 
 def ensemble_mean(forecasts: dict) -> DayProfile:
-    """Hourwise arithmetic mean of the three model predictions.
+    """Hourwise arithmetic mean of the three model profiles.
 
     Each hour's mean is evaluated as min + ((mid - min) + (max - min)) / 3
     over the sorted triple, which keeps the result independent of model
@@ -388,10 +392,7 @@ def ensemble_mean(forecasts: dict) -> DayProfile:
     for model_id in MODEL_IDS:
         if model_id not in forecasts:
             raise ValidationError(f"missing forecast for model {model_id}")
-    profiles = [forecasts[m].prediction for m in MODEL_IDS]
-    values = []
-    for h in range(24):
-        lo, mid, hi = sorted(p.values[h] for p in profiles)
-        values.append(lo + ((mid - lo) + (hi - lo)) / 3.0)
-    target = profiles[0].date
-    return DayProfile(target, tuple(values))
+    lo, mid, hi = np.sort([forecasts[m].values for m in MODEL_IDS], axis=0)
+    with np.errstate(over="ignore"):  # DayProfile rejects an infinite mean
+        mean = lo + ((mid - lo) + (hi - lo)) / 3.0
+    return DayProfile(forecasts["a"].date, mean)

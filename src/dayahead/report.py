@@ -40,7 +40,7 @@ TEMP_EQUIV_PCT = 4.6
 class DispatchReport:
     """Everything the engine reports for one target day.
 
-    ``forecasts`` maps model ids "a"/"b"/"c" to 24-hour prediction profiles;
+    ``forecasts`` maps model ids "a"/"b"/"c" to their 24-hour profiles;
     the fit diagnostics are not part of the report schema.
     """
 
@@ -89,11 +89,9 @@ def daily_relative_error(actual: DayProfile, forecast: DayProfile) -> float:
         raise ValidationError(
             f"misaligned dates: actual {actual.date}, forecast {forecast.date}"
         )
-    peak = max(actual.values)
-    err = sum(
-        abs(f - a) for f, a in zip(forecast.values, actual.values)
-    ) / 24.0
-    return err / peak * 100.0
+    actual_mw = actual.values.tolist()
+    err = sum(abs(f - a) for f, a in zip(forecast.values.tolist(), actual_mw)) / 24.0
+    return err / max(actual_mw) * 100.0
 
 
 def build_report(
@@ -164,8 +162,8 @@ def serialize_report(report: DispatchReport) -> str:
     t = report.time_test
     payload = {
         "target_date": report.target_date,
-        "forecasts": {m: list(report.forecasts[m].values) for m in ("a", "b", "c")},
-        "ensemble": list(report.ensemble.values),
+        "forecasts": {m: report.forecasts[m].values.tolist() for m in ("a", "b", "c")},
+        "ensemble": report.ensemble.values.tolist(),
         "thermo": {
             "theta1": report.thermo.theta1,
             "theta2": report.thermo.theta2,

@@ -46,14 +46,16 @@ class ThermoState:
     sigma: float
 
 
-def demean(profile) -> np.ndarray:
-    """Subtract the 24-hour mean; accepts a DayProfile or a 24-vector."""
-    x = np.asarray(profile.values if isinstance(profile, DayProfile) else profile, dtype=float)
+def demean(x: np.ndarray) -> np.ndarray:
+    """Subtract the 24-hour mean from a 24-vector."""
+    x = np.asarray(x, dtype=float)
     if x.shape != (24,):
         raise ValidationError("expected a 24-vector")
     if not np.all(np.isfinite(x)):
         raise ValidationError("non-finite value in profile")
-    return x - x.mean()
+    with np.errstate(over="ignore"):  # an infinite mean aborts at Eq. (4)
+        mean = x.mean()
+    return x - mean
 
 
 def cointegration_angle(p: np.ndarray, q: np.ndarray) -> float:
@@ -126,8 +128,8 @@ def peak_bounds(
     For each model take its maximum over hours 1..12 (am) and 13..24 (pm);
     p1 is the smallest and p2 the largest of the three maxima per segment.
     """
-    am = [max(p.values[0:12]) for p in (pa, pb, pc)]
-    pm = [max(p.values[12:24]) for p in (pa, pb, pc)]
+    am = [float(p.values[:12].max()) for p in (pa, pb, pc)]
+    pm = [float(p.values[12:].max()) for p in (pa, pb, pc)]
     return min(am), max(am), min(pm), max(pm)
 
 
@@ -181,8 +183,8 @@ def compute_state(pa: DayProfile, pb: DayProfile, pc: DayProfile) -> ThermoState
     with "b".  Raises :class:`DegeneracyError` naming the failing formula
     when the chain leaves its domain.
     """
-    theta1 = cointegration_angle(demean(pa), demean(pb))
-    theta2 = cointegration_angle(demean(pc), demean(pb))
+    theta1 = cointegration_angle(demean(pa.values), demean(pb.values))
+    theta2 = cointegration_angle(demean(pc.values), demean(pb.values))
     delta_s, delta_sp = coherence_deltas(theta1, theta2)
     beta = inverse_temperature(delta_s, delta_sp)
     w1, w2 = daily_work(*peak_bounds(pa, pb, pc), beta)

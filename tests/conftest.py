@@ -23,6 +23,19 @@ def profile(date, values) -> DayProfile:
     return DayProfile(date, tuple(float(v) for v in values))
 
 
+def same_profile(a, b) -> bool:
+    """Two profiles carry the same date and equal values at every hour."""
+    return a.date == b.date and np.array_equal(a.values, b.values)
+
+
+def same_window(a, b) -> bool:
+    """Two windows target the same day and hold equal loads, temperatures
+    and forecast."""
+    return a.target_date == b.target_date and all(
+        np.array_equal(getattr(a, f), getattr(b, f)) for f in ("loads", "temps", "forecast")
+    )
+
+
 def make_window(load_by_offset=None, temp_by_offset=None, forecast=None,
                 target=TARGET) -> SeriesWindow:
     """Read-only window with per-offset overrides; defaults are a mild

@@ -463,3 +463,37 @@ def fit_model(window, model_id: str, method: str = "exact_ml_ar1",
     best = min(range(len(fits)), key=lambda i: fits[i].ssr)
     return replace(fits[best], lam=decays[best],
                    diagnostics={**fits[best].diagnostics, "temp_mode": temp_mode})
+
+
+# --- Tuple form of the day profiles -----------------------------------------
+# Hour-by-hour loops over 24 Python floats: the reference for the engine's
+# read-only profile arrays, its clamp and its ensemble mean.
+
+
+def profile_problem(date, values):
+    """The message with which a load profile of ``values`` is rejected, or
+    None: the first bad hour in hour order names the problem."""
+    vals = tuple(float(v) for v in values)
+    if len(vals) != 24:
+        return f"profile for {date} has {len(vals)} values, expected 24"
+    for h, v in zip(HOURS, vals):
+        if not math.isfinite(v):
+            return f"non-finite value at ({date}, hour {h})"
+        if v <= 0.0:
+            return f"non-positive load at ({date}, hour {h})"
+    return None
+
+
+def clamp(raw) -> tuple:
+    """Raw predictions with every hour below the floor raised to it."""
+    floor = regress.CLAMP_FLOOR_MW
+    return tuple(floor if r < floor else r for r in map(float, raw))
+
+
+def ensemble_mean(a, b, c) -> tuple:
+    """min + ((mid - min) + (max - min)) / 3 over each hour's sorted triple."""
+    values = []
+    for h in range(24):
+        lo, mid, hi = sorted((float(a[h]), float(b[h]), float(c[h])))
+        values.append(lo + ((mid - lo) + (hi - lo)) / 3.0)
+    return tuple(values)

@@ -22,7 +22,7 @@ from dayahead.ingest import (
     serialize_csv,
     synth_window,
 )
-from dayahead.regress import ModelForecast, exact_ml_ar1_fit, ols_fit
+from dayahead.regress import exact_ml_ar1_fit, ols_fit
 from dayahead.report import price
 from dayahead.thermo import (
     WORK_OFFSET,
@@ -119,7 +119,7 @@ def test_criterion_2_sign_structure():
 def test_criterion_3_estimator_oracles():
     start = time.monotonic()
 
-    window, _ = synth_window(SynthParams(days=12, seed=2))
+    window = synth_window(SynthParams(days=12, seed=2))
     design = design_matrix(window, "a", legal_training_days(window, "a"), 0.0)
     beta_star = np.array([250.0, 0.45, 0.3, 0.2, 110.0, 95.0, 80.0, 60.0, 45.0, 30.0])
     y = design.matrix @ beta_star
@@ -202,7 +202,7 @@ def test_criterion_5_anchored_constants(tmp_path):
     assert w1 == WORK_OFFSET == 11.608
     assert w2 == WORK_OFFSET
 
-    window, _ = synth_window(SynthParams(days=12, seed=3))
+    window = synth_window(SynthParams(days=12, seed=3))
     from dayahead.pipeline import run_day
     from dayahead.report import serialize_report
     from dayahead.verdict import load_critical_values
@@ -298,7 +298,7 @@ def test_criterion_7_degeneracy_routing(tmp_path, capsys, monkeypatch):
         vb[0], vb[1] = 150.0, 50.0
         vc[2], vc[3] = 160.0, 40.0
         return {
-            m: ModelForecast(m, None, profile(window.target_date, v))
+            m: profile(window.target_date, v)
             for m, v in (("a", va), ("b", vb), ("c", vc))
         }
 

@@ -16,7 +16,7 @@ OLS_OFF = EngineSettings(method="ols", lambda_policy="off")
 
 
 def test_single_day_range_gives_one_row(permissive_criticals):
-    records, _ = synth_dataset(SynthParams(days=12, seed=6))
+    records = synth_dataset(SynthParams(days=12, seed=6))
     target = records[-1].date
     rows, monthly = run_backtest(
         Dataset.from_records(records), target, target, permissive_criticals
@@ -43,7 +43,7 @@ def test_model_a_generator_recovered(permissive_criticals):
 
 
 def test_coverage_validation(permissive_criticals):
-    records, _ = synth_dataset(SynthParams(days=12, seed=6))
+    records = synth_dataset(SynthParams(days=12, seed=6))
     target = records[-1].date
     with pytest.raises(ValidationError, match="insufficient coverage"):
         run_backtest(Dataset.from_records(records[:-24]), target, target, permissive_criticals)
@@ -71,7 +71,7 @@ def test_aborted_day_bookkeeping(permissive_criticals):
 
 
 def test_summary_means_daily_errors(permissive_criticals):
-    records, _ = synth_dataset(SynthParams(days=14, seed=9))
+    records = synth_dataset(SynthParams(days=14, seed=9))
     start = records[0].date + dt.timedelta(days=10)
     end = records[-1].date
     rows, monthly = run_backtest(Dataset.from_records(records), start, end, permissive_criticals)
@@ -86,7 +86,7 @@ def test_summary_means_daily_errors(permissive_criticals):
 
 
 def test_backtest_deterministic(permissive_criticals):
-    records, _ = synth_dataset(SynthParams(days=13, seed=2))
+    records = synth_dataset(SynthParams(days=13, seed=2))
     start = records[0].date + dt.timedelta(days=10)
     end = records[-1].date
     first = run_backtest(Dataset.from_records(records), start, end, permissive_criticals)

@@ -5,7 +5,6 @@ import pytest
 
 from dayahead import cli, regress
 from dayahead.ingest import serialize_csv
-from dayahead.regress import ModelForecast
 
 from conftest import profile
 from fixtures import recoherence_fixture_records
@@ -192,7 +191,7 @@ def test_forecast_sigma_fixture_exits_3_naming_eq13(tmp_path, capsys, monkeypatc
         vb[0], vb[1] = 150.0, 50.0
         vc[2], vc[3] = 160.0, 40.0
         return {
-            m: ModelForecast(m, None, profile(window.target_date, v))
+            m: profile(window.target_date, v)
             for m, v in (("a", va), ("b", vb), ("c", vc))
         }
 
@@ -313,7 +312,9 @@ def test_forecast_loads_times_1e200_exits_3_naming_eq4(tmp_path, capsys):
     (1e200, 10, 12),
     # On 2004-01-18 the moments also meet inf * 0, which numpy flags as invalid.
     (1e300, 18, 18),
-], ids=["1e200", "1e300"])
+    # The 24-hour sum in the profiles' mean overflows.
+    (1.8731585468859675e303, 18, 19),
+], ids=["1e200", "1e300", "1.87e303"])
 def test_backtest_loads_times_1e200_aborts_days_at_eq4(tmp_path, capsys, factor, first, last):
     data = scaled_loads_to(tmp_path, factor, days=last)
     out = tmp_path / "bt.csv"
@@ -329,6 +330,43 @@ def test_backtest_loads_times_1e200_aborts_days_at_eq4(tmp_path, capsys, factor,
     assert [r.split(",")[-1] for r in rows] == ["aborted:eq4"] * days
     assert "nan" not in out.read_text().lower()
     assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("factor, method, equation", [
+    # Model b's interaction columns pass the double range.
+    (2e304, "ols", "2"),
+    # Model a's design is finite, but its AR(1) whitening is not.
+    (2e304, "exact-ml", "1"),
+    # Model a fits; whitening model b's infinite design meets 0 * inf.
+    (5e303, "exact-ml", "2"),
+    # The largest load is 1.7e308; model a's OLS residuals overflow as well.
+    (3.2e304, "ols", "2"),
+], ids=["2e304-ols", "2e304-exact-ml", "5e303-exact-ml", "3.2e304-ols"])
+def test_overflowing_least_squares_system_aborts_at_its_model(
+        tmp_path, capfd, factor, method, equation):
+    # LAPACK must never see the system: it cannot solve it and prints to file
+    # descriptor 1, which capfd captures.
+    data = scaled_loads_to(tmp_path, factor, days=18)
+    out = tmp_path / "bt.csv"
+    code = cli.main([
+        "backtest", "--data", str(data), "--from", "2004-01-18", "--to", "2004-01-18",
+        "--critical-values", write_cv(tmp_path), "--report", str(out), "--method", method,
+    ])
+    assert code == 0
+    assert out.read_text().split("\n")[1] == f"2004-01-18,,,,,,aborted:eq{equation}"
+    assert capfd.readouterr() == ("", "")
+    hist, fc, target = split_forecast_inputs(tmp_path, data)
+    code = cli.main([
+        "forecast", "--history", str(hist), "--temp-forecast", str(fc),
+        "--target-date", target.isoformat(), "--critical-values", write_cv(tmp_path),
+        "--method", method,
+    ])
+    captured = capfd.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("dayahead: degeneracy: ")
+    assert f"(Eq. ({equation}))" in captured.err
+    assert only_the_cli_line(captured.err)
 
 
 def test_forecast_loads_times_1e150_exits_0_without_warnings(tmp_path, capsys):

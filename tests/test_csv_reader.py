@@ -93,7 +93,7 @@ def kind(outcome):
 @pytest.mark.parametrize("chunk_chars", [1, 150, 1 << 15])
 def test_parse_matches_line_oracle_under_seeded_damage(monkeypatch, chunk_chars):
     monkeypatch.setattr(ingest, "_CHUNK_CHARS", chunk_chars)
-    records, _ = synth_dataset(SynthParams(days=3, seed=4))
+    records = synth_dataset(SynthParams(days=3, seed=4))
     header, *lines = serialize_csv(records).split("\n")
     kinds = set()
     for trial in range(300):
@@ -142,7 +142,7 @@ def test_special_fields_match_the_oracle():
 
 
 def test_history_and_weather_merge_matches_the_oracle():
-    records, _ = synth_dataset(SynthParams(days=4, seed=9))
+    records = synth_dataset(SynthParams(days=4, seed=9))
     history = records[:-24]
     weather = [r._replace(load_mw=None) for r in records[-24:]]
     for trial in range(60):
@@ -157,7 +157,7 @@ def test_history_and_weather_merge_matches_the_oracle():
 
 
 def test_merged_dataset_holds_the_records_of_both_files():
-    records, _ = synth_dataset(SynthParams(days=2, seed=1))
+    records = synth_dataset(SynthParams(days=2, seed=1))
     merged = parse_csv(serialize_csv(records[24:])) + parse_csv(serialize_csv(records[:24]))
     assert len(merged) == 48
     assert same_dataset(merged, Dataset.from_records(records))

@@ -165,8 +165,8 @@ def test_design_matrix_shapes_and_intercept():
     for model_id, expected_cols in (("a", 10), ("b", 6), ("c", 9)):
         days = legal_training_days(window, model_id)
         dm = design_matrix(window, model_id, days, 0.3)
-        assert dm.n_cols == expected_cols
-        assert dm.n_rows == 24 * len(days)
+        assert len(dm.names) == expected_cols
+        assert len(dm.rows) == 24 * len(days)
         assert np.all(dm.matrix[:, 0] == 1.0)
         assert dm.rows[0][1] == 1 and dm.rows[-1][1] == 24
 
@@ -214,7 +214,7 @@ def test_target_regressors_share_columns_with_training():
     for model_id in MODEL_IDS:
         block = target_regressors(window, model_id, 0.1)
         dm = design_matrix(window, model_id, [day(1)], 0.1)
-        assert block.shape == (24, dm.n_cols)
+        assert block.shape == (24, len(dm.names))
         assert np.all(block[:, 0] == 1.0)
 
 
@@ -230,7 +230,7 @@ def test_koyck_matches_uncached_oracle_bit_for_bit():
 
 @pytest.mark.parametrize("temp_mode", ["hour", "day"])
 def test_design_matrices_match_decay_by_decay_oracle(temp_mode):
-    window, _ = synth_window(SynthParams(days=12, seed=4))
+    window = synth_window(SynthParams(days=12, seed=4))
     for model_id in MODEL_IDS:
         days = legal_training_days(window, model_id, temp_mode)
         matrices, responses, _ = run_designs([window], model_id, LAMBDA_GRID, temp_mode)

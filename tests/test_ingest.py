@@ -18,7 +18,7 @@ from dayahead.ingest import (
     synth_window,
 )
 
-from conftest import TARGET, day, make_window, records_for_window, same_dataset
+from conftest import TARGET, day, make_window, records_for_window, same_dataset, same_window
 from oracles import parse_csv_records
 
 HEADER = "date,hour,load_mw,temp_c"
@@ -109,7 +109,7 @@ def test_assemble_window_complete():
     window = make_window()
     records = records_for_window(window)
     rebuilt = assemble_window(Dataset.from_records(records), TARGET)
-    assert rebuilt == window
+    assert same_window(rebuilt, window)
     assert rebuilt.loads.shape == rebuilt.temps.shape == (9, 24)
     assert not rebuilt.loads.flags.writeable
 
@@ -118,7 +118,7 @@ def test_assemble_window_order_independent():
     window = make_window()
     records = records_for_window(window)
     shuffled = list(reversed(records))
-    assert assemble_window(Dataset.from_records(shuffled), TARGET) == window
+    assert same_window(assemble_window(Dataset.from_records(shuffled), TARGET), window)
 
 
 def test_assemble_window_names_first_gap():
@@ -164,18 +164,16 @@ def test_synth_degenerate_generator_is_flat():
         days=2, base_mw=4200.0, peak_amp_mw=0.0, noise_sd_mw=0.0,
         temp_amp_c=0.0, seed=7,
     )
-    records, _ = synth_dataset(params)
+    records = synth_dataset(params)
     assert all(r.load_mw == 4200.0 for r in records)
 
 
 def test_synth_deterministic_given_seed():
     params = SynthParams(days=12, seed=42)
-    first = synth_dataset(params)[0]
-    second = synth_dataset(params)[0]
+    first = synth_dataset(params)
+    second = synth_dataset(params)
     assert first == second
-    w1, _ = synth_window(params)
-    w2, _ = synth_window(params)
-    assert w1 == w2
+    assert same_window(synth_window(params), synth_window(params))
 
 
 def test_synth_two_degree_offset_shifts_mean_by_sensitivity():
@@ -188,14 +186,14 @@ def test_synth_two_degree_offset_shifts_mean_by_sensitivity():
     warm = SynthParams(days=6, peak_amp_mw=0.0, noise_sd_mw=0.0,
                        temp_amp_c=0.0, temp_offset_c=2.0,
                        temp_sensitivity_pct_per_2c=4.6, seed=5)
-    m_base = np.mean([r.load_mw for r in synth_dataset(base)[0]])
-    m_warm = np.mean([r.load_mw for r in synth_dataset(warm)[0]])
+    m_base = np.mean([r.load_mw for r in synth_dataset(base)])
+    m_warm = np.mean([r.load_mw for r in synth_dataset(warm)])
     assert abs((m_warm - m_base) / m_base * 100.0 - 4.6) < 1e-9
 
 
 def test_synth_default_shape_is_double_peaked():
     params = SynthParams(days=1, noise_sd_mw=0.0)
-    records, _ = synth_dataset(params)
+    records = synth_dataset(params)
     values = [r.load_mw for r in records]
     am_peak = 1 + int(np.argmax(values[0:12]))
     pm_peak = 13 + int(np.argmax(values[12:24]))

@@ -1,0 +1,120 @@
+"""Day profiles as read-only arrays, against the tuple form in oracles.py.
+
+The clamp in ``forecast_day``, the sorted-triple ``ensemble_mean`` and the
+validation in ``DayProfile`` must give the bits, or the message, of the
+hour-by-hour loops over Python floats.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from dayahead.errors import ValidationError
+from dayahead.ingest import DayProfile
+from dayahead.regress import CLAMP_FLOOR_MW, FitResult, ensemble_mean, forecast_day
+
+import oracles
+from conftest import TARGET, make_window
+
+# The floor and its neighbours one ulp above and below.
+NEAR_FLOOR = (CLAMP_FLOOR_MW, np.nextafter(CLAMP_FLOOR_MW, 2.0),
+              np.nextafter(CLAMP_FLOOR_MW, 0.0))
+
+
+def oracle_profile(values):
+    """The oracle's verdict on ``values``: their bits, or its message."""
+    problem = oracles.profile_problem(TARGET, values)
+    return problem if problem is not None else np.array(values, dtype=float).tobytes()
+
+
+def engine_profile(values):
+    """The engine's verdict on ``values``: its profile's bits, or its message."""
+    try:
+        return DayProfile(TARGET, values).values.tobytes()
+    except ValidationError as exc:
+        return str(exc)
+
+
+def random_hours(rng, pool) -> np.ndarray:
+    """24 values, each drawn from ``pool`` or from a load-like range."""
+    picks = rng.choice(np.asarray(pool, dtype=float), 24)
+    return np.where(rng.random(24) < 0.5, picks, rng.uniform(1.0, 6000.0, 24))
+
+
+def fit_predicting(raw) -> FitResult:
+    """A fit whose target-day prediction is ``raw``: its regressors are the
+    24 x 24 identity and its coefficients the raw values."""
+    coefficients = {f"x{h}": float(v) for h, v in enumerate(raw)}
+    return FitResult("a", coefficients, np.zeros(48), 0.0, 0.0, 0.0, "ols",
+                     target_block=np.eye(24))
+
+
+def test_clamp_matches_the_hourly_oracle():
+    rng = np.random.default_rng(11)
+    window = make_window()
+    pool = (*NEAR_FLOOR, 0.0, -0.0, -1.0, -1e6, 0.5, 1e-300, 2.0)
+    for trial in range(200):
+        raws = [random_hours(rng, pool) for _ in "abc"]
+        fits = dict(zip("abc", map(fit_predicting, raws)))
+        got = forecast_day(window, fits)
+        for m, raw in zip("abc", raws):
+            assert np.array_equal(fits[m].target_block @ fits[m].coef_vector(), raw)
+            want = np.array(oracles.clamp(raw)).tobytes()
+            assert got[m].values.tobytes() == want, (trial, m)
+            assert got[m].date == window.target_date
+            assert not got[m].values.flags.writeable
+
+
+def test_ensemble_mean_matches_the_sorted_triple_oracle():
+    rng = np.random.default_rng(12)
+    for trial in range(300):
+        if trial % 3 == 0:  # all-equal triples at some hours
+            shared = random_hours(rng, NEAR_FLOOR)
+            triple = [np.where(rng.random(24) < 0.5, shared, random_hours(rng, NEAR_FLOOR))
+                      for _ in "abc"]
+        else:  # ties drawn from a small pool
+            triple = [random_hours(rng, (*NEAR_FLOOR, 2.5, 3000.0)) for _ in "abc"]
+        want = oracle_profile(oracles.ensemble_mean(*triple))
+        for order in itertools.permutations(triple):
+            profiles = dict(zip("abc", (DayProfile(TARGET, v) for v in order)))
+            assert engine_profile(ensemble_mean(profiles).values) == want, trial
+
+
+def test_ensemble_mean_overflow_is_rejected_as_the_oracle_rejects_it():
+    # (mid - lo) + (hi - lo) passes the double range at hour 5.
+    lo, mid, hi = np.full(24, 3000.0), np.full(24, 3000.0), np.full(24, 3000.0)
+    lo[4], mid[4], hi[4] = 1.0, 1.6e308, 1.7e308
+    want = oracles.profile_problem(TARGET, oracles.ensemble_mean(lo, mid, hi))
+    assert want == f"non-finite value at ({TARGET}, hour 5)"
+    profiles = dict(zip("abc", (DayProfile(TARGET, v) for v in (hi, lo, mid))))
+    with pytest.raises(ValidationError) as exc:
+        ensemble_mean(profiles)
+    assert str(exc.value) == want
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0],
+                         ids=["nan", "inf", "-inf", "0", "-0", "negative"])
+@pytest.mark.parametrize("hour", [1, 24])
+def test_profile_validation_names_the_oracles_first_bad_hour(bad, hour):
+    rng = np.random.default_rng(hour)
+    values = rng.uniform(1.0, 6000.0, 24)
+    values[hour - 1] = bad
+    assert engine_profile(values) == oracle_profile(values)
+    assert f"hour {hour})" in engine_profile(values)
+    if hour == 1:  # a second bad hour later on does not change the message
+        values[23] = np.nan if bad == 0.0 else 0.0
+        assert engine_profile(values) == oracle_profile(values)
+
+
+def test_profile_holds_a_read_only_copy_of_its_values():
+    rng = np.random.default_rng(13)
+    for trial in range(50):
+        values = random_hours(rng, NEAR_FLOOR)
+        assert engine_profile(values) == oracle_profile(values)
+        assert engine_profile(values.tolist()) == oracle_profile(values)
+        prof = DayProfile(TARGET, values)
+        values[0] = -1.0
+        assert prof.values[0] != -1.0 and not prof.values.flags.writeable
+    for n in (0, 23, 25):
+        assert engine_profile(np.ones(n)) == oracle_profile(np.ones(n))

@@ -28,16 +28,15 @@ from dayahead.regress import (
     fit_model,
     forecast_day,
     ols_fit,
-    ModelForecast,
 )
 
 import oracles
-from conftest import TARGET, day, make_window, profile
+from conftest import TARGET, day, make_window, profile, same_profile
 from oracles import MODEL_A_COEFFS, model_a_records
 
 
 def full_rank_design(model_id="a", seed=2, lam=0.0) -> DesignMatrix:
-    window, _ = synth_window(SynthParams(days=12, seed=seed))
+    window = synth_window(SynthParams(days=12, seed=seed))
     return design_matrix(
         window, model_id, legal_training_days(window, model_id), lam
     )
@@ -106,7 +105,7 @@ def test_ols_residuals_orthogonal_to_columns():
     design = full_rank_design(seed=9)
     fit = ols_fit(design)
     r = fit.residuals
-    for j in range(design.n_cols):
+    for j in range(len(design.names)):
         col = design.matrix[:, j]
         bound = 1e-6 * np.linalg.norm(col) * max(np.linalg.norm(r), 1e-30)
         assert abs(col @ r) <= max(bound, 1e-12)
@@ -170,7 +169,7 @@ def test_tie_break_test_survives_an_overflowing_response():
     # Loads x 1e150 square past the double range in y @ y.  Residuals that do
     # not vanish must still run the rho search, and the fits must agree with
     # those at x 1e140, where y @ y is finite.
-    window, _ = synth_window(SynthParams(days=12, seed=1))
+    window = synth_window(SynthParams(days=12, seed=1))
 
     def scaled(factor):
         loads = window.loads * factor
@@ -190,10 +189,10 @@ def test_exact_ml_loglik_never_below_rho_zero():
     for seed in range(5):
         rng = np.random.default_rng(seed)
         design = full_rank_design(seed=seed + 10)
-        y = design.response + rng.normal(0, 30, size=design.n_rows)
+        y = design.response + rng.normal(0, 30, size=len(design.rows))
         noisy = with_response(design, y)
         fit = exact_ml_ar1_fit(noisy)
-        n = noisy.n_rows
+        n = len(noisy.rows)
         _, ssr_hat, _ = oracles.gls_at_rho(noisy.matrix, noisy.response, fit.rho)
         _, ssr0, _ = oracles.gls_at_rho(noisy.matrix, noisy.response, 0.0)
         assert (
@@ -203,7 +202,7 @@ def test_exact_ml_loglik_never_below_rho_zero():
 
 
 def test_fit_model_off_equals_fixed_zero():
-    window, _ = synth_window(SynthParams(days=12, seed=8))
+    window = synth_window(SynthParams(days=12, seed=8))
     off = fit_model(window, "a", method="ols", lambda_policy="off")
     fixed = fit_model(window, "a", method="ols", lambda_policy="fixed", lam=0.0)
     assert off.coefficients == fixed.coefficients
@@ -221,7 +220,7 @@ def test_fit_model_grid_recovers_zero_decay_generator():
 
 
 def test_fit_model_shape():
-    window, _ = synth_window(SynthParams(days=12, seed=5))
+    window = synth_window(SynthParams(days=12, seed=5))
     fit = fit_model(window, "a", method="exact_ml_ar1", lambda_policy="off")
     assert len(fit.coefficients) == 10
     assert -1.0 < fit.rho < 1.0
@@ -242,12 +241,12 @@ def test_forecast_day_fixed_point_on_identical_days():
     fits = {m: fit_model(window, m, method="ols", lambda_policy="off")
             for m in ("a", "b", "c")}
     forecasts = forecast_day(window, fits)
-    predicted = np.asarray(forecasts["a"].prediction.values)
+    predicted = forecasts["a"].values
     assert np.max(np.abs(predicted - np.asarray(base))) < 1e-6
 
 
 def test_forecast_day_requires_all_fits():
-    window, _ = synth_window(SynthParams(days=12, seed=6))
+    window = synth_window(SynthParams(days=12, seed=6))
     fits = {m: fit_model(window, m, method="ols", lambda_policy="off")
             for m in ("a", "b")}
     with pytest.raises(ValidationError, match="model c"):
@@ -255,20 +254,21 @@ def test_forecast_day_requires_all_fits():
 
 
 def test_forecast_day_clamps_negative_predictions():
-    window, _ = synth_window(SynthParams(days=12, seed=6))
+    window = synth_window(SynthParams(days=12, seed=6))
     fits = {m: fit_model(window, m, method="ols", lambda_policy="off")
             for m in ("a", "b", "c")}
     # Force a negative prediction through a doctored intercept.
     coeffs = dict(fits["a"].coefficients)
     coeffs["a0"] -= 1e7
     fits["a"] = replace(fits["a"], coefficients=coeffs)
+    raw = fits["a"].target_block @ fits["a"].coef_vector()
+    assert np.all(raw < regress.CLAMP_FLOOR_MW)
     forecasts = forecast_day(window, fits)
-    assert forecasts["a"].clamped_hours == tuple(range(1, 25))
-    assert all(v == 1.0 for v in forecasts["a"].prediction.values)
+    assert all(v == 1.0 for v in forecasts["a"].values)
 
 
 def test_forecast_day_requires_the_target_regressors_of_a_fit():
-    window, _ = synth_window(SynthParams(days=12, seed=6))
+    window = synth_window(SynthParams(days=12, seed=6))
     fits = {m: fit_model(window, m, method="ols", lambda_policy="off")
             for m in ("a", "b", "c")}
     fits["b"] = ols_fit(full_rank_design("b"))
@@ -277,17 +277,16 @@ def test_forecast_day_requires_the_target_regressors_of_a_fit():
 
 
 def test_forecast_day_deterministic():
-    window, _ = synth_window(SynthParams(days=12, seed=13))
+    window = synth_window(SynthParams(days=12, seed=13))
     fits = {m: fit_model(window, m) for m in ("a", "b", "c")}
     first = forecast_day(window, fits)
     second = forecast_day(window, fits)
     for m in ("a", "b", "c"):
-        assert first[m].prediction == second[m].prediction
+        assert same_profile(first[m], second[m])
 
 
-def _constant_forecast(value: float) -> ModelForecast:
-    prof = profile(TARGET, [value] * 24)
-    return ModelForecast(model_id="a", fit=None, prediction=prof)
+def _constant_forecast(value: float):
+    return profile(TARGET, [value] * 24)
 
 
 def test_ensemble_mean_of_constants():
@@ -297,21 +296,21 @@ def test_ensemble_mean_of_constants():
         "c": _constant_forecast(5000.0),
     }
     out = ensemble_mean(forecasts)
-    assert out.values == (4000.0,) * 24
+    assert np.array_equal(out.values, np.full(24, 4000.0))
 
 
 def test_ensemble_mean_identical_and_symmetric():
-    window, _ = synth_window(SynthParams(days=12, seed=3))
+    window = synth_window(SynthParams(days=12, seed=3))
     fits = {m: fit_model(window, m, method="ols") for m in ("a", "b", "c")}
     forecasts = forecast_day(window, fits)
     same = ensemble_mean(
         {"a": forecasts["a"], "b": forecasts["a"], "c": forecasts["a"]}
     )
-    assert same == forecasts["a"].prediction
+    assert same_profile(same, forecasts["a"])
     permuted = ensemble_mean(
         {"a": forecasts["b"], "b": forecasts["c"], "c": forecasts["a"]}
     )
-    assert ensemble_mean(forecasts) == permuted
+    assert same_profile(ensemble_mean(forecasts), permuted)
 
 
 # --- Lockstep rho search against the scalar oracle --------------------------
@@ -327,7 +326,7 @@ def assert_same_fit(got, want):
 @pytest.mark.parametrize("temp_mode", ["hour", "day"])
 def test_fit_model_matches_scalar_oracle_over_backtest(seed, temp_mode):
     # Every day of the 31-day acceptance backtest on synth --days 40.
-    records, _ = synth_dataset(SynthParams(days=40, seed=seed))
+    records = synth_dataset(SynthParams(days=40, seed=seed))
     data = Dataset.from_records(records)
     target = dt.date(2004, 1, 10)
     while target <= dt.date(2004, 2, 9):
@@ -348,7 +347,7 @@ RUN_CASES = {
 
 
 def backtest_windows(synth_days: int, seed: int, n_days: int) -> list:
-    records, _ = synth_dataset(SynthParams(days=synth_days, seed=seed))
+    records = synth_dataset(SynthParams(days=synth_days, seed=seed))
     data = Dataset.from_records(records)
     first = dt.date(2004, 1, 10)
     return [assemble_window(data, first + dt.timedelta(days=i)) for i in range(n_days)]
@@ -392,10 +391,10 @@ def test_fit_models_take_consecutive_windows_of_one_dataset():
 
 
 def test_lockstep_stack_with_tie_break_slice():
-    window, _ = synth_window(SynthParams(days=12, seed=21))
+    window = synth_window(SynthParams(days=12, seed=21))
     days = legal_training_days(window, "c")
     designs = [design_matrix(window, "c", days, lam) for lam in LAMBDA_GRID]
-    constant = with_response(designs[4], np.full(designs[4].n_rows, 7.5))
+    constant = with_response(designs[4], np.full(len(designs[4].rows), 7.5))
     stack = designs[:4] + [constant] + designs[4:]
     solved = regress._exact_ml_stack(np.stack([d.matrix for d in stack]),
                                      np.stack([d.response for d in stack]))
@@ -409,7 +408,7 @@ def test_lockstep_stack_with_tie_break_slice():
 def test_exact_ml_single_design_matches_scalar_oracle():
     rng = np.random.default_rng(5)
     design = full_rank_design("b", seed=17, lam=0.4)
-    noisy = with_response(design, design.response + rng.normal(0, 25, design.n_rows))
+    noisy = with_response(design, design.response + rng.normal(0, 25, len(design.rows)))
     assert_same_fit(exact_ml_ar1_fit(noisy), oracles.exact_ml_ar1_fit(noisy))
 
 
@@ -417,7 +416,7 @@ def test_exact_ml_single_design_matches_scalar_oracle():
 def test_rho_search_never_beaten_by_likelihood_grid(seed):
     # Golden-section rho against an 801-point grid on (-0.999, 0.999).
     grid = np.linspace(-0.999, 0.999, 801).tolist()
-    window, _ = synth_window(SynthParams(days=12, seed=seed))
+    window = synth_window(SynthParams(days=12, seed=seed))
     for model_id in ("a", "b", "c"):
         days = legal_training_days(window, model_id)
         for lam in LAMBDA_GRID:
@@ -427,7 +426,7 @@ def test_rho_search_never_beaten_by_likelihood_grid(seed):
                 _concentrated_loglik(
                     oracles.gls_at_rho(design.matrix, design.response, rho)[1],
                     rho,
-                    design.n_rows,
+                    len(design.rows),
                 )
                 for rho in grid
             )
@@ -476,7 +475,7 @@ def test_lstsq_stack_nan_slice_raises(monkeypatch, gufunc):
 
 
 def test_fit_model_without_gufunc_matches(monkeypatch):
-    window, _ = synth_window(SynthParams(days=12, seed=30))
+    window = synth_window(SynthParams(days=12, seed=30))
     fast = fit_model(window, "b")
     monkeypatch.setattr(regress, "_LSTSQ_GUFUNC", None)
     assert_same_fit(fit_model(window, "b"), fast)

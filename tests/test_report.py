@@ -128,7 +128,7 @@ def test_monthly_mmre_groups_by_calendar_month():
 
 
 def _sample_report(stub):
-    window, _ = synth_window(SynthParams(days=12, seed=3))
+    window = synth_window(SynthParams(days=12, seed=3))
     dispatch = run_day(window, stub, config={"method": "exact-ml"})
     return dispatch
 

@@ -26,7 +26,7 @@ LN2 = math.log(2.0)
 
 
 def test_demean_constant_is_zero():
-    assert np.all(demean(profile(TARGET, [4200.0] * 24)) == 0.0)
+    assert np.all(demean(profile(TARGET, [4200.0] * 24).values) == 0.0)
 
 
 def test_demean_centers_and_is_idempotent():
