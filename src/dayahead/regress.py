@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -209,19 +210,49 @@ def exact_ml_ar1_fit(design) -> FitResult:
     return _fit_result(design.model_id, design.names, "exact_ml_ar1", solved)
 
 
+# A decay is searched only if its OLS SSR, a lower bound on its exact-ML
+# fit's final SSR, is at most the group's first fit's final SSR times
+# (1 + _SSR_MARGIN) plus _SSR_FLOOR * y @ y.  Both SSRs compared are rounded:
+# each is the square norm of a residual that the solver's backward error and
+# the residual's own matmul move by at most about u * |y|, so each is off by
+# at most about 2u * sqrt(ssr * y @ y).  By the AM-GM inequality the two
+# together, 4u * sqrt(ssr * y @ y), stay under 1e-9 * ssr + 4e9 * u**2 * y @ y,
+# which the margin and the floor cover for u up to 1.6e-11, about 70,000
+# ulps, at every ssr: a vanishing SSR never skips a decay whose residuals are
+# within rounding of it.  A NaN or infinite bound skips nothing.
+_SSR_MARGIN = 1e-9
+_SSR_FLOOR = 1e-12
+# Below this magnitude the AR(1) whitening, |a - rho * b| <= |a| + |b| with
+# |rho| < 1, cannot overflow, so no search can end in a non-finite system.
+_HALF_MAX = float(np.finfo(np.float64).max) / 2.0
+
+
 # Loads near the double range overflow y @ y and the SSRs: the tie-break test
 # rescales, and an infinite SSR has likelihood -inf and ranks last on the
 # decay grid.
 @np.errstate(over="ignore")
-def _exact_ml_stack(matrices: np.ndarray, responses: np.ndarray) -> list[tuple]:
+def _exact_ml_stack(matrices: np.ndarray, responses: np.ndarray, group: int = 1) -> list:
     """Exact-ML AR(1) fit of every slice of a stack, as
-    ``(coef, residuals, ssr, rho, diagnostics)``.
+    ``(coef, residuals, ssr, rho, diagnostics)``, or ``None`` for a slice
+    whose fit cannot win its group.
 
-    The rho searches run in lockstep: each golden-section step whitens the
-    slices still searching, each at its own probe, and solves them in one
-    stacked call.  A search that has converged leaves the stack, so every
-    slice takes the branches and iteration count it would take alone, and
-    its result has the same bits.
+    The stack is made of consecutive groups of ``group`` slices that share
+    their response and compete for the smallest final SSR, as a window's
+    decays do in ``fit_models``.  The rho searches run in lockstep: each
+    golden-section step whitens the slices still searching, each at its own
+    probe, and solves them in one stacked call.  A search that has converged
+    leaves the stack, so every slice takes the branches and iteration count it
+    would take alone, and its result has the same bits.
+
+    The rho = 0 solve gives every slice's OLS SSR, which its final SSR cannot
+    be below.  So a first lockstep searches each group's slice with the
+    smallest OLS SSR, and a second only the slices whose OLS SSR is not above
+    that fit's final SSR (within the margin above).  A skipped slice's final
+    SSR would have been strictly above that fit's, so it could not be its
+    group's first minimum.  Nothing is skipped from a slice whose rho = 0
+    solve is rank-deficient (dgelsd's truncation can leave its SSR above the
+    minimum), nor anywhere in a stack holding a value of magnitude at least
+    DBL_MAX / 2 (a skipped search could have overflowed and raised).
     """
     count, n, k = matrices.shape
     if n < k + 1:
@@ -239,49 +270,68 @@ def _exact_ml_stack(matrices: np.ndarray, responses: np.ndarray) -> list[tuple]:
         for i, (coef, resid, ssr, rho, diag) in zip(
                 ties, _ols_stack(matrices[ties], responses[ties])):
             fits[i] = (coef, resid, ssr, rho, {**diag, "rho_tie_break": True})
-    search = np.array([i for i in range(count) if i not in fits], dtype=int)
 
-    lo = np.full(len(search), -RHO_BOUND)
-    hi = np.full(len(search), RHO_BOUND)
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc, fd = objective(c, search), objective(d, search)
-    iterations = np.zeros(len(search), dtype=int)
-    active = hi - lo > RHO_TOL
-    while active.any():
-        iterations[active] += 1
-        if iterations.max() > MAX_GOLDEN_ITER:
-            raise ValidationError("rho search failed to converge in 200 iterations")
-        left = active & (fc >= fd)
-        right = active & ~(fc >= fd)
-        hi[left], d[left], fd[left] = d[left], c[left], fc[left]
-        c[left] = hi[left] - _GOLDEN * (hi[left] - lo[left])
-        lo[right], c[right], fc[right] = c[right], d[right], fd[right]
-        d[right] = lo[right] + _GOLDEN * (hi[right] - lo[right])
-        value = objective(np.where(left, c, d)[active], search[active])
-        fc[left] = value[left[active]]
-        fd[right] = value[right[active]]
+    def search_rho(slices: list) -> None:
+        if not slices:
+            return
+        search = np.array(slices, dtype=int)
+        lo = np.full(len(search), -RHO_BOUND)
+        hi = np.full(len(search), RHO_BOUND)
+        c = hi - _GOLDEN * (hi - lo)
+        d = lo + _GOLDEN * (hi - lo)
+        fc, fd = objective(c, search), objective(d, search)
+        iterations = np.zeros(len(search), dtype=int)
         active = hi - lo > RHO_TOL
-    rho_hat = 0.5 * (lo + hi)
-    coef_hat, ssr_hat, rank_hat = _gls_stack(systems[search], rho_hat)
+        while active.any():
+            iterations[active] += 1
+            if iterations.max() > MAX_GOLDEN_ITER:
+                raise ValidationError("rho search failed to converge in 200 iterations")
+            left = active & (fc >= fd)
+            right = active & ~(fc >= fd)
+            hi[left], d[left], fd[left] = d[left], c[left], fc[left]
+            c[left] = hi[left] - _GOLDEN * (hi[left] - lo[left])
+            lo[right], c[right], fc[right] = c[right], d[right], fd[right]
+            d[right] = lo[right] + _GOLDEN * (hi[right] - lo[right])
+            value = objective(np.where(left, c, d)[active], search[active])
+            fc[left] = value[left[active]]
+            fd[right] = value[right[active]]
+            active = hi - lo > RHO_TOL
+        rho_hat = 0.5 * (lo + hi)
+        coef_hat, ssr_hat, rank_hat = _gls_stack(systems[search], rho_hat)
 
-    kept = []
-    coefs = np.empty((len(search), k))
-    for j, i in enumerate(search.tolist()):
-        rho = float(rho_hat[j])
-        loglik = _concentrated_loglik(ssr_hat[j], rho, n)
-        coefs[j], rank = coef_hat[j], rank_hat[j]
-        # Keep whichever of {rho_hat, 0} has the better exact likelihood;
-        # this guarantees monotone improvement over the OLS baseline.
-        loglik0 = _concentrated_loglik(ssr0[i], 0.0, n)
-        if loglik < loglik0:
-            rho, loglik, coefs[j], rank = 0.0, loglik0, coef0[i], rank0[i]
-        kept.append((rho, {"loglik": loglik, "iterations": int(iterations[j]),
-                           **_rank_diagnostics(rank, k)}))
-    residuals, ssr = _residuals(matrices[search], responses[search], coefs)
-    for j, i in enumerate(search.tolist()):
-        fits[i] = (coefs[j], residuals[j], ssr[j], *kept[j])
-    return [fits[i] for i in range(count)]
+        kept = []
+        coefs = np.empty((len(search), k))
+        for j, i in enumerate(search.tolist()):
+            rho = float(rho_hat[j])
+            loglik = _concentrated_loglik(ssr_hat[j], rho, n)
+            coefs[j], rank = coef_hat[j], rank_hat[j]
+            # Keep whichever of {rho_hat, 0} has the better exact likelihood;
+            # this guarantees monotone improvement over the OLS baseline.
+            loglik0 = _concentrated_loglik(ssr0[i], 0.0, n)
+            if loglik < loglik0:
+                rho, loglik, coefs[j], rank = 0.0, loglik0, coef0[i], rank0[i]
+            kept.append((rho, {"loglik": loglik, "iterations": int(iterations[j]),
+                               **_rank_diagnostics(rank, k)}))
+        residuals, ssr = _residuals(matrices[search], responses[search], coefs)
+        for j, i in enumerate(search.tolist()):
+            fits[i] = (coefs[j], residuals[j], ssr[j], *kept[j])
+
+    starts = range(0, count, group)
+    firsts = [min(range(g, g + group), key=ssr0.__getitem__) for g in starts]
+    search_rho([i for i in firsts if i not in fits])
+    prune = group > 1 and max(systems.max(), -systems.min()) < _HALF_MAX
+    rest = []
+    for g, first in zip(starts, firsts):
+        rivals = [i for i in range(g, g + group) if i not in fits]
+        top = float(np.max(np.abs(responses[first]))) if prune else 0.0
+        if top > 0.0:  # in units of top**2, so that y @ y cannot overflow
+            unit = responses[first] / top
+            bound = (fits[first][2] / top / top * (1.0 + _SSR_MARGIN)
+                     + _SSR_FLOOR * float(unit @ unit))
+            rivals = [i for i in rivals if rank0[i] < k or not ssr0[i] / top / top > bound]
+        rest += rivals
+    search_rho(rest)
+    return [fits.get(i) for i in range(count)]
 
 
 def _decays(lambda_policy: str, lam: Optional[float]) -> list[float]:
@@ -325,8 +375,12 @@ def fit_models(
     keeps the minimal-SSR fit (ties break toward the smaller value);
     "fixed" uses ``lam``; "off" is equivalent to fixed 0.  The designs of
     every window and decay are solved together, in one stacked least-squares
-    call for OLS or one lockstep rho search for exact ML; each window's fit
-    has the same bits as when its window is fitted alone.  A design or
+    call for OLS or two lockstep rho searches for exact ML; each window's fit
+    has the same bits as when its window is fitted alone.  Exact ML prunes
+    the grid: a decay whose OLS SSR is already above the final SSR of the
+    window's best-OLS decay cannot have the minimal final SSR, so its rho is
+    not searched (see ``_exact_ml_stack``) and it ranks last.  The kept
+    decay, and every bit of its fit, are those of the full grid.  A design or
     whitened system that is not finite raises :class:`DegeneracyError`
     naming the model's formula.
     """
@@ -337,7 +391,8 @@ def fit_models(
     count, n_decays, n, k = matrices.shape
     matrices = matrices.reshape(count * n_decays, n, k)
     responses = np.repeat(responses, n_decays, axis=0)
-    solve = {"ols": _ols_stack, "exact_ml_ar1": _exact_ml_stack}.get(method)
+    solve = {"ols": _ols_stack,
+             "exact_ml_ar1": partial(_exact_ml_stack, group=n_decays)}.get(method)
     if solve is None:
         raise ValidationError(f"unknown estimation method {method!r}")
     try:
@@ -346,7 +401,8 @@ def fit_models(
         raise DegeneracyError(f"model {model_id}: {exc}", _EQUATIONS[model_id]) from None
     fits = []
     for i, window in enumerate(windows):
-        ssr = [s[2] for s in solved[i * n_decays:(i + 1) * n_decays]]
+        # A decay whose exact-ML search was skipped could not win: it ranks last.
+        ssr = [math.inf if s is None else s[2] for s in solved[i * n_decays:(i + 1) * n_decays]]
         best = min(range(n_decays), key=ssr.__getitem__)
         *fitted, diagnostics = solved[i * n_decays + best]
         day_blocks = blocks.get(window.target_date)
@@ -367,17 +423,22 @@ def forecast_day(window: SeriesWindow, fits: dict) -> dict:
     ``{model_id: DayProfile}``.
 
     Temperature terms are drawn from the forecast.  Predictions below 1 MW
-    are clamped to 1 MW.
+    are clamped to 1 MW.  A prediction that is not finite raises
+    :class:`DegeneracyError` naming the model's formula.
     """
     for model_id in MODEL_IDS:
         if model_id not in fits:
             raise ValidationError(f"missing fit for model {model_id}")
-    out = {}
-    for model_id in MODEL_IDS:
-        fit = fits[model_id]
-        if fit.target_block is None:
+        if fits[model_id].target_block is None:
             raise ValidationError(f"fit for model {model_id} carries no target-day regressors")
-        raw = fit.target_block @ fit.coef_vector()
+    # One errstate and one finiteness test for the three: each costs microseconds.
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+        raws = [fits[m].target_block @ fits[m].coef_vector() for m in MODEL_IDS]
+    out = {}
+    for model_id, raw, finite in zip(MODEL_IDS, raws, np.isfinite(raws).all(axis=1)):
+        if not finite:
+            raise DegeneracyError(f"model {model_id}: forecast is not finite",
+                                  _EQUATIONS[model_id])
         out[model_id] = DayProfile(window.target_date, np.maximum(raw, CLAMP_FLOOR_MW))
     return out
 

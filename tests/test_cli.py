@@ -32,11 +32,11 @@ def synth_to(tmp_path, name, days=14, seed=6, extra=()):
     return out
 
 
-def split_forecast_inputs(tmp_path, dataset_path):
-    """Split a dataset CSV into history (all but last day) and a
-    temperature-forecast file for the last day."""
+def split_forecast_inputs(tmp_path, dataset_path, target=None):
+    """Split a dataset CSV into history (the days before ``target``, by
+    default the last day) and a temperature-forecast file for ``target``."""
     records = parse_csv_records(dataset_path.read_text())
-    target = records[-1].date
+    target = target or records[-1].date
     history = [r for r in records if r.date < target]
     forecast = [r._replace(load_mw=None) for r in records if r.date == target]
     hist_path = tmp_path / "history.csv"
@@ -332,30 +332,34 @@ def test_backtest_loads_times_1e200_aborts_days_at_eq4(tmp_path, capsys, factor,
     assert capsys.readouterr() == ("", "")
 
 
-@pytest.mark.parametrize("factor, method, equation", [
+@pytest.mark.parametrize("factor, method, equation, days, target", [
     # Model b's interaction columns pass the double range.
-    (2e304, "ols", "2"),
+    (2e304, "ols", "2", 18, "2004-01-18"),
     # Model a's design is finite, but its AR(1) whitening is not.
-    (2e304, "exact-ml", "1"),
+    (2e304, "exact-ml", "1", 18, "2004-01-18"),
     # Model a fits; whitening model b's infinite design meets 0 * inf.
-    (5e303, "exact-ml", "2"),
+    (5e303, "exact-ml", "2", 18, "2004-01-18"),
     # The largest load is 1.7e308; model a's OLS residuals overflow as well.
-    (3.2e304, "ols", "2"),
-], ids=["2e304-ols", "2e304-exact-ml", "5e303-exact-ml", "3.2e304-ols"])
+    (3.2e304, "ols", "2", 18, "2004-01-18"),
+    # The largest load is 1e307.  Model c's training system is finite, but
+    # its target-day prediction is not.
+    (1.8731585468859675e303, "exact-ml", "3", 40, "2004-02-06"),
+], ids=["2e304-ols", "2e304-exact-ml", "5e303-exact-ml", "3.2e304-ols",
+        "1.87e303-exact-ml-forecast"])
 def test_overflowing_least_squares_system_aborts_at_its_model(
-        tmp_path, capfd, factor, method, equation):
+        tmp_path, capfd, factor, method, equation, days, target):
     # LAPACK must never see the system: it cannot solve it and prints to file
     # descriptor 1, which capfd captures.
-    data = scaled_loads_to(tmp_path, factor, days=18)
+    data = scaled_loads_to(tmp_path, factor, days=days)
     out = tmp_path / "bt.csv"
     code = cli.main([
-        "backtest", "--data", str(data), "--from", "2004-01-18", "--to", "2004-01-18",
+        "backtest", "--data", str(data), "--from", target, "--to", target,
         "--critical-values", write_cv(tmp_path), "--report", str(out), "--method", method,
     ])
     assert code == 0
-    assert out.read_text().split("\n")[1] == f"2004-01-18,,,,,,aborted:eq{equation}"
+    assert out.read_text().split("\n")[1] == f"{target},,,,,,aborted:eq{equation}"
     assert capfd.readouterr() == ("", "")
-    hist, fc, target = split_forecast_inputs(tmp_path, data)
+    hist, fc, target = split_forecast_inputs(tmp_path, data, dt.date.fromisoformat(target))
     code = cli.main([
         "forecast", "--history", str(hist), "--temp-forecast", str(fc),
         "--target-date", target.isoformat(), "--critical-values", write_cv(tmp_path),
@@ -382,6 +386,35 @@ def test_forecast_loads_times_1e150_exits_0_without_warnings(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr() == ("", "")
     assert "nan" not in out.read_text().lower()
+
+
+# Loads of synth --days 14 --seed 3 scaled by 10**k, and scaled so that the
+# largest load is each of the last four values.
+SWEEP_POWERS = range(-300, 301, 20)
+SWEEP_TOPS = (1e306, 1e307, 5e307, 1.79e308)
+
+
+@pytest.mark.parametrize("method", ["exact-ml", "ols"])
+def test_backtest_contract_holds_for_every_scale_of_finite_loads(tmp_path, capfd, method):
+    records = parse_csv_records(synth_to(tmp_path, "raw.csv", days=14, seed=3).read_text())
+    top = max(r.load_mw for r in records)
+    factors = [10.0 ** k for k in SWEEP_POWERS] + [t / top for t in SWEEP_TOPS]
+    data, out, cv = tmp_path / "scaled.csv", tmp_path / "bt.csv", write_cv(tmp_path)
+    capfd.readouterr()
+    for factor in factors:
+        data.write_text(serialize_csv([r._replace(load_mw=r.load_mw * factor) for r in records]))
+        out.unlink(missing_ok=True)
+        code = cli.main([
+            "backtest", "--data", str(data), "--from", "2004-01-14", "--to", "2004-01-14",
+            "--critical-values", cv, "--report", str(out), "--method", method,
+        ])
+        captured = capfd.readouterr()
+        assert code in (0, 2, 3), factor
+        assert captured.out == "", factor
+        assert captured.err == "" or only_the_cli_line(captured.err), factor
+        if out.exists():
+            text = out.read_text().lower()
+            assert "nan" not in text and "inf" not in text, factor
 
 
 def only_the_cli_line(err: str) -> bool:

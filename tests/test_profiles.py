@@ -6,11 +6,12 @@ hour-by-hour loops over Python floats.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dayahead.errors import ValidationError
+from dayahead.errors import DegeneracyError, ValidationError
 from dayahead.ingest import DayProfile
 from dayahead.regress import CLAMP_FLOOR_MW, FitResult, ensemble_mean, forecast_day
 
@@ -64,6 +65,20 @@ def test_clamp_matches_the_hourly_oracle():
             assert got[m].values.tobytes() == want, (trial, m)
             assert got[m].date == window.target_date
             assert not got[m].values.flags.writeable
+
+
+@pytest.mark.parametrize("scale, bad", [(1.0, np.inf), (1.0, -np.inf), (1.0, np.nan),
+                                        (1e300, 1e300)],
+                         ids=["inf", "-inf", "nan", "overflow"])
+def test_a_prediction_that_is_not_finite_names_its_model(scale, bad):
+    # In the last case every regressor and coefficient is finite, but one of
+    # their products is not.
+    raw = np.full(24, 5000.0)
+    raw[23] = bad
+    fits = {m: fit_predicting(np.full(24, 5000.0)) for m in "abc"}
+    fits["c"] = replace(fit_predicting(raw), target_block=np.eye(24) * scale)
+    with pytest.raises(DegeneracyError, match=r"model c: .*\(Eq\. \(3\)\)"):
+        forecast_day(make_window(), fits)
 
 
 def test_ensemble_mean_matches_the_sorted_triple_oracle():

@@ -378,6 +378,102 @@ def test_fit_models_match_each_window_fitted_alone(case, seed, temp_mode):
                 assert np.array_equal(fit.target_block, block)
 
 
+# --- Pruning the exact-ML decay grid ----------------------------------------
+
+def run_fits(windows, model_id, temp_mode="hour"):
+    """fit_models over the backtest's runs of ``windows``."""
+    run_length = backtest._SYSTEMS_PER_SOLVE // len(LAMBDA_GRID)
+    return [fit for i in range(0, len(windows), run_length)
+            for fit in regress.fit_models(windows[i:i + run_length], model_id,
+                                          temp_mode=temp_mode)]
+
+
+def test_exact_ml_grid_skips_decays_that_cannot_win(monkeypatch):
+    solved = []
+    gls_stack = regress._gls_stack
+
+    def counting(systems, rho):
+        solved.append(len(systems))
+        return gls_stack(systems, rho)
+
+    monkeypatch.setattr(regress, "_gls_stack", counting)
+    windows = backtest_windows(40, 1, 31)
+    fits = {model_id: run_fits(windows, model_id) for model_id in ("a", "b", "c")}
+    # A search alone solves 35 slices: rho = 0, two probes, 31 steps and rho-hat.
+    designs = 3 * len(windows) * len(LAMBDA_GRID)
+    assert sum(solved) < 0.8 * 35 * designs
+    for model_id, got in fits.items():
+        for fit, window in zip(got, windows):
+            want = oracles.fit_model(window, model_id)
+            assert (fit.lam, fit.rho, fit.ssr) == (want.lam, want.rho, want.ssr)
+
+
+def test_rank_deficient_decays_are_searched():
+    # At loads x 1e9 dgelsd's rcond drops columns beside the load columns, so
+    # an OLS SSR is no lower bound on that decay's exact-ML SSR.
+    records = synth_dataset(SynthParams(days=40, seed=1))
+    data = Dataset.from_records([r._replace(load_mw=r.load_mw * 1e9) for r in records])
+    windows = [assemble_window(data, dt.date(2004, 1, 10) + dt.timedelta(days=i))
+               for i in range(12)]
+    for model_id in ("a", "b", "c"):
+        for fit, window in zip(run_fits(windows, model_id), windows):
+            assert_same_fit(fit, oracles.fit_model(window, model_id))
+
+
+def same_span_group(seed, size=6, n=48, k=4):
+    """``size`` designs spanning one column space, each conditioned about
+    1e8, and a response they fit to a relative 1e-7: their exact SSR minima
+    are equal, and rounding decides which fit is smallest."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, k))
+    y = x @ rng.normal(size=k) * 1e3
+    y = y + rng.normal(size=n) * 1e-7 * np.linalg.norm(y)
+
+    def basis():
+        q1, _ = np.linalg.qr(rng.normal(size=(k, k)))
+        q2, _ = np.linalg.qr(rng.normal(size=(k, k)))
+        return q1 @ np.diag(np.logspace(0, -8, k)) @ q2
+
+    return np.stack([x @ basis() for _ in range(size)]), np.repeat(y[None], size, axis=0)
+
+
+def first_minimum(solved) -> int:
+    ssr = [np.inf if s is None else s[2] for s in solved]
+    return min(range(len(ssr)), key=ssr.__getitem__)
+
+
+def test_rounding_ties_are_searched():
+    # The SSR floor keeps every decay whose OLS SSR is within rounding of the
+    # first fit's; without it some of these groups keep another decay.
+    for seed in range(40):
+        matrices, responses = same_span_group(seed)
+        pruned = regress._exact_ml_stack(matrices, responses, group=len(matrices))
+        alone = [regress._exact_ml_stack(m[None], y[None])[0]
+                 for m, y in zip(matrices, responses)]
+        best = first_minimum(alone)
+        assert first_minimum(pruned) == best, seed
+        for got, want in zip(pruned[best], alone[best]):
+            assert np.array_equal(got, want) if isinstance(got, np.ndarray) else got == want
+
+
+def test_a_search_that_would_overflow_is_not_skipped():
+    # The second design's values are near the double range: its OLS SSR is
+    # infinite, so the bound would skip it, but its whitening overflows at the
+    # first probes, and the search must raise as it does alone.
+    rng = np.random.default_rng(4)
+    n, k = 48, 3
+    fine = rng.normal(size=(n, k))
+    y = fine @ np.array([3.0, -1.0, 2.0]) + rng.normal(size=n)
+    huge = rng.uniform(0.9, 1.0, size=(n, k)) * 1.7e308
+    matrices, responses = np.stack([fine, huge]), np.stack([y, y])
+    with pytest.raises(FloatingPointError):
+        regress._exact_ml_stack(huge[None], y[None])
+    solved = regress._exact_ml_stack(fine[None], y[None])
+    assert solved[0][2] < 1e3 * n
+    with pytest.raises(FloatingPointError):
+        regress._exact_ml_stack(matrices, responses, group=2)
+
+
 def test_fit_models_take_consecutive_windows_of_one_dataset():
     windows = backtest_windows(40, 1, 5)
     other = backtest_windows(40, 2, 5)
