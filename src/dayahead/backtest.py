@@ -19,7 +19,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegeneracyError, ValidationError
-from .features import LAMBDA_GRID
 from .ingest import Dataset, DayProfile, assemble_window, history_start
 from .pipeline import EngineSettings, fit_windows, run_day
 from .report import daily_relative_error
@@ -80,8 +79,7 @@ def run_backtest(
         raise ValidationError(f"insufficient coverage: {what} ({day}, hour {hour})")
 
     days = [from_date + dt.timedelta(days=k) for k in range((to_date - from_date).days + 1)]
-    decays = len(LAMBDA_GRID) if settings.lambda_policy == "grid" else 1
-    run_length = max(1, _SYSTEMS_PER_SOLVE // decays)
+    run_length = max(1, _SYSTEMS_PER_SOLVE // max(1, len(settings.decays)))
     rows: list[BacktestRow] = []
     for start in range(0, len(days), run_length):
         run = days[start : start + run_length]

@@ -22,6 +22,7 @@ from pathlib import Path
 
 from .backtest import render_backtest_csv, run_backtest
 from .errors import DegeneracyError, ValidationError
+from .features import LAMBDA_GRID
 from .ingest import SynthParams, assemble_window, parse_csv, serialize_csv, synth_dataset
 from .pipeline import EngineSettings, run_day
 from .report import serialize_report
@@ -58,11 +59,12 @@ def _write_text(path: str, text: str) -> None:
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _parse_koyck(value: str) -> tuple[str, float | None]:
+def _parse_koyck(value: str) -> tuple[float, ...]:
+    """The Koyck decays a ``--koyck`` value lets each model choose from."""
     if value == "grid":
-        return "grid", None
+        return LAMBDA_GRID
     if value == "off":
-        return "off", None
+        return (0.0,)
     if value.startswith("fixed="):
         try:
             lam = float(value[len("fixed="):])
@@ -70,19 +72,13 @@ def _parse_koyck(value: str) -> tuple[str, float | None]:
             raise ValidationError(f"bad koyck value {value!r}") from None
         if not 0.0 <= lam < 1.0:
             raise ValidationError("fixed koyck decay must lie in [0, 1)")
-        return "fixed", lam
+        return (lam,)
     raise ValidationError(f"bad koyck policy {value!r} (grid|off|fixed=<decay>)")
 
 
 def _settings(args) -> EngineSettings:
-    policy, lam = _parse_koyck(args.koyck)
     method = {"ols": "ols", "exact-ml": "exact_ml_ar1"}[args.method]
-    return EngineSettings(
-        method=method,
-        lambda_policy=policy,
-        lam=lam,
-        temp_mode=args.temp_lag_mode,
-    )
+    return EngineSettings(method, _parse_koyck(args.koyck), args.temp_lag_mode)
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:

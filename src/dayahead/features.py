@@ -133,33 +133,31 @@ def temp_term(
 
 
 @functools.lru_cache(maxsize=64)
-def _koyck_weights(lam: float, order: int) -> tuple:
-    """For each truncation j_max in 0..order: the read-only weight prefix
-    lam^0..lam^j_max and its sum."""
-    weights = np.array([lam**j for j in range(order + 1)])
+def _koyck_weights(lam: float) -> tuple:
+    """For each truncation j_max in 0..KOYCK_ORDER: the read-only weight
+    prefix lam^0..lam^j_max and its sum."""
+    weights = np.array([lam**j for j in range(KOYCK_ORDER + 1)])
     weights.flags.writeable = False
-    return tuple((weights[: j + 1], np.sum(weights[: j + 1])) for j in range(order + 1))
+    return tuple((weights[: j + 1], np.sum(weights[: j + 1])) for j in range(KOYCK_ORDER + 1))
 
 
-def koyck_transform(series: np.ndarray, lam: float, order: int = KOYCK_ORDER) -> np.ndarray:
+def koyck_transform(series: np.ndarray, lam: float) -> np.ndarray:
     """Truncated, renormalized geometric distributed lag within one day.
 
-    out(t) = sum_{j=0..min(order, t-1)} lam^j * series(t-j), divided by the
-    sum of lam^j over the same j-range.  Renormalizing at the day start
-    avoids zero-padding; lam=0 is the identity and a constant series maps to
-    itself for any lam.
+    out(t) = sum_{j=0..min(KOYCK_ORDER, t-1)} lam^j * series(t-j), divided
+    by the sum of lam^j over the same j-range.  Renormalizing at the day
+    start avoids zero-padding; lam=0 is the identity and a constant series
+    maps to itself for any lam.
     """
     if not 0.0 <= lam < 1.0:
         raise ValidationError(f"lambda must lie in [0, 1), got {lam}")
-    if not 1 <= order <= 23:
-        raise ValidationError(f"order must lie in 1..23, got {order}")
     x = np.asarray(series, dtype=float)
     if x.shape != (24,):
         raise ValidationError("koyck_transform expects a 24-vector")
-    prefixes = _koyck_weights(lam, order)
+    prefixes = _koyck_weights(lam)
     out = np.empty(24)
     for t in range(1, 25):
-        j_max = min(order, t - 1)
+        j_max = min(KOYCK_ORDER, t - 1)
         w, total = prefixes[j_max]
         seg = x[t - 1 - j_max : t][::-1]
         out[t - 1] = float(np.dot(w, seg) / total)

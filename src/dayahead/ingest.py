@@ -178,7 +178,11 @@ class Dataset:
         """The first (day, hour, lack) in (day, hour) order over ``days``
         days from ``first``, checking the levels of ``GAP_LEVELS`` up to
         ``need``; None when nothing is lacking."""
-        rows = [self.index.get(first + dt.timedelta(days=k), -1) for k in range(days)]
+        rows = []
+        for k in range(days):
+            rows.append(self.index.get(first + dt.timedelta(days=k), -1))
+            if rows[-1] < 0:  # a day without records: its hour 1 is a gap
+                break
         masks = (self.has_temp[rows], self.has_load[rows], self.loads[rows] > 0.0)
         masks = masks[: GAP_LEVELS.index(need) + 1]
         ok = np.logical_and.reduce(masks)

@@ -12,22 +12,25 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 from . import regress, report, thermo, verdict
-from .features import MODEL_IDS
+from .features import LAMBDA_GRID, MODEL_IDS
 from .ingest import SeriesWindow
 from .verdict import CriticalValues
 
 
 @dataclass(frozen=True)
 class EngineSettings:
+    """How every model is fitted: the estimation method, the Koyck decays
+    each model chooses its lag from by smallest SSR (one decay fixes it), and
+    the temperature-lag mode."""
     method: str = "exact_ml_ar1"
-    lambda_policy: str = "grid"
-    lam: Optional[float] = None
+    decays: tuple = LAMBDA_GRID
     temp_mode: str = "hour"
 
 
 def fit_windows(windows: list[SeriesWindow], settings: EngineSettings) -> list[dict]:
-    """The three model fits of each of consecutive windows of one dataset;
-    each equals the fit of its window alone."""
+    """The three model fits of each of consecutive windows of one dataset,
+    each at the settings' decays and method; each equals the fit of its
+    window alone."""
     # EngineSettings' fields are the estimation keywords of regress.fit_model(s).
     per_model = [regress.fit_models(windows, m, **asdict(settings)) for m in MODEL_IDS]
     return [dict(zip(MODEL_IDS, fits)) for fits in zip(*per_model)]

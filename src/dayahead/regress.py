@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .errors import DegeneracyError, ValidationError
 from .features import (
-    COLUMN_NAMES,
     LAMBDA_GRID,
     MODEL_IDS,
     design_matrix,  # noqa: F401  the benchmark tracer looks it up here
@@ -49,19 +47,17 @@ except ImportError:
 @dataclass(frozen=True)
 class FitResult:
     model_id: str
-    coefficients: dict
+    method: str
+    lam: float
+    # float64, one entry per column of COLUMN_NAMES[model_id], in that order
+    coef: np.ndarray
     residuals: np.ndarray
     ssr: float
     rho: float
-    lam: float
-    method: str
     diagnostics: dict = field(default_factory=dict)
     # The window's target-day regressors at ``lam`` (24 x n_cols), which
     # forecast_day applies the coefficients to; set by fit_models.
     target_block: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
-
-    def coef_vector(self) -> np.ndarray:
-        return np.array(list(self.coefficients.values()))
 
 
 def _rank_diagnostics(rank: int, k: int) -> dict:
@@ -77,39 +73,17 @@ def _residuals(matrices: np.ndarray, responses: np.ndarray, coef: np.ndarray):
     return residuals, ssr.tolist()
 
 
-def _require_finite(*systems: np.ndarray) -> None:
-    """Reject a least-squares system that is not finite before LAPACK sees it:
-    ``dgelsd`` cannot solve one and prints its complaint to standard output."""
-    if not all(np.isfinite(a).all() for a in systems):
+def _solve(systems: np.ndarray):
+    """Least squares of every slice of a stack of ``[design | response]``
+    systems: ``(coef, residuals, ssr, rank)``.  A system that is not finite
+    raises ``FloatingPointError`` before LAPACK sees it (``dgelsd`` cannot
+    solve one and prints its complaint to standard output); testing the one
+    stack costs a third of testing its two strided views."""
+    if not np.isfinite(systems).all():
         raise FloatingPointError("least-squares system is not finite")
-
-
-def _ols_stack(matrices: np.ndarray, responses: np.ndarray) -> list[tuple]:
-    """Least squares of every slice of a stack, as
-    ``(coef, residuals, ssr, rho, diagnostics)``."""
-    _require_finite(matrices, responses)
-    coef, rank = _lstsq_stack(matrices, responses)
-    residuals, ssr = _residuals(matrices, responses, coef)
-    k = matrices.shape[2]
-    return [(coef[i], residuals[i], ssr[i], 0.0, _rank_diagnostics(rank[i], k))
-            for i in range(len(ssr))]
-
-
-def _fit_result(
-    model_id: str, names: tuple, method: str, solved: tuple, lam=0.0, target_block=None
-) -> FitResult:
-    coef, residuals, ssr, rho, diagnostics = solved
-    return FitResult(
-        model_id=model_id,
-        coefficients=dict(zip(names, (float(c) for c in coef))),
-        residuals=residuals,
-        ssr=ssr,
-        rho=rho,
-        lam=lam,
-        method=method,
-        diagnostics=diagnostics,
-        target_block=target_block,
-    )
+    xs, ys = systems[..., :-1], systems[..., -1]
+    coef, rank = _lstsq_stack(xs, ys)
+    return (coef, *_residuals(xs, ys, coef), rank)
 
 
 # No command calls this; the benchmark tracer (perfbench/tracing.py) looks it up.
@@ -123,8 +97,9 @@ def ols_fit(design) -> FitResult:
     n, k = design.matrix.shape
     if n < k:
         raise ValidationError(f"need at least {k} rows, got {n}")
-    solved = _ols_stack(design.matrix[None], design.response[None])[0]
-    return _fit_result(design.model_id, design.names, "ols", solved)
+    coef, residuals, ssr, rank = _solve(np.column_stack((design.matrix, design.response))[None])
+    return FitResult(design.model_id, "ols", 0.0, coef[0], residuals[0], ssr[0], 0.0,
+                     _rank_diagnostics(rank[0], k))
 
 
 def _raise_svd_error(err, flag):
@@ -166,12 +141,10 @@ def _ar1_whiten(systems: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def _gls_stack(systems: np.ndarray, rho: np.ndarray):
     """GLS coefficients, whitened SSR and rank of every slice at its rho."""
-    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+    with np.errstate(over="ignore", invalid="ignore"):  # _solve rejects it
         white = _ar1_whiten(systems, rho)
-    _require_finite(white)
-    xs, ws = white[..., :-1], white[..., -1]
-    coef, rank = _lstsq_stack(xs, ws)
-    return coef, _residuals(xs, ws, coef)[1], rank
+    coef, _, ssr, rank = _solve(white)
+    return coef, ssr, rank
 
 
 def _concentrated_loglik(ssr_white: float, rho: float, n: int) -> float:
@@ -207,7 +180,7 @@ def exact_ml_ar1_fit(design) -> FitResult:
     than rho = 0 with the OLS coefficients.
     """
     solved = _exact_ml_stack(design.matrix[None], design.response[None])[0]
-    return _fit_result(design.model_id, design.names, "exact_ml_ar1", solved)
+    return FitResult(design.model_id, "exact_ml_ar1", 0.0, *solved)
 
 
 # A decay is searched only if its OLS SSR, a lower bound on its exact-ML
@@ -267,9 +240,10 @@ def _exact_ml_stack(matrices: np.ndarray, responses: np.ndarray, group: int = 1)
     ties = [i for i in range(count) if _residuals_vanish(ssr0[i], responses[i])]
     fits = {}
     if ties:
-        for i, (coef, resid, ssr, rho, diag) in zip(
-                ties, _ols_stack(matrices[ties], responses[ties])):
-            fits[i] = (coef, resid, ssr, rho, {**diag, "rho_tie_break": True})
+        coef, resid, ssr, rank = _solve(systems[ties])
+        for j, i in enumerate(ties):
+            fits[i] = (coef[j], resid[j], ssr[j], 0.0,
+                       {**_rank_diagnostics(rank[j], k), "rho_tie_break": True})
 
     def search_rho(slices: list) -> None:
         if not slices:
@@ -334,69 +308,60 @@ def _exact_ml_stack(matrices: np.ndarray, responses: np.ndarray, group: int = 1)
     return [fits.get(i) for i in range(count)]
 
 
-def _decays(lambda_policy: str, lam: Optional[float]) -> list[float]:
-    if lambda_policy == "off":
-        return [0.0]
-    if lambda_policy == "fixed":
-        if lam is None:
-            raise ValidationError("lambda_policy 'fixed' requires lam")
-        return [float(lam)]
-    if lambda_policy == "grid":
-        return list(LAMBDA_GRID)
-    raise ValidationError(f"unknown lambda policy {lambda_policy!r}")
-
-
 # The benchmark tracer (perfbench/tracing.py) also looks this name up.
 def fit_model(
     window: SeriesWindow,
     model_id: str,
     method: str = "exact_ml_ar1",
-    lambda_policy: str = "grid",
-    lam: Optional[float] = None,
+    decays: tuple = LAMBDA_GRID,
     temp_mode: str = "hour",
 ) -> FitResult:
     """Fit one model over the legal training days of one window:
     ``fit_models([window], ...)[0]``."""
-    return fit_models([window], model_id, method, lambda_policy, lam, temp_mode)[0]
+    return fit_models([window], model_id, method, decays, temp_mode)[0]
 
 
 def fit_models(
     windows: list[SeriesWindow],
     model_id: str,
     method: str = "exact_ml_ar1",
-    lambda_policy: str = "grid",
-    lam: Optional[float] = None,
+    decays: tuple = LAMBDA_GRID,
     temp_mode: str = "hour",
 ) -> list[FitResult]:
     """Fit one model to each of consecutive windows of one dataset, over each
     window's legal training days.
 
-    lambda_policy "grid" fits at each decay value in {0.0, ..., 0.9} and
-    keeps the minimal-SSR fit (ties break toward the smaller value);
-    "fixed" uses ``lam``; "off" is equivalent to fixed 0.  The designs of
-    every window and decay are solved together, in one stacked least-squares
-    call for OLS or two lockstep rho searches for exact ML; each window's fit
-    has the same bits as when its window is fitted alone.  Exact ML prunes
-    the grid: a decay whose OLS SSR is already above the final SSR of the
-    window's best-OLS decay cannot have the minimal final SSR, so its rho is
-    not searched (see ``_exact_ml_stack``) and it ranks last.  The kept
-    decay, and every bit of its fit, are those of the full grid.  A design or
+    Each window is fitted at every Koyck decay in ``decays`` (by default the
+    grid {0.0, ..., 0.9}; ``(0.0,)`` turns the lag off) and keeps the
+    minimal-SSR fit, the earliest decay on a tie.  The designs of every
+    window and decay are solved together, in one stacked least-squares call
+    for OLS or two lockstep rho searches for exact ML; each window's fit has
+    the same bits as when its window is fitted alone.  Exact ML prunes the
+    decays: one whose OLS SSR is already above the final SSR of the window's
+    best-OLS decay cannot have the minimal final SSR, so its rho is not
+    searched (see ``_exact_ml_stack``) and it ranks last.  The kept decay,
+    and every bit of its fit, are those of the full list.  A design or
     whitened system that is not finite raises :class:`DegeneracyError`
     naming the model's formula.
     """
-    decays = _decays(lambda_policy, lam)
+    if not decays:
+        raise ValidationError("no Koyck decay to fit")
     if not windows:
         return []
     matrices, responses, blocks = run_designs(windows, model_id, decays, temp_mode)
     count, n_decays, n, k = matrices.shape
     matrices = matrices.reshape(count * n_decays, n, k)
     responses = np.repeat(responses, n_decays, axis=0)
-    solve = {"ols": _ols_stack,
-             "exact_ml_ar1": partial(_exact_ml_stack, group=n_decays)}.get(method)
-    if solve is None:
-        raise ValidationError(f"unknown estimation method {method!r}")
     try:
-        solved = solve(matrices, responses)
+        if method == "ols":
+            systems = np.concatenate((matrices, responses[:, :, None]), axis=2)
+            coef, residuals, ssr, rank = _solve(systems)
+            solved = [(coef[i], residuals[i], ssr[i], 0.0, _rank_diagnostics(rank[i], k))
+                      for i in range(len(ssr))]
+        elif method == "exact_ml_ar1":
+            solved = _exact_ml_stack(matrices, responses, n_decays)
+        else:
+            raise ValidationError(f"unknown estimation method {method!r}")
     except FloatingPointError as exc:
         raise DegeneracyError(f"model {model_id}: {exc}", _EQUATIONS[model_id]) from None
     fits = []
@@ -410,10 +375,8 @@ def fit_models(
             target = target_regressors(window, model_id, decays[best], temp_mode)
         else:
             target = day_blocks[best]
-        fits.append(_fit_result(
-            model_id, COLUMN_NAMES[model_id], method,
-            (*fitted, {**diagnostics, "temp_mode": temp_mode}), decays[best], target,
-        ))
+        fits.append(FitResult(model_id, method, decays[best], *fitted,
+                              {**diagnostics, "temp_mode": temp_mode}, target))
     return fits
 
 
@@ -433,7 +396,7 @@ def forecast_day(window: SeriesWindow, fits: dict) -> dict:
             raise ValidationError(f"fit for model {model_id} carries no target-day regressors")
     # One errstate and one finiteness test for the three: each costs microseconds.
     with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
-        raws = [fits[m].target_block @ fits[m].coef_vector() for m in MODEL_IDS]
+        raws = [fits[m].target_block @ fits[m].coef for m in MODEL_IDS]
     out = {}
     for model_id, raw, finite in zip(MODEL_IDS, raws, np.isfinite(raws).all(axis=1)):
         if not finite:

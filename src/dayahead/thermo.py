@@ -27,8 +27,6 @@ ZERO_SERIES_TOL = 1e-12
 DELTA_S_TOL = 1e-12
 THETA2_TOL = 1e-9
 
-LN2 = math.log(2.0)
-
 
 @dataclass(frozen=True)
 class ThermoState:

@@ -349,7 +349,7 @@ def ols_fit(design) -> FitResult:
         ssr = float(residuals @ residuals)
     return FitResult(
         model_id=design.model_id,
-        coefficients=dict(zip(design.names, (float(c) for c in coef))),
+        coef=coef,
         residuals=residuals,
         ssr=ssr,
         rho=0.0,
@@ -426,7 +426,7 @@ def exact_ml_ar1_fit(design) -> FitResult:
         diagnostics["rank"] = rank
     return FitResult(
         model_id=design.model_id,
-        coefficients=dict(zip(design.names, (float(v) for v in coef))),
+        coef=coef,
         residuals=residuals,
         ssr=float(residuals @ residuals),
         rho=float(rho_hat),
@@ -450,13 +450,12 @@ def fit_model_grid(window, model_id: str, temp_mode: str = "hour") -> FitResult:
 
 
 def fit_model(window, model_id: str, method: str = "exact_ml_ar1",
-              lambda_policy: str = "grid", lam=None, temp_mode: str = "hour") -> FitResult:
+              decays=LAMBDA_GRID, temp_mode: str = "hour") -> FitResult:
     """One window fitted alone, decay by decay: each decay's design comes
     from ``design_matrix`` above and is solved on its own, by ``ols_fit``
     above or the engine's one-design exact ML; keeps the first minimal-SSR
     fit."""
     days = legal_training_days(window, model_id, temp_mode)
-    decays = {"off": [0.0], "fixed": [lam], "grid": list(LAMBDA_GRID)}[lambda_policy]
     designs = [design_matrix(window, model_id, days, decay, temp_mode) for decay in decays]
     solve = ols_fit if method == "ols" else regress.exact_ml_ar1_fit
     fits = [solve(design) for design in designs]

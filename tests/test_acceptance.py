@@ -128,11 +128,11 @@ def test_criterion_3_estimator_oracles():
         matrix=design.matrix, response=y,
     )
     fit = ols_fit(noiseless)
-    assert np.max(np.abs(fit.coef_vector() - beta_star)) < 1e-8
+    assert np.max(np.abs(fit.coef - beta_star)) < 1e-8
     assert fit.ssr <= 1e-12 * float(y @ y)
 
     ml = exact_ml_ar1_fit(noiseless)
-    assert np.max(np.abs(ml.coef_vector() - fit.coef_vector())) < 1e-6
+    assert np.max(np.abs(ml.coef - fit.coef)) < 1e-6
     assert abs(ml.rho) < 1e-3
 
     # 30-day synthetic with AR(1) disturbances at rho = 0.6

@@ -1,4 +1,5 @@
 import datetime as dt
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from dayahead.pipeline import EngineSettings
 from fixtures import recoherence_backtest_records
 from oracles import model_a_records
 
-OLS_OFF = EngineSettings(method="ols", lambda_policy="off")
+OLS_OFF = EngineSettings(method="ols", decays=(0.0,))
 
 
 def test_single_day_range_gives_one_row(permissive_criticals):
@@ -50,6 +51,30 @@ def test_coverage_validation(permissive_criticals):
     with pytest.raises(ValidationError, match="from_date"):
         run_backtest(Dataset.from_records(records), target, target - dt.timedelta(days=1),
                      permissive_criticals)
+
+
+def test_coverage_check_stops_at_the_first_missing_day(permissive_criticals):
+    # A range running centuries past the data: the check looks no further
+    # than the first day without records, whose hour 1 is the first gap.
+    data = Dataset.from_records(synth_dataset(SynthParams(days=12, seed=6)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=r"^insufficient coverage: "
+                                                  r"missing \(2004-01-13, hour 1\)$"):
+            run_backtest(data, dt.date(2004, 1, 10), dt.date(2300, 1, 1),
+                         permissive_criticals, OLS_OFF)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_an_empty_decay_list_is_a_validation_error(permissive_criticals):
+    records = synth_dataset(SynthParams(days=12, seed=6))
+    target = records[-1].date
+    with pytest.raises(ValidationError, match="no Koyck decay"):
+        run_backtest(Dataset.from_records(records), target, target, permissive_criticals,
+                     EngineSettings(decays=()))
 
 
 def test_aborted_day_bookkeeping(permissive_criticals):
@@ -129,7 +154,7 @@ def _invalid(windows, settings):
 @pytest.mark.parametrize("settings, span", [
     (OLS_OFF, 45),  # two runs: 40 days, then 5
     (EngineSettings(), 6),  # runs of 4 days under the decay grid
-    (EngineSettings(method="ols", lambda_policy="fixed", lam=0.5, temp_mode="day"), 41),
+    (EngineSettings(method="ols", decays=(0.5,), temp_mode="day"), 41),
 ])
 def test_runs_of_days_score_as_days_fitted_alone(
         monkeypatch, stub_criticals, settings, span, replacement):

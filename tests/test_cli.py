@@ -235,6 +235,22 @@ def test_backtest_row_count_and_determinism(tmp_path):
     assert len(day_rows) == 31
 
 
+@pytest.mark.parametrize("method", ["ols", "exact-ml"])
+def test_backtest_koyck_off_writes_the_bytes_of_fixed_zero(tmp_path, method):
+    data = synth_to(tmp_path, "data.csv", days=14, seed=8)
+    outputs = {}
+    for koyck in ("off", "fixed=0", "fixed=0.5"):
+        out = tmp_path / f"{koyck}.csv"
+        assert cli.main([
+            "backtest", "--data", str(data), "--from", "2004-01-10", "--to", "2004-01-14",
+            "--critical-values", write_cv(tmp_path), "--report", str(out),
+            "--method", method, "--koyck", koyck,
+        ]) == 0
+        outputs[koyck] = out.read_bytes()
+    assert outputs["off"].count(b",ok\n") == 5
+    assert outputs["off"] == outputs["fixed=0"] != outputs["fixed=0.5"]
+
+
 def test_backtest_from_after_to(tmp_path, capsys):
     data = synth_to(tmp_path, "data.csv")
     code = cli.main([

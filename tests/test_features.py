@@ -116,7 +116,7 @@ def test_koyck_frozen_oracle_values():
     # 5..8, each normalized by 1 + 0.5 + 0.25 + 0.125 = 1.875.
     series = np.zeros(24)
     series[4] = 1.0
-    out = koyck_transform(series, 0.5, 3)
+    out = koyck_transform(series, 0.5)
     expected = np.zeros(24)
     expected[4] = 1.0 / 1.875
     expected[5] = 0.5 / 1.875
@@ -137,25 +137,22 @@ def test_koyck_constant_maps_to_itself():
 
 @given(
     st.floats(min_value=0.0, max_value=0.95, exclude_max=True),
-    st.integers(min_value=1, max_value=23),
     st.floats(min_value=-5, max_value=5, allow_nan=False),
     st.floats(min_value=-5, max_value=5, allow_nan=False),
 )
 @settings(max_examples=60, deadline=None)
-def test_koyck_linear_in_series(lam, order, a, b):
+def test_koyck_linear_in_series(lam, a, b):
     rng = np.random.default_rng(11)
     x = rng.normal(size=24)
     y = rng.normal(size=24)
-    lhs = koyck_transform(a * x + b * y, lam, order)
-    rhs = a * koyck_transform(x, lam, order) + b * koyck_transform(y, lam, order)
+    lhs = koyck_transform(a * x + b * y, lam)
+    rhs = a * koyck_transform(x, lam) + b * koyck_transform(y, lam)
     assert np.allclose(lhs, rhs, atol=1e-9)
 
 
 def test_koyck_validates_arguments():
     with pytest.raises(ValidationError):
         koyck_transform(np.zeros(24), 1.0)
-    with pytest.raises(ValidationError):
-        koyck_transform(np.zeros(24), 0.5, 24)
     with pytest.raises(ValidationError):
         koyck_transform(np.zeros(23), 0.5)
 
@@ -221,11 +218,8 @@ def test_target_regressors_share_columns_with_training():
 def test_koyck_matches_uncached_oracle_bit_for_bit():
     rng = np.random.default_rng(11)
     for lam in LAMBDA_GRID + (0.05, 0.37, 0.999):
-        for order in (1, 3, 23):
-            x = rng.normal(size=24) * 1e3
-            assert np.array_equal(
-                koyck_transform(x, lam, order), oracles.koyck_transform(x, lam, order)
-            )
+        x = rng.normal(size=24) * 1e3
+        assert np.array_equal(koyck_transform(x, lam), oracles.koyck_transform(x, lam, 3))
 
 
 @pytest.mark.parametrize("temp_mode", ["hour", "day"])

@@ -46,8 +46,7 @@ def random_hours(rng, pool) -> np.ndarray:
 def fit_predicting(raw) -> FitResult:
     """A fit whose target-day prediction is ``raw``: its regressors are the
     24 x 24 identity and its coefficients the raw values."""
-    coefficients = {f"x{h}": float(v) for h, v in enumerate(raw)}
-    return FitResult("a", coefficients, np.zeros(48), 0.0, 0.0, 0.0, "ols",
+    return FitResult("a", "ols", 0.0, np.array(raw, dtype=float), np.zeros(48), 0.0, 0.0,
                      target_block=np.eye(24))
 
 
@@ -60,7 +59,7 @@ def test_clamp_matches_the_hourly_oracle():
         fits = dict(zip("abc", map(fit_predicting, raws)))
         got = forecast_day(window, fits)
         for m, raw in zip("abc", raws):
-            assert np.array_equal(fits[m].target_block @ fits[m].coef_vector(), raw)
+            assert np.array_equal(fits[m].target_block @ fits[m].coef, raw)
             want = np.array(oracles.clamp(raw)).tobytes()
             assert got[m].values.tobytes() == want, (trial, m)
             assert got[m].date == window.target_date

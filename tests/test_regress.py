@@ -7,6 +7,7 @@ import pytest
 from dayahead import backtest, regress
 from dayahead.errors import ValidationError
 from dayahead.features import (
+    COLUMN_NAMES,
     LAMBDA_GRID,
     DesignMatrix,
     design_matrix,
@@ -72,7 +73,7 @@ def test_ols_recovers_known_coefficients():
     beta_star = np.array([200.0, 0.4, 0.3, 0.2, 90.0, 80.0, 70.0, 60.0, 50.0, 40.0])
     y = design.matrix @ beta_star
     fit = ols_fit(with_response(design, y))
-    assert np.max(np.abs(fit.coef_vector() - beta_star)) < 1e-8
+    assert np.max(np.abs(fit.coef - beta_star)) < 1e-8
     assert fit.ssr <= 1e-12 * float(y @ y)
 
 
@@ -83,7 +84,7 @@ def test_ols_orthogonal_response_zeroes_slopes():
     matrix = np.column_stack([np.ones(60), cols])
     y = np.ones(60) * 5.0  # constant: orthogonal to every centered column
     fit = ols_fit(stack_design(matrix, y))
-    coef = fit.coef_vector()
+    coef = fit.coef
     assert abs(coef[0] - 5.0) < 1e-8
     assert np.max(np.abs(coef[1:])) < 1e-8
 
@@ -126,7 +127,7 @@ def test_exact_ml_matches_ols_on_noiseless_data():
     noiseless = with_response(design, y)
     ols = ols_fit(noiseless)
     ml = exact_ml_ar1_fit(noiseless)
-    assert np.max(np.abs(ml.coef_vector() - ols.coef_vector())) < 1e-6
+    assert np.max(np.abs(ml.coef - ols.coef)) < 1e-6
     assert abs(ml.rho) < 1e-3
     assert ml.diagnostics.get("rho_tie_break") is True
 
@@ -153,7 +154,7 @@ def test_exact_ml_recovers_ar1_coefficient():
     y = matrix @ beta_star + u
     fit = exact_ml_ar1_fit(stack_design(matrix, y))
     assert abs(fit.rho - rho_true) <= 0.1
-    assert np.max(np.abs(fit.coef_vector() - beta_star)) < 1.0
+    assert np.max(np.abs(fit.coef - beta_star)) < 1.0
 
 
 def test_exact_ml_constant_response_tie_break():
@@ -162,7 +163,7 @@ def test_exact_ml_constant_response_tie_break():
     y = np.full(n, 7.5)
     fit = exact_ml_ar1_fit(stack_design(matrix, y))
     assert fit.rho == 0.0
-    assert abs(fit.coef_vector()[0] - 7.5) < 1e-12
+    assert abs(fit.coef[0] - 7.5) < 1e-12
 
 
 def test_tie_break_test_survives_an_overflowing_response():
@@ -201,28 +202,21 @@ def test_exact_ml_loglik_never_below_rho_zero():
         )
 
 
-def test_fit_model_off_equals_fixed_zero():
-    window = synth_window(SynthParams(days=12, seed=8))
-    off = fit_model(window, "a", method="ols", lambda_policy="off")
-    fixed = fit_model(window, "a", method="ols", lambda_policy="fixed", lam=0.0)
-    assert off.coefficients == fixed.coefficients
-    assert off.lam == fixed.lam == 0.0
-
-
 def test_fit_model_grid_recovers_zero_decay_generator():
     records = model_a_records(12)
     target = records[-1].date
     window = assemble_window(Dataset.from_records(records), target)
-    fit = fit_model(window, "a", method="ols", lambda_policy="grid")
+    fit = fit_model(window, "a", method="ols", decays=LAMBDA_GRID)
     assert fit.lam == 0.0
+    coefficients = dict(zip(COLUMN_NAMES["a"], fit.coef))
     for name, value in MODEL_A_COEFFS.items():
-        assert abs(fit.coefficients[name] - value) < 1e-6
+        assert abs(coefficients[name] - value) < 1e-6
 
 
 def test_fit_model_shape():
     window = synth_window(SynthParams(days=12, seed=5))
-    fit = fit_model(window, "a", method="exact_ml_ar1", lambda_policy="off")
-    assert len(fit.coefficients) == 10
+    fit = fit_model(window, "a", method="exact_ml_ar1", decays=(0.0,))
+    assert fit.coef.shape == (10,) and fit.coef.dtype == np.float64
     assert -1.0 < fit.rho < 1.0
 
 
@@ -238,7 +232,7 @@ def test_forecast_day_fixed_point_on_identical_days():
         temp_by_offset={k: [10.0] * 24 for k in range(1, 10)},
         forecast=[10.0] * 24,
     )
-    fits = {m: fit_model(window, m, method="ols", lambda_policy="off")
+    fits = {m: fit_model(window, m, method="ols", decays=(0.0,))
             for m in ("a", "b", "c")}
     forecasts = forecast_day(window, fits)
     predicted = forecasts["a"].values
@@ -247,7 +241,7 @@ def test_forecast_day_fixed_point_on_identical_days():
 
 def test_forecast_day_requires_all_fits():
     window = synth_window(SynthParams(days=12, seed=6))
-    fits = {m: fit_model(window, m, method="ols", lambda_policy="off")
+    fits = {m: fit_model(window, m, method="ols", decays=(0.0,))
             for m in ("a", "b")}
     with pytest.raises(ValidationError, match="model c"):
         forecast_day(window, fits)
@@ -255,13 +249,13 @@ def test_forecast_day_requires_all_fits():
 
 def test_forecast_day_clamps_negative_predictions():
     window = synth_window(SynthParams(days=12, seed=6))
-    fits = {m: fit_model(window, m, method="ols", lambda_policy="off")
+    fits = {m: fit_model(window, m, method="ols", decays=(0.0,))
             for m in ("a", "b", "c")}
     # Force a negative prediction through a doctored intercept.
-    coeffs = dict(fits["a"].coefficients)
-    coeffs["a0"] -= 1e7
-    fits["a"] = replace(fits["a"], coefficients=coeffs)
-    raw = fits["a"].target_block @ fits["a"].coef_vector()
+    coef = fits["a"].coef.copy()
+    coef[0] -= 1e7  # a0
+    fits["a"] = replace(fits["a"], coef=coef)
+    raw = fits["a"].target_block @ fits["a"].coef
     assert np.all(raw < regress.CLAMP_FLOOR_MW)
     forecasts = forecast_day(window, fits)
     assert all(v == 1.0 for v in forecasts["a"].values)
@@ -269,7 +263,7 @@ def test_forecast_day_clamps_negative_predictions():
 
 def test_forecast_day_requires_the_target_regressors_of_a_fit():
     window = synth_window(SynthParams(days=12, seed=6))
-    fits = {m: fit_model(window, m, method="ols", lambda_policy="off")
+    fits = {m: fit_model(window, m, method="ols", decays=(0.0,))
             for m in ("a", "b", "c")}
     fits["b"] = ols_fit(full_rank_design("b"))
     with pytest.raises(ValidationError, match="model b carries no target-day regressors"):
@@ -317,8 +311,9 @@ def test_ensemble_mean_identical_and_symmetric():
 
 def assert_same_fit(got, want):
     """Field-by-field equality with ``==``: no tolerance."""
-    for name in ("model_id", "method", "lam", "rho", "ssr", "coefficients", "diagnostics"):
+    for name in ("model_id", "method", "lam", "rho", "ssr", "diagnostics"):
         assert getattr(got, name) == getattr(want, name), name
+    assert np.array_equal(got.coef, want.coef)
     assert np.array_equal(got.residuals, want.residuals)
 
 
@@ -338,11 +333,11 @@ def test_fit_model_matches_scalar_oracle_over_backtest(seed, temp_mode):
         target += dt.timedelta(days=1)
 
 
-# synth --days, backtest days from 2004-01-10, method, decay policy
+# synth --days, backtest days from 2004-01-10, method, decays
 RUN_CASES = {
-    "exact_ml_grid": (40, 31, "exact_ml_ar1", "grid"),
-    "ols_off": (72, 63, "ols", "off"),
-    "ols_grid": (72, 63, "ols", "grid"),
+    "exact_ml_grid": (40, 31, "exact_ml_ar1", LAMBDA_GRID),
+    "ols_off": (72, 63, "ols", (0.0,)),
+    "ols_grid": (72, 63, "ols", LAMBDA_GRID),
 }
 
 
@@ -357,19 +352,18 @@ def backtest_windows(synth_days: int, seed: int, n_days: int) -> list:
 @pytest.mark.parametrize("seed", [1, 20071])
 @pytest.mark.parametrize("temp_mode", ["hour", "day"])
 def test_fit_models_match_each_window_fitted_alone(case, seed, temp_mode):
-    synth_days, n_days, method, policy = RUN_CASES[case]
+    synth_days, n_days, method, decays = RUN_CASES[case]
     windows = backtest_windows(synth_days, seed, n_days)
-    decays = len(LAMBDA_GRID) if policy == "grid" else 1
-    run_length = max(1, backtest._SYSTEMS_PER_SOLVE // decays)
+    run_length = max(1, backtest._SYSTEMS_PER_SOLVE // len(decays))
     # One stacked call over every day (well past the backtest's cap), the
     # backtest's runs, and a run of one day.
     runs = [windows, *(windows[i:i + run_length] for i in range(0, n_days, run_length)),
             windows[n_days // 2:n_days // 2 + 1]]
     for model_id in ("a", "b", "c"):
-        want = {w.target_date: oracles.fit_model(w, model_id, method, policy, None, temp_mode)
+        want = {w.target_date: oracles.fit_model(w, model_id, method, decays, temp_mode)
                 for w in windows}
         for run in runs:
-            got = regress.fit_models(run, model_id, method, policy, None, temp_mode)
+            got = regress.fit_models(run, model_id, method, decays, temp_mode)
             assert len(got) == len(run)
             for fit, window in zip(got, run):
                 alone = want[window.target_date]
@@ -474,6 +468,13 @@ def test_a_search_that_would_overflow_is_not_skipped():
         regress._exact_ml_stack(matrices, responses, group=2)
 
 
+@pytest.mark.parametrize("decays", [(), (1.0,), (0.0, 1.0)])
+def test_fit_models_reject_a_decay_list_they_cannot_fit(decays):
+    windows = backtest_windows(40, 1, 2)
+    with pytest.raises(ValidationError, match="decay|lambda"):
+        regress.fit_models(windows, "b", "ols", decays)
+
+
 def test_fit_models_take_consecutive_windows_of_one_dataset():
     windows = backtest_windows(40, 1, 5)
     other = backtest_windows(40, 2, 5)
@@ -494,7 +495,7 @@ def test_lockstep_stack_with_tie_break_slice():
     stack = designs[:4] + [constant] + designs[4:]
     solved = regress._exact_ml_stack(np.stack([d.matrix for d in stack]),
                                      np.stack([d.response for d in stack]))
-    got = [regress._fit_result("c", d.names, "exact_ml_ar1", s) for d, s in zip(stack, solved)]
+    got = [regress.FitResult("c", "exact_ml_ar1", 0.0, *s) for s in solved]
     assert got[4].diagnostics.get("rho_tie_break") is True
     assert sum("rho_tie_break" in fit.diagnostics for fit in got) == 1
     for fit, design in zip(got, stack):

@@ -19,11 +19,12 @@ def test_every_patched_name_resolves():
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr} ({span})"
 
 
-def write_inputs(tmp_path):
-    """A 12-day dataset, the history and weather files for its last day, and
-    critical values."""
+def write_inputs(tmp_path, days=12, seed=3):
+    """A synthetic dataset (12 days at seed 3 by default), the history and
+    weather files for its last day, and critical values."""
     data = tmp_path / "data.csv"
-    assert cli.main(["synth", "--days", "12", "--seed", "3", "--out", str(data)]) == 0
+    assert cli.main(["synth", "--days", str(days), "--seed", str(seed),
+                     "--out", str(data)]) == 0
     header, *lines = data.read_text().splitlines()
     history, weather = tmp_path / "history.csv", tmp_path / "weather.csv"
     history.write_text("\n".join([header, *lines[:-24]]) + "\n")
@@ -86,3 +87,19 @@ def test_traced_commands_count_parsed_rows_and_indexed_records(tmp_path):
     # then the merged forecast input
     assert counts["ingest.records_scanned"] == 3 * 288
     assert tracer.summary("setup")["ingest.assemble_window"]["calls"] == 3
+
+
+def test_traced_forecast_records_the_decay_of_each_model(tmp_path):
+    # The benchmark's lambda-flip check reads Tracer.lambdas, which the
+    # regress.fit_model span fills on the forecast path.
+    _, history, weather, cv = write_inputs(tmp_path, days=40, seed=1)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["forecast", "--history", str(history), "--temp-forecast", str(weather),
+                         "--target-date", "2004-02-09", "--critical-values", str(cv),
+                         "--out", str(tmp_path / "fc.json")]) == 0
+    finally:
+        assert tracer.uninstall()
+    assert tracer.lambdas == {("2004-02-09", "a"): {0.0}, ("2004-02-09", "b"): {0.9},
+                              ("2004-02-09", "c"): {0.9}}
