@@ -2,12 +2,12 @@
 
 For each day in the requested range the harness assembles the window ending
 the day before, forecasts the day, and scores each model and the ensemble
-against the actual load.  Consecutive days are fitted in runs: a run's
-windows go through one stacked solve per model, and each day's chain then
-runs with the fits of its window.  Days on which the computation chain
-degenerates are flagged as aborted, carry no numeric results, and are
-excluded from the monthly summary (their count is reported instead of being
-imputed).
+against the actual load.  Consecutive days are fitted in runs: a run is one
+row slice of the dataset, its days go through one stacked solve per model,
+and each day's chain then runs with its own fits.  Days on which the
+computation chain degenerates are flagged as aborted, carry no numeric
+results, and are excluded from the monthly summary (their count is reported
+instead of being imputed).
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def run_backtest(
                 failure = exc  # raised after the days before it are scored
                 break
         try:
-            fits = fit_windows(windows, settings)
+            fits = fit_windows(dataset.window(run[0], len(windows)), settings) if windows else []
         except (ValidationError, DegeneracyError, np.linalg.LinAlgError):
             # Each day fits alone instead, so the error comes from its own day.
             fits = [None] * len(windows)

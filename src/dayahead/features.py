@@ -11,7 +11,6 @@ contains a 2-day or 3-day load lag.
 
 from __future__ import annotations
 
-import datetime as dt
 import functools
 from dataclasses import dataclass
 
@@ -28,40 +27,6 @@ PULSE_HOURS = (9, 10, 11, 19, 20, 21)
 KOYCK_ORDER = 3
 
 LAMBDA_GRID = tuple(i / 10.0 for i in range(10))
-
-COLUMN_ROLES = {
-    "a": (
-        "const",
-        "load_lag_1d",
-        "load_halfday",
-        "load_lag_7d",
-        "pulse_h9",
-        "pulse_h10",
-        "pulse_h19",
-        "pulse_h20",
-        "dlag_pulse_h11",
-        "dlag_pulse_h21",
-    ),
-    "b": (
-        "const",
-        "load_lag_1d",
-        "load_halfday",
-        "load_lag_7d",
-        "dlag_coint_near",
-        "dlag_coint_far",
-    ),
-    "c": (
-        "const",
-        "load_lag_1d",
-        "load_halfday",
-        "load_lag_7d",
-        "temp_lag_2",
-        "temp_lag_8",
-        "load_temp_combo",
-        "dlag_coint_near",
-        "dlag_coint_far",
-    ),
-}
 
 COLUMN_NAMES = {
     "a": tuple(f"a{i}" for i in range(10)),
@@ -93,14 +58,21 @@ class DesignMatrix:
             raise ValidationError("first column must be the intercept")
 
 
-def halfday_lag_profile(window: SeriesWindow, for_day: dt.date) -> np.ndarray:
-    """Load profile built from the two most recent complete half-days.
+def _row(array: np.ndarray, row: int) -> np.ndarray:
+    """Row ``row`` of a window's ``loads`` or ``temps``."""
+    if not 0 <= row < len(array):
+        raise ValidationError(f"row {row} is absent from a window of {len(array)} rows")
+    return array[row]
+
+
+def halfday_lag_profile(loads: np.ndarray, row: int) -> np.ndarray:
+    """Load profile for the day of window row ``row``, built from the two
+    most recent complete half-days.
 
     Hours 1..12 take the afternoon of two days back; hours 13..24 take the
     morning of the previous day.
     """
-    afternoon = window.load_on(for_day - dt.timedelta(days=2))[12:]
-    return np.concatenate((afternoon, window.load_on(for_day - dt.timedelta(days=1))[:12]))
+    return np.concatenate((_row(loads, row - 2)[12:], _row(loads, row - 1)[:12]))
 
 
 def indicator(hour: int) -> np.ndarray:
@@ -112,24 +84,21 @@ def indicator(hour: int) -> np.ndarray:
     return vec
 
 
-def temp_term(
-    window: SeriesWindow, for_day: dt.date, lag: int, mode: str = "hour"
-) -> np.ndarray:
-    """Lagged temperature vector for a day.
+def temp_term(temps: np.ndarray, row: int, lag: int, mode: str = "hour") -> np.ndarray:
+    """Lagged temperature vector for the day of window row ``row``.
 
     mode="hour" (default): value(t) is the temperature ``lag`` hours earlier,
-    wrapping into hour 24+(t-lag) of the previous day when t-lag < 1.  The
-    target day's own temperatures come from the forecast.
-    mode="day": value(t) is the temperature of day ``for_day - lag`` at hour t.
+    wrapping into hour 24+(t-lag) of the previous day when t-lag < 1.  A
+    target day's own temperatures are its forecast row.
+    mode="day": value(t) is the temperature of row ``row - lag`` at hour t.
     """
     if lag not in (2, 8):
         raise ValidationError(f"temperature lag must be 2 or 8, got {lag}")
     if mode == "day":
-        return window.temp_on(for_day - dt.timedelta(days=lag))
+        return _row(temps, row - lag)
     if mode != "hour":
         raise ValidationError(f"unknown temperature lag mode {mode!r}")
-    tail = window.temp_on(for_day - dt.timedelta(days=1))[24 - lag :]
-    return np.concatenate((tail, window.temp_on(for_day)[: 24 - lag]))
+    return np.concatenate((_row(temps, row - 1)[24 - lag :], _row(temps, row)[: 24 - lag]))
 
 
 @functools.lru_cache(maxsize=64)
@@ -177,46 +146,41 @@ def _koyck_column(series: bytes, lam: float) -> np.ndarray:
     return col
 
 
-def legal_training_days(
-    window: SeriesWindow, model_id: str, temp_mode: str = "hour"
-) -> list[dt.date]:
-    """History days whose every lag resolves inside the window.
+def training_rows(model_id: str, temp_mode: str = "hour") -> tuple:
+    """The window rows that train the first target day (row 9): those whose
+    every lag resolves inside the window.  Target day i trains on these
+    rows plus i.
 
-    With a 9-day window the 7-day load lag restricts training to the last
-    two history days; in day-lag temperature mode the 8-day temperature lag
-    further restricts models b and c to the last history day.
+    The 7-day load lag restricts training to the last two history rows; in
+    day-lag temperature mode the 8-day temperature lag further restricts
+    models b and c to the last one.
     """
     if model_id not in MODEL_IDS:
         raise ValidationError(f"unknown model id {model_id!r}")
-    days = []
-    for k in (2, 1):
-        # Training day target - k lags its temperature to target - (k + 8).
-        if model_id in ("b", "c") and temp_mode == "day" and k + 8 > HISTORY_DAYS:
-            continue
-        days.append(window.target_date - dt.timedelta(days=k))
-    return days
+    rows = (HISTORY_DAYS - 2, HISTORY_DAYS - 1)
+    return rows[1:] if model_id in ("b", "c") and temp_mode == "day" else rows
 
 
 # Loads near the double range overflow the interaction terms and their
 # distributed lags; the fit rejects a design that is not finite.
 @np.errstate(over="ignore", invalid="ignore")
 def _day_blocks(
-    window: SeriesWindow, day: dt.date, model_id: str, lams, temp_mode: str
+    loads: np.ndarray, temps: np.ndarray, row: int, model_id: str, lams, temp_mode: str
 ) -> np.ndarray:
-    """len(lams) x 24 x n_cols regressor blocks for one day (training or
-    target), one per decay in ``lams``.  Only the two distributed-lag columns
-    depend on the decay; the others are built once."""
-    lag1 = window.load_on(day - dt.timedelta(days=1))
-    half = halfday_lag_profile(window, day)
-    lag7 = window.load_on(day - dt.timedelta(days=7))
+    """len(lams) x 24 x n_cols regressor blocks for the day of window row
+    ``row`` (training or target), one per decay in ``lams``.  Only the two
+    distributed-lag columns depend on the decay; the others are built once."""
+    lag1 = _row(loads, row - 1)
+    half = halfday_lag_profile(loads, row)
+    lag7 = _row(loads, row - 7)
     fixed = [np.ones(24), lag1, half, lag7]
 
     if model_id == "a":
         fixed += [indicator(h) for h in (9, 10, 19, 20)]
         series = [indicator(h) for h in (11, 21)]
     elif model_id in ("b", "c"):
-        t2 = temp_term(window, day, 2, temp_mode)
-        t8 = temp_term(window, day, 8, temp_mode)
+        t2 = temp_term(temps, row, 2, temp_mode)
+        t8 = temp_term(temps, row, 8, temp_mode)
         series = [(lag1 - half) * t2, (half - lag7) * t8]
         if model_id == "c":
             fixed += [t2, t8, lag1 * t2 - lag7 * t8]
@@ -231,55 +195,41 @@ def _day_blocks(
     return blocks
 
 
-def _follows(prev: SeriesWindow, window: SeriesWindow) -> bool:
-    """``window`` targets the day after ``prev`` and the rows they share hold
-    the same bits, as for windows assembled from one dataset."""
-    return (
-        (window.target_date - prev.target_date).days == 1
-        and prev.loads[1:].tobytes() == window.loads[:-1].tobytes()
-        and prev.temps[1:].tobytes() == window.temps[:-1].tobytes()
-        and prev.forecast.tobytes() == window.temps[-1].tobytes()
-    )
+def run_designs(window: SeriesWindow, model_id: str, lams, temp_mode: str = "hour"):
+    """Training designs and target-day regressors of every target day of a
+    window, at every decay.
 
-
-def run_designs(windows: list[SeriesWindow], model_id: str, lams, temp_mode: str = "hour"):
-    """Training designs of consecutive windows of one dataset, at every decay.
-
-    Returns ``(matrices, responses, blocks)``: ``matrices[i, j]`` and
-    ``responses[i]`` are the matrix and response of ``design_matrix`` for
-    ``windows[i]`` over its legal training days at decay ``lams[j]``.  A
-    day's regressors read the same dataset rows whether the day trains one
-    window or is the target of another, so each calendar day's blocks are
-    built once; ``blocks`` maps every training day to them.
+    Returns ``(matrices, responses, targets)``: for target day i,
+    ``matrices[i, j]`` and ``responses[i]`` are the design and response over
+    its training rows (``training_rows`` plus i) at decay ``lams[j]``, and
+    ``targets[i, j]`` is its own regressor block (row 9 + i).  Each row's
+    blocks, whether it trains a day or is one's target, are built once.
     """
-    for prev, window in zip(windows, windows[1:]):
-        if not _follows(prev, window):
-            raise ValidationError("windows must be consecutive target days of one dataset")
-    blocks: dict[dt.date, np.ndarray] = {}
-    matrices, responses = [], []
-    for window in windows:
-        days = legal_training_days(window, model_id, temp_mode)
-        for day in days:
-            if day not in blocks:
-                blocks[day] = _day_blocks(window, day, model_id, lams, temp_mode)
-        matrices.append(np.concatenate([blocks[day] for day in days], axis=1))
-        responses.append(np.concatenate([window.load_on(day) for day in days]))
-    return np.stack(matrices), np.stack(responses), blocks
+    train = training_rows(model_id, temp_mode)
+    first, loads, temps, n = train[0], window.loads, window.temps, window.days
+    # blocks[row - first] holds the blocks of window row ``row``.
+    blocks = np.stack([_day_blocks(loads, temps, row, model_id, lams, temp_mode)
+                       for row in range(first, len(temps))])
+    matrices = np.concatenate([blocks[row - first : row - first + n] for row in train], axis=2)
+    responses = np.concatenate([loads[row : row + n] for row in train], axis=1)
+    return matrices, responses, blocks[HISTORY_DAYS - first :]
 
 
 # No command calls this; the benchmark tracer (perfbench/tracing.py) looks it up.
 def design_matrix(
     window: SeriesWindow,
     model_id: str,
-    training_days: list[dt.date],
+    training_days: list,
     lam: float = 0.0,
     temp_mode: str = "hour",
 ) -> DesignMatrix:
-    """Stack per-day regressor blocks and responses over the training days."""
+    """Stack per-day regressor blocks and responses over the training dates."""
     if not training_days:
         raise ValidationError("no training days supplied")
-    blocks = [_day_blocks(window, day, model_id, (lam,), temp_mode)[0] for day in training_days]
-    response = np.concatenate([window.load_on(day) for day in training_days])
+    rows = [HISTORY_DAYS + (day - window.target_date).days for day in training_days]
+    loads, temps = window.loads, window.temps
+    blocks = [_day_blocks(loads, temps, row, model_id, (lam,), temp_mode)[0] for row in rows]
+    response = np.concatenate([_row(loads, row) for row in rows])
     response.flags.writeable = False
     return DesignMatrix(
         model_id=model_id,
@@ -290,9 +240,10 @@ def design_matrix(
     )
 
 
+# No command calls this; the benchmark tracer (perfbench/tracing.py) looks it up.
 def target_regressors(
     window: SeriesWindow, model_id: str, lam: float = 0.0, temp_mode: str = "hour"
 ) -> np.ndarray:
-    """24 x n_cols regressor block for the target day; temperature terms are
-    drawn from the forecast."""
-    return _day_blocks(window, window.target_date, model_id, (lam,), temp_mode)[0]
+    """24 x n_cols regressor block for the first target day (row 9); its
+    temperature terms are drawn from the forecast."""
+    return _day_blocks(window.loads, window.temps, HISTORY_DAYS, model_id, (lam,), temp_mode)[0]

@@ -66,41 +66,29 @@ class DayProfile:
 
 @dataclass(frozen=True, eq=False)
 class SeriesWindow:
-    """Nine consecutive history days of load and temperature plus the target
-    day's hourly temperature forecast.
+    """The dataset rows of a run of ``days`` consecutive target days: the
+    nine history days of the first, then each target day in turn.
 
-    Row k of the 9 x 24 ``loads`` and ``temps`` is day ``target_date - (9 - k)``;
-    ``forecast`` holds the target day's 24 temperatures.  :func:`assemble_window`
-    validates the values and returns read-only views of its :class:`Dataset`.
+    Row r of ``temps`` ((9 + days) x 24) and of ``loads`` ((8 + days) x 24)
+    is day ``target_date - 9 + r``, so target day i is temperature row
+    9 + i: its forecast.  Loads stop the day before the last target.
+    :meth:`Dataset.window` returns read-only views of the dataset's rows.
     """
 
     target_date: dt.date
     loads: np.ndarray
     temps: np.ndarray
-    forecast: np.ndarray
 
     def __post_init__(self):
-        shapes = (self.loads.shape, self.temps.shape, self.forecast.shape)
-        if shapes != ((HISTORY_DAYS, 24), (HISTORY_DAYS, 24), (24,)):
-            raise ValidationError("window requires 9 x 24 history arrays and a 24-hour forecast")
+        n = self.days
+        want = ((HISTORY_DAYS - 1 + n, 24), (HISTORY_DAYS + n, 24))
+        if n < 1 or (self.loads.shape, self.temps.shape) != want:
+            raise ValidationError("window requires (9 + n) x 24 temps and (8 + n) x 24 loads")
 
-    def _history_index(self, day: dt.date) -> int:
-        offset = (self.target_date - day).days
-        if not 1 <= offset <= HISTORY_DAYS:
-            raise ValidationError(
-                f"required history day {day} absent from the window ending {self.target_date}"
-            )
-        return HISTORY_DAYS - offset
-
-    def load_on(self, day: dt.date) -> np.ndarray:
-        return self.loads[self._history_index(day)]
-
-    def temp_on(self, day: dt.date) -> np.ndarray:
-        """Temperatures for a day; the target day resolves to the forecast,
-        history days to observed temperatures."""
-        if day == self.target_date:
-            return self.forecast
-        return self.temps[self._history_index(day)]
+    @property
+    def days(self) -> int:
+        """The number of target days."""
+        return len(self.temps) - HISTORY_DAYS
 
 
 def _reject_first(flat: list, bad: np.ndarray, problem: str) -> None:
@@ -120,19 +108,17 @@ class Dataset:
     """Every record of a dataset, indexed by calendar day.
 
     ``index`` maps each day that has a record to its row; rows follow the
-    days in calendar order.  Row r of the read-only (D + 1) x 24 arrays holds
-    that day's hours: ``has_temp`` marks the hours with a record and
-    ``has_load`` those whose record carries a load; ``loads``/``temps`` are
-    NaN where absent.  The last row is absent throughout and stands in for
-    days without records.  ``slots`` holds each record's flat position in
-    those arrays, in record order, so ``len()`` is the number of records.
+    days in calendar order.  Row r of the read-only (D + 1) x 24 ``loads``
+    and ``temps`` holds that day's hours, NaN where absent; a record's
+    temperature is finite, so only an hour without a record has a NaN one.
+    The last row is absent throughout and stands in for days without
+    records.  ``slots`` holds each record's flat position in those arrays,
+    in record order, so ``len()`` is the number of records.
     """
 
     index: dict
     loads: np.ndarray
     temps: np.ndarray
-    has_load: np.ndarray
-    has_temp: np.ndarray
     slots: np.ndarray
 
     def __len__(self) -> int:
@@ -183,7 +169,8 @@ class Dataset:
             rows.append(self.index.get(first + dt.timedelta(days=k), -1))
             if rows[-1] < 0:  # a day without records: its hour 1 is a gap
                 break
-        masks = (self.has_temp[rows], self.has_load[rows], self.loads[rows] > 0.0)
+        loads = self.loads[rows]
+        masks = (~np.isnan(self.temps[rows]), ~np.isnan(loads), loads > 0.0)
         masks = masks[: GAP_LEVELS.index(need) + 1]
         ok = np.logical_and.reduce(masks)
         if ok.all():
@@ -191,6 +178,17 @@ class Dataset:
         d, h = divmod(int(ok.argmin()), 24)
         lack = next(level for level, mask in zip(GAP_LEVELS, masks) if not mask[d, h])
         return first + dt.timedelta(days=d), h + 1, lack
+
+    def window(self, target_date: dt.date, days: int = 1) -> SeriesWindow:
+        """The window of ``days`` target days from ``target_date``, as
+        read-only views of the dataset's rows; the rows from nine days
+        before ``target_date`` must be consecutive days."""
+        i = self.index[target_date - dt.timedelta(days=HISTORY_DAYS)]
+        return SeriesWindow(
+            target_date,
+            self.loads[i : i + HISTORY_DAYS - 1 + days],
+            self.temps[i : i + HISTORY_DAYS + days],
+        )
 
 
 def _no_line(record: int) -> str:
@@ -220,7 +218,7 @@ def _index(ordinal, hour, load, temp, line: Callable[[int], str]) -> Dataset:
     load_arr, temp_arr = np.full(shape, np.nan), np.full(shape, np.nan)
     load_arr.flat[slots] = load
     temp_arr.flat[slots] = temp
-    arrays = (load_arr, temp_arr, ~np.isnan(load_arr), taken, slots)
+    arrays = (load_arr, temp_arr, slots)
     for arr in arrays:
         arr.flags.writeable = False
     index = {dt.date.fromordinal(o): row for row, o in enumerate(ordinals.tolist())}
@@ -404,8 +402,8 @@ def assemble_window(data: Dataset, target_date: dt.date) -> SeriesWindow:
     preceding days plus 24 forecast-temperature hours for the target day.
     The first gap found in (day, hour) order is reported; the outcome does
     not depend on record order.  Rows for the target day may carry a load
-    value (e.g. in a backtest dataset); it is ignored here.  The window's
-    arrays are views of the dataset's rows.
+    value (e.g. in a backtest dataset); it is ignored here.  Returns
+    ``data.window(target_date)``.
     """
     first = history_start(target_date)
     gap = data.first_gap(first, HISTORY_DAYS, "positive")
@@ -417,13 +415,7 @@ def assemble_window(data: Dataset, target_date: dt.date) -> SeriesWindow:
         raise ValidationError(
             f"missing forecast temperature for ({target_date}, hour {gap[1]})"
         )
-    i = data.index[first]
-    return SeriesWindow(
-        target_date,
-        data.loads[i : i + HISTORY_DAYS],
-        data.temps[i : i + HISTORY_DAYS],
-        data.temps[i + HISTORY_DAYS],
-    )
+    return data.window(target_date)
 
 
 @dataclass(frozen=True)

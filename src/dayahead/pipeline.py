@@ -27,12 +27,12 @@ class EngineSettings:
     temp_mode: str = "hour"
 
 
-def fit_windows(windows: list[SeriesWindow], settings: EngineSettings) -> list[dict]:
-    """The three model fits of each of consecutive windows of one dataset,
-    each at the settings' decays and method; each equals the fit of its
+def fit_windows(window: SeriesWindow, settings: EngineSettings) -> list[dict]:
+    """The three model fits of each target day of a window, at the
+    settings' decays and method; each equals the fit of that day's one-day
     window alone."""
     # EngineSettings' fields are the estimation keywords of regress.fit_model(s).
-    per_model = [regress.fit_models(windows, m, **asdict(settings)) for m in MODEL_IDS]
+    per_model = [regress.fit_models(window, m, **asdict(settings)) for m in MODEL_IDS]
     return [dict(zip(MODEL_IDS, fits)) for fits in zip(*per_model)]
 
 

@@ -21,7 +21,7 @@ from .features import (
     MODEL_IDS,
     design_matrix,  # noqa: F401  the benchmark tracer looks it up here
     run_designs,
-    target_regressors,
+    target_regressors,  # noqa: F401  the benchmark tracer looks it up here
 )
 from .ingest import DayProfile, SeriesWindow
 
@@ -316,39 +316,38 @@ def fit_model(
     decays: tuple = LAMBDA_GRID,
     temp_mode: str = "hour",
 ) -> FitResult:
-    """Fit one model over the legal training days of one window:
-    ``fit_models([window], ...)[0]``."""
-    return fit_models([window], model_id, method, decays, temp_mode)[0]
+    """Fit one model for the first target day of a window:
+    ``fit_models(window, ...)[0]``."""
+    return fit_models(window, model_id, method, decays, temp_mode)[0]
 
 
 def fit_models(
-    windows: list[SeriesWindow],
+    window: SeriesWindow,
     model_id: str,
     method: str = "exact_ml_ar1",
     decays: tuple = LAMBDA_GRID,
     temp_mode: str = "hour",
 ) -> list[FitResult]:
-    """Fit one model to each of consecutive windows of one dataset, over each
-    window's legal training days.
+    """Fit one model to each target day of a window, over each day's
+    training rows (see ``run_designs``).
 
-    Each window is fitted at every Koyck decay in ``decays`` (by default the
+    Each day is fitted at every Koyck decay in ``decays`` (by default the
     grid {0.0, ..., 0.9}; ``(0.0,)`` turns the lag off) and keeps the
-    minimal-SSR fit, the earliest decay on a tie.  The designs of every
-    window and decay are solved together, in one stacked least-squares call
-    for OLS or two lockstep rho searches for exact ML; each window's fit has
-    the same bits as when its window is fitted alone.  Exact ML prunes the
-    decays: one whose OLS SSR is already above the final SSR of the window's
-    best-OLS decay cannot have the minimal final SSR, so its rho is not
-    searched (see ``_exact_ml_stack``) and it ranks last.  The kept decay,
-    and every bit of its fit, are those of the full list.  A design or
-    whitened system that is not finite raises :class:`DegeneracyError`
-    naming the model's formula.
+    minimal-SSR fit, the earliest decay on a tie, with its target-day
+    regressors at that decay.  The designs of every day and decay are solved
+    together, in one stacked least-squares call for OLS or two lockstep rho
+    searches for exact ML; each day's fit has the same bits as when its
+    one-day window is fitted alone.  Exact ML prunes the decays: one whose
+    OLS SSR is already above the final SSR of the day's best-OLS decay
+    cannot have the minimal final SSR, so its rho is not searched (see
+    ``_exact_ml_stack``) and it ranks last.  The kept decay, and every bit
+    of its fit, are those of the full list.  A design or whitened system
+    that is not finite raises :class:`DegeneracyError` naming the model's
+    formula.
     """
     if not decays:
         raise ValidationError("no Koyck decay to fit")
-    if not windows:
-        return []
-    matrices, responses, blocks = run_designs(windows, model_id, decays, temp_mode)
+    matrices, responses, targets = run_designs(window, model_id, decays, temp_mode)
     count, n_decays, n, k = matrices.shape
     matrices = matrices.reshape(count * n_decays, n, k)
     responses = np.repeat(responses, n_decays, axis=0)
@@ -365,18 +364,13 @@ def fit_models(
     except FloatingPointError as exc:
         raise DegeneracyError(f"model {model_id}: {exc}", _EQUATIONS[model_id]) from None
     fits = []
-    for i, window in enumerate(windows):
+    for i in range(count):
         # A decay whose exact-ML search was skipped could not win: it ranks last.
         ssr = [math.inf if s is None else s[2] for s in solved[i * n_decays:(i + 1) * n_decays]]
         best = min(range(n_decays), key=ssr.__getitem__)
         *fitted, diagnostics = solved[i * n_decays + best]
-        day_blocks = blocks.get(window.target_date)
-        if day_blocks is None:
-            target = target_regressors(window, model_id, decays[best], temp_mode)
-        else:
-            target = day_blocks[best]
         fits.append(FitResult(model_id, method, decays[best], *fitted,
-                              {**diagnostics, "temp_mode": temp_mode}, target))
+                              {**diagnostics, "temp_mode": temp_mode}, targets[i, best]))
     return fits
 
 

@@ -29,24 +29,24 @@ def same_profile(a, b) -> bool:
 
 
 def same_window(a, b) -> bool:
-    """Two windows target the same day and hold equal loads, temperatures
-    and forecast."""
+    """Two windows start at the same target day and hold equal loads and
+    temperatures."""
     return a.target_date == b.target_date and all(
-        np.array_equal(getattr(a, f), getattr(b, f)) for f in ("loads", "temps", "forecast")
+        np.array_equal(getattr(a, f), getattr(b, f)) for f in ("loads", "temps")
     )
 
 
 def make_window(load_by_offset=None, temp_by_offset=None, forecast=None,
                 target=TARGET) -> SeriesWindow:
-    """Read-only window with per-offset overrides; defaults are a mild
-    double-peaked load shape and a diurnal temperature curve."""
+    """Read-only one-day window with per-offset overrides; defaults are a
+    mild double-peaked load shape and a diurnal temperature curve."""
     load_by_offset = load_by_offset or {}
     temp_by_offset = temp_by_offset or {}
     offsets = range(9, 0, -1)
+    temps = [temp_by_offset.get(k, default_temp(k)) for k in offsets]
     arrays = [
         np.array([load_by_offset.get(k, default_load(k)) for k in offsets], dtype=float),
-        np.array([temp_by_offset.get(k, default_temp(k)) for k in offsets], dtype=float),
-        np.array(forecast if forecast is not None else default_temp(0), dtype=float),
+        np.array(temps + [forecast if forecast is not None else default_temp(0)], dtype=float),
     ]
     for arr in arrays:
         arr.flags.writeable = False
@@ -79,13 +79,14 @@ def same_dataset(a, b) -> bool:
     return (
         list(a.index.items()) == list(b.index.items())
         and all(np.array_equal(getattr(a, f), getattr(b, f), equal_nan=True)
-                for f in ("loads", "temps", "has_load", "has_temp"))
+                for f in ("loads", "temps"))
         and len(a) == len(b)
     )
 
 
 def records_for_window(window: SeriesWindow, target_loads=None):
-    """Flatten a window back into CSV records (plus optional target loads)."""
+    """Flatten a one-day window back into CSV records (plus optional target
+    loads)."""
     recs = []
     for k, (loads, temps) in enumerate(zip(window.loads, window.temps)):
         date = window.target_date - dt.timedelta(days=9 - k)
@@ -93,7 +94,7 @@ def records_for_window(window: SeriesWindow, target_loads=None):
             recs.append(Record(date, h, float(loads[h - 1]), float(temps[h - 1])))
     for h in range(1, 25):
         load = None if target_loads is None else float(target_loads[h - 1])
-        recs.append(Record(window.target_date, h, load, float(window.forecast[h - 1])))
+        recs.append(Record(window.target_date, h, load, float(window.temps[9][h - 1])))
     return recs
 
 

@@ -18,7 +18,6 @@ from dayahead.features import (
     LAMBDA_GRID,
     DesignMatrix,
     indicator,
-    legal_training_days,
 )
 from dayahead.ingest import CSV_HEADER, HOURS, Record, SeriesWindow
 from dayahead import regress
@@ -242,7 +241,7 @@ def assemble_window(records, target_date: dt.date) -> SeriesWindow:
                 f"missing forecast temperature for ({target_date}, hour {hour})"
             )
         forecast.append(rec.temp_c)
-    return SeriesWindow(target_date, np.array(loads), np.array(temps), np.array(forecast))
+    return SeriesWindow(target_date, np.array(loads), np.array(temps + [forecast]))
 
 
 def backtest_input_error(records, start: dt.date, end: dt.date):
@@ -277,13 +276,22 @@ def backtest_input_error(records, start: dt.date, end: dt.date):
 
 
 def _temp_row(window, day) -> list:
-    if day == window.target_date:
-        return list(window.forecast)
-    return list(window.temps[9 - (window.target_date - day).days])
+    return list(window.temps[9 + (day - window.target_date).days])
 
 
 def _load_row(window, day) -> list:
-    return list(window.loads[9 - (window.target_date - day).days])
+    return list(window.loads[9 + (day - window.target_date).days])
+
+
+def legal_training_days(window, model_id: str, temp_mode: str = "hour") -> list:
+    """The days that train a one-day window's model: the two history days
+    before the target, whose 7-day load lags reach back to the window's
+    first day; in day-lag temperature mode models b and c only the last,
+    since the 8-day temperature lag of the one before falls outside."""
+    if model_id not in ("a", "b", "c"):
+        raise ValidationError(f"unknown model id {model_id!r}")
+    days = [window.target_date - dt.timedelta(days=k) for k in (2, 1)]
+    return days[1:] if model_id in ("b", "c") and temp_mode == "day" else days
 
 
 def halfday_lag_profile(window, day) -> np.ndarray:

@@ -15,7 +15,7 @@ import pytest
 
 from dayahead import cli, regress
 from dayahead.errors import DegeneracyError
-from dayahead.features import DesignMatrix, design_matrix, legal_training_days
+from dayahead.features import DesignMatrix, design_matrix
 from dayahead.ingest import (
     SynthParams,
     parse_csv,
@@ -39,7 +39,7 @@ from dayahead.verdict import T6_WINDOW, T16_WINDOW, T24_WINDOW, energy_test, sca
 
 from conftest import profile
 from fixtures import recoherence_fixture_records
-from oracles import model_a_records
+from oracles import legal_training_days, model_a_records
 
 TARGET = dt.date(2004, 5, 10)
 

@@ -138,15 +138,15 @@ def test_render_backtest_csv_shape(permissive_criticals):
     assert "nan" not in text.lower()
 
 
-def _alone(windows, settings):
-    return [None] * len(windows)
+def _alone(window, settings):
+    return [None] * window.days
 
 
-def _singular(windows, settings):
+def _singular(window, settings):
     raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
-def _invalid(windows, settings):
+def _invalid(window, settings):
     raise ValidationError("rho search failed to converge in 200 iterations")
 
 

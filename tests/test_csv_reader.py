@@ -8,6 +8,7 @@ message, and so must merging a history file with a weather file.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -137,7 +138,7 @@ def test_special_fields_match_the_oracle():
     outcomes = [assert_same_outcome(f"{CSV_HEADER}\n{row.format(**c)}\n") for c in cases]
     assert outcomes[0] == f"line 2: hour {10**30} out of range 1..24"
     assert outcomes[3] == "line 2: non-finite load_mw"
-    assert not outcomes[5].has_load.any() and not outcomes[6].has_load.any()
+    assert np.isnan(outcomes[5].loads).all() and np.isnan(outcomes[6].loads).all()
     assert outcomes[7] == "line 2: non-finite temp_c"
 
 

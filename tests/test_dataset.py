@@ -2,9 +2,9 @@
 
 Seeded damage to synth records (dropped hours, blank loads, zero or
 negative loads, repeated keys, shuffled order) must give the engine and the
-oracle the same window or the same ValidationError message, and every window
-of the 31-day acceptance backtest must give design matrices equal to the
-oracle's.
+oracle the same window or the same ValidationError message, and every day
+of the 31-day acceptance backtest, as one window, must give design matrices
+equal to the oracle's.
 """
 
 import datetime as dt
@@ -15,13 +15,7 @@ import pytest
 
 from dayahead import backtest
 from dayahead.errors import DegeneracyError, ValidationError
-from dayahead.features import (
-    LAMBDA_GRID,
-    MODEL_IDS,
-    legal_training_days,
-    run_designs,
-    target_regressors,
-)
+from dayahead.features import LAMBDA_GRID, MODEL_IDS, run_designs, target_regressors
 from dayahead.ingest import Dataset, SynthParams, assemble_window, synth_dataset
 
 import oracles
@@ -82,7 +76,7 @@ def test_backtest_rejects_input_as_before(monkeypatch):
     def no_forecast(window, critical_values, settings, fits):
         raise DegeneracyError("stub", "(4)")
 
-    monkeypatch.setattr(backtest, "fit_windows", lambda windows, settings: [None] * len(windows))
+    monkeypatch.setattr(backtest, "fit_windows", lambda window, settings: [None] * window.days)
     monkeypatch.setattr(backtest, "run_day", no_forecast)
     records = synth_dataset(SynthParams(days=16, seed=5))
     messages = set()
@@ -113,20 +107,22 @@ def test_backtest_windows_give_oracle_design_matrices(seed):
     for window, want_window in zip(windows, want_windows):
         assert same_window(window, want_window)
         assert not window.loads.flags.writeable
+    # The whole range as one window, as the backtest's runs are built.
+    run = dataset.window(targets[0], len(targets))
     for temp_mode in ("hour", "day"):
         for model_id in MODEL_IDS:
-            # The whole range as one run, as the backtest's runs are built.
-            matrices, responses, _ = run_designs(windows, model_id, LAMBDA_GRID, temp_mode)
+            matrices, responses, blocks = run_designs(run, model_id, LAMBDA_GRID, temp_mode)
             for i, (window, want_window) in enumerate(zip(windows, want_windows)):
-                days = legal_training_days(window, model_id, temp_mode)
-                for lam, matrix in zip(LAMBDA_GRID, matrices[i]):
+                days = oracles.legal_training_days(want_window, model_id, temp_mode)
+                for j, lam in enumerate(LAMBDA_GRID):
                     want = oracles.design_matrix(want_window, model_id, days, lam, temp_mode)
-                    assert (matrix == want.matrix).all()
+                    assert (matrices[i, j] == want.matrix).all()
                     assert (responses[i] == want.response).all()
-                    block = target_regressors(window, model_id, lam, temp_mode)
                     want_block = oracles.day_regressors(
                         want_window, window.target_date, model_id, lam, temp_mode
                     )
+                    assert (blocks[i, j] == want_block).all()
+                    block = target_regressors(window, model_id, lam, temp_mode)
                     assert (block == want_block).all()
 
 
@@ -137,7 +133,23 @@ def test_dataset_len_is_record_count_and_rows_follow_the_calendar():
     assert len(data) == 72
     assert list(data.index) == [START + dt.timedelta(days=k) for k in range(3)]
     assert np.array_equal(data.loads[:3].ravel(), [r.load_mw for r in records])
-    assert not data.has_temp[-1].any()  # the stand-in row for absent days
+    assert np.isnan(data.temps[-1]).all()  # the stand-in row for absent days
+
+
+def test_dataset_window_is_a_slice_of_read_only_dataset_rows():
+    records = synth_dataset(SynthParams(days=20, seed=2))
+    data = Dataset.from_records(list(reversed(records)))
+    target, n = START + dt.timedelta(days=9), 6
+    window = data.window(target, n)
+    assert (window.target_date, window.days) == (target, n)
+    assert (window.loads.shape, window.temps.shape) == ((8 + n, 24), (9 + n, 24))
+    for got, full in ((window.loads, data.loads), (window.temps, data.temps)):
+        assert np.shares_memory(got, full) and not got.flags.writeable
+        for r, values in enumerate(got):
+            # Row r is day target - 9 + r: row 9 + i is target day i.
+            want = full[data.index[target + dt.timedelta(days=r - 9)]]
+            assert np.array_equal(values, want)
+    assert same_window(data.window(target), assemble_window(data, target))
 
 
 def test_dataset_rejects_bad_records():
@@ -151,7 +163,7 @@ def test_dataset_rejects_bad_records():
     with pytest.raises(ValidationError, match=r"non-finite value at \(2004-01-02, hour 9\)"):
         Dataset.from_records(infinite)
     nan_load = Dataset.from_records([records[0]._replace(load_mw=float("nan"))])
-    assert not nan_load.has_load.any() and nan_load.has_temp[0, 0]
+    assert np.isnan(nan_load.loads).all() and not np.isnan(nan_load.temps[0, 0])
 
 
 def test_far_apart_days_take_one_row_each():

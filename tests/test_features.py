@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from dayahead.errors import ValidationError
 from dayahead.features import (
-    COLUMN_ROLES,
     MODEL_IDS,
     LAMBDA_GRID,
     DesignMatrix,
@@ -15,15 +14,24 @@ from dayahead.features import (
     halfday_lag_profile,
     indicator,
     koyck_transform,
-    legal_training_days,
     run_designs,
     target_regressors,
     temp_term,
+    training_rows,
 )
 from dayahead.ingest import SynthParams, synth_window
 
 import oracles
-from conftest import TARGET, day, make_window, profile
+from conftest import day, make_window
+from oracles import legal_training_days
+
+# The target day's row in a one-day window.
+TARGET_ROW = 9
+
+
+def row(offset: int) -> int:
+    """The window row of the day ``offset`` days before the target."""
+    return TARGET_ROW - offset
 
 
 def test_halfday_lag_splices_afternoon_then_morning():
@@ -32,7 +40,7 @@ def test_halfday_lag_splices_afternoon_then_morning():
         1: [4000.0] * 12 + [6000.0] * 12,  # previous day: am = 4000
     }
     window = make_window(load_by_offset=loads)
-    out = halfday_lag_profile(window, TARGET)
+    out = halfday_lag_profile(window.loads, TARGET_ROW)
     assert np.all(out[:12] == 5000.0)
     assert np.all(out[12:] == 4000.0)
 
@@ -40,21 +48,22 @@ def test_halfday_lag_splices_afternoon_then_morning():
 def test_halfday_lag_constant_sources():
     loads = {2: [4500.0] * 24, 1: [4500.0] * 24}
     window = make_window(load_by_offset=loads)
-    out = halfday_lag_profile(window, TARGET)
+    out = halfday_lag_profile(window.loads, TARGET_ROW)
     assert np.all(out == 4500.0)
 
 
 def test_halfday_lag_requires_both_days():
     window = make_window()
     with pytest.raises(ValidationError, match="absent"):
-        halfday_lag_profile(window, day(8))  # needs day(10)
+        halfday_lag_profile(window.loads, row(8))  # needs day(10)
 
 
 def test_halfday_lag_ignores_other_days():
     base = make_window()
     changed = make_window(load_by_offset={5: [3333.0] * 24})
     assert np.array_equal(
-        halfday_lag_profile(base, TARGET), halfday_lag_profile(changed, TARGET)
+        halfday_lag_profile(base.loads, TARGET_ROW),
+        halfday_lag_profile(changed.loads, TARGET_ROW),
     )
 
 
@@ -75,14 +84,14 @@ def test_temp_term_flat_is_constant():
         temp_by_offset={k: [10.0] * 24 for k in range(1, 10)},
         forecast=[10.0] * 24,
     )
-    out = temp_term(window, TARGET, 2, "hour")
+    out = temp_term(window.temps, TARGET_ROW, 2, "hour")
     assert np.all(out == 10.0)
 
 
 def test_temp_term_hour_mode_wraps_into_previous_day():
     temps = {k: [float(100 * k + h) for h in range(1, 25)] for k in range(1, 10)}
     window = make_window(temp_by_offset=temps)
-    out = temp_term(window, day(1), 8, "hour")
+    out = temp_term(window.temps, row(1), 8, "hour")
     # hour 3 minus 8 wraps to hour 19 of the day before (offset 2)
     assert out[2] == 200.0 + 19
     # hour 9 resolves inside the same day
@@ -91,23 +100,23 @@ def test_temp_term_hour_mode_wraps_into_previous_day():
 
 def test_temp_term_target_uses_forecast():
     window = make_window(forecast=[33.0] * 24)
-    out = temp_term(window, TARGET, 2, "hour")
+    out = temp_term(window.temps, TARGET_ROW, 2, "hour")
     assert out[5] == 33.0  # hour 6 - 2 = hour 4 of the forecast day
 
 
 def test_temp_term_day_mode():
     temps = {k: [float(k)] * 24 for k in range(1, 10)}
     window = make_window(temp_by_offset=temps)
-    out = temp_term(window, TARGET, 8, "day")
+    out = temp_term(window.temps, TARGET_ROW, 8, "day")
     assert np.all(out == 8.0)
     with pytest.raises(ValidationError, match="absent"):
-        temp_term(window, day(2), 8, "day")  # needs day(10)
+        temp_term(window.temps, row(2), 8, "day")  # needs day(10)
 
 
 def test_temp_term_validates_lag():
     window = make_window()
     with pytest.raises(ValidationError, match="lag"):
-        temp_term(window, TARGET, 3, "hour")
+        temp_term(window.temps, TARGET_ROW, 3, "hour")
 
 
 def test_koyck_frozen_oracle_values():
@@ -188,22 +197,18 @@ def test_design_matrix_constant_load_degeneracy():
     assert np.all(dm.matrix[:, 7] == 0.0)
 
 
-def test_no_model_contains_two_or_three_day_load_lags():
-    # Flow-integrator rule: the half-day recombination replaces them.
-    for model_id in MODEL_IDS:
-        roles = COLUMN_ROLES[model_id]
-        assert "load_lag_2d" not in roles
-        assert "load_lag_3d" not in roles
-        assert "load_halfday" in roles
-
-
 def test_legal_training_days_default_window():
     window = make_window()
     for model_id in MODEL_IDS:
         assert legal_training_days(window, model_id) == [day(2), day(1)]
+        assert training_rows(model_id) == (row(2), row(1))
     # day-lagged temperatures push the 8-day lag outside the window for d-2
     assert legal_training_days(window, "b", "day") == [day(1)]
     assert legal_training_days(window, "a", "day") == [day(2), day(1)]
+    assert training_rows("b", "day") == training_rows("c", "day") == (row(1),)
+    assert training_rows("a", "day") == (row(2), row(1))
+    with pytest.raises(ValidationError, match="unknown model id"):
+        training_rows("d")
 
 
 def test_target_regressors_share_columns_with_training():
@@ -227,8 +232,8 @@ def test_design_matrices_match_decay_by_decay_oracle(temp_mode):
     window = synth_window(SynthParams(days=12, seed=4))
     for model_id in MODEL_IDS:
         days = legal_training_days(window, model_id, temp_mode)
-        matrices, responses, _ = run_designs([window], model_id, LAMBDA_GRID, temp_mode)
-        for lam, matrix in zip(LAMBDA_GRID, matrices[0]):
+        matrices, responses, targets = run_designs(window, model_id, LAMBDA_GRID, temp_mode)
+        for lam, matrix, target_block in zip(LAMBDA_GRID, matrices[0], targets[0]):
             want = oracles.design_matrix(window, model_id, days, lam, temp_mode)
             assert np.array_equal(matrix, want.matrix)
             assert np.array_equal(responses[0], want.response)
@@ -241,3 +246,4 @@ def test_design_matrices_match_decay_by_decay_oracle(temp_mode):
                 window, window.target_date, model_id, lam, temp_mode
             )
             assert np.array_equal(block, target)
+            assert np.array_equal(target_block, target)

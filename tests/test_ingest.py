@@ -10,6 +10,7 @@ from dayahead.ingest import (
     Dataset,
     DayProfile,
     Record,
+    SeriesWindow,
     SynthParams,
     assemble_window,
     parse_csv,
@@ -37,8 +38,8 @@ def test_parse_empty_load_field():
     text = f"{HEADER}\n2004-05-01,1,,11.2\n"
     data = parse_csv(text)
     assert len(data) == 1
-    assert not data.has_load.any()
-    assert data.has_temp[0, 0] and data.temps[0, 0] == 11.2
+    assert np.isnan(data.loads).all()
+    assert data.temps[0, 0] == 11.2
 
 
 def test_parse_hour_out_of_range():
@@ -110,7 +111,7 @@ def test_assemble_window_complete():
     records = records_for_window(window)
     rebuilt = assemble_window(Dataset.from_records(records), TARGET)
     assert same_window(rebuilt, window)
-    assert rebuilt.loads.shape == rebuilt.temps.shape == (9, 24)
+    assert (rebuilt.loads.shape, rebuilt.temps.shape) == ((9, 24), (10, 24))
     assert not rebuilt.loads.flags.writeable
 
 
@@ -217,10 +218,15 @@ def test_synth_params_validation():
         SynthParams(base_mw=0.0)
 
 
-def test_window_accessors():
+def test_window_rejects_mismatched_or_short_arrays():
     window = make_window()
-    assert np.array_equal(window.load_on(day(1)), window.loads[8])
-    assert np.array_equal(window.temp_on(day(9)), window.temps[0])
-    assert window.temp_on(TARGET) is window.forecast
-    with pytest.raises(ValidationError, match="absent from the window"):
-        window.load_on(day(10))
+    loads, temps = window.loads, window.temps
+    assert window.days == 1
+    for bad_loads, bad_temps in (
+        (loads[:-1], temps),  # one load row short of the temperatures
+        (np.vstack([loads, loads[:1]]), temps),  # one load row too many
+        (loads[:-1], temps[:-1]),  # nine temperature rows: no target day
+        (loads[:, :23], temps),
+    ):
+        with pytest.raises(ValidationError, match="window requires"):
+            SeriesWindow(TARGET, bad_loads, bad_temps)

@@ -11,12 +11,10 @@ from dayahead.features import (
     LAMBDA_GRID,
     DesignMatrix,
     design_matrix,
-    legal_training_days,
     target_regressors,
 )
 from dayahead.ingest import (
     Dataset,
-    SeriesWindow,
     SynthParams,
     assemble_window,
     synth_dataset,
@@ -33,7 +31,7 @@ from dayahead.regress import (
 
 import oracles
 from conftest import TARGET, day, make_window, profile, same_profile
-from oracles import MODEL_A_COEFFS, model_a_records
+from oracles import MODEL_A_COEFFS, legal_training_days, model_a_records
 
 
 def full_rank_design(model_id="a", seed=2, lam=0.0) -> DesignMatrix:
@@ -341,11 +339,21 @@ RUN_CASES = {
 }
 
 
-def backtest_windows(synth_days: int, seed: int, n_days: int) -> list:
-    records = synth_dataset(SynthParams(days=synth_days, seed=seed))
-    data = Dataset.from_records(records)
-    first = dt.date(2004, 1, 10)
-    return [assemble_window(data, first + dt.timedelta(days=i)) for i in range(n_days)]
+FIRST = dt.date(2004, 1, 10)
+
+
+def backtest_data(synth_days: int, seed: int) -> Dataset:
+    return Dataset.from_records(synth_dataset(SynthParams(days=synth_days, seed=seed)))
+
+
+def day_windows(data: Dataset, n_days: int) -> list:
+    """The one-day windows of the first ``n_days`` backtest days."""
+    return [assemble_window(data, FIRST + dt.timedelta(days=i)) for i in range(n_days)]
+
+
+def run_window(data: Dataset, start: int, days: int):
+    """The window of ``days`` backtest days from the ``start``-th."""
+    return data.window(FIRST + dt.timedelta(days=start), days)
 
 
 @pytest.mark.parametrize("case", sorted(RUN_CASES))
@@ -353,20 +361,20 @@ def backtest_windows(synth_days: int, seed: int, n_days: int) -> list:
 @pytest.mark.parametrize("temp_mode", ["hour", "day"])
 def test_fit_models_match_each_window_fitted_alone(case, seed, temp_mode):
     synth_days, n_days, method, decays = RUN_CASES[case]
-    windows = backtest_windows(synth_days, seed, n_days)
+    data = backtest_data(synth_days, seed)
+    windows = day_windows(data, n_days)
     run_length = max(1, backtest._SYSTEMS_PER_SOLVE // len(decays))
-    # One stacked call over every day (well past the backtest's cap), the
-    # backtest's runs, and a run of one day.
-    runs = [windows, *(windows[i:i + run_length] for i in range(0, n_days, run_length)),
-            windows[n_days // 2:n_days // 2 + 1]]
+    # (first day, days) of one window over every day (well past the
+    # backtest's cap), of the backtest's runs, and of a run of one day.
+    runs = [(0, n_days), *((i, min(run_length, n_days - i)) for i in range(0, n_days, run_length)),
+            (n_days // 2, 1)]
     for model_id in ("a", "b", "c"):
-        want = {w.target_date: oracles.fit_model(w, model_id, method, decays, temp_mode)
-                for w in windows}
-        for run in runs:
-            got = regress.fit_models(run, model_id, method, decays, temp_mode)
-            assert len(got) == len(run)
-            for fit, window in zip(got, run):
-                alone = want[window.target_date]
+        want = [oracles.fit_model(w, model_id, method, decays, temp_mode) for w in windows]
+        for start, days in runs:
+            got = regress.fit_models(run_window(data, start, days), model_id, method, decays,
+                                     temp_mode)
+            assert len(got) == days
+            for fit, window, alone in zip(got, windows[start:], want[start:]):
                 assert_same_fit(fit, alone)
                 block = target_regressors(window, model_id, alone.lam, temp_mode)
                 assert np.array_equal(fit.target_block, block)
@@ -374,12 +382,12 @@ def test_fit_models_match_each_window_fitted_alone(case, seed, temp_mode):
 
 # --- Pruning the exact-ML decay grid ----------------------------------------
 
-def run_fits(windows, model_id, temp_mode="hour"):
-    """fit_models over the backtest's runs of ``windows``."""
+def run_fits(data: Dataset, n_days: int, model_id: str, temp_mode="hour"):
+    """fit_models over the backtest's runs of the first ``n_days`` days."""
     run_length = backtest._SYSTEMS_PER_SOLVE // len(LAMBDA_GRID)
-    return [fit for i in range(0, len(windows), run_length)
-            for fit in regress.fit_models(windows[i:i + run_length], model_id,
-                                          temp_mode=temp_mode)]
+    return [fit for i in range(0, n_days, run_length)
+            for fit in regress.fit_models(run_window(data, i, min(run_length, n_days - i)),
+                                          model_id, temp_mode=temp_mode)]
 
 
 def test_exact_ml_grid_skips_decays_that_cannot_win(monkeypatch):
@@ -391,8 +399,9 @@ def test_exact_ml_grid_skips_decays_that_cannot_win(monkeypatch):
         return gls_stack(systems, rho)
 
     monkeypatch.setattr(regress, "_gls_stack", counting)
-    windows = backtest_windows(40, 1, 31)
-    fits = {model_id: run_fits(windows, model_id) for model_id in ("a", "b", "c")}
+    data = backtest_data(40, 1)
+    windows = day_windows(data, 31)
+    fits = {model_id: run_fits(data, 31, model_id) for model_id in ("a", "b", "c")}
     # A search alone solves 35 slices: rho = 0, two probes, 31 steps and rho-hat.
     designs = 3 * len(windows) * len(LAMBDA_GRID)
     assert sum(solved) < 0.8 * 35 * designs
@@ -407,10 +416,9 @@ def test_rank_deficient_decays_are_searched():
     # an OLS SSR is no lower bound on that decay's exact-ML SSR.
     records = synth_dataset(SynthParams(days=40, seed=1))
     data = Dataset.from_records([r._replace(load_mw=r.load_mw * 1e9) for r in records])
-    windows = [assemble_window(data, dt.date(2004, 1, 10) + dt.timedelta(days=i))
-               for i in range(12)]
+    windows = day_windows(data, 12)
     for model_id in ("a", "b", "c"):
-        for fit, window in zip(run_fits(windows, model_id), windows):
+        for fit, window in zip(run_fits(data, 12, model_id), windows):
             assert_same_fit(fit, oracles.fit_model(window, model_id))
 
 
@@ -470,21 +478,8 @@ def test_a_search_that_would_overflow_is_not_skipped():
 
 @pytest.mark.parametrize("decays", [(), (1.0,), (0.0, 1.0)])
 def test_fit_models_reject_a_decay_list_they_cannot_fit(decays):
-    windows = backtest_windows(40, 1, 2)
     with pytest.raises(ValidationError, match="decay|lambda"):
-        regress.fit_models(windows, "b", "ols", decays)
-
-
-def test_fit_models_take_consecutive_windows_of_one_dataset():
-    windows = backtest_windows(40, 1, 5)
-    other = backtest_windows(40, 2, 5)
-    first = windows[0]
-    warmer = SeriesWindow(first.target_date, first.loads, first.temps, first.forecast + 1.0)
-    assert regress.fit_models([], "a") == []
-    for bad in ([windows[0], windows[2]], [windows[1], windows[0]],
-                [windows[0], other[1]], [windows[0], windows[0]], [warmer, windows[1]]):
-        with pytest.raises(ValidationError, match="consecutive target days"):
-            regress.fit_models(bad, "a", method="ols")
+        regress.fit_models(run_window(backtest_data(40, 1), 0, 2), "b", "ols", decays)
 
 
 def test_lockstep_stack_with_tie_break_slice():
