@@ -50,11 +50,7 @@ class BacktestRow:
 class MonthlySummary:
     year: int
     month: int
-    mmre_a: Optional[float]
-    mmre_b: Optional[float]
-    mmre_c: Optional[float]
     mmre_ensemble: Optional[float]
-    scored_days: int
     excluded_days: int
 
 
@@ -122,33 +118,15 @@ def _score_day(dataset, window, critical_values, settings, fits) -> BacktestRow:
     )
 
 
-def _mean(values: list[float]) -> float:
-    return sum(values) / len(values)
-
-
 def summarize_monthly(rows: list[BacktestRow]) -> list[MonthlySummary]:
     groups: dict[tuple[int, int], list[BacktestRow]] = {}
     for row in rows:
         groups.setdefault((row.date.year, row.date.month), []).append(row)
     out = []
     for (year, month), members in sorted(groups.items()):
-        scored = [r for r in members if not r.aborted]
-        excluded = len(members) - len(scored)
-        if scored:
-            out.append(
-                MonthlySummary(
-                    year=year,
-                    month=month,
-                    mmre_a=_mean([r.mmre_a for r in scored]),
-                    mmre_b=_mean([r.mmre_b for r in scored]),
-                    mmre_c=_mean([r.mmre_c for r in scored]),
-                    mmre_ensemble=_mean([r.mmre_ensemble for r in scored]),
-                    scored_days=len(scored),
-                    excluded_days=excluded,
-                )
-            )
-        else:
-            out.append(MonthlySummary(year, month, None, None, None, None, 0, excluded))
+        scored = [r.mmre_ensemble for r in members if not r.aborted]
+        mean = sum(scored) / len(scored) if scored else None
+        out.append(MonthlySummary(year, month, mean, len(members) - len(scored)))
     return out
 
 

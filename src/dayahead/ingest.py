@@ -16,8 +16,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -91,14 +90,6 @@ class SeriesWindow:
         return len(self.temps) - HISTORY_DAYS
 
 
-def _reject_first(flat: list, bad: np.ndarray, problem: str) -> None:
-    """Reject the first record flagged in ``bad``; ``flat`` holds the
-    records' fields one after another."""
-    if bad.any():
-        i = 4 * int(bad.argmax())
-        raise ValidationError(f"{problem} ({flat[i]}, hour {flat[i + 1]})")
-
-
 # What a (day, hour) can lack, in the order it is checked.
 GAP_LEVELS = ("record", "load", "positive")
 
@@ -130,7 +121,7 @@ class Dataset:
         if not isinstance(other, Dataset):
             return NotImplemented
         columns = zip(self._columns(), other._columns())
-        return _index(*map(np.concatenate, columns), _no_line)
+        return _index(*map(np.concatenate, columns), lineno=None)
 
     def _columns(self) -> tuple:
         """Each record's day ordinal, hour, load and temperature, in
@@ -138,25 +129,6 @@ class Dataset:
         days = np.fromiter(map(dt.date.toordinal, self.index), np.int64, len(self.index))
         row, hour = np.divmod(self.slots, 24)
         return days[row], hour + 1, self.loads.flat[self.slots], self.temps.flat[self.slots]
-
-    @classmethod
-    def from_records(cls, records: Iterable[Record]) -> Dataset:
-        """Index records given in any order.  Rejects an hour outside 1..24,
-        a non-finite value and a duplicate (date, hour) key, each the first
-        in record order; a NaN load reads as absent."""
-        # The four fields of every record in a row, split by strided slices:
-        # one pass over the records, where zip(*records) would make an
-        # iterator per record and set the garbage collector off.
-        flat = list(chain.from_iterable(records))
-        dates, hours, loads, temps = (flat[i::4] for i in range(4))
-        n = len(dates)
-        hour = np.fromiter(hours, dtype=np.int64, count=n)
-        load = np.array(loads, dtype=float)  # None -> NaN
-        temp = np.fromiter(temps, dtype=float, count=n)
-        _reject_first(flat, (hour < 1) | (hour > 24), "hour out of range 1..24 at")
-        _reject_first(flat, ~np.isfinite(temp) | np.isinf(load), "non-finite value at")
-        ordinal = np.fromiter(map(dt.date.toordinal, dates), dtype=np.int64, count=n)
-        return _index(ordinal, hour, load, temp, _no_line)
 
     def first_gap(
         self, first: dt.date, days: int, need: str = "record"
@@ -191,17 +163,14 @@ class Dataset:
         )
 
 
-def _no_line(record: int) -> str:
-    return ""
-
-
-def _index(ordinal, hour, load, temp, line: Callable[[int], str]) -> Dataset:
+def _index(ordinal, hour, load, temp, lineno) -> Dataset:
     """Index records given as columns in record order: day ordinals, hours
     in 1..24, loads (NaN where absent) and finite temperatures.
 
     This is the one duplicate-key check: it rejects the first record whose
     (date, hour) an earlier record holds, its message prefixed by
-    ``line(record)``.
+    ``line N: `` when ``lineno`` gives each record's line number (None
+    when the records have none).
     """
     ordinals, day_row = np.unique(ordinal, return_inverse=True)
     slots = 24 * day_row + hour - 1
@@ -213,7 +182,8 @@ def _index(ordinal, hour, load, temp, line: Callable[[int], str]) -> Dataset:
         repeat[np.unique(slots, return_index=True)[1]] = False
         i = int(repeat.argmax())
         day = dt.date.fromordinal(int(ordinal[i]))
-        raise ValidationError(f"{line(i)}duplicate key ({day}, hour {hour[i]})")
+        line = "" if lineno is None else f"line {lineno[i]}: "
+        raise ValidationError(f"{line}duplicate key ({day}, hour {hour[i]})")
 
     load_arr, temp_arr = np.full(shape, np.nan), np.full(shape, np.nan)
     load_arr.flat[slots] = load
@@ -367,8 +337,7 @@ def _index_lines(columns: list) -> Dataset:
     """Index the columns read from every chunk; errors name the line."""
     if not columns:
         columns = [(np.zeros(0, np.int64),) * 5]
-    ordinal, hour, load, temp, lineno = map(np.concatenate, zip(*columns))
-    return _index(ordinal, hour, load, temp, lambda i: f"line {lineno[i]}: ")
+    return _index(*map(np.concatenate, zip(*columns)))
 
 
 def serialize_csv(records: Iterable[Record]) -> str:
@@ -525,16 +494,3 @@ def synth_dataset(params: SynthParams) -> list[Record]:
                 noise = params.ar_rho * noise + rng.normal(0.0, innov_sd)
 
     return records
-
-
-def synth_window(params: SynthParams) -> SeriesWindow:
-    """Generate a dataset and assemble the window targeting its last day.
-
-    Needs at least 10 generated days (9 history plus the target).  The
-    target day's generated temperatures serve as the forecast; its loads are
-    the ground-truth actuals and are not part of the window.
-    """
-    if params.days < 10:
-        raise ValidationError("synth_window requires days >= 10")
-    target = params.start_date + dt.timedelta(days=params.days - 1)
-    return assemble_window(Dataset.from_records(synth_dataset(params)), target)

@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 
 from dayahead.ingest import (
+    Dataset,
     DayProfile,
     Record,
     SeriesWindow,
+    SynthParams,
+    assemble_window,
+    parse_csv,
+    serialize_csv,
+    synth_dataset,
 )
 from dayahead.verdict import CriticalValues
 
@@ -71,6 +77,19 @@ def default_temp(offset: int):
         + 1.5 * math.sin(2.0 * math.pi * offset / 7.0)
         for h in range(1, 25)
     ]
+
+
+def dataset_of(records) -> Dataset:
+    """The Dataset of records given in any order, read as the commands read
+    their input: from CSV text."""
+    return parse_csv(serialize_csv(records))
+
+
+def last_day_window(params: SynthParams) -> SeriesWindow:
+    """The window of a synth dataset's last day; needs ``params.days`` of at
+    least 10 (nine history days and the target)."""
+    target = params.start_date + dt.timedelta(days=params.days - 1)
+    return assemble_window(dataset_of(synth_dataset(params)), target)
 
 
 def same_dataset(a, b) -> bool:

@@ -7,7 +7,7 @@ number.
 
 import datetime as dt
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -200,19 +200,47 @@ def parse_csv_records(text: str) -> list:
     return records
 
 
-# --- Dict-based window path -------------------------------------------------
+# --- Dict-based dataset and window path -------------------------------------
 # A (date, hour) dict over every record, rebuilt per window, and hour-by-hour
 # regressor loops: the reference for the engine's indexed Dataset and its
 # array slices.
 
 
-def assemble_window(records, target_date: dt.date) -> SeriesWindow:
+@dataclass(frozen=True, eq=False)
+class Indexed:
+    """Records indexed as a Dataset holds them: ``index`` maps each day
+    with a record to its row in calendar order, ``loads`` and ``temps`` are
+    (D + 1) x 24 with NaN where absent, and ``len()`` counts the records."""
+
+    index: dict
+    loads: np.ndarray
+    temps: np.ndarray
+    count: int
+
+    def __len__(self) -> int:
+        return self.count
+
+
+def index_records(records) -> Indexed:
+    """Index records given in any order; rejects the first record whose
+    (date, hour) an earlier record holds."""
     by_key = {}
     for rec in records:
-        key = (rec.date, rec.hour)
-        if key in by_key:
+        if (rec.date, rec.hour) in by_key:
             raise ValidationError(f"duplicate key ({rec.date}, hour {rec.hour})")
-        by_key[key] = rec
+        by_key[(rec.date, rec.hour)] = rec
+    index = {day: row for row, day in enumerate(sorted({day for day, _ in by_key}))}
+    loads, temps = np.full((2, len(index) + 1, 24), np.nan)
+    for (day, hour), rec in by_key.items():
+        if rec.load_mw is not None:
+            loads[index[day], hour - 1] = rec.load_mw
+        temps[index[day], hour - 1] = rec.temp_c
+    return Indexed(index, loads, temps, len(by_key))
+
+
+def assemble_window(records, target_date: dt.date) -> SeriesWindow:
+    """The window of records with no repeated (date, hour) key."""
+    by_key = {(rec.date, rec.hour): rec for rec in records}
 
     loads = []
     temps = []
@@ -245,15 +273,12 @@ def assemble_window(records, target_date: dt.date) -> SeriesWindow:
 
 
 def backtest_input_error(records, start: dt.date, end: dt.date):
-    """The message with which a backtest over [start, end] rejects its input
-    before any forecast can fail, or None: duplicate keys, then coverage of
-    [start - 9 days, end], then day by day the window and the actual load."""
-    by_key = {}
+    """The message with which a backtest over [start, end] rejects records
+    with no repeated (date, hour) key before any forecast can fail, or None:
+    coverage of [start - 9 days, end], then day by day the window and the
+    actual load."""
+    by_key = {(rec.date, rec.hour): rec for rec in records}
     try:
-        for rec in records:
-            if (rec.date, rec.hour) in by_key:
-                raise ValidationError(f"duplicate key ({rec.date}, hour {rec.hour})")
-            by_key[(rec.date, rec.hour)] = rec
         day = start - dt.timedelta(days=9)
         while day <= end:
             for hour in HOURS:

@@ -16,12 +16,7 @@ import pytest
 from dayahead import cli, regress
 from dayahead.errors import DegeneracyError
 from dayahead.features import DesignMatrix, design_matrix
-from dayahead.ingest import (
-    SynthParams,
-    parse_csv,
-    serialize_csv,
-    synth_window,
-)
+from dayahead.ingest import SynthParams, parse_csv, serialize_csv
 from dayahead.regress import exact_ml_ar1_fit, ols_fit
 from dayahead.report import price
 from dayahead.thermo import (
@@ -37,7 +32,7 @@ from dayahead.thermo import (
 )
 from dayahead.verdict import T6_WINDOW, T16_WINDOW, T24_WINDOW, energy_test, scaled_time
 
-from conftest import profile
+from conftest import last_day_window, profile
 from fixtures import recoherence_fixture_records
 from oracles import legal_training_days, model_a_records
 
@@ -119,7 +114,7 @@ def test_criterion_2_sign_structure():
 def test_criterion_3_estimator_oracles():
     start = time.monotonic()
 
-    window = synth_window(SynthParams(days=12, seed=2))
+    window = last_day_window(SynthParams(days=12, seed=2))
     design = design_matrix(window, "a", legal_training_days(window, "a"), 0.0)
     beta_star = np.array([250.0, 0.45, 0.3, 0.2, 110.0, 95.0, 80.0, 60.0, 45.0, 30.0])
     y = design.matrix @ beta_star
@@ -202,7 +197,7 @@ def test_criterion_5_anchored_constants(tmp_path):
     assert w1 == WORK_OFFSET == 11.608
     assert w2 == WORK_OFFSET
 
-    window = synth_window(SynthParams(days=12, seed=3))
+    window = last_day_window(SynthParams(days=12, seed=3))
     from dayahead.pipeline import run_day
     from dayahead.report import serialize_report
     from dayahead.verdict import load_critical_values

@@ -7,9 +7,10 @@ import pytest
 from dayahead import backtest
 from dayahead.backtest import render_backtest_csv, run_backtest
 from dayahead.errors import ValidationError
-from dayahead.ingest import Dataset, SynthParams, synth_dataset
+from dayahead.ingest import SynthParams, synth_dataset
 from dayahead.pipeline import EngineSettings
 
+from conftest import dataset_of
 from fixtures import recoherence_backtest_records
 from oracles import model_a_records
 
@@ -20,13 +21,13 @@ def test_single_day_range_gives_one_row(permissive_criticals):
     records = synth_dataset(SynthParams(days=12, seed=6))
     target = records[-1].date
     rows, monthly = run_backtest(
-        Dataset.from_records(records), target, target, permissive_criticals
+        dataset_of(records), target, target, permissive_criticals
     )
     assert len(rows) == 1
     assert rows[0].date == target
     assert rows[0].status == "ok"
-    assert len(monthly) == 1
-    assert monthly[0].scored_days == 1
+    # The month's mean over its one scored day is that day's error.
+    assert monthly == [backtest.MonthlySummary(2004, 1, rows[0].mmre_ensemble, 0)]
 
 
 def test_model_a_generator_recovered(permissive_criticals):
@@ -35,28 +36,25 @@ def test_model_a_generator_recovered(permissive_criticals):
     records = model_a_records(16)
     start = records[0].date + dt.timedelta(days=10)
     end = records[-1].date
-    rows, monthly = run_backtest(
-        Dataset.from_records(records), start, end, permissive_criticals, OLS_OFF
-    )
+    rows, _ = run_backtest(dataset_of(records), start, end, permissive_criticals, OLS_OFF)
     assert all(r.status == "ok" for r in rows)
     assert all(r.mmre_a < 0.1 for r in rows)
-    assert all(m.mmre_a < 0.1 for m in monthly)
 
 
 def test_coverage_validation(permissive_criticals):
     records = synth_dataset(SynthParams(days=12, seed=6))
     target = records[-1].date
     with pytest.raises(ValidationError, match="insufficient coverage"):
-        run_backtest(Dataset.from_records(records[:-24]), target, target, permissive_criticals)
+        run_backtest(dataset_of(records[:-24]), target, target, permissive_criticals)
     with pytest.raises(ValidationError, match="from_date"):
-        run_backtest(Dataset.from_records(records), target, target - dt.timedelta(days=1),
+        run_backtest(dataset_of(records), target, target - dt.timedelta(days=1),
                      permissive_criticals)
 
 
 def test_coverage_check_stops_at_the_first_missing_day(permissive_criticals):
     # A range running centuries past the data: the check looks no further
     # than the first day without records, whose hour 1 is the first gap.
-    data = Dataset.from_records(synth_dataset(SynthParams(days=12, seed=6)))
+    data = dataset_of(synth_dataset(SynthParams(days=12, seed=6)))
     tracemalloc.start()
     try:
         with pytest.raises(ValidationError, match=r"^insufficient coverage: "
@@ -73,7 +71,7 @@ def test_an_empty_decay_list_is_a_validation_error(permissive_criticals):
     records = synth_dataset(SynthParams(days=12, seed=6))
     target = records[-1].date
     with pytest.raises(ValidationError, match="no Koyck decay"):
-        run_backtest(Dataset.from_records(records), target, target, permissive_criticals,
+        run_backtest(dataset_of(records), target, target, permissive_criticals,
                      EngineSettings(decays=()))
 
 
@@ -81,7 +79,7 @@ def test_aborted_day_bookkeeping(permissive_criticals):
     degenerate = dt.date(2004, 5, 10)
     records = recoherence_backtest_records(degenerate, tail_days=1)
     rows, monthly = run_backtest(
-        Dataset.from_records(records),
+        dataset_of(records),
         degenerate,
         degenerate + dt.timedelta(days=1),
         permissive_criticals,
@@ -92,14 +90,15 @@ def test_aborted_day_bookkeeping(permissive_criticals):
     assert aborted.delta_pct is None
     (summary,) = monthly
     assert summary.excluded_days == 1
-    assert summary.scored_days == 1
+    # The one scored day's error is the month's mean.
+    assert summary.mmre_ensemble == rows[1].mmre_ensemble
 
 
 def test_summary_means_daily_errors(permissive_criticals):
     records = synth_dataset(SynthParams(days=14, seed=9))
     start = records[0].date + dt.timedelta(days=10)
     end = records[-1].date
-    rows, monthly = run_backtest(Dataset.from_records(records), start, end, permissive_criticals)
+    rows, monthly = run_backtest(dataset_of(records), start, end, permissive_criticals)
     scored = [r for r in rows if r.status == "ok"]
     assert len(scored) == len(rows)
     by_month = {}
@@ -114,8 +113,8 @@ def test_backtest_deterministic(permissive_criticals):
     records = synth_dataset(SynthParams(days=13, seed=2))
     start = records[0].date + dt.timedelta(days=10)
     end = records[-1].date
-    first = run_backtest(Dataset.from_records(records), start, end, permissive_criticals)
-    second = run_backtest(Dataset.from_records(records), start, end, permissive_criticals)
+    first = run_backtest(dataset_of(records), start, end, permissive_criticals)
+    second = run_backtest(dataset_of(records), start, end, permissive_criticals)
     assert render_backtest_csv(*first) == render_backtest_csv(*second)
 
 
@@ -123,7 +122,7 @@ def test_render_backtest_csv_shape(permissive_criticals):
     degenerate = dt.date(2004, 5, 10)
     records = recoherence_backtest_records(degenerate, tail_days=1)
     rows, monthly = run_backtest(
-        Dataset.from_records(records), degenerate, degenerate + dt.timedelta(days=1),
+        dataset_of(records), degenerate, degenerate + dt.timedelta(days=1),
         permissive_criticals,
     )
     text = render_backtest_csv(rows, monthly)
@@ -160,7 +159,7 @@ def test_runs_of_days_score_as_days_fitted_alone(
         monkeypatch, stub_criticals, settings, span, replacement):
     # The day at 2004-05-10 aborts inside the first run.
     degenerate = dt.date(2004, 5, 10)
-    data = Dataset.from_records(recoherence_backtest_records(degenerate, tail_days=span))
+    data = dataset_of(recoherence_backtest_records(degenerate, tail_days=span))
     first, last = degenerate - dt.timedelta(days=1), degenerate + dt.timedelta(days=span - 2)
     rows, monthly = run_backtest(data, first, last, stub_criticals, settings)
     assert rows[1].aborted and len(rows) == span

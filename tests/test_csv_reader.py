@@ -17,7 +17,6 @@ from dayahead import ingest
 from dayahead.errors import ValidationError
 from dayahead.ingest import (
     CSV_HEADER,
-    Dataset,
     SynthParams,
     parse_csv,
     serialize_csv,
@@ -25,7 +24,7 @@ from dayahead.ingest import (
 )
 
 from conftest import same_dataset
-from oracles import parse_csv_records
+from oracles import Indexed, index_records, parse_csv_records
 
 FIELD = {  # column -> replacement values that break or stretch it
     0: ["2004-13-01", "", "x", " 2004-01-02 ", "20040102", "2004-W01-1"],
@@ -37,7 +36,7 @@ FIELD = {  # column -> replacement values that break or stretch it
 
 def oracle_outcome(*texts):
     try:
-        return Dataset.from_records([r for t in texts for r in parse_csv_records(t)])
+        return index_records([r for t in texts for r in parse_csv_records(t)])
     except ValidationError as exc:
         return str(exc)
 
@@ -161,7 +160,7 @@ def test_merged_dataset_holds_the_records_of_both_files():
     records = synth_dataset(SynthParams(days=2, seed=1))
     merged = parse_csv(serialize_csv(records[24:])) + parse_csv(serialize_csv(records[:24]))
     assert len(merged) == 48
-    assert same_dataset(merged, Dataset.from_records(records))
+    assert same_dataset(merged, index_records(records))
 
 
 LINE_CHARS = "0123456789-,. \t\r\x1cnaifTW_e+x"
@@ -188,4 +187,4 @@ LINE_CHARS = "0123456789-,. \t\r\x1cnaifTW_e+x"
 def test_any_text_gives_the_oracles_dataset_or_error(lines, newline, with_header):
     text = newline.join(([CSV_HEADER] if with_header else []) + lines)
     outcome = assert_same_outcome(text)
-    assert isinstance(outcome, (str, Dataset))
+    assert isinstance(outcome, (str, Indexed))

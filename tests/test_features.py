@@ -19,10 +19,10 @@ from dayahead.features import (
     temp_term,
     training_rows,
 )
-from dayahead.ingest import SynthParams, synth_window
+from dayahead.ingest import SynthParams
 
 import oracles
-from conftest import day, make_window
+from conftest import day, last_day_window, make_window
 from oracles import legal_training_days
 
 # The target day's row in a one-day window.
@@ -229,7 +229,7 @@ def test_koyck_matches_uncached_oracle_bit_for_bit():
 
 @pytest.mark.parametrize("temp_mode", ["hour", "day"])
 def test_design_matrices_match_decay_by_decay_oracle(temp_mode):
-    window = synth_window(SynthParams(days=12, seed=4))
+    window = last_day_window(SynthParams(days=12, seed=4))
     for model_id in MODEL_IDS:
         days = legal_training_days(window, model_id, temp_mode)
         matrices, responses, targets = run_designs(window, model_id, LAMBDA_GRID, temp_mode)

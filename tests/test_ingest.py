@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from dayahead.errors import ValidationError
 from dayahead.ingest import (
-    Dataset,
     DayProfile,
     Record,
     SeriesWindow,
@@ -16,11 +15,19 @@ from dayahead.ingest import (
     parse_csv,
     serialize_csv,
     synth_dataset,
-    synth_window,
 )
 
-from conftest import TARGET, day, make_window, records_for_window, same_dataset, same_window
-from oracles import parse_csv_records
+from conftest import (
+    TARGET,
+    day,
+    dataset_of,
+    last_day_window,
+    make_window,
+    records_for_window,
+    same_dataset,
+    same_window,
+)
+from oracles import index_records, parse_csv_records
 
 HEADER = "date,hour,load_mw,temp_c"
 
@@ -29,7 +36,7 @@ def test_parse_single_row():
     text = f"{HEADER}\n2004-05-01,1,4200.5,11.2\n"
     data = parse_csv(text)
     record = Record(dt.date(2004, 5, 1), 1, 4200.5, 11.2)
-    assert same_dataset(data, Dataset.from_records([record]))
+    assert same_dataset(data, index_records([record]))
     assert list(data.index) == [dt.date(2004, 5, 1)]
     assert (data.loads[0, 0], data.temps[0, 0]) == (4200.5, 11.2)
 
@@ -103,13 +110,13 @@ def test_parse_serialize_round_trip(raw):
     ]
     text = serialize_csv(records)
     assert parse_csv_records(text) == records
-    assert same_dataset(parse_csv(text), Dataset.from_records(records))
+    assert same_dataset(parse_csv(text), index_records(records))
 
 
 def test_assemble_window_complete():
     window = make_window()
     records = records_for_window(window)
-    rebuilt = assemble_window(Dataset.from_records(records), TARGET)
+    rebuilt = assemble_window(dataset_of(records), TARGET)
     assert same_window(rebuilt, window)
     assert (rebuilt.loads.shape, rebuilt.temps.shape) == ((9, 24), (10, 24))
     assert not rebuilt.loads.flags.writeable
@@ -119,7 +126,7 @@ def test_assemble_window_order_independent():
     window = make_window()
     records = records_for_window(window)
     shuffled = list(reversed(records))
-    assert same_window(assemble_window(Dataset.from_records(shuffled), TARGET), window)
+    assert same_window(assemble_window(dataset_of(shuffled), TARGET), window)
 
 
 def test_assemble_window_names_first_gap():
@@ -129,7 +136,7 @@ def test_assemble_window_names_first_gap():
         if not (r.date == day(4) and r.hour == 13)
     ]
     with pytest.raises(ValidationError, match=rf"{day(4)}, hour 13"):
-        assemble_window(Dataset.from_records(records), TARGET)
+        assemble_window(dataset_of(records), TARGET)
 
 
 def test_assemble_window_rejects_nonpositive_load():
@@ -140,7 +147,7 @@ def test_assemble_window_rejects_nonpositive_load():
             r = Record(r.date, r.hour, 0.0, r.temp_c)
         records.append(r)
     with pytest.raises(ValidationError, match="non-positive load"):
-        assemble_window(Dataset.from_records(records), TARGET)
+        assemble_window(dataset_of(records), TARGET)
 
 
 def test_assemble_window_requires_forecast_hours():
@@ -150,7 +157,7 @@ def test_assemble_window_requires_forecast_hours():
         if not (r.date == TARGET and r.hour == 7)
     ]
     with pytest.raises(ValidationError, match=rf"{TARGET}, hour 7"):
-        assemble_window(Dataset.from_records(records), TARGET)
+        assemble_window(dataset_of(records), TARGET)
 
 
 def test_profile_validation():
@@ -174,7 +181,7 @@ def test_synth_deterministic_given_seed():
     first = synth_dataset(params)
     second = synth_dataset(params)
     assert first == second
-    assert same_window(synth_window(params), synth_window(params))
+    assert same_window(last_day_window(params), last_day_window(params))
 
 
 def test_synth_two_degree_offset_shifts_mean_by_sensitivity():
@@ -200,11 +207,6 @@ def test_synth_default_shape_is_double_peaked():
     pm_peak = 13 + int(np.argmax(values[12:24]))
     assert am_peak in (9, 10, 11)
     assert pm_peak in (19, 20, 21)
-
-
-def test_synth_window_needs_ten_days():
-    with pytest.raises(ValidationError, match="days >= 10"):
-        synth_window(SynthParams(days=9))
 
 
 def test_synth_params_validation():

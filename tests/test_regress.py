@@ -13,13 +13,7 @@ from dayahead.features import (
     design_matrix,
     target_regressors,
 )
-from dayahead.ingest import (
-    Dataset,
-    SynthParams,
-    assemble_window,
-    synth_dataset,
-    synth_window,
-)
+from dayahead.ingest import Dataset, SynthParams, assemble_window, synth_dataset
 from dayahead.regress import (
     _concentrated_loglik,
     ensemble_mean,
@@ -30,12 +24,20 @@ from dayahead.regress import (
 )
 
 import oracles
-from conftest import TARGET, day, make_window, profile, same_profile
+from conftest import (
+    TARGET,
+    dataset_of,
+    day,
+    last_day_window,
+    make_window,
+    profile,
+    same_profile,
+)
 from oracles import MODEL_A_COEFFS, legal_training_days, model_a_records
 
 
 def full_rank_design(model_id="a", seed=2, lam=0.0) -> DesignMatrix:
-    window = synth_window(SynthParams(days=12, seed=seed))
+    window = last_day_window(SynthParams(days=12, seed=seed))
     return design_matrix(
         window, model_id, legal_training_days(window, model_id), lam
     )
@@ -168,7 +170,7 @@ def test_tie_break_test_survives_an_overflowing_response():
     # Loads x 1e150 square past the double range in y @ y.  Residuals that do
     # not vanish must still run the rho search, and the fits must agree with
     # those at x 1e140, where y @ y is finite.
-    window = synth_window(SynthParams(days=12, seed=1))
+    window = last_day_window(SynthParams(days=12, seed=1))
 
     def scaled(factor):
         loads = window.loads * factor
@@ -203,7 +205,7 @@ def test_exact_ml_loglik_never_below_rho_zero():
 def test_fit_model_grid_recovers_zero_decay_generator():
     records = model_a_records(12)
     target = records[-1].date
-    window = assemble_window(Dataset.from_records(records), target)
+    window = assemble_window(dataset_of(records), target)
     fit = fit_model(window, "a", method="ols", decays=LAMBDA_GRID)
     assert fit.lam == 0.0
     coefficients = dict(zip(COLUMN_NAMES["a"], fit.coef))
@@ -212,7 +214,7 @@ def test_fit_model_grid_recovers_zero_decay_generator():
 
 
 def test_fit_model_shape():
-    window = synth_window(SynthParams(days=12, seed=5))
+    window = last_day_window(SynthParams(days=12, seed=5))
     fit = fit_model(window, "a", method="exact_ml_ar1", decays=(0.0,))
     assert fit.coef.shape == (10,) and fit.coef.dtype == np.float64
     assert -1.0 < fit.rho < 1.0
@@ -238,7 +240,7 @@ def test_forecast_day_fixed_point_on_identical_days():
 
 
 def test_forecast_day_requires_all_fits():
-    window = synth_window(SynthParams(days=12, seed=6))
+    window = last_day_window(SynthParams(days=12, seed=6))
     fits = {m: fit_model(window, m, method="ols", decays=(0.0,))
             for m in ("a", "b")}
     with pytest.raises(ValidationError, match="model c"):
@@ -246,7 +248,7 @@ def test_forecast_day_requires_all_fits():
 
 
 def test_forecast_day_clamps_negative_predictions():
-    window = synth_window(SynthParams(days=12, seed=6))
+    window = last_day_window(SynthParams(days=12, seed=6))
     fits = {m: fit_model(window, m, method="ols", decays=(0.0,))
             for m in ("a", "b", "c")}
     # Force a negative prediction through a doctored intercept.
@@ -260,7 +262,7 @@ def test_forecast_day_clamps_negative_predictions():
 
 
 def test_forecast_day_requires_the_target_regressors_of_a_fit():
-    window = synth_window(SynthParams(days=12, seed=6))
+    window = last_day_window(SynthParams(days=12, seed=6))
     fits = {m: fit_model(window, m, method="ols", decays=(0.0,))
             for m in ("a", "b", "c")}
     fits["b"] = ols_fit(full_rank_design("b"))
@@ -269,7 +271,7 @@ def test_forecast_day_requires_the_target_regressors_of_a_fit():
 
 
 def test_forecast_day_deterministic():
-    window = synth_window(SynthParams(days=12, seed=13))
+    window = last_day_window(SynthParams(days=12, seed=13))
     fits = {m: fit_model(window, m) for m in ("a", "b", "c")}
     first = forecast_day(window, fits)
     second = forecast_day(window, fits)
@@ -292,7 +294,7 @@ def test_ensemble_mean_of_constants():
 
 
 def test_ensemble_mean_identical_and_symmetric():
-    window = synth_window(SynthParams(days=12, seed=3))
+    window = last_day_window(SynthParams(days=12, seed=3))
     fits = {m: fit_model(window, m, method="ols") for m in ("a", "b", "c")}
     forecasts = forecast_day(window, fits)
     same = ensemble_mean(
@@ -320,7 +322,7 @@ def assert_same_fit(got, want):
 def test_fit_model_matches_scalar_oracle_over_backtest(seed, temp_mode):
     # Every day of the 31-day acceptance backtest on synth --days 40.
     records = synth_dataset(SynthParams(days=40, seed=seed))
-    data = Dataset.from_records(records)
+    data = dataset_of(records)
     target = dt.date(2004, 1, 10)
     while target <= dt.date(2004, 2, 9):
         window = assemble_window(data, target)
@@ -343,7 +345,7 @@ FIRST = dt.date(2004, 1, 10)
 
 
 def backtest_data(synth_days: int, seed: int) -> Dataset:
-    return Dataset.from_records(synth_dataset(SynthParams(days=synth_days, seed=seed)))
+    return dataset_of(synth_dataset(SynthParams(days=synth_days, seed=seed)))
 
 
 def day_windows(data: Dataset, n_days: int) -> list:
@@ -415,7 +417,7 @@ def test_rank_deficient_decays_are_searched():
     # At loads x 1e9 dgelsd's rcond drops columns beside the load columns, so
     # an OLS SSR is no lower bound on that decay's exact-ML SSR.
     records = synth_dataset(SynthParams(days=40, seed=1))
-    data = Dataset.from_records([r._replace(load_mw=r.load_mw * 1e9) for r in records])
+    data = dataset_of([r._replace(load_mw=r.load_mw * 1e9) for r in records])
     windows = day_windows(data, 12)
     for model_id in ("a", "b", "c"):
         for fit, window in zip(run_fits(data, 12, model_id), windows):
@@ -483,7 +485,7 @@ def test_fit_models_reject_a_decay_list_they_cannot_fit(decays):
 
 
 def test_lockstep_stack_with_tie_break_slice():
-    window = synth_window(SynthParams(days=12, seed=21))
+    window = last_day_window(SynthParams(days=12, seed=21))
     days = legal_training_days(window, "c")
     designs = [design_matrix(window, "c", days, lam) for lam in LAMBDA_GRID]
     constant = with_response(designs[4], np.full(len(designs[4].rows), 7.5))
@@ -508,7 +510,7 @@ def test_exact_ml_single_design_matches_scalar_oracle():
 def test_rho_search_never_beaten_by_likelihood_grid(seed):
     # Golden-section rho against an 801-point grid on (-0.999, 0.999).
     grid = np.linspace(-0.999, 0.999, 801).tolist()
-    window = synth_window(SynthParams(days=12, seed=seed))
+    window = last_day_window(SynthParams(days=12, seed=seed))
     for model_id in ("a", "b", "c"):
         days = legal_training_days(window, model_id)
         for lam in LAMBDA_GRID:
@@ -567,7 +569,7 @@ def test_lstsq_stack_nan_slice_raises(monkeypatch, gufunc):
 
 
 def test_fit_model_without_gufunc_matches(monkeypatch):
-    window = synth_window(SynthParams(days=12, seed=30))
+    window = last_day_window(SynthParams(days=12, seed=30))
     fast = fit_model(window, "b")
     monkeypatch.setattr(regress, "_LSTSQ_GUFUNC", None)
     assert_same_fit(fit_model(window, "b"), fast)

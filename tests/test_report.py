@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from dayahead.backtest import BacktestRow, summarize_monthly
 from dayahead.errors import ValidationError
-from dayahead.ingest import SynthParams, synth_window
+from dayahead.ingest import SynthParams
 from dayahead.pipeline import run_day
 from dayahead.report import (
     MU_NORMALIZATION,
@@ -25,7 +25,7 @@ from dayahead.report import (
 )
 from dayahead.thermo import WORK_OFFSET
 
-from conftest import TARGET, profile, stub_criticals
+from conftest import TARGET, last_day_window, profile, stub_criticals
 
 
 def test_price_arithmetic():
@@ -128,7 +128,7 @@ def test_monthly_mmre_groups_by_calendar_month():
 
 
 def _sample_report(stub):
-    window = synth_window(SynthParams(days=12, seed=3))
+    window = last_day_window(SynthParams(days=12, seed=3))
     dispatch = run_day(window, stub, config={"method": "exact-ml"})
     return dispatch
 
