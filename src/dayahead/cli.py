@@ -93,16 +93,9 @@ def cmd_forecast(args) -> int:
     target = _parse_date(args.target_date)
     cv = load_critical_values(_read_text(args.critical_values))
     window = assemble_window(history + forecast, target)
-    config = {
-        "history": args.history,
-        "temp_forecast": args.temp_forecast,
-        "target_date": args.target_date,
-        "critical_values": args.critical_values,
-        "out": args.out,
-        "temp_lag_mode": args.temp_lag_mode,
-        "method": args.method,
-        "koyck": args.koyck,
-    }
+    echoed = ("history", "temp_forecast", "target_date", "critical_values", "out",
+              "temp_lag_mode", "method", "koyck")
+    config = {key: getattr(args, key) for key in echoed}
     dispatch = run_day(window, cv, _settings(args), config=config)
     _write_text(args.out, serialize_report(dispatch))
     return EXIT_OK

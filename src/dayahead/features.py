@@ -58,21 +58,23 @@ class DesignMatrix:
             raise ValidationError("first column must be the intercept")
 
 
-def _row(array: np.ndarray, row: int) -> np.ndarray:
-    """Row ``row`` of a window's ``loads`` or ``temps``."""
-    if not 0 <= row < len(array):
-        raise ValidationError(f"row {row} is absent from a window of {len(array)} rows")
-    return array[row]
+def _row(array: np.ndarray, rows) -> np.ndarray:
+    """Rows ``rows`` (an int or an int array) of a window's loads or temps."""
+    rows = np.asarray(rows)
+    for row in (rows.min(), rows.max()):
+        if not 0 <= row < len(array):
+            raise ValidationError(f"row {row} is absent from a window of {len(array)} rows")
+    return array[rows]
 
 
-def halfday_lag_profile(loads: np.ndarray, row: int) -> np.ndarray:
-    """Load profile for the day of window row ``row``, built from the two
-    most recent complete half-days.
+def halfday_lag_profile(loads: np.ndarray, rows) -> np.ndarray:
+    """Load profile for the day of each window row in ``rows`` (an int or
+    an int array), built from the two most recent complete half-days.
 
     Hours 1..12 take the afternoon of two days back; hours 13..24 take the
     morning of the previous day.
     """
-    return np.concatenate((_row(loads, row - 2)[12:], _row(loads, row - 1)[:12]))
+    return np.concatenate((_row(loads, rows - 2)[..., 12:], _row(loads, rows - 1)[..., :12]), -1)
 
 
 def indicator(hour: int) -> np.ndarray:
@@ -84,21 +86,22 @@ def indicator(hour: int) -> np.ndarray:
     return vec
 
 
-def temp_term(temps: np.ndarray, row: int, lag: int, mode: str = "hour") -> np.ndarray:
-    """Lagged temperature vector for the day of window row ``row``.
+def temp_term(temps: np.ndarray, rows, lag: int, mode: str = "hour") -> np.ndarray:
+    """Lagged temperature vector for the day of each window row in ``rows``.
 
     mode="hour" (default): value(t) is the temperature ``lag`` hours earlier,
     wrapping into hour 24+(t-lag) of the previous day when t-lag < 1.  A
     target day's own temperatures are its forecast row.
-    mode="day": value(t) is the temperature of row ``row - lag`` at hour t.
+    mode="day": value(t) is the temperature of row ``rows - lag`` at hour t.
     """
     if lag not in (2, 8):
         raise ValidationError(f"temperature lag must be 2 or 8, got {lag}")
     if mode == "day":
-        return _row(temps, row - lag)
+        return _row(temps, rows - lag)
     if mode != "hour":
         raise ValidationError(f"unknown temperature lag mode {mode!r}")
-    return np.concatenate((_row(temps, row - 1)[24 - lag :], _row(temps, row)[: 24 - lag]))
+    prev, same = _row(temps, rows - 1), _row(temps, rows)
+    return np.concatenate((prev[..., 24 - lag :], same[..., : 24 - lag]), -1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -138,8 +141,8 @@ def _koyck_column(series: bytes, lam: float) -> np.ndarray:
     """Read-only ``koyck_transform`` of the 24-vector with these bytes.
 
     Model a's lagged pulse columns do not depend on the data, models b and c
-    lag the same two series of a day, and consecutive target days share a
-    training day, so most columns are looked up rather than recomputed.
+    lag the same two series of a row, and a backtest run's training rows are
+    the last target days of the run before, so many columns are looked up.
     """
     col = koyck_transform(np.frombuffer(series), lam)
     col.flags.writeable = False
@@ -161,37 +164,50 @@ def training_rows(model_id: str, temp_mode: str = "hour") -> tuple:
     return rows[1:] if model_id in ("b", "c") and temp_mode == "day" else rows
 
 
+def _koyck_columns(series: np.ndarray, lams) -> np.ndarray:
+    """``koyck_transform`` of each row of ``series`` at each decay in
+    ``lams``, as len(series) x len(lams) x 24.  At lam = 0 a row that is
+    finite and nonzero throughout is its own transform: every added term
+    lam^j * series(t-j) is an exact signed zero.  Any other row is
+    transformed, since those terms turn -0.0 into +0.0 past hour 1 and inf
+    or NaN into NaN."""
+    out = np.repeat(series[:, None], len(lams), axis=1)
+    keys = [row.tobytes() for row in series]
+    plain = (np.isfinite(series) & (series != 0.0)).all(axis=1)
+    for j, lam in enumerate(lams):
+        for r in np.flatnonzero(~plain) if lam == 0.0 else range(len(series)):
+            out[r, j] = _koyck_column(keys[r], lam)
+    return out
+
+
 # Loads near the double range overflow the interaction terms and their
 # distributed lags; the fit rejects a design that is not finite.
 @np.errstate(over="ignore", invalid="ignore")
-def _day_blocks(
-    loads: np.ndarray, temps: np.ndarray, row: int, model_id: str, lams, temp_mode: str
-) -> np.ndarray:
-    """len(lams) x 24 x n_cols regressor blocks for the day of window row
-    ``row`` (training or target), one per decay in ``lams``.  Only the two
-    distributed-lag columns depend on the decay; the others are built once."""
-    lag1 = _row(loads, row - 1)
-    half = halfday_lag_profile(loads, row)
-    lag7 = _row(loads, row - 7)
+def _blocks(loads, temps, rows: np.ndarray, model_id: str, lams, temp_mode: str) -> np.ndarray:
+    """len(rows) x len(lams) x 24 x n_cols regressor blocks for the days of
+    window rows ``rows`` (training or target), one per decay in ``lams``.
+    Only the two distributed-lag columns depend on the decay."""
+    lag1 = _row(loads, rows - 1)
+    half = halfday_lag_profile(loads, rows)
+    lag7 = _row(loads, rows - 7)
     fixed = [np.ones(24), lag1, half, lag7]
 
     if model_id == "a":
         fixed += [indicator(h) for h in (9, 10, 19, 20)]
-        series = [indicator(h) for h in (11, 21)]
+        series = [indicator(h)[None] for h in (11, 21)]  # the same for every row
     elif model_id in ("b", "c"):
-        t2 = temp_term(temps, row, 2, temp_mode)
-        t8 = temp_term(temps, row, 8, temp_mode)
+        t2 = temp_term(temps, rows, 2, temp_mode)
+        t8 = temp_term(temps, rows, 8, temp_mode)
         series = [(lag1 - half) * t2, (half - lag7) * t8]
         if model_id == "c":
             fixed += [t2, t8, lag1 * t2 - lag7 * t8]
     else:
         raise ValidationError(f"unknown model id {model_id!r}")
-    blocks = np.empty((len(lams), 24, len(fixed) + 2))
-    blocks[:, :, :-2] = np.column_stack(fixed)
-    keys = [s.tobytes() for s in series]
-    for block, lam in zip(blocks, lams):
-        block[:, -2] = _koyck_column(keys[0], lam)
-        block[:, -1] = _koyck_column(keys[1], lam)
+    blocks = np.empty((len(rows), len(lams), 24, len(fixed) + 2))
+    for c, col in enumerate(fixed):
+        blocks[..., c] = col[..., None, :]
+    blocks[..., -2] = _koyck_columns(series[0], lams)
+    blocks[..., -1] = _koyck_columns(series[1], lams)
     return blocks
 
 
@@ -203,13 +219,12 @@ def run_designs(window: SeriesWindow, model_id: str, lams, temp_mode: str = "hou
     ``matrices[i, j]`` and ``responses[i]`` are the design and response over
     its training rows (``training_rows`` plus i) at decay ``lams[j]``, and
     ``targets[i, j]`` is its own regressor block (row 9 + i).  Each row's
-    blocks, whether it trains a day or is one's target, are built once.
+    blocks, whether it trains a day or is one's target, are built in one pass.
     """
     train = training_rows(model_id, temp_mode)
     first, loads, temps, n = train[0], window.loads, window.temps, window.days
     # blocks[row - first] holds the blocks of window row ``row``.
-    blocks = np.stack([_day_blocks(loads, temps, row, model_id, lams, temp_mode)
-                       for row in range(first, len(temps))])
+    blocks = _blocks(loads, temps, np.arange(first, len(temps)), model_id, lams, temp_mode)
     matrices = np.concatenate([blocks[row - first : row - first + n] for row in train], axis=2)
     responses = np.concatenate([loads[row : row + n] for row in train], axis=1)
     return matrices, responses, blocks[HISTORY_DAYS - first :]
@@ -226,16 +241,15 @@ def design_matrix(
     """Stack per-day regressor blocks and responses over the training dates."""
     if not training_days:
         raise ValidationError("no training days supplied")
-    rows = [HISTORY_DAYS + (day - window.target_date).days for day in training_days]
-    loads, temps = window.loads, window.temps
-    blocks = [_day_blocks(loads, temps, row, model_id, (lam,), temp_mode)[0] for row in rows]
-    response = np.concatenate([_row(loads, row) for row in rows])
+    rows = np.array([HISTORY_DAYS + (day - window.target_date).days for day in training_days])
+    blocks = _blocks(window.loads, window.temps, rows, model_id, (lam,), temp_mode)
+    response = _row(window.loads, rows).ravel()
     response.flags.writeable = False
     return DesignMatrix(
         model_id=model_id,
         rows=tuple((day, h) for day in training_days for h in range(1, 25)),
         names=COLUMN_NAMES[model_id],
-        matrix=np.concatenate(blocks),
+        matrix=blocks[:, 0].reshape(24 * len(rows), -1),
         response=response,
     )
 
@@ -246,4 +260,5 @@ def target_regressors(
 ) -> np.ndarray:
     """24 x n_cols regressor block for the first target day (row 9); its
     temperature terms are drawn from the forecast."""
-    return _day_blocks(window.loads, window.temps, HISTORY_DAYS, model_id, (lam,), temp_mode)[0]
+    rows = np.array([HISTORY_DAYS])
+    return _blocks(window.loads, window.temps, rows, model_id, (lam,), temp_mode)[0, 0]

@@ -51,9 +51,10 @@ def run_day(
     if fits is None:
         fits = {m: regress.fit_model(window, m, **asdict(settings)) for m in MODEL_IDS}
     forecasts = regress.forecast_day(window, fits)
-    ensemble = regress.ensemble_mean(forecasts)
-
+    # An ensemble mean that overflows needs a forecast above 0.89e308, whose
+    # profile's sum or second moment overflows: the state aborts at Eq. (4).
     state = thermo.compute_state(forecasts["a"], forecasts["b"], forecasts["c"])
+    ensemble = regress.ensemble_mean(forecasts)
     time_test = verdict.time_tests(
         state.theta1, state.theta2, state.w1, state.w2, critical_values
     )

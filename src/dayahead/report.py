@@ -164,17 +164,8 @@ def serialize_report(report: DispatchReport) -> str:
         "target_date": report.target_date,
         "forecasts": {m: report.forecasts[m].values.tolist() for m in ("a", "b", "c")},
         "ensemble": report.ensemble.values.tolist(),
-        "thermo": {
-            "theta1": report.thermo.theta1,
-            "theta2": report.thermo.theta2,
-            "beta": report.thermo.beta,
-            "w1": report.thermo.w1,
-            "w2": report.thermo.w2,
-            "mu": report.thermo.mu,
-            "sigma": report.thermo.sigma,
-            "delta_s": report.thermo.delta_s,
-            "delta_sp": report.thermo.delta_sp,
-        },
+        "thermo": {name: getattr(report.thermo, name) for name in (
+            "theta1", "theta2", "beta", "w1", "w2", "mu", "sigma", "delta_s", "delta_sp")},
         "time_test": {
             "t6_1": t.t6_1,
             "t6_2": t.t6_2,

@@ -34,6 +34,12 @@ def same_profile(a, b) -> bool:
     return a.date == b.date and np.array_equal(a.values, b.values)
 
 
+def same_bits(a, b) -> bool:
+    """Two arrays of one shape and dtype hold the same bytes, so -0.0 differs
+    from 0.0 and NaN equals only the same NaN."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def same_window(a, b) -> bool:
     """Two windows start at the same target day and hold equal loads and
     temperatures."""

@@ -16,7 +16,8 @@ The commands: seeds 1, 7 and 20071 in both temperature-lag modes, each under
 exact ML with the decay grid and without the lag and OLS with the grid,
 without the lag and at the fixed decay 0.35, as a 31-day backtest and as a
 forecast; 391-day OLS backtests; exact ML with every load times 1e9, 1e150,
-1e300 and 1.87e303; and two coverage errors.
+1e300 and 1.87e303; OLS without the lag on temperatures of -0.0 at hour 3
+and 0.0 at hour 4; and two coverage errors.
 """
 
 from __future__ import annotations
@@ -90,6 +91,18 @@ def scaled(data: Path, factor: float, dest: Path) -> Path:
     return dest
 
 
+def signed_zero_temps(data: Path, dest: Path) -> Path:
+    """``data`` with every hour-3 temperature -0.0 and every hour-4 one 0.0."""
+    zeros = {"3": "-0.0", "4": "0.0"}
+    header, *lines = data.read_text().splitlines()
+    out = [header]
+    for ln in lines:
+        date, hour, load, temp = ln.split(",")
+        out.append(f"{date},{hour},{load},{zeros.get(hour, temp)}")
+    dest.write_text("\n".join(out) + "\n")
+    return dest
+
+
 def main(argv: list) -> int:
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -138,6 +151,10 @@ def main(argv: list) -> int:
         data = scaled(raw, factor, inputs / f"scaled-{label}.csv")
         backtest(f"backtest-x{label}", data, first, last, SETTINGS["exact-grid"])
         forecast(f"forecast-x{label}", data, last, SETTINGS["exact-grid"])
+
+    data = signed_zero_temps(raw, inputs / "signed-zero.csv")
+    backtest("backtest-signed-zero", data, first, last, SETTINGS["ols-off"])
+    forecast("forecast-signed-zero", data, last, SETTINGS["ols-off"])
 
     # Nine days of history are missing before the first target; the weather
     # file lacks the target's hour 17.

@@ -389,6 +389,42 @@ def test_overflowing_least_squares_system_aborts_at_its_model(
     assert only_the_cli_line(captured.err)
 
 
+@pytest.mark.parametrize("method", ["ols", "exact-ml"])
+def test_overflowing_ensemble_mean_aborts_at_eq4(tmp_path, capfd, method):
+    # The largest load is 1e307 and temperatures are tiny, so every design is
+    # finite; the target day's temperatures turn negative, so model a
+    # forecasts about 1e307 while b and c forecast above 0.9e308 at hours
+    # 13-15.  The ensemble mean there passes the double range, but the
+    # profiles' centered second moments overflow first, at Eq. (4).
+    records = parse_csv_records(synth_to(tmp_path, "raw.csv", days=40, seed=1).read_text())
+    top, target = max(r.load_mw for r in records), records[-1].date
+    data = tmp_path / "data.csv"
+    data.write_text(serialize_csv([
+        r._replace(load_mw=r.load_mw * (1e307 / top),
+                   temp_c=r.temp_c * (-1e-7 if r.date == target else 1e-10))
+        for r in records
+    ]))
+    out = tmp_path / "bt.csv"
+    code = cli.main([
+        "backtest", "--data", str(data), "--from", str(target), "--to", str(target),
+        "--critical-values", write_cv(tmp_path), "--report", str(out),
+        "--method", method, "--koyck", "off",
+    ])
+    assert code == 0
+    assert capfd.readouterr() == ("", "")
+    assert out.read_text().split("\n")[1] == f"{target},,,,,,aborted:eq4"
+    hist, fc, _ = split_forecast_inputs(tmp_path, data)
+    code = cli.main([
+        "forecast", "--history", str(hist), "--temp-forecast", str(fc),
+        "--target-date", target.isoformat(), "--critical-values", write_cv(tmp_path),
+        "--method", method, "--koyck", "off",
+    ])
+    captured = capfd.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "(Eq. (4))" in captured.err and only_the_cli_line(captured.err)
+
+
 def test_forecast_loads_times_1e150_exits_0_without_warnings(tmp_path, capsys):
     # The responses' y @ y overflows in the rho tie-break test; nothing of it
     # may reach stderr, and the report must stay finite.

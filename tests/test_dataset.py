@@ -3,8 +3,9 @@
 Seeded damage to synth records (dropped hours, blank loads, zero or
 negative loads, repeated keys, shuffled order), written out as CSV, must
 give the engine and the oracle the same window or the same ValidationError
-message, and every day of the 31-day acceptance backtest, as one window,
-must give design matrices equal to the oracle's.
+message, and every day of the 31-day acceptance backtest and of the 391-day
+OLS backtest, as one window, must give design matrices with the bytes of
+the oracle's.
 """
 
 import datetime as dt
@@ -20,7 +21,7 @@ from dayahead.features import LAMBDA_GRID, MODEL_IDS, run_designs, target_regres
 from dayahead.ingest import SynthParams, assemble_window, serialize_csv, synth_dataset
 
 import oracles
-from conftest import dataset_of, same_window
+from conftest import dataset_of, same_bits, same_window
 
 START = dt.date(2004, 1, 1)
 
@@ -112,33 +113,51 @@ def test_backtest_rejects_input_as_before(monkeypatch):
             "non-positive load at", "duplicate key", None} <= messages
 
 
-@pytest.mark.parametrize("seed", [1, 20071])
-def test_backtest_windows_give_oracle_design_matrices(seed):
-    records = synth_dataset(SynthParams(days=40, seed=seed))
+def assert_oracle_designs(records, first, n, lams):
+    """``run_designs`` on the window of n target days from ``first``, as the
+    backtest's runs are built, has the bytes of the oracle's design matrices,
+    responses and target-day blocks, in both lag modes and for every model;
+    so does ``target_regressors`` on each day's one-day window."""
     dataset = dataset_of(records)
-    targets = [dt.date(2004, 1, 10) + dt.timedelta(days=i) for i in range(31)]
-    windows = [assemble_window(dataset, target) for target in targets]
-    want_windows = [oracles.assemble_window(records, target) for target in targets]
-    for window, want_window in zip(windows, want_windows):
-        assert same_window(window, want_window)
-        assert not window.loads.flags.writeable
-    # The whole range as one window, as the backtest's runs are built.
-    run = dataset.window(targets[0], len(targets))
+    run = dataset.window(first, n)
+    windows, want_windows = [], []
+    for i in range(n):
+        target = first + dt.timedelta(days=i)
+        windows.append(assemble_window(dataset, target))
+        # The records of the target day and of the nine days before it.
+        start = 24 * (target - records[0].date).days - 24 * 9
+        want_windows.append(oracles.assemble_window(records[start : start + 240], target))
+        assert same_window(windows[i], want_windows[i])
+        assert not windows[i].loads.flags.writeable
     for temp_mode in ("hour", "day"):
         for model_id in MODEL_IDS:
-            matrices, responses, blocks = run_designs(run, model_id, LAMBDA_GRID, temp_mode)
+            matrices, responses, blocks = run_designs(run, model_id, lams, temp_mode)
             for i, (window, want_window) in enumerate(zip(windows, want_windows)):
                 days = oracles.legal_training_days(want_window, model_id, temp_mode)
-                for j, lam in enumerate(LAMBDA_GRID):
+                for j, lam in enumerate(lams):
                     want = oracles.design_matrix(want_window, model_id, days, lam, temp_mode)
-                    assert (matrices[i, j] == want.matrix).all()
-                    assert (responses[i] == want.response).all()
+                    assert same_bits(matrices[i, j], want.matrix)
+                    assert same_bits(responses[i], want.response)
                     want_block = oracles.day_regressors(
                         want_window, window.target_date, model_id, lam, temp_mode
                     )
-                    assert (blocks[i, j] == want_block).all()
+                    assert same_bits(blocks[i, j], want_block)
                     block = target_regressors(window, model_id, lam, temp_mode)
-                    assert (block == want_block).all()
+                    assert same_bits(block, want_block)
+
+
+@pytest.mark.parametrize("seed", [1, 20071])
+def test_backtest_windows_give_oracle_design_matrices(seed):
+    # The 31-day acceptance backtest at every decay of the grid.
+    records = synth_dataset(SynthParams(days=40, seed=seed))
+    assert_oracle_designs(records, dt.date(2004, 1, 10), 31, LAMBDA_GRID)
+
+
+@pytest.mark.parametrize("seed", [1, 20071])
+def test_year_long_backtest_gives_oracle_design_matrices_without_the_lag(seed):
+    # The 391-day backtest of synth --days 400 with --koyck off, as one window.
+    records = synth_dataset(SynthParams(days=400, seed=seed))
+    assert_oracle_designs(records, dt.date(2004, 1, 10), 391, (0.0,))
 
 
 def test_dataset_len_is_record_count_and_rows_follow_the_calendar():

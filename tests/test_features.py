@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dayahead import features
 from dayahead.errors import ValidationError
 from dayahead.features import (
     MODEL_IDS,
@@ -22,7 +23,7 @@ from dayahead.features import (
 from dayahead.ingest import SynthParams
 
 import oracles
-from conftest import day, last_day_window, make_window
+from conftest import day, default_temp, last_day_window, make_window, same_bits
 from oracles import legal_training_days
 
 # The target day's row in a one-day window.
@@ -56,6 +57,39 @@ def test_halfday_lag_requires_both_days():
     window = make_window()
     with pytest.raises(ValidationError, match="absent"):
         halfday_lag_profile(window.loads, row(8))  # needs day(10)
+
+
+def test_row_arrays_give_the_scalar_calls_row_by_row():
+    temps = {k: [float(100 * k + h) for h in range(1, 25)] for k in range(1, 10)}
+    window = make_window(temp_by_offset=temps)
+    loads, temps = window.loads, window.temps
+    rows = np.arange(8, 10)
+    calls = [(halfday_lag_profile, loads, ())]
+    calls += [(temp_term, temps, (lag, mode)) for lag in (2, 8) for mode in ("hour", "day")]
+    for build, array, args in calls:
+        got = build(array, rows, *args)
+        assert got.shape == (len(rows), 24)
+        for r, values in zip(rows, got):
+            assert same_bits(values, build(array, int(r), *args))
+
+
+@pytest.mark.parametrize("build, array, args, rows, missing", [
+    # The smallest row reaches before the window, the largest past it.
+    (halfday_lag_profile, "loads", (), [1, 5, 9], -1),
+    (halfday_lag_profile, "loads", (), [2, 7, 10], 9),
+    (temp_term, "temps", (8, "day"), [7, 8, 9], -1),
+    (temp_term, "temps", (2, "hour"), [0, 9], -1),
+    (temp_term, "temps", (8, "hour"), [1, 10], 10),
+])
+def test_row_arrays_name_the_absent_row_as_the_scalar_call_does(build, array, args, rows,
+                                                                missing):
+    values = getattr(make_window(), array)
+    message = f"row {missing} is absent from a window of {len(values)} rows"
+    outlier = rows[0] if missing < 0 else rows[-1]
+    for call in (np.array(rows), outlier):
+        with pytest.raises(ValidationError) as exc:
+            build(values, call, *args)
+        assert str(exc.value) == message
 
 
 def test_halfday_lag_ignores_other_days():
@@ -137,6 +171,58 @@ def test_koyck_frozen_oracle_values():
 def test_koyck_zero_decay_is_identity():
     series = np.arange(24, dtype=float)
     assert np.array_equal(koyck_transform(series, 0.0), series)
+
+
+def test_koyck_columns_at_zero_decay_keep_the_bits_of_the_transform():
+    tiny = 5e-324  # the smallest subnormal
+    base = np.linspace(-3.0, 4.0, 24) + 0.125
+    rows = []
+    for hour in (0, 11, 23):
+        for zero in (-0.0, 0.0):
+            row = base.copy()
+            row[hour] = zero
+            rows.append(row)
+    for bad in (np.inf, -np.inf, np.nan):
+        for hour in (0, 11, 23):
+            row = base.copy()
+            row[hour] = bad
+            row[max(hour - 1, 0)], row[min(hour + 1, 23)] = tiny, -tiny
+            rows.append(row)
+    # Finite and nonzero throughout, subnormals included: the transform
+    # is the row itself.
+    plain = base.copy()
+    plain[::5] = tiny
+    plain[1::7] = -2.5e-310
+    rows += [plain, np.full(24, -tiny)]
+    series = np.array(rows)
+    with np.errstate(invalid="ignore"):  # 0 * inf, as in the designs
+        got = features._koyck_columns(series, (0.0,))[:, 0]
+        want = [koyck_transform(row, 0.0) for row in series]
+    for row, got_row, want_row in zip(series, got, want):
+        assert same_bits(got_row, want_row), row
+    # A -0.0 at hour 1 survives the transform; at hour 12 it turns into +0.0,
+    # so a copy of that row would differ.
+    assert same_bits(got[0], series[0]) and not same_bits(got[2], series[2])
+    assert same_bits(got[-2], plain)
+
+
+@pytest.mark.parametrize("temp_mode", ["hour", "day"])
+def test_signed_zero_temperatures_give_oracle_designs_bit_for_bit(temp_mode):
+    temps = {k: default_temp(k) for k in range(1, 10)}
+    forecast = default_temp(0)
+    for values in (*temps.values(), forecast):
+        values[2], values[3] = -0.0, 0.0  # hours 3 and 4
+    window = make_window(temp_by_offset=temps, forecast=forecast)
+    for model_id in MODEL_IDS:
+        days = legal_training_days(window, model_id, temp_mode)
+        for lams in ((0.0,), LAMBDA_GRID):
+            matrices, responses, targets = run_designs(window, model_id, lams, temp_mode)
+            for lam, matrix, target_block in zip(lams, matrices[0], targets[0]):
+                want = oracles.design_matrix(window, model_id, days, lam, temp_mode)
+                assert same_bits(matrix, want.matrix)
+                assert same_bits(responses[0], want.response)
+                assert same_bits(target_block, oracles.day_regressors(
+                    window, window.target_date, model_id, lam, temp_mode))
 
 
 def test_koyck_constant_maps_to_itself():
