@@ -11,7 +11,6 @@ contains a 2-day or 3-day load lag.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,49 +103,40 @@ def temp_term(temps: np.ndarray, rows, lag: int, mode: str = "hour") -> np.ndarr
     return np.concatenate((prev[..., 24 - lag :], same[..., : 24 - lag]), -1)
 
 
-@functools.lru_cache(maxsize=64)
-def _koyck_weights(lam: float) -> tuple:
-    """For each truncation j_max in 0..KOYCK_ORDER: the read-only weight
-    prefix lam^0..lam^j_max and its sum."""
-    weights = np.array([lam**j for j in range(KOYCK_ORDER + 1)])
-    weights.flags.writeable = False
-    return tuple((weights[: j + 1], np.sum(weights[: j + 1])) for j in range(KOYCK_ORDER + 1))
-
-
-def koyck_transform(series: np.ndarray, lam: float) -> np.ndarray:
-    """Truncated, renormalized geometric distributed lag within one day.
+def koyck_transform(series: np.ndarray, lams) -> np.ndarray:
+    """Truncated, renormalized geometric distributed lag within one day, of
+    each 24-vector in ``series`` at each decay in ``lams``, as
+    ``series.shape[:-1] + (len(lams), 24)``.
 
     out(t) = sum_{j=0..min(KOYCK_ORDER, t-1)} lam^j * series(t-j), divided
     by the sum of lam^j over the same j-range.  Renormalizing at the day
-    start avoids zero-padding; lam=0 is the identity and a constant series
-    maps to itself for any lam.
+    start avoids zero-padding; a constant series maps to itself for any lam,
+    and lam=0 keeps a finite series but turns -0.0 past hour 1 into +0.0.
+
+    Each sum is a 1 x 1 slice of one matmul over taps newest first, with
+    zero taps under zero weights before hour 1.  This relies on numpy
+    computing a 1 x 1-output matmul slice with the dot routine of
+    ``np.dot``, so every value has the bits of the per-hour ``np.dot`` of
+    the stated sum.  Hour 1 is the series itself: a one-term ``np.dot`` is
+    a scalar product and keeps -0.0, which a dot through matmul returns as
+    +0.0.
     """
-    if not 0.0 <= lam < 1.0:
-        raise ValidationError(f"lambda must lie in [0, 1), got {lam}")
+    for lam in lams:
+        if not 0.0 <= lam < 1.0:
+            raise ValidationError(f"lambda must lie in [0, 1), got {lam}")
     x = np.asarray(series, dtype=float)
-    if x.shape != (24,):
-        raise ValidationError("koyck_transform expects a 24-vector")
-    prefixes = _koyck_weights(lam)
-    out = np.empty(24)
-    for t in range(1, 25):
-        j_max = min(KOYCK_ORDER, t - 1)
-        w, total = prefixes[j_max]
-        seg = x[t - 1 - j_max : t][::-1]
-        out[t - 1] = float(np.dot(w, seg) / total)
+    if x.shape[-1:] != (24,):
+        raise ValidationError("koyck_transform expects 24-vectors")
+    taps = KOYCK_ORDER + 1
+    # Row t - 1 of ``window`` is series(t), series(t-1), ..., zeros before hour 1.
+    padded = np.concatenate((x[..., ::-1], np.zeros(x.shape[:-1] + (KOYCK_ORDER,))), -1)
+    window = np.lib.stride_tricks.sliding_window_view(padded, taps, axis=-1)[..., ::-1, :]
+    powers = np.array([[lam**j for j in range(taps)] for lam in lams])
+    weights = np.where(np.arange(taps) <= np.arange(24)[:, None], powers[:, None], 0.0)
+    out = (window[..., None, :, None, :] @ weights[..., None])[..., 0, 0]
+    out /= np.cumsum(weights, axis=-1)[..., -1]
+    out[..., 0] = x[..., None, 0]
     return out
-
-
-@functools.lru_cache(maxsize=128)
-def _koyck_column(series: bytes, lam: float) -> np.ndarray:
-    """Read-only ``koyck_transform`` of the 24-vector with these bytes.
-
-    Model a's lagged pulse columns do not depend on the data, models b and c
-    lag the same two series of a row, and a backtest run's training rows are
-    the last target days of the run before, so many columns are looked up.
-    """
-    col = koyck_transform(np.frombuffer(series), lam)
-    col.flags.writeable = False
-    return col
 
 
 def training_rows(model_id: str, temp_mode: str = "hour") -> tuple:
@@ -162,22 +152,6 @@ def training_rows(model_id: str, temp_mode: str = "hour") -> tuple:
         raise ValidationError(f"unknown model id {model_id!r}")
     rows = (HISTORY_DAYS - 2, HISTORY_DAYS - 1)
     return rows[1:] if model_id in ("b", "c") and temp_mode == "day" else rows
-
-
-def _koyck_columns(series: np.ndarray, lams) -> np.ndarray:
-    """``koyck_transform`` of each row of ``series`` at each decay in
-    ``lams``, as len(series) x len(lams) x 24.  At lam = 0 a row that is
-    finite and nonzero throughout is its own transform: every added term
-    lam^j * series(t-j) is an exact signed zero.  Any other row is
-    transformed, since those terms turn -0.0 into +0.0 past hour 1 and inf
-    or NaN into NaN."""
-    out = np.repeat(series[:, None], len(lams), axis=1)
-    keys = [row.tobytes() for row in series]
-    plain = (np.isfinite(series) & (series != 0.0)).all(axis=1)
-    for j, lam in enumerate(lams):
-        for r in np.flatnonzero(~plain) if lam == 0.0 else range(len(series)):
-            out[r, j] = _koyck_column(keys[r], lam)
-    return out
 
 
 # Loads near the double range overflow the interaction terms and their
@@ -206,8 +180,7 @@ def _blocks(loads, temps, rows: np.ndarray, model_id: str, lams, temp_mode: str)
     blocks = np.empty((len(rows), len(lams), 24, len(fixed) + 2))
     for c, col in enumerate(fixed):
         blocks[..., c] = col[..., None, :]
-    blocks[..., -2] = _koyck_columns(series[0], lams)
-    blocks[..., -1] = _koyck_columns(series[1], lams)
+    blocks[..., -2:] = np.moveaxis(koyck_transform(np.array(series), lams), 0, -1)
     return blocks
 
 

@@ -16,8 +16,8 @@ The commands: seeds 1, 7 and 20071 in both temperature-lag modes, each under
 exact ML with the decay grid and without the lag and OLS with the grid,
 without the lag and at the fixed decay 0.35, as a 31-day backtest and as a
 forecast; 391-day OLS backtests; exact ML with every load times 1e9, 1e150,
-1e300 and 1.87e303; OLS without the lag on temperatures of -0.0 at hour 3
-and 0.0 at hour 4; and two coverage errors.
+1e300 and 1.87e303; OLS without the lag and with the decay grid on
+temperatures of -0.0 at hour 3 and 0.0 at hour 4; and two coverage errors.
 """
 
 from __future__ import annotations
@@ -155,6 +155,8 @@ def main(argv: list) -> int:
     data = signed_zero_temps(raw, inputs / "signed-zero.csv")
     backtest("backtest-signed-zero", data, first, last, SETTINGS["ols-off"])
     forecast("forecast-signed-zero", data, last, SETTINGS["ols-off"])
+    backtest("backtest-signed-zero-grid", data, first, last, SETTINGS["ols-grid"])
+    forecast("forecast-signed-zero-grid", data, last, SETTINGS["ols-grid"])
 
     # Nine days of history are missing before the first target; the weather
     # file lacks the target's hour 17.

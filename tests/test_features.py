@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dayahead import features
 from dayahead.errors import ValidationError
 from dayahead.features import (
     MODEL_IDS,
@@ -159,7 +158,7 @@ def test_koyck_frozen_oracle_values():
     # 5..8, each normalized by 1 + 0.5 + 0.25 + 0.125 = 1.875.
     series = np.zeros(24)
     series[4] = 1.0
-    out = koyck_transform(series, 0.5)
+    out = koyck_transform(series, (0.5,))[0]
     expected = np.zeros(24)
     expected[4] = 1.0 / 1.875
     expected[5] = 0.5 / 1.875
@@ -170,40 +169,44 @@ def test_koyck_frozen_oracle_values():
 
 def test_koyck_zero_decay_is_identity():
     series = np.arange(24, dtype=float)
-    assert np.array_equal(koyck_transform(series, 0.0), series)
+    assert np.array_equal(koyck_transform(series, (0.0,))[0], series)
 
 
-def test_koyck_columns_at_zero_decay_keep_the_bits_of_the_transform():
+def test_koyck_stack_keeps_the_bits_of_the_oracle_on_zeros_and_non_finite_values():
     tiny = 5e-324  # the smallest subnormal
     base = np.linspace(-3.0, 4.0, 24) + 0.125
     rows = []
-    for hour in (0, 11, 23):
+    for hour in (0, 1, 2, 3, 11, 23):
         for zero in (-0.0, 0.0):
             row = base.copy()
             row[hour] = zero
             rows.append(row)
     for bad in (np.inf, -np.inf, np.nan):
-        for hour in (0, 11, 23):
+        for hour in (0, 1, 2, 3, 11, 23):
             row = base.copy()
             row[hour] = bad
             row[max(hour - 1, 0)], row[min(hour + 1, 23)] = tiny, -tiny
             rows.append(row)
-    # Finite and nonzero throughout, subnormals included: the transform
-    # is the row itself.
+    # Finite and nonzero throughout, subnormals included.
     plain = base.copy()
     plain[::5] = tiny
     plain[1::7] = -2.5e-310
-    rows += [plain, np.full(24, -tiny)]
-    series = np.array(rows)
-    with np.errstate(invalid="ignore"):  # 0 * inf, as in the designs
-        got = features._koyck_columns(series, (0.0,))[:, 0]
-        want = [koyck_transform(row, 0.0) for row in series]
-    for row, got_row, want_row in zip(series, got, want):
-        assert same_bits(got_row, want_row), row
-    # A -0.0 at hour 1 survives the transform; at hour 12 it turns into +0.0,
-    # so a copy of that row would differ.
-    assert same_bits(got[0], series[0]) and not same_bits(got[2], series[2])
-    assert same_bits(got[-2], plain)
+    rows += [np.full(24, -0.0), base * 1e307, -base[::-1] * 3e307, np.full(24, 9e307),
+             plain, np.full(24, -tiny)]
+    stack = np.array(rows).reshape(2, -1, 24)
+    lams = LAMBDA_GRID + (0.05, 0.37, 0.999, 5e-324)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in the designs
+        got = koyck_transform(stack, lams)
+        assert got.shape == stack.shape[:2] + (len(lams), 24)
+        for series, lagged in zip(stack.reshape(-1, 24), got.reshape(-1, len(lams), 24)):
+            for lam, got_row in zip(lams, lagged):
+                assert same_bits(got_row, oracles.koyck_transform(series, lam)), (lam, series)
+    # At lam = 0, a -0.0 at hour 1 survives the lag; at hour 12 it turns into
+    # +0.0, so the row is not its own lag.  A finite, nonzero row is.
+    at_zero = got.reshape(len(rows), len(lams), 24)[:, 0]
+    assert same_bits(at_zero[0], rows[0]) and not same_bits(at_zero[8], rows[8])
+    assert same_bits(at_zero[8][11], np.float64(0.0))
+    assert same_bits(at_zero[-2], plain)
 
 
 @pytest.mark.parametrize("temp_mode", ["hour", "day"])
@@ -227,7 +230,7 @@ def test_signed_zero_temperatures_give_oracle_designs_bit_for_bit(temp_mode):
 
 def test_koyck_constant_maps_to_itself():
     series = np.full(24, 7.25)
-    assert np.allclose(koyck_transform(series, 0.7), series, atol=1e-12)
+    assert np.allclose(koyck_transform(series, (0.7,))[0], series, atol=1e-12)
 
 
 @given(
@@ -240,16 +243,20 @@ def test_koyck_linear_in_series(lam, a, b):
     rng = np.random.default_rng(11)
     x = rng.normal(size=24)
     y = rng.normal(size=24)
-    lhs = koyck_transform(a * x + b * y, lam)
-    rhs = a * koyck_transform(x, lam) + b * koyck_transform(y, lam)
+    lhs = koyck_transform(a * x + b * y, (lam,))[0]
+    rhs = a * koyck_transform(x, (lam,))[0] + b * koyck_transform(y, (lam,))[0]
     assert np.allclose(lhs, rhs, atol=1e-9)
 
 
 def test_koyck_validates_arguments():
     with pytest.raises(ValidationError):
-        koyck_transform(np.zeros(24), 1.0)
+        koyck_transform(np.zeros(24), (1.0,))
+    with pytest.raises(ValidationError, match="1.0"):
+        koyck_transform(np.zeros(24), (0.0, 1.0))
     with pytest.raises(ValidationError):
-        koyck_transform(np.zeros(23), 0.5)
+        koyck_transform(np.zeros(23), (0.5,))
+    with pytest.raises(ValidationError):
+        koyck_transform(np.zeros((3, 23)), (0.5,))
 
 
 def test_design_matrix_shapes_and_intercept():
@@ -306,11 +313,14 @@ def test_target_regressors_share_columns_with_training():
         assert np.all(block[:, 0] == 1.0)
 
 
-def test_koyck_matches_uncached_oracle_bit_for_bit():
+def test_koyck_matches_oracle_bit_for_bit():
     rng = np.random.default_rng(11)
-    for lam in LAMBDA_GRID + (0.05, 0.37, 0.999):
-        x = rng.normal(size=24) * 1e3
-        assert np.array_equal(koyck_transform(x, lam), oracles.koyck_transform(x, lam, 3))
+    lams = LAMBDA_GRID + (0.05, 0.37, 0.999)
+    xs = rng.normal(size=(len(lams), 24)) * 1e3
+    got = koyck_transform(xs, lams)
+    for x, lagged in zip(xs, got):
+        for lam, values in zip(lams, lagged):
+            assert np.array_equal(values, oracles.koyck_transform(x, lam, 3))
 
 
 @pytest.mark.parametrize("temp_mode", ["hour", "day"])
