@@ -1,11 +1,11 @@
 """Multi-day evaluation harness.
 
-For each day in the requested range the harness assembles the window ending
-the day before, forecasts the day, and scores each model and the ensemble
-against the actual load.  Consecutive days are fitted in runs: a run is one
-row slice of the dataset, its days go through one stacked solve per model,
-and each day's chain then runs with its own fits.  Days on which the
-computation chain degenerates are flagged as aborted, carry no numeric
+The harness checks the requested range and its nine history days once, then
+forecasts each day from the dataset rows before it and scores each model and
+the ensemble against the actual load.  Consecutive days are fitted in runs:
+a run is one row slice of the dataset, its days go through one stacked solve
+per model, and each day's chain then runs with its own fits.  Days on which
+the computation chain degenerates are flagged as aborted, carry no numeric
 results, and are excluded from the monthly summary (their count is reported
 instead of being imputed).
 """
@@ -19,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegeneracyError, ValidationError
-from .ingest import Dataset, DayProfile, assemble_window, history_start
+from .ingest import Dataset, DayProfile, history_start
+from .ingest import assemble_window  # noqa: F401  the benchmark tracer looks it up here
 from .pipeline import EngineSettings, fit_windows, run_day
 from .report import daily_relative_error
 from .verdict import CriticalValues
@@ -68,42 +69,38 @@ def run_backtest(
     if from_date > to_date:
         raise ValidationError("from_date must not exceed to_date")
     first = history_start(from_date)
-    gap = dataset.first_gap(first, (to_date - first).days + 1, "load")
+    span = (to_date - first).days + 1
+    gap = dataset.first_gap(first, span, "load")
     if gap is not None:
         day, hour, lack = gap
         what = "missing" if lack == "record" else "missing load for"
         raise ValidationError(f"insufficient coverage: {what} ({day}, hour {hour})")
+    # The days before the first non-positive load are scored, then it is raised.
+    gap = dataset.first_gap(first, span, "positive")
+    n_days = (to_date - from_date).days + 1 if gap is None else (gap[0] - from_date).days
 
-    days = [from_date + dt.timedelta(days=k) for k in range((to_date - from_date).days + 1)]
+    days = [from_date + dt.timedelta(days=k) for k in range(n_days)]
     run_length = max(1, _SYSTEMS_PER_SOLVE // max(1, len(settings.decays)))
     rows: list[BacktestRow] = []
     for start in range(0, len(days), run_length):
         run = days[start : start + run_length]
-        windows, failure = [], None
-        for day in run:
-            try:
-                windows.append(assemble_window(dataset, day))
-            except ValidationError as exc:
-                failure = exc  # raised after the days before it are scored
-                break
         try:
-            fits = fit_windows(dataset.window(run[0], len(windows)), settings) if windows else []
+            fits = fit_windows(dataset.window(run[0], len(run)), settings)
         except (ValidationError, DegeneracyError, np.linalg.LinAlgError):
             # Each day fits alone instead, so the error comes from its own day.
-            fits = [None] * len(windows)
-        for window, day_fits in zip(windows, fits):
-            rows.append(_score_day(dataset, window, critical_values, settings, day_fits))
-        if failure is not None:
-            raise failure
+            fits = [None] * len(run)
+        for day, day_fits in zip(run, fits):
+            rows.append(_score_day(dataset, day, critical_values, settings, day_fits))
+    if gap is not None:
+        raise ValidationError(f"non-positive load at ({gap[0]}, hour {gap[1]})")
 
     return rows, summarize_monthly(rows)
 
 
-def _score_day(dataset, window, critical_values, settings, fits) -> BacktestRow:
-    day = window.target_date
+def _score_day(dataset, day, critical_values, settings, fits) -> BacktestRow:
     actual = DayProfile(day, dataset.loads[dataset.index[day]])
     try:
-        dispatch = run_day(window, critical_values, settings, fits=fits)
+        dispatch = run_day(dataset.window(day), critical_values, settings, fits=fits)
     except DegeneracyError as exc:
         eq = exc.equation.strip("()")
         return BacktestRow(day, None, None, None, None, None, f"aborted:eq{eq}")
@@ -131,6 +128,8 @@ def summarize_monthly(rows: list[BacktestRow]) -> list[MonthlySummary]:
 
 
 def _cell(value: Optional[float]) -> str:
+    if value is not None and not np.isfinite(value):
+        raise ValidationError("refusing to serialize a non-finite number")
     return "" if value is None else repr(float(value))
 
 

@@ -17,7 +17,9 @@ exact ML with the decay grid and without the lag and OLS with the grid,
 without the lag and at the fixed decay 0.35, as a 31-day backtest and as a
 forecast; 391-day OLS backtests; exact ML with every load times 1e9, 1e150,
 1e300 and 1.87e303; OLS without the lag and with the decay grid on
-temperatures of -0.0 at hour 3 and 0.0 at hour 4; and two coverage errors.
+temperatures of -0.0 at hour 3 and 0.0 at hour 4; backtests with a load of 0
+on a history day, mid-range and on the last day; a backtest whose actual
+loads of 1e-307 overflow the MMRE; and two coverage errors.
 """
 
 from __future__ import annotations
@@ -103,6 +105,18 @@ def signed_zero_temps(data: Path, dest: Path) -> Path:
     return dest
 
 
+def with_loads(data: Path, day: dt.date, hours: range, load: str, dest: Path) -> Path:
+    """``data`` with the loads of ``day`` at ``hours`` set to ``load``."""
+    header, *lines = data.read_text().splitlines()
+    out = [header]
+    for ln in lines:
+        date, hour, old, temp = ln.split(",")
+        hit = date == day.isoformat() and int(hour) in hours
+        out.append(f"{date},{hour},{load if hit else old},{temp}")
+    dest.write_text("\n".join(out) + "\n")
+    return dest
+
+
 def main(argv: list) -> int:
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -157,6 +171,18 @@ def main(argv: list) -> int:
     forecast("forecast-signed-zero", data, last, SETTINGS["ols-off"])
     backtest("backtest-signed-zero-grid", data, first, last, SETTINGS["ols-grid"])
     forecast("forecast-signed-zero-grid", data, last, SETTINGS["ols-grid"])
+
+    # A load of 0 at hour 17 of a history day, mid-range and on the last
+    # day: the days before it are scored, then the backtest exits 2.
+    for label, day, setting in (("history", START + dt.timedelta(days=4), "ols-off"),
+                                ("mid", first + dt.timedelta(days=13), "ols-grid"),
+                                ("last", last, "exact-grid")):
+        data = with_loads(raw, day, range(17, 18), "0.0", inputs / f"zero-{label}.csv")
+        backtest(f"backtest-zero-{label}", data, first, last, SETTINGS[setting])
+
+    # Actual loads of 1e-307 on the last day: its MMREs overflow to inf.
+    data = with_loads(raw, last, range(1, 25), "1e-307", inputs / "tiny-actual.csv")
+    backtest("backtest-tiny-actual", data, last - dt.timedelta(days=1), last, [])
 
     # Nine days of history are missing before the first target; the weather
     # file lacks the target's hour 17.

@@ -7,8 +7,8 @@ import pytest
 from dayahead import backtest
 from dayahead.backtest import render_backtest_csv, run_backtest
 from dayahead.errors import ValidationError
-from dayahead.ingest import SynthParams, synth_dataset
-from dayahead.pipeline import EngineSettings
+from dayahead.ingest import Dataset, SynthParams, synth_dataset
+from dayahead.pipeline import EngineSettings, run_day
 
 from conftest import dataset_of
 from fixtures import recoherence_backtest_records
@@ -166,3 +166,47 @@ def test_runs_of_days_score_as_days_fitted_alone(
     # Every day fitted in its own run_day, as when a run's stacked fit fails.
     monkeypatch.setattr(backtest, "fit_windows", replacement)
     assert run_backtest(data, first, last, stub_criticals, settings) == (rows, monthly)
+
+
+@pytest.mark.parametrize("settings, last, bad, value", [
+    # Runs of 40 days: 2004-01-10 .. 2004-02-18, then 2004-02-19 .. 2004-02-23.
+    (OLS_OFF, "2004-02-23", "2004-01-05", 0.0),  # a history day
+    (OLS_OFF, "2004-02-23", "2004-01-10", -3.5),  # the first target day
+    (OLS_OFF, "2004-02-23", "2004-01-30", -0.0),  # mid-run
+    (OLS_OFF, "2004-02-23", "2004-02-23", 0.0),  # the last day, in the second run
+    # Runs of 4 days under the decay grid: 2004-01-10 .. 2004-01-13, ...
+    (EngineSettings(), "2004-01-19", "2004-01-03", -0.0),
+    (EngineSettings(), "2004-01-19", "2004-01-10", 0.0),
+    (EngineSettings(), "2004-01-19", "2004-01-15", -3.5),
+    (EngineSettings(), "2004-01-19", "2004-01-19", 0.0),
+], ids=["ols-history", "ols-first", "ols-mid-run", "ols-last",
+        "grid-history", "grid-first", "grid-mid-run", "grid-last"])
+def test_days_before_a_non_positive_load_are_scored_first(
+        monkeypatch, permissive_criticals, settings, last, bad, value):
+    first, bad = dt.date(2004, 1, 10), dt.date.fromisoformat(bad)
+    records = [r._replace(load_mw=value) if (r.date, r.hour) == (bad, 17) else r
+               for r in synth_dataset(SynthParams(days=54, seed=5))]
+    scored = []
+
+    def recorder(window, critical_values, settings, fits):
+        scored.append(window.target_date)
+        return run_day(window, critical_values, settings, fits=fits)
+
+    monkeypatch.setattr(backtest, "run_day", recorder)
+    with pytest.raises(ValidationError) as exc:
+        run_backtest(dataset_of(records), first, dt.date.fromisoformat(last),
+                     permissive_criticals, settings)
+    assert str(exc.value) == f"non-positive load at ({bad}, hour 17)"
+    assert scored == [first + dt.timedelta(days=k) for k in range((bad - first).days)]
+
+
+def test_a_backtest_checks_its_range_in_two_scans(monkeypatch, permissive_criticals):
+    scans, first_gap = [], Dataset.first_gap
+    monkeypatch.setattr(Dataset, "first_gap",
+                        lambda self, *args: scans.append(args) or first_gap(self, *args))
+    monkeypatch.setattr(backtest, "assemble_window", None)  # a call would raise
+    data = dataset_of(synth_dataset(SynthParams(days=60, seed=6)))
+    rows, _ = run_backtest(data, dt.date(2004, 1, 10), dt.date(2004, 2, 29),
+                           permissive_criticals, OLS_OFF)
+    assert len(rows) == 51
+    assert scans == [(dt.date(2004, 1, 1), 60, "load"), (dt.date(2004, 1, 1), 60, "positive")]

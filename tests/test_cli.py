@@ -348,6 +348,25 @@ def test_backtest_loads_times_1e200_aborts_days_at_eq4(tmp_path, capsys, factor,
     assert capsys.readouterr() == ("", "")
 
 
+def test_backtest_mmre_overflowing_to_inf_exits_2(tmp_path, capsys):
+    # A forecast of about 4,200 MW against actual loads of 1e-307 MW gives
+    # an MMRE past the double range; the CSV must not carry it as inf.
+    records = parse_csv_records(synth_to(tmp_path, "raw.csv", days=12, seed=1).read_text())
+    tiny = dt.date(2004, 1, 12)
+    data = tmp_path / "tiny.csv"
+    data.write_text(serialize_csv(
+        [r._replace(load_mw=1e-307) if r.date == tiny else r for r in records]))
+    code = cli.main([
+        "backtest", "--data", str(data), "--from", "2004-01-11", "--to", "2004-01-12",
+        "--critical-values", write_cv(tmp_path), "--report", "-",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "non-finite" in captured.err
+    assert only_the_cli_line(captured.err)
+
+
 @pytest.mark.parametrize("factor, method, equation, days, target", [
     # Model b's interaction columns pass the double range.
     (2e304, "ols", "2", 18, "2004-01-18"),

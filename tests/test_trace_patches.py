@@ -83,10 +83,10 @@ def test_traced_commands_count_parsed_rows_and_indexed_records(tmp_path):
     counts = tracer.counts["setup"]
     # len() of each parse_csv result: the dataset, then history and weather
     assert counts["ingest.rows_parsed"] == 288 + 264 + 24
-    # len() of each dataset handed to assemble_window: two backtest days,
-    # then the merged forecast input
-    assert counts["ingest.records_scanned"] == 3 * 288
-    assert tracer.summary("setup")["ingest.assemble_window"]["calls"] == 3
+    # len() of each dataset handed to assemble_window: only the merged
+    # forecast input, since a backtest checks its range without it
+    assert counts["ingest.records_scanned"] == 288
+    assert tracer.summary("setup")["ingest.assemble_window"]["calls"] == 1
 
 
 def test_traced_forecast_records_the_decay_of_each_model(tmp_path):
