@@ -4,7 +4,7 @@ The harness checks the requested range and its nine history days once, then
 forecasts each day from the dataset rows before it and scores each model and
 the ensemble against the actual load.  Consecutive days are fitted in runs:
 a run is one row slice of the dataset, its days go through one stacked solve
-per model, and each day's chain then runs with its own fits.  Days on which
+per model and are then scored together, each with its own fits.  Days on which
 the computation chain degenerates are flagged as aborted, carry no numeric
 results, and are excluded from the monthly summary (their count is reported
 instead of being imputed).
@@ -13,13 +13,14 @@ instead of being imputed).
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import DegeneracyError, ValidationError
-from .ingest import Dataset, DayProfile, history_start
+from .ingest import Dataset, history_start
 from .ingest import assemble_window  # noqa: F401  the benchmark tracer looks it up here
 from .pipeline import EngineSettings, fit_windows, run_day
 from .report import daily_relative_error
@@ -84,35 +85,39 @@ def run_backtest(
     rows: list[BacktestRow] = []
     for start in range(0, len(days), run_length):
         run = days[start : start + run_length]
+        window = dataset.window(run[0], len(run))
         try:
-            fits = fit_windows(dataset.window(run[0], len(run)), settings)
+            windows = [(window, fit_windows(window, settings))]
         except (ValidationError, DegeneracyError, np.linalg.LinAlgError):
-            # Each day fits alone instead, so the error comes from its own day.
-            fits = [None] * len(run)
-        for day, day_fits in zip(run, fits):
-            rows.append(_score_day(dataset, day, critical_values, settings, day_fits))
+            # Each day is then a run of one, so the error comes from its own day.
+            windows = [(dataset.window(day), None) for day in run]
+        for window, fits in windows:
+            rows += _score_run(dataset, window, critical_values, settings, fits)
     if gap is not None:
         raise ValidationError(f"non-positive load at ({gap[0]}, hour {gap[1]})")
 
     return rows, summarize_monthly(rows)
 
 
-def _score_day(dataset, day, critical_values, settings, fits) -> BacktestRow:
-    actual = DayProfile(day, dataset.loads[dataset.index[day]])
+def _score_run(dataset, window, critical_values, settings, fits) -> list[BacktestRow]:
+    """The rows of a window's days: its run through ``run_day``, then the
+    MMREs of every model and the ensemble against the actual loads."""
+    days = [window.target_date + dt.timedelta(days=i) for i in range(window.days)]
     try:
-        dispatch = run_day(dataset.window(day), critical_values, settings, fits=fits)
-    except DegeneracyError as exc:
-        eq = exc.equation.strip("()")
-        return BacktestRow(day, None, None, None, None, None, f"aborted:eq{eq}")
-    return BacktestRow(
-        date=day,
-        mmre_a=daily_relative_error(actual, dispatch.forecasts["a"]),
-        mmre_b=daily_relative_error(actual, dispatch.forecasts["b"]),
-        mmre_c=daily_relative_error(actual, dispatch.forecasts["c"]),
-        mmre_ensemble=daily_relative_error(actual, dispatch.ensemble),
-        delta_pct=dispatch.delta_pct,
-        status="ok",
-    )
+        forecasts, ensemble, scores = run_day(window, critical_values, settings, fits)
+    except DegeneracyError as exc:  # the fit of a day fitted alone
+        return [_row(day, exc, None) for day in days]
+    first = dataset.index[window.target_date]
+    actual = dataset.loads[first : first + len(days)]
+    mmres = daily_relative_error(actual, np.concatenate((forecasts, ensemble[None])))
+    return [_row(*each) for each in zip(days, scores, mmres.T.tolist())]
+
+
+def _row(day, score, mmres) -> BacktestRow:
+    if isinstance(score, DegeneracyError):
+        status = "aborted:eq" + score.equation.strip("()")
+        return BacktestRow(day, None, None, None, None, None, status)
+    return BacktestRow(day, *mmres, score.delta_pct, "ok")
 
 
 def summarize_monthly(rows: list[BacktestRow]) -> list[MonthlySummary]:
@@ -127,9 +132,9 @@ def summarize_monthly(rows: list[BacktestRow]) -> list[MonthlySummary]:
     return out
 
 
-def _cell(value: Optional[float]) -> str:
-    if value is not None and not np.isfinite(value):
-        raise ValidationError("refusing to serialize a non-finite number")
+def _cell(value: Optional[float], column: str, where) -> str:
+    if value is not None and not math.isfinite(value):
+        raise ValidationError(f"refusing to serialize a non-finite number: {column} on {where}")
     return "" if value is None else repr(float(value))
 
 
@@ -137,15 +142,14 @@ def render_backtest_csv(
     rows: list[BacktestRow], monthly: list[MonthlySummary]
 ) -> str:
     """Backtest output CSV with a `# monthly` trailer section."""
-    lines = ["date,mmre_a,mmre_b,mmre_c,mmre_ensemble,delta_pct,status"]
+    columns = ("mmre_a", "mmre_b", "mmre_c", "mmre_ensemble", "delta_pct")
+    lines = ["date," + ",".join(columns) + ",status"]
     for r in rows:
-        lines.append(
-            f"{r.date.isoformat()},{_cell(r.mmre_a)},{_cell(r.mmre_b)},"
-            f"{_cell(r.mmre_c)},{_cell(r.mmre_ensemble)},{_cell(r.delta_pct)},"
-            f"{r.status}"
-        )
+        cells = ",".join(_cell(getattr(r, c), c, r.date) for c in columns)
+        lines.append(f"{r.date.isoformat()},{cells},{r.status}")
     lines.append("# monthly")
     lines.append("year_month,mmre_ensemble,excluded_days")
     for m in monthly:
-        lines.append(f"{m.year:04d}-{m.month:02d},{_cell(m.mmre_ensemble)},{m.excluded_days}")
+        month = f"{m.year:04d}-{m.month:02d}"
+        lines.append(f"{month},{_cell(m.mmre_ensemble, 'mmre_ensemble', month)},{m.excluded_days}")
     return "\n".join(lines) + "\n"

@@ -20,6 +20,7 @@ import datetime as dt
 import sys
 from pathlib import Path
 
+from . import report
 from .backtest import render_backtest_csv, run_backtest
 from .errors import DegeneracyError, ValidationError
 from .features import LAMBDA_GRID
@@ -96,9 +97,17 @@ def cmd_forecast(args) -> int:
     echoed = ("history", "temp_forecast", "target_date", "critical_values", "out",
               "temp_lag_mode", "method", "koyck")
     config = {key: getattr(args, key) for key in echoed}
-    dispatch = run_day(window, cv, _settings(args), config=config)
-    _write_text(args.out, serialize_report(dispatch))
+    _write_text(args.out, serialize_report(forecast_report(window, cv, _settings(args), config)))
     return EXIT_OK
+
+
+def forecast_report(window, critical_values, settings, config):
+    """A one-day window's report: the day as a run of one through ``run_day``,
+    then ``build_report``.  An aborted day raises its degeneracy."""
+    forecasts, ensemble, [day] = run_day(window, critical_values, settings)
+    if isinstance(day, DegeneracyError):
+        raise day
+    return report.build_report(window.target_date, forecasts[:, 0], ensemble[0], day, config)
 
 
 def cmd_backtest(args) -> int:

@@ -1,19 +1,22 @@
-"""End-to-end orchestration for a single target day.
+"""End-to-end orchestration for the target days of a window.
 
 Window -> three model fits -> target-day forecasts -> verification layer ->
-time and energy tests -> assembled report.  Numerical degeneracies raised
-anywhere in the chain propagate as :class:`DegeneracyError` with the
-failing formula named.
+time and energy tests -> each day's scores.  A day whose chain degenerates
+gets the :class:`DegeneracyError` naming the failing formula.
 """
 
 from __future__ import annotations
 
+import datetime as dt
 from dataclasses import asdict, dataclass
 from typing import Optional
 
+import numpy as np
+
 from . import regress, report, thermo, verdict
+from .errors import DegeneracyError
 from .features import LAMBDA_GRID, MODEL_IDS
-from .ingest import SeriesWindow
+from .ingest import DayProfile, SeriesWindow
 from .verdict import CriticalValues
 
 
@@ -36,36 +39,40 @@ def fit_windows(window: SeriesWindow, settings: EngineSettings) -> list[dict]:
     return [dict(zip(MODEL_IDS, fits)) for fits in zip(*per_model)]
 
 
-def run_day(
-    window: SeriesWindow,
-    critical_values: CriticalValues,
-    settings: EngineSettings = EngineSettings(),
-    config: Optional[dict] = None,
-    fits: Optional[dict] = None,
-) -> report.DispatchReport:
-    """Run the full chain for one window and return its report.
+def run_day(window: SeriesWindow, critical_values: CriticalValues,
+            settings: EngineSettings = EngineSettings(), fits: Optional[list] = None) -> tuple:
+    """Score every target day of a window: ``(forecasts, ensemble, scores)``.
 
-    ``fits`` are the window's three fits when they were already computed
-    (see :func:`fit_windows`); without them each model is fitted here.
+    One array stage computes the window's forecasts (3 x days x 24), their
+    finiteness, ensemble means (days x 24), second moments and peaks.  Each
+    day's scalar chain then runs on its floats in formula order (Eq. 1-3,
+    4-10 and 13, the ensemble mean, 11-12, 14-15): ``scores`` holds per day
+    its :class:`report.DayScore` or the :class:`DegeneracyError` it aborted
+    with, while a ``ValidationError`` ends the window.  ``fits`` are each
+    day's three fits (see :func:`fit_windows`); without them the window's
+    one day is fitted here.
     """
     if fits is None:
-        fits = {m: regress.fit_model(window, m, **asdict(settings)) for m in MODEL_IDS}
-    forecasts = regress.forecast_day(window, fits)
-    # An ensemble mean that overflows needs a forecast above 0.89e308, whose
-    # profile's sum or second moment overflows: the state aborts at Eq. (4).
-    state = thermo.compute_state(forecasts["a"], forecasts["b"], forecasts["c"])
+        fits = [{m: regress.fit_model(window, m, **asdict(settings)) for m in MODEL_IDS}]
+    forecasts, finite = regress.forecast_day(fits)
     ensemble = regress.ensemble_mean(forecasts)
-    time_test = verdict.time_tests(
-        state.theta1, state.theta2, state.w1, state.w2, critical_values
-    )
-    reserve_test = verdict.energy_test(state.w1, state.w2, state.beta)
-
-    return report.build_report(
-        target_date=window.target_date,
-        forecasts=forecasts,
-        thermo=state,
-        time_test=time_test,
-        reserve_test=reserve_test,
-        ensemble=ensemble,
-        config=config,
-    )
+    scores = []
+    for i, (day_finite, state, mean_finite) in enumerate(zip(
+            finite.T.tolist(), thermo.compute_state(forecasts),
+            np.isfinite(ensemble).all(axis=1).tolist())):
+        try:
+            for model_id, ok in zip(MODEL_IDS, day_finite):
+                if not ok:
+                    raise DegeneracyError(f"model {model_id}: forecast is not finite",
+                                          regress.EQUATIONS[model_id])
+            if isinstance(state, DegeneracyError):
+                raise state
+            if not mean_finite:  # a mean past the double range; the profile names its hour
+                DayProfile(window.target_date + dt.timedelta(days=i), ensemble[i])
+            time_test = verdict.time_tests(state.theta1, state.theta2, state.w1, state.w2,
+                                           critical_values)
+            reserve_test = verdict.energy_test(state.w1, state.w2, state.beta)
+            scores.append(report.score(state, time_test, reserve_test))
+        except DegeneracyError as exc:
+            scores.append(exc)
+    return forecasts, ensemble, scores

@@ -23,7 +23,7 @@ from .features import (
     run_designs,
     target_regressors,  # noqa: F401  the benchmark tracer looks it up here
 )
-from .ingest import DayProfile, SeriesWindow
+from .ingest import SeriesWindow
 
 RHO_BOUND = 0.999
 RHO_TOL = 1e-6
@@ -34,7 +34,7 @@ MAX_GOLDEN_ITER = 200
 CLAMP_FLOOR_MW = 1.0
 
 # Each model's regression in the README's formula catalog.
-_EQUATIONS = {"a": "(1)", "b": "(2)", "c": "(3)"}
+EQUATIONS = {"a": "(1)", "b": "(2)", "c": "(3)"}
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -362,7 +362,7 @@ def fit_models(
         else:
             raise ValidationError(f"unknown estimation method {method!r}")
     except FloatingPointError as exc:
-        raise DegeneracyError(f"model {model_id}: {exc}", _EQUATIONS[model_id]) from None
+        raise DegeneracyError(f"model {model_id}: {exc}", EQUATIONS[model_id]) from None
     fits = []
     for i in range(count):
         # A decay whose exact-ML search was skipped could not win: it ranks last.
@@ -374,43 +374,33 @@ def fit_models(
     return fits
 
 
-def forecast_day(window: SeriesWindow, fits: dict) -> dict:
-    """Apply the three fits of this window, from ``fit_model`` or
-    ``fit_models``, to the target day's regressors they carry; returns
-    ``{model_id: DayProfile}``.
-
-    Temperature terms are drawn from the forecast.  Predictions below 1 MW
-    are clamped to 1 MW.  A prediction that is not finite raises
-    :class:`DegeneracyError` naming the model's formula.
+def forecast_day(fits: list) -> tuple[np.ndarray, np.ndarray]:
+    """The forecasts of a run of days, (3, days, 24) in model order, from
+    each day's ``{model_id: FitResult}``: each fit applied to the
+    target-day regressors it carries (the gemv of ``target_block @ coef``,
+    as one slice of a stacked matmul), clamped to 1 MW from below.  Also
+    returns whether each model's prediction is finite, (3, days).
     """
-    for model_id in MODEL_IDS:
-        if model_id not in fits:
-            raise ValidationError(f"missing fit for model {model_id}")
-        if fits[model_id].target_block is None:
-            raise ValidationError(f"fit for model {model_id} carries no target-day regressors")
-    # One errstate and one finiteness test for the three: each costs microseconds.
-    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
-        raws = [fits[m].target_block @ fits[m].coef for m in MODEL_IDS]
-    out = {}
-    for model_id, raw, finite in zip(MODEL_IDS, raws, np.isfinite(raws).all(axis=1)):
-        if not finite:
-            raise DegeneracyError(f"model {model_id}: forecast is not finite",
-                                  _EQUATIONS[model_id])
-        out[model_id] = DayProfile(window.target_date, np.maximum(raw, CLAMP_FLOOR_MW))
-    return out
+    for day in fits:
+        for model_id in MODEL_IDS:
+            if model_id not in day:
+                raise ValidationError(f"missing fit for model {model_id}")
+            if day[model_id].target_block is None:
+                raise ValidationError(f"fit for model {model_id} carries no target-day regressors")
+    with np.errstate(over="ignore", invalid="ignore"):  # the mask marks it
+        raw = np.stack([np.matmul(np.stack([day[m].target_block for day in fits]),
+                                  np.stack([day[m].coef for day in fits])[:, :, None])[..., 0]
+                        for m in MODEL_IDS])
+        return np.maximum(raw, CLAMP_FLOOR_MW), np.isfinite(raw).all(axis=2)
 
 
-def ensemble_mean(forecasts: dict) -> DayProfile:
-    """Hourwise arithmetic mean of the three model profiles.
+def ensemble_mean(forecasts: np.ndarray) -> np.ndarray:
+    """Hourwise arithmetic mean of the three model forecasts, (3, ..., 24).
 
     Each hour's mean is evaluated as min + ((mid - min) + (max - min)) / 3
     over the sorted triple, which keeps the result independent of model
     order and exact when predictions coincide.
     """
-    for model_id in MODEL_IDS:
-        if model_id not in forecasts:
-            raise ValidationError(f"missing forecast for model {model_id}")
-    lo, mid, hi = np.sort([forecasts[m].values for m in MODEL_IDS], axis=0)
-    with np.errstate(over="ignore"):  # DayProfile rejects an infinite mean
-        mean = lo + ((mid - lo) + (hi - lo)) / 3.0
-    return DayProfile(forecasts["a"].date, mean)
+    lo, mid, hi = np.sort(forecasts, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # the day's chain rejects it
+        return lo + ((mid - lo) + (hi - lo)) / 3.0

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from . import __version__
 from .errors import ValidationError
 from .ingest import DayProfile
@@ -37,7 +39,19 @@ TEMP_EQUIV_PCT = 4.6
 
 
 @dataclass(frozen=True)
-class DispatchReport:
+class DayScore:
+    """A day's results besides its profiles."""
+
+    thermo: ThermoState
+    time_test: TimeTestResult
+    reserve_test: ReserveTestResult
+    price_c: float
+    delta_pct: float
+    temp_equiv_c: float
+
+
+@dataclass(frozen=True)
+class DispatchReport(DayScore):
     """Everything the engine reports for one target day.
 
     ``forecasts`` maps model ids "a"/"b"/"c" to their 24-hour profiles;
@@ -47,12 +61,6 @@ class DispatchReport:
     target_date: dt.date
     forecasts: dict
     ensemble: DayProfile
-    thermo: ThermoState
-    time_test: TimeTestResult
-    reserve_test: ReserveTestResult
-    price_c: float
-    delta_pct: float
-    temp_equiv_c: float
     meta: dict
 
 
@@ -83,50 +91,37 @@ def temp_equivalence(delta_pct: float) -> float:
     return delta_pct * TEMP_EQUIV_DEGC / TEMP_EQUIV_PCT
 
 
-def daily_relative_error(actual: DayProfile, forecast: DayProfile) -> float:
-    """Mean absolute hourly error relative to the day's actual peak, in %."""
-    if actual.date != forecast.date:
-        raise ValidationError(
-            f"misaligned dates: actual {actual.date}, forecast {forecast.date}"
-        )
-    actual_mw = actual.values.tolist()
-    err = sum(abs(f - a) for f, a in zip(forecast.values.tolist(), actual_mw)) / 24.0
-    return err / max(actual_mw) * 100.0
+def daily_relative_error(actual: np.ndarray, forecast: np.ndarray) -> np.ndarray:
+    """Mean absolute hourly error relative to each day's actual peak, in %,
+    for actual loads (days, 24) and forecasts (..., days, 24): an array
+    (..., days).  Each day's hourly errors are added in hour order, the
+    order of a Python ``sum`` over its 24 floats, as 23 vector additions."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the backtest CSV refuses inf
+        gaps = np.abs(forecast - actual)
+        err = gaps[..., 0]
+        for h in range(1, 24):
+            err = err + gaps[..., h]
+        return err / 24.0 / actual.max(axis=-1) * 100.0
 
 
-def build_report(
-    target_date: dt.date,
-    forecasts: dict,
-    thermo: ThermoState,
-    time_test: TimeTestResult,
-    reserve_test: ReserveTestResult,
-    ensemble: DayProfile,
-    config: Optional[dict] = None,
-) -> DispatchReport:
-    """Assemble the report; all profile components must share the target date."""
-    for model_id, prof in forecasts.items():
-        if prof.date != target_date:
-            raise ValidationError(
-                f"forecast {model_id} dated {prof.date}, expected {target_date}"
-            )
-    if ensemble.date != target_date:
-        raise ValidationError("ensemble date mismatch")
+def score(thermo: ThermoState, time_test: TimeTestResult,
+          reserve_test: ReserveTestResult) -> DayScore:
+    """A day's price, error reduction and its temperature equivalent."""
     delta_pct = error_reduction(thermo.w1, thermo.mu, thermo.delta_s)
+    return DayScore(thermo, time_test, reserve_test, price(thermo.beta, thermo.sigma),
+                    delta_pct, temp_equivalence(delta_pct))
+
+
+def build_report(target_date: dt.date, forecasts: np.ndarray, ensemble: np.ndarray,
+                 day: DayScore, config: Optional[dict] = None) -> DispatchReport:
+    """Assemble a day's report from its forecasts (3 x 24, models a, b, c),
+    ensemble mean and scores."""
     meta = {"p_v": P_V, "p_r": P_R, "engine_version": __version__}
     if config is not None:
         meta["config"] = dict(config)
-    return DispatchReport(
-        target_date=target_date,
-        forecasts=dict(forecasts),
-        ensemble=ensemble,
-        thermo=thermo,
-        time_test=time_test,
-        reserve_test=reserve_test,
-        price_c=price(thermo.beta, thermo.sigma),
-        delta_pct=delta_pct,
-        temp_equiv_c=temp_equivalence(delta_pct),
-        meta=meta,
-    )
+    profiles = {m: DayProfile(target_date, f) for m, f in zip("abc", forecasts)}
+    return DispatchReport(**vars(day), target_date=target_date, forecasts=profiles,
+                          ensemble=DayProfile(target_date, ensemble), meta=meta)
 
 
 def _num(x: float) -> str:

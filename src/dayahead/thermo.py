@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, ValidationError
-from .ingest import DayProfile
 
 # Additive constant of the daily-work formula (Eq. 10).
 WORK_OFFSET = 11.608
@@ -45,33 +44,27 @@ class ThermoState:
 
 
 def demean(x: np.ndarray) -> np.ndarray:
-    """Subtract the 24-hour mean from a 24-vector."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (24,):
-        raise ValidationError("expected a 24-vector")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("non-finite value in profile")
-    with np.errstate(over="ignore"):  # an infinite mean aborts at Eq. (4)
-        mean = x.mean()
-    return x - mean
+    """Subtract each 24-hour profile's mean from it, for profiles (..., 24)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite mean aborts at Eq. (4)
+        return x - x.mean(axis=-1, keepdims=True)
 
 
-def cointegration_angle(p: np.ndarray, q: np.ndarray) -> float:
-    """Alignment angle between two centered 24-vectors, in [0, pi/2].
+def second_moments(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """<pp>, <qq> and <pq> of centered profiles (..., 24) as an array (3, ...),
+    <xy> = (1/24) sum x(t)y(t), each sum the BLAS dot of ``p @ q``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf/NaN raises at Eq. (4)
+        dots = np.matmul(np.stack((p, q, p))[..., None, :], np.stack((p, q, q))[..., None])
+        return dots[..., 0, 0] / 24.0
 
-    theta = |0.5 atan2(2<pq>, <pp> - <qq>)| with <xy> = (1/24) sum x(t)y(t).
-    The two-argument arctangent resolves the vanishing denominator: equal
-    nonzero vectors give pi/4, uncorrelated vectors give 0 or pi/2 depending
-    on which has larger second moment.
+
+def cointegration_angle(pp: float, qq: float, pq: float) -> float:
+    """Alignment angle of two centered profiles from their second moments.
+
+    theta = |0.5 atan2(2<pq>, <pp> - <qq>)| in [0, pi/2].  The arctangent
+    resolves the vanishing denominator: equal nonzero vectors give pi/4,
+    uncorrelated vectors give 0 or pi/2 depending on which has larger
+    second moment.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != (24,) or q.shape != (24,):
-        raise ValidationError("expected centered 24-vectors")
-    with np.errstate(over="ignore", invalid="ignore"):  # inf/NaN raises at Eq. (4) below
-        pp = float(p @ p) / 24.0
-        qq = float(q @ q) / 24.0
-        pq = float(p @ q) / 24.0
     if not (math.isfinite(pp) and math.isfinite(qq) and math.isfinite(pq)):
         raise DegeneracyError("second moments of the centered profiles overflow", "(4)")
     if pp <= ZERO_SERIES_TOL and qq <= ZERO_SERIES_TOL:
@@ -118,17 +111,17 @@ def inverse_temperature(delta_s: float, delta_sp: float) -> float:
     return -delta_sp / delta_s
 
 
-def peak_bounds(
-    pa: DayProfile, pb: DayProfile, pc: DayProfile
-) -> tuple[float, float, float, float]:
-    """Morning/afternoon peak envelopes over the three forecasts (Eq. 9).
+def peak_bounds(forecasts: np.ndarray) -> np.ndarray:
+    """Morning/afternoon peak envelopes over the three forecasts (Eq. 9),
+    for forecasts (3, ..., 24): an array (4, ...) of p1_am, p2_am, p1_pm and
+    p2_pm.
 
     For each model take its maximum over hours 1..12 (am) and 13..24 (pm);
     p1 is the smallest and p2 the largest of the three maxima per segment.
     """
-    am = [float(p.values[:12].max()) for p in (pa, pb, pc)]
-    pm = [float(p.values[12:].max()) for p in (pa, pb, pc)]
-    return min(am), max(am), min(pm), max(pm)
+    am = forecasts[..., :12].max(axis=-1)
+    pm = forecasts[..., 12:].max(axis=-1)
+    return np.stack((am.min(axis=0), am.max(axis=0), pm.min(axis=0), pm.max(axis=0)))
 
 
 def daily_work(
@@ -174,27 +167,29 @@ def evolution_moments(
     return mu, sigma
 
 
-def compute_state(pa: DayProfile, pb: DayProfile, pc: DayProfile) -> ThermoState:
-    """Run the full chain over the three model forecasts for one day.
+def compute_state(forecasts: np.ndarray) -> list:
+    """Run the chain over the three model forecasts of each day of a run,
+    (3, days, 24) in model order: per day its state, or the
+    :class:`DegeneracyError` naming the formula where its chain leaves its
+    domain.
 
     theta1 compares the descriptive model "a" with "b"; theta2 compares "c"
-    with "b".  Raises :class:`DegeneracyError` naming the failing formula
-    when the chain leaves its domain.
+    with "b".  The second moments and peaks of every day are computed once
+    for the run; each day's chain then runs on its floats.
     """
-    theta1 = cointegration_angle(demean(pa.values), demean(pb.values))
-    theta2 = cointegration_angle(demean(pc.values), demean(pb.values))
-    delta_s, delta_sp = coherence_deltas(theta1, theta2)
-    beta = inverse_temperature(delta_s, delta_sp)
-    w1, w2 = daily_work(*peak_bounds(pa, pb, pc), beta)
-    mu, sigma = evolution_moments(theta1, theta2, w1, w2)
-    return ThermoState(
-        theta1=theta1,
-        theta2=theta2,
-        delta_s=delta_s,
-        delta_sp=delta_sp,
-        beta=beta,
-        w1=w1,
-        w2=w2,
-        mu=mu,
-        sigma=sigma,
-    )
+    centered = demean(forecasts)
+    states = []
+    for ab, cb, peaks in zip(second_moments(centered[0], centered[1]).T.tolist(),
+                             second_moments(centered[2], centered[1]).T.tolist(),
+                             peak_bounds(forecasts).T.tolist()):
+        try:
+            theta1 = cointegration_angle(*ab)
+            theta2 = cointegration_angle(*cb)
+            delta_s, delta_sp = coherence_deltas(theta1, theta2)
+            beta = inverse_temperature(delta_s, delta_sp)
+            w1, w2 = daily_work(*peaks, beta)
+            mu, sigma = evolution_moments(theta1, theta2, w1, w2)
+            states.append(ThermoState(theta1, theta2, delta_s, delta_sp, beta, w1, w2, mu, sigma))
+        except DegeneracyError as exc:
+            states.append(exc)
+    return states

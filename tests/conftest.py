@@ -29,6 +29,11 @@ def profile(date, values) -> DayProfile:
     return DayProfile(date, tuple(float(v) for v in values))
 
 
+def stacked(*profiles) -> np.ndarray:
+    """The values of day profiles as one array, (len(profiles), 24)."""
+    return np.stack([p.values for p in profiles])
+
+
 def same_profile(a, b) -> bool:
     """Two profiles carry the same date and equal values at every hour."""
     return a.date == b.date and np.array_equal(a.values, b.values)

@@ -7,20 +7,23 @@ number.
 
 import datetime as dt
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from decimal import Decimal, getcontext
 
 import numpy as np
 
-from dayahead.errors import ValidationError
+from dayahead import __version__, regress, report, thermo, verdict
+from dayahead.backtest import BacktestRow
+from dayahead.errors import DegeneracyError, ValidationError
 from dayahead.features import (
     COLUMN_NAMES,
     LAMBDA_GRID,
+    MODEL_IDS,
     DesignMatrix,
     indicator,
 )
-from dayahead.ingest import CSV_HEADER, HOURS, Record, SeriesWindow
-from dayahead import regress
+from dayahead.ingest import CSV_HEADER, HOURS, DayProfile, Record, SeriesWindow
+from dayahead.report import DispatchReport
 from dayahead.regress import (
     MAX_GOLDEN_ITER,
     RHO_BOUND,
@@ -529,3 +532,110 @@ def ensemble_mean(a, b, c) -> tuple:
         lo, mid, hi = sorted((float(a[h]), float(b[h]), float(c[h])))
         values.append(lo + ((mid - lo) + (hi - lo)) / 3.0)
     return tuple(values)
+
+
+# --- The per-day scoring chain ----------------------------------------------
+# Each target day scored on its own, through validated day profiles and
+# Python sums: the reference for the engine's two-stage scoring of a run
+# (``pipeline.run_day``), whose array stage covers every day at once.
+
+
+def forecast_profiles(window, fits: dict) -> dict:
+    """``{model_id: DayProfile}``: each model's ``target_block @ coef``,
+    clamped at the floor; a prediction that is not finite raises at its
+    model's formula, in model order."""
+    out = {}
+    for model_id in MODEL_IDS:
+        fit = fits[model_id]
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = fit.target_block @ fit.coef
+        if not np.isfinite(raw).all():
+            raise DegeneracyError(f"model {model_id}: forecast is not finite",
+                                  regress.EQUATIONS[model_id])
+        out[model_id] = DayProfile(window.target_date, clamp(raw))
+    return out
+
+
+def ensemble_profile(forecasts: dict) -> DayProfile:
+    """The sorted-triple mean of the three profiles; ``DayProfile`` rejects
+    a mean past the double range."""
+    a, b, c = (forecasts[m].values for m in MODEL_IDS)
+    return DayProfile(forecasts["a"].date, ensemble_mean(a, b, c))
+
+
+def demean(x) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        mean = x.mean()
+    return x - mean
+
+
+def cointegration_angle(p, q) -> float:
+    """The angle of two centered profiles, from their three dot products."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        pp = float(p @ p) / 24.0
+        qq = float(q @ q) / 24.0
+        pq = float(p @ q) / 24.0
+    return thermo.cointegration_angle(pp, qq, pq)
+
+
+def compute_state(pa, pb, pc) -> thermo.ThermoState:
+    """The thermo chain over one day's three profiles."""
+    theta1 = cointegration_angle(demean(pa.values), demean(pb.values))
+    theta2 = cointegration_angle(demean(pc.values), demean(pb.values))
+    delta_s, delta_sp = thermo.coherence_deltas(theta1, theta2)
+    beta = thermo.inverse_temperature(delta_s, delta_sp)
+    am = [float(p.values[:12].max()) for p in (pa, pb, pc)]
+    pm = [float(p.values[12:].max()) for p in (pa, pb, pc)]
+    w1, w2 = thermo.daily_work(min(am), max(am), min(pm), max(pm), beta)
+    mu, sigma = thermo.evolution_moments(theta1, theta2, w1, w2)
+    return thermo.ThermoState(theta1, theta2, delta_s, delta_sp, beta, w1, w2, mu, sigma)
+
+
+def daily_relative_error(actual, forecast) -> float:
+    """Mean absolute hourly error over the actual peak, in %, as a Python
+    sum over the day's hours."""
+    if actual.date != forecast.date:
+        raise ValidationError(f"misaligned dates: actual {actual.date}, forecast {forecast.date}")
+    actual_mw = actual.values.tolist()
+    err = sum(abs(f - a) for f, a in zip(forecast.values.tolist(), actual_mw)) / 24.0
+    return err / max(actual_mw) * 100.0
+
+
+def run_day(window, critical_values, settings, fits=None, config=None) -> DispatchReport:
+    """One day's report; each model is fitted on the window alone when no
+    fits are given.  Raises the first degeneracy of the chain."""
+    if fits is None:
+        fits = {m: regress.fit_model(window, m, **asdict(settings)) for m in MODEL_IDS}
+    forecasts = forecast_profiles(window, fits)
+    state = compute_state(forecasts["a"], forecasts["b"], forecasts["c"])
+    ensemble = ensemble_profile(forecasts)
+    time_test = verdict.time_tests(state.theta1, state.theta2, state.w1, state.w2,
+                                   critical_values)
+    reserve_test = verdict.energy_test(state.w1, state.w2, state.beta)
+    delta_pct = report.error_reduction(state.w1, state.mu, state.delta_s)
+    meta = {"p_v": report.P_V, "p_r": report.P_R, "engine_version": __version__}
+    if config is not None:
+        meta["config"] = dict(config)
+    return DispatchReport(state, time_test, reserve_test, report.price(state.beta, state.sigma),
+                          delta_pct, report.temp_equivalence(delta_pct), window.target_date,
+                          forecasts, ensemble, meta)
+
+
+def backtest_rows(dataset, first: dt.date, last: dt.date, critical_values,
+                  settings) -> list:
+    """The backtest row of each day in [first, last], each day fitted and
+    scored alone; a degeneracy aborts only its day."""
+    rows = []
+    for k in range((last - first).days + 1):
+        day = first + dt.timedelta(days=k)
+        actual = DayProfile(day, dataset.loads[dataset.index[day]])
+        try:
+            dispatch = run_day(dataset.window(day), critical_values, settings)
+        except DegeneracyError as exc:
+            rows.append(BacktestRow(day, None, None, None, None, None,
+                                    f"aborted:eq{exc.equation.strip('()')}"))
+            continue
+        mmres = [daily_relative_error(actual, dispatch.forecasts[m]) for m in MODEL_IDS]
+        rows.append(BacktestRow(day, *mmres, daily_relative_error(actual, dispatch.ensemble),
+                                dispatch.delta_pct, "ok"))
+    return rows

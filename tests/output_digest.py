@@ -18,8 +18,9 @@ without the lag and at the fixed decay 0.35, as a 31-day backtest and as a
 forecast; 391-day OLS backtests; exact ML with every load times 1e9, 1e150,
 1e300 and 1.87e303; OLS without the lag and with the decay grid on
 temperatures of -0.0 at hour 3 and 0.0 at hour 4; backtests with a load of 0
-on a history day, mid-range and on the last day; a backtest whose actual
-loads of 1e-307 overflow the MMRE; and two coverage errors.
+on a history day, mid-range and on the last day; a three-day backtest whose
+middle day aborts at Eq. (8); a backtest whose actual loads of 1e-307
+overflow the MMRE; and two coverage errors.  That is 86 commands.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ import sys
 from pathlib import Path
 
 from dayahead import cli
+from dayahead.ingest import serialize_csv
+from fixtures import recoherence_backtest_records
 
 TOKEN = "<OUT>"
 CRITICAL_VALUES = ('{"lvl1_5pct": 5.5, "lvl1_10pct": 4.8, "lvl2_5pct": 12.0, '
@@ -179,6 +182,14 @@ def main(argv: list) -> int:
                                 ("last", last, "exact-grid")):
         data = with_loads(raw, day, range(17, 18), "0.0", inputs / f"zero-{label}.csv")
         backtest(f"backtest-zero-{label}", data, first, last, SETTINGS[setting])
+
+    # Three days in one run, the middle one built so that its recoherence
+    # difference vanishes: it aborts at Eq. (8) between two scored days.
+    degenerate = dt.date(2004, 5, 10)
+    data = inputs / "recoherence.csv"
+    data.write_text(serialize_csv(recoherence_backtest_records(degenerate, tail_days=1)))
+    backtest("backtest-mid-run-eq8", data, degenerate - dt.timedelta(days=1),
+             degenerate + dt.timedelta(days=1), [])
 
     # Actual loads of 1e-307 on the last day: its MMREs overflow to inf.
     data = with_loads(raw, last, range(1, 25), "1e-307", inputs / "tiny-actual.csv")

@@ -29,10 +29,11 @@ from dayahead.thermo import (
     entropies,
     evolution_moments,
     inverse_temperature,
+    second_moments,
 )
 from dayahead.verdict import T6_WINDOW, T16_WINDOW, T24_WINDOW, energy_test, scaled_time
 
-from conftest import last_day_window, profile
+from conftest import last_day_window, profile, stacked
 from fixtures import recoherence_fixture_records
 from oracles import legal_training_days, model_a_records
 
@@ -77,7 +78,8 @@ def test_criterion_1_algebraic_identities():
         q = demean(rng.normal(0.0, 50.0, 24))
         c = float(rng.uniform(1e-3, 1e3))
         assert abs(
-            cointegration_angle(c * p, c * q) - cointegration_angle(p, q)
+            cointegration_angle(*second_moments(c * p, c * q))
+            - cointegration_angle(*second_moments(p, q))
         ) <= 1e-12
 
     elapsed = time.monotonic() - start
@@ -96,9 +98,8 @@ def test_criterion_2_sign_structure():
         pa = profile(TARGET, np.maximum(base + rng.normal(0, 120, 24), 1.0))
         pb = profile(TARGET, np.maximum(base + rng.normal(0, 120, 24), 1.0))
         pc = profile(TARGET, np.maximum(base + rng.normal(0, 120, 24), 1.0))
-        try:
-            state = compute_state(pa, pb, pc)
-        except DegeneracyError:
+        [state] = compute_state(stacked(pa, pb, pc)[:, None])
+        if isinstance(state, DegeneracyError):
             continue
         if not (state.theta1 > state.theta2 + 1e-12 and state.theta2 > 1e-9):
             continue
@@ -198,11 +199,12 @@ def test_criterion_5_anchored_constants(tmp_path):
     assert w2 == WORK_OFFSET
 
     window = last_day_window(SynthParams(days=12, seed=3))
-    from dayahead.pipeline import run_day
+    from dayahead.cli import forecast_report
+    from dayahead.pipeline import EngineSettings
     from dayahead.report import serialize_report
     from dayahead.verdict import load_critical_values
 
-    dispatch = run_day(window, load_critical_values(CV_JSON))
+    dispatch = forecast_report(window, load_critical_values(CV_JSON), EngineSettings(), None)
     parsed = json.loads(serialize_report(dispatch))
     assert parsed["meta"]["p_v"] == 0.8803
     assert parsed["meta"]["p_r"] == 0.96806
@@ -286,16 +288,13 @@ def test_criterion_7_degeneracy_routing(tmp_path, capsys, monkeypatch):
 
     # theta2 -> 0 fixture: injected forecasts with model c exactly
     # orthogonal to model b after centering.
-    def injected(window, fits):
+    def injected(fits):
         base = [100.0] * 24
         va, vb, vc = list(base), list(base), list(base)
         va[0], va[1] = 140.0, 60.0
         vb[0], vb[1] = 150.0, 50.0
         vc[2], vc[3] = 160.0, 40.0
-        return {
-            m: profile(window.target_date, v)
-            for m, v in (("a", va), ("b", vb), ("c", vc))
-        }
+        return np.array([[va], [vb], [vc]]), np.ones((3, 1), dtype=bool)
 
     monkeypatch.setattr(regress, "forecast_day", injected)
     out13 = tmp_path / "report13.json"

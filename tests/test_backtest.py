@@ -7,8 +7,8 @@ import pytest
 from dayahead import backtest
 from dayahead.backtest import render_backtest_csv, run_backtest
 from dayahead.errors import ValidationError
-from dayahead.ingest import Dataset, SynthParams, synth_dataset
-from dayahead.pipeline import EngineSettings, run_day
+from dayahead.ingest import Dataset, SeriesWindow, SynthParams, synth_dataset
+from dayahead.pipeline import EngineSettings, fit_windows, run_day
 
 from conftest import dataset_of
 from fixtures import recoherence_backtest_records
@@ -138,7 +138,10 @@ def test_render_backtest_csv_shape(permissive_criticals):
 
 
 def _alone(window, settings):
-    return [None] * window.days
+    """The fits of each day of the window, fitted on its own one-day window."""
+    return [fit_windows(SeriesWindow(window.target_date + dt.timedelta(days=i),
+                                     window.loads[i:i + 9], window.temps[i:i + 10]),
+                        settings)[0] for i in range(window.days)]
 
 
 def _singular(window, settings):
@@ -163,7 +166,8 @@ def test_runs_of_days_score_as_days_fitted_alone(
     first, last = degenerate - dt.timedelta(days=1), degenerate + dt.timedelta(days=span - 2)
     rows, monthly = run_backtest(data, first, last, stub_criticals, settings)
     assert rows[1].aborted and len(rows) == span
-    # Every day fitted in its own run_day, as when a run's stacked fit fails.
+    # Every day fitted alone: by _alone, or as a run of one when a run's
+    # stacked fit fails.
     monkeypatch.setattr(backtest, "fit_windows", replacement)
     assert run_backtest(data, first, last, stub_criticals, settings) == (rows, monthly)
 
@@ -189,7 +193,7 @@ def test_days_before_a_non_positive_load_are_scored_first(
     scored = []
 
     def recorder(window, critical_values, settings, fits):
-        scored.append(window.target_date)
+        scored.extend(window.target_date + dt.timedelta(days=i) for i in range(window.days))
         return run_day(window, critical_values, settings, fits=fits)
 
     monkeypatch.setattr(backtest, "run_day", recorder)

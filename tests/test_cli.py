@@ -1,12 +1,12 @@
 import datetime as dt
 import json
 
+import numpy as np
 import pytest
 
 from dayahead import cli, regress
 from dayahead.ingest import serialize_csv
 
-from conftest import profile
 from fixtures import recoherence_fixture_records
 from oracles import parse_csv_records
 
@@ -184,16 +184,13 @@ def test_forecast_sigma_fixture_exits_3_naming_eq13(tmp_path, capsys, monkeypatc
     data = synth_to(tmp_path, "data.csv")
     hist, fc, target = split_forecast_inputs(tmp_path, data)
 
-    def injected(window, fits):
+    def injected(fits):
         base = [100.0] * 24
         va, vb, vc = list(base), list(base), list(base)
         va[0], va[1] = 140.0, 60.0
         vb[0], vb[1] = 150.0, 50.0
         vc[2], vc[3] = 160.0, 40.0
-        return {
-            m: profile(window.target_date, v)
-            for m, v in (("a", va), ("b", vb), ("c", vc))
-        }
+        return np.array([[va], [vb], [vc]]), np.ones((3, 1), dtype=bool)
 
     monkeypatch.setattr(regress, "forecast_day", injected)
     out = tmp_path / "report.json"
@@ -364,6 +361,7 @@ def test_backtest_mmre_overflowing_to_inf_exits_2(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert "non-finite" in captured.err
+    assert captured.err.rstrip().endswith(": mmre_a on 2004-01-12")
     assert only_the_cli_line(captured.err)
 
 

@@ -89,7 +89,10 @@ def test_backtest_rejects_input_as_before(monkeypatch):
     def no_forecast(window, critical_values, settings, fits):
         raise DegeneracyError("stub", "(4)")
 
-    monkeypatch.setattr(backtest, "fit_windows", lambda window, settings: [None] * window.days)
+    def unfitted(window, settings):  # so each day is scored as a run of one
+        raise ValidationError("stub")
+
+    monkeypatch.setattr(backtest, "fit_windows", unfitted)
     monkeypatch.setattr(backtest, "run_day", no_forecast)
     records = synth_dataset(SynthParams(days=16, seed=5))
     messages = set()

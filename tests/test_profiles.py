@@ -13,6 +13,7 @@ import pytest
 
 from dayahead.errors import DegeneracyError, ValidationError
 from dayahead.ingest import DayProfile
+from dayahead.pipeline import run_day
 from dayahead.regress import CLAMP_FLOOR_MW, FitResult, ensemble_mean, forecast_day
 
 import oracles
@@ -52,32 +53,32 @@ def fit_predicting(raw) -> FitResult:
 
 def test_clamp_matches_the_hourly_oracle():
     rng = np.random.default_rng(11)
-    window = make_window()
     pool = (*NEAR_FLOOR, 0.0, -0.0, -1.0, -1e6, 0.5, 1e-300, 2.0)
     for trial in range(200):
         raws = [random_hours(rng, pool) for _ in "abc"]
         fits = dict(zip("abc", map(fit_predicting, raws)))
-        got = forecast_day(window, fits)
-        for m, raw in zip("abc", raws):
+        got, finite = forecast_day([fits])
+        assert finite.all()
+        for i, (m, raw) in enumerate(zip("abc", raws)):
             assert np.array_equal(fits[m].target_block @ fits[m].coef, raw)
             want = np.array(oracles.clamp(raw)).tobytes()
-            assert got[m].values.tobytes() == want, (trial, m)
-            assert got[m].date == window.target_date
-            assert not got[m].values.flags.writeable
+            assert got[i, 0].tobytes() == want, (trial, m)
 
 
 @pytest.mark.parametrize("scale, bad", [(1.0, np.inf), (1.0, -np.inf), (1.0, np.nan),
                                         (1e300, 1e300)],
                          ids=["inf", "-inf", "nan", "overflow"])
-def test_a_prediction_that_is_not_finite_names_its_model(scale, bad):
+def test_a_prediction_that_is_not_finite_names_its_model(stub_criticals, scale, bad):
     # In the last case every regressor and coefficient is finite, but one of
     # their products is not.
     raw = np.full(24, 5000.0)
     raw[23] = bad
     fits = {m: fit_predicting(np.full(24, 5000.0)) for m in "abc"}
     fits["c"] = replace(fit_predicting(raw), target_block=np.eye(24) * scale)
-    with pytest.raises(DegeneracyError, match=r"model c: .*\(Eq\. \(3\)\)"):
-        forecast_day(make_window(), fits)
+    assert forecast_day([fits])[1].tolist() == [[True], [True], [False]]
+    _, _, [aborted] = run_day(make_window(), stub_criticals, fits=[fits])
+    assert isinstance(aborted, DegeneracyError)
+    assert str(aborted) == "model c: forecast is not finite (Eq. (3))"
 
 
 def test_ensemble_mean_matches_the_sorted_triple_oracle():
@@ -91,8 +92,7 @@ def test_ensemble_mean_matches_the_sorted_triple_oracle():
             triple = [random_hours(rng, (*NEAR_FLOOR, 2.5, 3000.0)) for _ in "abc"]
         want = oracle_profile(oracles.ensemble_mean(*triple))
         for order in itertools.permutations(triple):
-            profiles = dict(zip("abc", (DayProfile(TARGET, v) for v in order)))
-            assert engine_profile(ensemble_mean(profiles).values) == want, trial
+            assert engine_profile(ensemble_mean(np.stack(order))) == want, trial
 
 
 def test_ensemble_mean_overflow_is_rejected_as_the_oracle_rejects_it():
@@ -101,10 +101,7 @@ def test_ensemble_mean_overflow_is_rejected_as_the_oracle_rejects_it():
     lo[4], mid[4], hi[4] = 1.0, 1.6e308, 1.7e308
     want = oracles.profile_problem(TARGET, oracles.ensemble_mean(lo, mid, hi))
     assert want == f"non-finite value at ({TARGET}, hour 5)"
-    profiles = dict(zip("abc", (DayProfile(TARGET, v) for v in (hi, lo, mid))))
-    with pytest.raises(ValidationError) as exc:
-        ensemble_mean(profiles)
-    assert str(exc.value) == want
+    assert engine_profile(ensemble_mean(np.stack((hi, lo, mid)))) == want
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0],

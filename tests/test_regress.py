@@ -31,7 +31,8 @@ from conftest import (
     last_day_window,
     make_window,
     profile,
-    same_profile,
+    same_bits,
+    stacked,
 )
 from oracles import MODEL_A_COEFFS, legal_training_days, model_a_records
 
@@ -234,8 +235,8 @@ def test_forecast_day_fixed_point_on_identical_days():
     )
     fits = {m: fit_model(window, m, method="ols", decays=(0.0,))
             for m in ("a", "b", "c")}
-    forecasts = forecast_day(window, fits)
-    predicted = forecasts["a"].values
+    forecasts, _ = forecast_day([fits])
+    predicted = forecasts[0, 0]
     assert np.max(np.abs(predicted - np.asarray(base))) < 1e-6
 
 
@@ -244,7 +245,7 @@ def test_forecast_day_requires_all_fits():
     fits = {m: fit_model(window, m, method="ols", decays=(0.0,))
             for m in ("a", "b")}
     with pytest.raises(ValidationError, match="model c"):
-        forecast_day(window, fits)
+        forecast_day([fits])
 
 
 def test_forecast_day_clamps_negative_predictions():
@@ -257,8 +258,8 @@ def test_forecast_day_clamps_negative_predictions():
     fits["a"] = replace(fits["a"], coef=coef)
     raw = fits["a"].target_block @ fits["a"].coef
     assert np.all(raw < regress.CLAMP_FLOOR_MW)
-    forecasts = forecast_day(window, fits)
-    assert all(v == 1.0 for v in forecasts["a"].values)
+    forecasts, finite = forecast_day([fits])
+    assert all(v == 1.0 for v in forecasts[0, 0]) and finite.all()
 
 
 def test_forecast_day_requires_the_target_regressors_of_a_fit():
@@ -267,16 +268,15 @@ def test_forecast_day_requires_the_target_regressors_of_a_fit():
             for m in ("a", "b", "c")}
     fits["b"] = ols_fit(full_rank_design("b"))
     with pytest.raises(ValidationError, match="model b carries no target-day regressors"):
-        forecast_day(window, fits)
+        forecast_day([fits])
 
 
 def test_forecast_day_deterministic():
     window = last_day_window(SynthParams(days=12, seed=13))
     fits = {m: fit_model(window, m) for m in ("a", "b", "c")}
-    first = forecast_day(window, fits)
-    second = forecast_day(window, fits)
-    for m in ("a", "b", "c"):
-        assert same_profile(first[m], second[m])
+    first, _ = forecast_day([fits])
+    second, _ = forecast_day([fits])
+    assert same_bits(first, second)
 
 
 def _constant_forecast(value: float):
@@ -284,27 +284,20 @@ def _constant_forecast(value: float):
 
 
 def test_ensemble_mean_of_constants():
-    forecasts = {
-        "a": _constant_forecast(3000.0),
-        "b": _constant_forecast(4000.0),
-        "c": _constant_forecast(5000.0),
-    }
+    forecasts = stacked(_constant_forecast(3000.0), _constant_forecast(4000.0),
+                        _constant_forecast(5000.0))
     out = ensemble_mean(forecasts)
-    assert np.array_equal(out.values, np.full(24, 4000.0))
+    assert np.array_equal(out, np.full(24, 4000.0))
 
 
 def test_ensemble_mean_identical_and_symmetric():
     window = last_day_window(SynthParams(days=12, seed=3))
     fits = {m: fit_model(window, m, method="ols") for m in ("a", "b", "c")}
-    forecasts = forecast_day(window, fits)
-    same = ensemble_mean(
-        {"a": forecasts["a"], "b": forecasts["a"], "c": forecasts["a"]}
-    )
-    assert same_profile(same, forecasts["a"])
-    permuted = ensemble_mean(
-        {"a": forecasts["b"], "b": forecasts["c"], "c": forecasts["a"]}
-    )
-    assert same_profile(ensemble_mean(forecasts), permuted)
+    forecasts, _ = forecast_day([fits])
+    same = ensemble_mean(forecasts[[0, 0, 0]])
+    assert same_bits(same, forecasts[0])
+    permuted = ensemble_mean(forecasts[[1, 2, 0]])
+    assert same_bits(ensemble_mean(forecasts), permuted)
 
 
 # --- Lockstep rho search against the scalar oracle --------------------------

@@ -1,7 +1,7 @@
 import datetime as dt
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from dayahead.backtest import BacktestRow, summarize_monthly
 from dayahead.errors import ValidationError
 from dayahead.ingest import SynthParams
-from dayahead.pipeline import run_day
+from dayahead.pipeline import EngineSettings
+from dayahead.cli import forecast_report
 from dayahead.report import (
     MU_NORMALIZATION,
     P_R,
     P_V,
+    DayScore,
     build_report,
     daily_relative_error,
     error_reduction,
@@ -25,7 +27,12 @@ from dayahead.report import (
 )
 from dayahead.thermo import WORK_OFFSET
 
-from conftest import TARGET, last_day_window, profile, stub_criticals
+from conftest import TARGET, last_day_window, profile, stacked, stub_criticals
+
+
+def mmre(actual, forecast) -> float:
+    """The MMRE of one day's forecast profile against its actual profile."""
+    return float(daily_relative_error(stacked(actual), stacked(forecast))[0])
 
 
 def test_price_arithmetic():
@@ -85,18 +92,19 @@ def test_daily_relative_error_hand_case():
     actual_values[11] = 200.0
     actual = profile(TARGET, actual_values)
     forecast = profile(TARGET, [v + 2.0 for v in actual_values])
-    assert daily_relative_error(actual, forecast) == pytest.approx(1.0, abs=1e-12)
+    assert mmre(actual, forecast) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mmre_perfect_forecast_and_errors():
     days = [TARGET + dt.timedelta(days=i) for i in range(3)]
-    actuals = [profile(d, [100.0 + i] * 24) for i, d in enumerate(days)]
-    assert all(daily_relative_error(a, a) == 0.0 for a in actuals)
+    actuals = stacked(*(profile(d, [100.0 + i] * 24) for i, d in enumerate(days)))
+    assert daily_relative_error(actuals, actuals).tolist() == [0.0] * 3
     assert summarize_monthly([]) == []
-    shifted = [profile(days[(i + 1) % 3], a.values) for i, a in enumerate(actuals)]
-    for a, f in zip(actuals, shifted):
-        with pytest.raises(ValidationError, match="misaligned"):
-            daily_relative_error(a, f)
+    # Each day is scored against its own row: shifted rows are 1/101 and
+    # 1/102 off, and 2/100 off against the peak of 100.
+    shifted = np.roll(actuals, 1, axis=0)
+    assert daily_relative_error(actuals, shifted).tolist() == pytest.approx(
+        [2.0, 100.0 / 101.0, 100.0 / 102.0])
 
 
 @given(st.floats(min_value=0.01, max_value=100.0))
@@ -107,9 +115,7 @@ def test_mmre_scale_invariant(c):
     forecast = profile(TARGET, rng.uniform(50, 150, 24))
     scaled_a = profile(TARGET, [c * v for v in actual.values])
     scaled_f = profile(TARGET, [c * v for v in forecast.values])
-    assert daily_relative_error(scaled_a, scaled_f) == pytest.approx(
-        daily_relative_error(actual, forecast), rel=1e-9
-    )
+    assert mmre(scaled_a, scaled_f) == pytest.approx(mmre(actual, forecast), rel=1e-9)
 
 
 def test_monthly_mmre_groups_by_calendar_month():
@@ -129,7 +135,7 @@ def test_monthly_mmre_groups_by_calendar_month():
 
 def _sample_report(stub):
     window = last_day_window(SynthParams(days=12, seed=3))
-    dispatch = run_day(window, stub, config={"method": "exact-ml"})
+    dispatch = forecast_report(window, stub, EngineSettings(), {"method": "exact-ml"})
     return dispatch
 
 
@@ -196,18 +202,15 @@ def test_report_numbers_have_seventeen_significant_digits(stub_criticals):
     assert rendered in text
 
 
-def test_build_report_rejects_date_mismatch(stub_criticals):
+def test_build_report_dates_every_profile_with_the_target_day(stub_criticals):
     dispatch = _sample_report(stub_criticals)
-    wrong = {
-        m: profile(TARGET + dt.timedelta(days=9), p.values)
-        for m, p in dispatch.forecasts.items()
-    }
-    with pytest.raises(ValidationError, match="expected"):
-        build_report(
-            target_date=TARGET,
-            forecasts=wrong,
-            thermo=dispatch.thermo,
-            time_test=dispatch.time_test,
-            reserve_test=dispatch.reserve_test,
-            ensemble=dispatch.ensemble,
-        )
+    day = TARGET + dt.timedelta(days=9)
+    forecasts = stacked(*dispatch.forecasts.values())
+    scores = DayScore(dispatch.thermo, dispatch.time_test, dispatch.reserve_test,
+                      dispatch.price_c, dispatch.delta_pct, dispatch.temp_equiv_c)
+    rebuilt = build_report(day, forecasts, dispatch.ensemble.values, scores)
+    assert [p.date for p in rebuilt.forecasts.values()] == [day] * 3
+    assert rebuilt.ensemble.date == day
+    assert np.array_equal(stacked(*rebuilt.forecasts.values()), forecasts)
+    assert serialize_report(rebuilt) == serialize_report(
+        replace(dispatch, target_date=day, meta=rebuilt.meta))

@@ -17,12 +17,18 @@ from dayahead.thermo import (
     evolution_moments,
     inverse_temperature,
     peak_bounds,
+    second_moments,
 )
 
-from conftest import TARGET, profile
+from conftest import TARGET, profile, stacked
 from oracles import entropy_oracle, mu_oracle, sigma_oracle
 
 LN2 = math.log(2.0)
+
+
+def angle(p, q) -> float:
+    """The alignment angle of two centered profiles."""
+    return cointegration_angle(*second_moments(p, q))
 
 
 def test_demean_constant_is_zero():
@@ -40,7 +46,7 @@ def test_demean_centers_and_is_idempotent():
 def test_angle_equal_vectors_give_quarter_pi():
     rng = np.random.default_rng(5)
     p = demean(rng.normal(size=24))
-    assert cointegration_angle(p, p) == pytest.approx(math.pi / 4, abs=1e-15)
+    assert angle(p, p) == pytest.approx(math.pi / 4, abs=1e-15)
 
 
 def test_angle_uncorrelated_branches():
@@ -49,14 +55,14 @@ def test_angle_uncorrelated_branches():
     p[0], p[1] = 3.0, -3.0
     q[2], q[3] = 1.0, -1.0
     # <pq> = 0 with <pp> > <qq>: angle 0
-    assert cointegration_angle(p, q) == 0.0
+    assert angle(p, q) == 0.0
     # <pq> = 0 with <pp> < <qq>: angle pi/2
-    assert cointegration_angle(q, p) == pytest.approx(math.pi / 2, abs=1e-15)
+    assert angle(q, p) == pytest.approx(math.pi / 2, abs=1e-15)
 
 
 def test_angle_rejects_double_zero():
     with pytest.raises(DegeneracyError, match=r"\(4\)"):
-        cointegration_angle(np.zeros(24), np.zeros(24))
+        angle(np.zeros(24), np.zeros(24))
 
 
 def test_angle_scale_invariant():
@@ -66,7 +72,7 @@ def test_angle_scale_invariant():
         q = demean(rng.normal(size=24))
         c = float(rng.uniform(1e-3, 1e3))
         assert abs(
-            cointegration_angle(c * p, c * q) - cointegration_angle(p, q)
+            angle(c * p, c * q) - angle(p, q)
         ) <= 1e-12
 
 
@@ -135,14 +141,14 @@ def test_peak_bounds_min_max_of_model_maxima():
     pa = profile(TARGET, [100.0] * 12 + [90.0] * 12)
     pb = profile(TARGET, [110.0] * 12 + [80.0] * 12)
     pc = profile(TARGET, [120.0] * 12 + [85.0] * 12)
-    p1_am, p2_am, p1_pm, p2_pm = peak_bounds(pa, pb, pc)
+    p1_am, p2_am, p1_pm, p2_pm = peak_bounds(stacked(pa, pb, pc))
     assert (p1_am, p2_am) == (100.0, 120.0)
     assert (p1_pm, p2_pm) == (80.0, 90.0)
 
 
 def test_peak_bounds_identical_profiles_collapse():
     pa = profile(TARGET, [100.0 + h for h in range(24)])
-    p1_am, p2_am, p1_pm, p2_pm = peak_bounds(pa, pa, pa)
+    p1_am, p2_am, p1_pm, p2_pm = peak_bounds(stacked(pa, pa, pa))
     assert p1_am == p2_am
     assert p1_pm == p2_pm
 
@@ -150,7 +156,7 @@ def test_peak_bounds_identical_profiles_collapse():
 def test_peak_bounds_segments_are_isolated():
     # Afternoon bounds come from hours 13..24 even when smaller than morning.
     pa = profile(TARGET, [200.0] * 12 + [50.0] * 12)
-    p1_am, p2_am, p1_pm, p2_pm = peak_bounds(pa, pa, pa)
+    p1_am, p2_am, p1_pm, p2_pm = peak_bounds(stacked(pa, pa, pa))
     assert p1_pm == p2_pm == 50.0
     assert p1_am <= p2_am
 
@@ -170,7 +176,7 @@ def test_equal_segment_maxima_give_offset_work():
         values[5] = peak
         values[17] = peak
         shapes.append(profile(TARGET, values))
-    bounds = peak_bounds(*shapes)
+    bounds = peak_bounds(stacked(*shapes))
     w1, w2 = daily_work(*bounds, 1.3)
     assert w1 == WORK_OFFSET
     assert w2 == WORK_OFFSET
@@ -241,12 +247,12 @@ def test_compute_state_consistency():
     pa = profile(TARGET, base + rng.normal(0, 60, 24))
     pb = profile(TARGET, base + rng.normal(0, 60, 24))
     pc = profile(TARGET, base + rng.normal(0, 60, 24))
-    state = compute_state(pa, pb, pc)
+    [state] = compute_state(stacked(pa, pb, pc)[:, None])
     assert 0.0 <= state.theta1 <= math.pi / 2
     assert 0.0 <= state.theta2 <= math.pi / 2
     (s1, _), (s2, _) = entropies(state.theta1), entropies(state.theta2)
     assert state.delta_s == s1 - s2
-    p1_am, p2_am, p1_pm, p2_pm = peak_bounds(pa, pb, pc)
+    p1_am, p2_am, p1_pm, p2_pm = peak_bounds(stacked(pa, pb, pc))
     assert p1_am <= p2_am
     assert p1_pm <= p2_pm
     assert (state.w1, state.w2) == daily_work(p1_am, p2_am, p1_pm, p2_pm, state.beta)
@@ -261,4 +267,4 @@ def test_angle_overflowing_moments_name_eq4():
     q = demean(rng.normal(size=24)) * 1e200
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DegeneracyError, match=r"\(4\)"):
-            cointegration_angle(p, q)
+            angle(p, q)
