@@ -27,7 +27,6 @@ from .ingest import SeriesWindow
 
 RHO_BOUND = 0.999
 RHO_TOL = 1e-6
-MAX_GOLDEN_ITER = 200
 
 # Predictions below this floor are clamped so downstream logarithms stay
 # defined.
@@ -37,6 +36,11 @@ CLAMP_FLOOR_MW = 1.0
 EQUATIONS = {"a": "(1)", "b": "(2)", "c": "(3)"}
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# A golden-section step shrinks the bracket by _GOLDEN whichever way it
+# branches, so every rho search takes the same 31 steps to reach RHO_TOL.
+RHO_STEPS = math.ceil(math.log(RHO_TOL / (2.0 * RHO_BOUND)) / math.log(_GOLDEN))
+assert 2.0 * RHO_BOUND * _GOLDEN**RHO_STEPS <= RHO_TOL < 2.0 * RHO_BOUND * _GOLDEN**(RHO_STEPS - 1)
 
 try:  # the gufunc behind np.linalg.lstsq; older numpy splits it in two
     from numpy.linalg._umath_linalg import lstsq as _LSTSQ_GUFUNC
@@ -212,10 +216,10 @@ def _exact_ml_stack(matrices: np.ndarray, responses: np.ndarray, group: int = 1)
     The stack is made of consecutive groups of ``group`` slices that share
     their response and compete for the smallest final SSR, as a window's
     decays do in ``fit_models``.  The rho searches run in lockstep: each
-    golden-section step whitens the slices still searching, each at its own
-    probe, and solves them in one stacked call.  A search that has converged
-    leaves the stack, so every slice takes the branches and iteration count it
-    would take alone, and its result has the same bits.
+    golden-section step whitens every slice, each at its own probe, and
+    solves them in one stacked call.  Every search takes ``RHO_STEPS`` steps,
+    as it would alone, and the branches it would take alone, so every slice's
+    result has the same bits.
 
     The rho = 0 solve gives every slice's OLS SSR, which its final SSR cannot
     be below.  So a first lockstep searches each group's slice with the
@@ -232,8 +236,8 @@ def _exact_ml_stack(matrices: np.ndarray, responses: np.ndarray, group: int = 1)
         raise ValidationError(f"need at least {k + 1} rows, got {n}")
     systems = np.concatenate((matrices, responses[:, :, None]), axis=2)
 
-    def objective(rho: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        _, ssr, _ = _gls_stack(systems[idx], rho)
+    def objective(stack: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        _, ssr, _ = _gls_stack(stack, rho)
         return np.array([_concentrated_loglik(s, r, n) for s, r in zip(ssr, rho.tolist())])
 
     coef0, ssr0, rank0 = _gls_stack(systems, np.zeros(count))
@@ -249,29 +253,21 @@ def _exact_ml_stack(matrices: np.ndarray, responses: np.ndarray, group: int = 1)
         if not slices:
             return
         search = np.array(slices, dtype=int)
+        stack = systems[search]
         lo = np.full(len(search), -RHO_BOUND)
         hi = np.full(len(search), RHO_BOUND)
         c = hi - _GOLDEN * (hi - lo)
         d = lo + _GOLDEN * (hi - lo)
-        fc, fd = objective(c, search), objective(d, search)
-        iterations = np.zeros(len(search), dtype=int)
-        active = hi - lo > RHO_TOL
-        while active.any():
-            iterations[active] += 1
-            if iterations.max() > MAX_GOLDEN_ITER:
-                raise ValidationError("rho search failed to converge in 200 iterations")
-            left = active & (fc >= fd)
-            right = active & ~(fc >= fd)
-            hi[left], d[left], fd[left] = d[left], c[left], fc[left]
-            c[left] = hi[left] - _GOLDEN * (hi[left] - lo[left])
-            lo[right], c[right], fc[right] = c[right], d[right], fd[right]
-            d[right] = lo[right] + _GOLDEN * (hi[right] - lo[right])
-            value = objective(np.where(left, c, d)[active], search[active])
-            fc[left] = value[left[active]]
-            fd[right] = value[right[active]]
-            active = hi - lo > RHO_TOL
+        fc, fd = objective(stack, c), objective(stack, d)
+        for _ in range(RHO_STEPS):
+            left = fc >= fd  # a NaN comparison moves the bracket right
+            lo, hi = np.where(left, lo, c), np.where(left, d, hi)
+            step = _GOLDEN * (hi - lo)
+            c, d = np.where(left, hi - step, d), np.where(left, c, lo + step)
+            value = objective(stack, np.where(left, c, d))
+            fc, fd = np.where(left, value, fd), np.where(left, fc, value)
         rho_hat = 0.5 * (lo + hi)
-        coef_hat, ssr_hat, rank_hat = _gls_stack(systems[search], rho_hat)
+        coef_hat, ssr_hat, rank_hat = _gls_stack(stack, rho_hat)
 
         kept = []
         coefs = np.empty((len(search), k))
@@ -284,7 +280,7 @@ def _exact_ml_stack(matrices: np.ndarray, responses: np.ndarray, group: int = 1)
             loglik0 = _concentrated_loglik(ssr0[i], 0.0, n)
             if loglik < loglik0:
                 rho, loglik, coefs[j], rank = 0.0, loglik0, coef0[i], rank0[i]
-            kept.append((rho, {"loglik": loglik, "iterations": int(iterations[j]),
+            kept.append((rho, {"loglik": loglik, "iterations": RHO_STEPS,
                                **_rank_diagnostics(rank, k)}))
         residuals, ssr = _residuals(matrices[search], responses[search], coefs)
         for j, i in enumerate(search.tolist()):

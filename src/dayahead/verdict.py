@@ -113,7 +113,7 @@ def scaled_time(
         raise DegeneracyError(f"non-finite time statistic {raw}", "(11)")
     if raw <= 0.0:
         raise DegeneracyError(f"non-positive time statistic {raw}", "(11)")
-    guess = math.floor(math.log(hi / raw) / math.log(base))
+    guess = math.floor((math.log(hi) - math.log(raw)) / math.log(base))  # hi / raw can overflow
     for e in (guess - 1, guess, guess + 1):
         if abs(e) > EXPONENT_BOUND:
             continue

@@ -25,7 +25,6 @@ from dayahead.features import (
 from dayahead.ingest import CSV_HEADER, HOURS, DayProfile, Record, SeriesWindow
 from dayahead.report import DispatchReport
 from dayahead.regress import (
-    MAX_GOLDEN_ITER,
     RHO_BOUND,
     RHO_TOL,
     FitResult,
@@ -132,6 +131,7 @@ def entropy_oracle(theta: float, digits: int = 50) -> tuple[float, float]:
 # lockstep search.  Both must agree with these bit for bit.
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+MAX_GOLDEN_ITER = 200
 
 
 def koyck_transform(series, lam: float, order: int = 3) -> np.ndarray:

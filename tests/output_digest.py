@@ -6,11 +6,14 @@ Usage::
     PYTHONPATH=<tree>/src python tests/output_digest.py OUT
 
 Each command runs through ``dayahead.cli.main`` in this process and writes
-its files under the directory ``OUT`` (created if absent).  One line per
-command is printed: its name, its exit code, then the sha256 of its stdout,
-of its stderr and of each file it wrote.  Reports echo their input paths, so
-every occurrence of ``OUT`` is replaced by a fixed token before hashing.  Run
-it on two trees, each with its own ``OUT``, and ``diff`` the two outputs.
+its files under the directory ``OUT`` (created if absent).  Two header lines
+starting with ``#`` name the numpy and the BLAS the bits were computed with.
+Then one line per command is printed: its name, its exit code, then the
+sha256 of its stdout, of its stderr and of each file it wrote.  Reports echo
+their input paths, so every occurrence of ``OUT`` is replaced by a fixed
+token before hashing.  Run it on two trees, each with its own ``OUT``, and
+``diff`` the two outputs.  ``tests/data/output_digest.txt`` pins this
+output, and ``tests/test_output_digest.py`` checks every command against it.
 
 The commands: seeds 1, 7 and 20071 in both temperature-lag modes, each under
 exact ML with the decay grid and without the lag and OLS with the grid,
@@ -31,6 +34,8 @@ import hashlib
 import io
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from dayahead import cli
 from dayahead.ingest import serialize_csv
@@ -120,11 +125,19 @@ def with_loads(data: Path, day: dt.date, hours: range, load: str, dest: Path) ->
     return dest
 
 
-def main(argv: list) -> int:
-    if len(argv) != 1:
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
-        return 2
-    out = Path(argv[0]).resolve()
+def environment() -> list:
+    """The header lines: the numpy version and the BLAS name and version."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        name = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.25 only prints its config
+        name = "unknown"
+    return [f"# numpy {np.__version__}", f"# blas {name}"]
+
+
+def digest(out: Path) -> list:
+    """The digest line of every command, each run under ``out``."""
+    out = out.resolve()
     inputs = out / "inputs"
     inputs.mkdir(parents=True, exist_ok=True)
     cv = inputs / "cv.json"
@@ -204,8 +217,14 @@ def main(argv: list) -> int:
     lines.append(run("forecast-coverage", [
         "forecast", "--history", str(hist), "--temp-forecast", str(fc),
         "--target-date", last.isoformat(), "--critical-values", str(cv), "--out", "-"], out))
+    return lines
 
-    print("\n".join(lines))
+
+def main(argv: list) -> int:
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    print("\n".join([*environment(), *digest(Path(argv[0]))]))
     return 0
 
 

@@ -149,7 +149,7 @@ def _singular(window, settings):
 
 
 def _invalid(window, settings):
-    raise ValidationError("rho search failed to converge in 200 iterations")
+    raise ValidationError("no Koyck decay to fit")
 
 
 @pytest.mark.parametrize("replacement", [_alone, _singular, _invalid])

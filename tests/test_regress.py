@@ -499,6 +499,36 @@ def test_exact_ml_single_design_matches_scalar_oracle():
     assert_same_fit(exact_ml_ar1_fit(noisy), oracles.exact_ml_ar1_fit(noisy))
 
 
+def bracket_widths(branches) -> list:
+    """Bracket width after each step of the oracle's scalar golden-section
+    update when its comparisons go ``branches`` (True: the bracket moves left)."""
+    lo, hi = -regress.RHO_BOUND, regress.RHO_BOUND
+    c = hi - oracles._GOLDEN * (hi - lo)
+    d = lo + oracles._GOLDEN * (hi - lo)
+    widths = []
+    for left in branches:
+        if left:
+            hi, d = d, c
+            c = hi - oracles._GOLDEN * (hi - lo)
+        else:
+            lo, c = c, d
+            d = lo + oracles._GOLDEN * (hi - lo)
+        widths.append(hi - lo)
+    return widths
+
+
+def test_every_branch_path_takes_rho_steps():
+    # The stacked search runs RHO_STEPS steps with no convergence test: in
+    # floating point too, every path reaches RHO_TOL at that step, not before.
+    steps = regress.RHO_STEPS
+    rng = np.random.default_rng(20071)
+    paths = [[True] * steps, [False] * steps, [i % 2 == 0 for i in range(steps)],
+             *(rng.random(steps) < 0.5 for _ in range(1000))]
+    for path in paths:
+        widths = bracket_widths(path)
+        assert widths[-1] <= regress.RHO_TOL < widths[-2], list(path)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_rho_search_never_beaten_by_likelihood_grid(seed):
     # Golden-section rho against an 801-point grid on (-0.999, 0.999).

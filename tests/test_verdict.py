@@ -73,6 +73,13 @@ def test_scaled_time_exponent_bound():
         scaled_time(1e308, 1.5, T24_WINDOW)
 
 
+@pytest.mark.parametrize("raw", [1e-300, 1e-308, 5e-324])
+def test_scaled_time_tiny_raw_aborts_at_eq11(raw):
+    # Below about 9 / DBL_MAX, hi / raw overflows: the guess must not.
+    with pytest.raises(DegeneracyError, match=r"no exponent in \[-64, 64\].*\(11\)"):
+        scaled_time(raw, 2.0, T6_WINDOW)
+
+
 @given(
     st.floats(min_value=-25, max_value=25),
     st.integers(min_value=-20, max_value=20),
