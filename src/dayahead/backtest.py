@@ -88,7 +88,7 @@ def run_backtest(
         window = dataset.window(run[0], len(run))
         try:
             windows = [(window, fit_windows(window, settings))]
-        except (ValidationError, DegeneracyError, np.linalg.LinAlgError):
+        except DegeneracyError:
             # Each day is then a run of one, so the error comes from its own day.
             windows = [(dataset.window(day), None) for day in run]
         for window, fits in windows:

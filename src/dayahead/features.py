@@ -11,8 +11,6 @@ contains a 2-day or 3-day load lag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ValidationError
@@ -26,36 +24,6 @@ PULSE_HOURS = (9, 10, 11, 19, 20, 21)
 KOYCK_ORDER = 3
 
 LAMBDA_GRID = tuple(i / 10.0 for i in range(10))
-
-COLUMN_NAMES = {
-    "a": tuple(f"a{i}" for i in range(10)),
-    "b": tuple(f"b{i}" for i in range(6)),
-    "c": tuple(f"c{i}" for i in range(9)),
-}
-
-
-@dataclass(frozen=True)
-class DesignMatrix:
-    """Named regressor columns with the aligned response for training rows.
-
-    Rows are ordered day-major, hour-minor; every row's lags resolve inside
-    the window (no extrapolated regressors).
-    """
-
-    model_id: str
-    rows: tuple
-    names: tuple
-    matrix: np.ndarray
-    response: np.ndarray
-
-    def __post_init__(self):
-        if self.matrix.shape != (len(self.rows), len(self.names)):
-            raise ValidationError("design matrix shape mismatch")
-        if self.response.shape != (len(self.rows),):
-            raise ValidationError("response length mismatch")
-        if len(self.rows) and not np.all(self.matrix[:, 0] == 1.0):
-            raise ValidationError("first column must be the intercept")
-
 
 def _row(array: np.ndarray, rows) -> np.ndarray:
     """Rows ``rows`` (an int or an int array) of a window's loads or temps."""
@@ -201,30 +169,6 @@ def run_designs(window: SeriesWindow, model_id: str, lams, temp_mode: str = "hou
     matrices = np.concatenate([blocks[row - first : row - first + n] for row in train], axis=2)
     responses = np.concatenate([loads[row : row + n] for row in train], axis=1)
     return matrices, responses, blocks[HISTORY_DAYS - first :]
-
-
-# No command calls this; the benchmark tracer (perfbench/tracing.py) looks it up.
-def design_matrix(
-    window: SeriesWindow,
-    model_id: str,
-    training_days: list,
-    lam: float = 0.0,
-    temp_mode: str = "hour",
-) -> DesignMatrix:
-    """Stack per-day regressor blocks and responses over the training dates."""
-    if not training_days:
-        raise ValidationError("no training days supplied")
-    rows = np.array([HISTORY_DAYS + (day - window.target_date).days for day in training_days])
-    blocks = _blocks(window.loads, window.temps, rows, model_id, (lam,), temp_mode)
-    response = _row(window.loads, rows).ravel()
-    response.flags.writeable = False
-    return DesignMatrix(
-        model_id=model_id,
-        rows=tuple((day, h) for day in training_days for h in range(1, 25)),
-        names=COLUMN_NAMES[model_id],
-        matrix=blocks[:, 0].reshape(24 * len(rows), -1),
-        response=response,
-    )
 
 
 # No command calls this; the benchmark tracer (perfbench/tracing.py) looks it up.

@@ -7,16 +7,13 @@ gets the :class:`DegeneracyError` naming the failing formula.
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import asdict, dataclass
 from typing import Optional
-
-import numpy as np
 
 from . import regress, report, thermo, verdict
 from .errors import DegeneracyError
 from .features import LAMBDA_GRID, MODEL_IDS
-from .ingest import DayProfile, SeriesWindow
+from .ingest import SeriesWindow
 from .verdict import CriticalValues
 
 
@@ -46,20 +43,20 @@ def run_day(window: SeriesWindow, critical_values: CriticalValues,
     One array stage computes the window's forecasts (3 x days x 24), their
     finiteness, ensemble means (days x 24), second moments and peaks.  Each
     day's scalar chain then runs on its floats in formula order (Eq. 1-3,
-    4-10 and 13, the ensemble mean, 11-12, 14-15): ``scores`` holds per day
-    its :class:`report.DayScore` or the :class:`DegeneracyError` it aborted
-    with, while a ``ValidationError`` ends the window.  ``fits`` are each
-    day's three fits (see :func:`fit_windows`); without them the window's
-    one day is fitted here.
+    4-10 and 13, 11-12, 14-15): ``scores`` holds per day its
+    :class:`report.DayScore` or the :class:`DegeneracyError` it aborted
+    with, and scoring raises nothing.  An ensemble mean can pass the double
+    range only where some profile holds a value above DBL_MAX / 2, whose
+    centered second moment overflows, so that day has aborted at Eq. (4).  ``fits``
+    are each day's three fits (see :func:`fit_windows`); without them the
+    window's one day is fitted here, and a fit that fails raises.
     """
     if fits is None:
         fits = [{m: regress.fit_model(window, m, **asdict(settings)) for m in MODEL_IDS}]
     forecasts, finite = regress.forecast_day(fits)
     ensemble = regress.ensemble_mean(forecasts)
     scores = []
-    for i, (day_finite, state, mean_finite) in enumerate(zip(
-            finite.T.tolist(), thermo.compute_state(forecasts),
-            np.isfinite(ensemble).all(axis=1).tolist())):
+    for day_finite, state in zip(finite.T.tolist(), thermo.compute_state(forecasts)):
         try:
             for model_id, ok in zip(MODEL_IDS, day_finite):
                 if not ok:
@@ -67,8 +64,6 @@ def run_day(window: SeriesWindow, critical_values: CriticalValues,
                                           regress.EQUATIONS[model_id])
             if isinstance(state, DegeneracyError):
                 raise state
-            if not mean_finite:  # a mean past the double range; the profile names its hour
-                DayProfile(window.target_date + dt.timedelta(days=i), ensemble[i])
             time_test = verdict.time_tests(state.theta1, state.theta2, state.w1, state.w2,
                                            critical_values)
             reserve_test = verdict.energy_test(state.w1, state.w2, state.beta)

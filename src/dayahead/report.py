@@ -70,24 +70,17 @@ def price(beta: float, sigma: float) -> float:
     sigma_1 = sigma for sigma >= 1 and 2 - sigma for sigma < 1; the two
     branches agree at sigma = 1, so the price is continuous there.
     """
-    if sigma <= 0.0:
-        raise ValidationError(f"sigma must be positive, got {sigma}")
     sigma1 = sigma if sigma >= 1.0 else 2.0 - sigma
     return 10.0 * beta * sigma1
 
 
 def error_reduction(w1: float, mu: float, delta_s: float) -> float:
     """Forecast-error reduction in percent (Eq. 15)."""
-    for name, value in (("w1", w1), ("mu", mu), ("delta_s", delta_s)):
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite")
     return 10.0 * (w1 * mu / MU_NORMALIZATION - delta_s)
 
 
 def temp_equivalence(delta_pct: float) -> float:
     """Average-temperature change equivalent to an error reduction."""
-    if not math.isfinite(delta_pct):
-        raise ValidationError("delta_pct must be finite")
     return delta_pct * TEMP_EQUIV_DEGC / TEMP_EQUIV_PCT
 
 
@@ -106,7 +99,9 @@ def daily_relative_error(actual: np.ndarray, forecast: np.ndarray) -> np.ndarray
 
 def score(thermo: ThermoState, time_test: TimeTestResult,
           reserve_test: ReserveTestResult) -> DayScore:
-    """A day's price, error reduction and its temperature equivalent."""
+    """A day's price, error reduction and its temperature equivalent.  The
+    time tests (Eq. 11) have kept W1 and W2 finite, and Eq. (13) has kept
+    them, and theta2, positive: mu and sigma are finite, and sigma > 0."""
     delta_pct = error_reduction(thermo.w1, thermo.mu, thermo.delta_s)
     return DayScore(thermo, time_test, reserve_test, price(thermo.beta, thermo.sigma),
                     delta_pct, temp_equivalence(delta_pct))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, ValidationError
+from .errors import DegeneracyError
 
 # Additive constant of the daily-work formula (Eq. 10).
 WORK_OFFSET = 11.608
@@ -73,13 +73,11 @@ def cointegration_angle(pp: float, qq: float, pq: float) -> float:
 
 
 def entropies(theta: float) -> tuple[float, float]:
-    """System and environment entropies at an angle (Eq. 5), in nats.
+    """System and environment entropies at an angle theta >= 0 (Eq. 5), in nats.
 
     chi = arccos(exp(-(pi/2) theta)); S is the binary entropy of
     (1 - cos chi)/2 and S' that of (1 - sin chi)/2, with 0 ln 0 = 0.
     """
-    if theta < 0:
-        raise ValidationError(f"theta must be nonnegative, got {theta}")
     cos_chi = math.exp(-0.5 * math.pi * theta)
     sin_chi = math.sqrt(max(0.0, 1.0 - cos_chi * cos_chi))
     return _binary_entropy((1.0 - cos_chi) / 2.0), _binary_entropy((1.0 - sin_chi) / 2.0)

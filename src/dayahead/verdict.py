@@ -105,10 +105,6 @@ def scaled_time(
     The search is bounded to |e| <= 64.
     """
     lo, hi = window
-    if base not in (2.0, 1.5):
-        raise ValidationError(f"base must be 2 or 1.5, got {base}")
-    if not math.isclose(hi / lo, base, rel_tol=1e-9):
-        raise ValidationError("window width must equal the scaling base")
     if not math.isfinite(raw):
         raise DegeneracyError(f"non-finite time statistic {raw}", "(11)")
     if raw <= 0.0:

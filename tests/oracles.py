@@ -15,13 +15,7 @@ import numpy as np
 from dayahead import __version__, regress, report, thermo, verdict
 from dayahead.backtest import BacktestRow
 from dayahead.errors import DegeneracyError, ValidationError
-from dayahead.features import (
-    COLUMN_NAMES,
-    LAMBDA_GRID,
-    MODEL_IDS,
-    DesignMatrix,
-    indicator,
-)
+from dayahead.features import LAMBDA_GRID, MODEL_IDS, indicator
 from dayahead.ingest import CSV_HEADER, HOURS, DayProfile, Record, SeriesWindow
 from dayahead.report import DispatchReport
 from dayahead.regress import (
@@ -363,7 +357,40 @@ def day_regressors(window, day, model_id: str, lam: float, temp_mode: str) -> np
     return np.column_stack(cols)
 
 
-def design_matrix(window, model_id: str, days, lam: float, temp_mode: str) -> DesignMatrix:
+COLUMN_NAMES = {
+    "a": tuple(f"a{i}" for i in range(10)),
+    "b": tuple(f"b{i}" for i in range(6)),
+    "c": tuple(f"c{i}" for i in range(9)),
+}
+
+
+@dataclass(frozen=True)
+class DesignMatrix:
+    """Named regressor columns with the aligned response for training rows,
+    in the form the engine's one-design fits (``regress.ols_fit``,
+    ``regress.exact_ml_ar1_fit``) read.
+
+    Rows are ordered day-major, hour-minor; every row's lags resolve inside
+    the window (no extrapolated regressors).
+    """
+
+    model_id: str
+    rows: tuple
+    names: tuple
+    matrix: np.ndarray
+    response: np.ndarray
+
+    def __post_init__(self):
+        if self.matrix.shape != (len(self.rows), len(self.names)):
+            raise ValidationError("design matrix shape mismatch")
+        if self.response.shape != (len(self.rows),):
+            raise ValidationError("response length mismatch")
+        if len(self.rows) and not np.all(self.matrix[:, 0] == 1.0):
+            raise ValidationError("first column must be the intercept")
+
+
+def design_matrix(window, model_id: str, days, lam: float,
+                  temp_mode: str = "hour") -> DesignMatrix:
     return DesignMatrix(
         model_id=model_id,
         rows=tuple((day, h) for day in days for h in range(1, 25)),

@@ -22,8 +22,9 @@ forecast; 391-day OLS backtests; exact ML with every load times 1e9, 1e150,
 1e300 and 1.87e303; OLS without the lag and with the decay grid on
 temperatures of -0.0 at hour 3 and 0.0 at hour 4; backtests with a load of 0
 on a history day, mid-range and on the last day; a three-day backtest whose
-middle day aborts at Eq. (8); a backtest whose actual loads of 1e-307
-overflow the MMRE; and two coverage errors.  That is 86 commands.
+middle day aborts at Eq. (8), and the forecast of that day; a backtest whose
+actual loads of 1e-307 overflow the MMRE; and two coverage errors.  That is
+87 commands.
 """
 
 from __future__ import annotations
@@ -203,6 +204,8 @@ def digest(out: Path) -> list:
     data.write_text(serialize_csv(recoherence_backtest_records(degenerate, tail_days=1)))
     backtest("backtest-mid-run-eq8", data, degenerate - dt.timedelta(days=1),
              degenerate + dt.timedelta(days=1), [])
+    # The same day as a forecast: its scalar chain aborts, and it exits 3.
+    forecast("forecast-recoherence-eq8", data, degenerate, [])
 
     # Actual loads of 1e-307 on the last day: its MMREs overflow to inf.
     data = with_loads(raw, last, range(1, 25), "1e-307", inputs / "tiny-actual.csv")

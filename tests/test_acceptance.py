@@ -15,7 +15,6 @@ import pytest
 
 from dayahead import cli, regress
 from dayahead.errors import DegeneracyError
-from dayahead.features import DesignMatrix, design_matrix
 from dayahead.ingest import SynthParams, parse_csv, serialize_csv
 from dayahead.regress import exact_ml_ar1_fit, ols_fit
 from dayahead.report import price
@@ -35,7 +34,7 @@ from dayahead.verdict import T6_WINDOW, T16_WINDOW, T24_WINDOW, energy_test, sca
 
 from conftest import last_day_window, profile, stacked
 from fixtures import recoherence_fixture_records
-from oracles import legal_training_days, model_a_records
+from oracles import DesignMatrix, design_matrix, legal_training_days, model_a_records
 
 TARGET = dt.date(2004, 5, 10)
 

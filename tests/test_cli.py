@@ -442,6 +442,42 @@ def test_overflowing_ensemble_mean_aborts_at_eq4(tmp_path, capfd, method):
     assert "(Eq. (4))" in captured.err and only_the_cli_line(captured.err)
 
 
+def _unconverged(matrices, responses):
+    """dgelsd failing to converge, which no known finite input brings about."""
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+@pytest.mark.parametrize("method", ["ols", "exact-ml"])
+def test_forecast_whose_svd_does_not_converge_exits_3_naming_eq1(
+        tmp_path, capfd, monkeypatch, method):
+    hist, fc, target = split_forecast_inputs(tmp_path, synth_to(tmp_path, "data.csv"))
+    monkeypatch.setattr(regress, "_lstsq_stack", _unconverged)
+    code = cli.main([
+        "forecast", "--history", str(hist), "--temp-forecast", str(fc),
+        "--target-date", target.isoformat(), "--critical-values", write_cv(tmp_path),
+        "--method", method,
+    ])
+    assert code == 3
+    assert capfd.readouterr() == ("", "dayahead: degeneracy: model a: SVD did not converge "
+                                      "in Linear Least Squares (Eq. (1))\n")
+
+
+@pytest.mark.parametrize("method", ["ols", "exact-ml"])
+def test_backtest_whose_svd_does_not_converge_aborts_every_day_at_eq1(
+        tmp_path, capfd, monkeypatch, method):
+    data = synth_to(tmp_path, "data.csv")
+    monkeypatch.setattr(regress, "_lstsq_stack", _unconverged)
+    out = tmp_path / "bt.csv"
+    code = cli.main([
+        "backtest", "--data", str(data), "--from", "2004-01-10", "--to", "2004-01-14",
+        "--critical-values", write_cv(tmp_path), "--report", str(out), "--method", method,
+    ])
+    assert code == 0
+    assert capfd.readouterr() == ("", "")
+    rows = out.read_text().split("# monthly")[0].splitlines()[1:]
+    assert rows == [f"2004-01-{d},,,,,,aborted:eq1" for d in range(10, 15)]
+
+
 def test_forecast_loads_times_1e150_exits_0_without_warnings(tmp_path, capsys):
     # The responses' y @ y overflows in the rho tie-break test; nothing of it
     # may reach stderr, and the report must stay finite.

@@ -90,7 +90,7 @@ def test_backtest_rejects_input_as_before(monkeypatch):
         raise DegeneracyError("stub", "(4)")
 
     def unfitted(window, settings):  # so each day is scored as a run of one
-        raise ValidationError("stub")
+        raise DegeneracyError("stub", "(1)")
 
     monkeypatch.setattr(backtest, "fit_windows", unfitted)
     monkeypatch.setattr(backtest, "run_day", no_forecast)

@@ -9,8 +9,6 @@ from dayahead.errors import ValidationError
 from dayahead.features import (
     MODEL_IDS,
     LAMBDA_GRID,
-    DesignMatrix,
-    design_matrix,
     halfday_lag_profile,
     indicator,
     koyck_transform,
@@ -259,15 +257,21 @@ def test_koyck_validates_arguments():
         koyck_transform(np.zeros((3, 23)), (0.5,))
 
 
+def design(window, model_id: str, lam: float) -> tuple:
+    """``run_designs``' training design and response of a one-day window's
+    day at one decay."""
+    matrices, responses, _ = run_designs(window, model_id, (lam,))
+    return matrices[0, 0], responses[0]
+
+
 def test_design_matrix_shapes_and_intercept():
     window = make_window()
     for model_id, expected_cols in (("a", 10), ("b", 6), ("c", 9)):
         days = legal_training_days(window, model_id)
-        dm = design_matrix(window, model_id, days, 0.3)
-        assert len(dm.names) == expected_cols
-        assert len(dm.rows) == 24 * len(days)
-        assert np.all(dm.matrix[:, 0] == 1.0)
-        assert dm.rows[0][1] == 1 and dm.rows[-1][1] == 24
+        matrix, response = design(window, model_id, 0.3)
+        assert matrix.shape == (24 * len(days), expected_cols)
+        assert response.shape == (24 * len(days),)
+        assert np.all(matrix[:, 0] == 1.0)
 
 
 def test_design_matrix_model_b_zero_temps():
@@ -275,19 +279,19 @@ def test_design_matrix_model_b_zero_temps():
         temp_by_offset={k: [0.0] * 24 for k in range(1, 10)},
         forecast=[0.0] * 24,
     )
-    dm = design_matrix(window, "b", legal_training_days(window, "b"), 0.4)
-    assert np.all(dm.matrix[:, 4] == 0.0)
-    assert np.all(dm.matrix[:, 5] == 0.0)
+    matrix, _ = design(window, "b", 0.4)
+    assert np.all(matrix[:, 4] == 0.0)
+    assert np.all(matrix[:, 5] == 0.0)
 
 
 def test_design_matrix_constant_load_degeneracy():
     loads = {k: [4400.0] * 24 for k in range(1, 10)}
     window = make_window(load_by_offset=loads)
-    dm = design_matrix(window, "c", legal_training_days(window, "c"), 0.2)
-    lag1, half, lag7 = dm.matrix[:, 1], dm.matrix[:, 2], dm.matrix[:, 3]
+    matrix, _ = design(window, "c", 0.2)
+    lag1, half, lag7 = matrix[:, 1], matrix[:, 2], matrix[:, 3]
     assert np.array_equal(lag1, half) and np.array_equal(lag1, lag7)
     # interaction columns built from (lag1 - halfday) vanish
-    assert np.all(dm.matrix[:, 7] == 0.0)
+    assert np.all(matrix[:, 7] == 0.0)
 
 
 def test_legal_training_days_default_window():
@@ -308,8 +312,8 @@ def test_target_regressors_share_columns_with_training():
     window = make_window()
     for model_id in MODEL_IDS:
         block = target_regressors(window, model_id, 0.1)
-        dm = design_matrix(window, model_id, [day(1)], 0.1)
-        assert block.shape == (24, len(dm.names))
+        matrix, _ = design(window, model_id, 0.1)
+        assert block.shape == (24, matrix.shape[1])
         assert np.all(block[:, 0] == 1.0)
 
 
@@ -333,10 +337,6 @@ def test_design_matrices_match_decay_by_decay_oracle(temp_mode):
             want = oracles.design_matrix(window, model_id, days, lam, temp_mode)
             assert np.array_equal(matrix, want.matrix)
             assert np.array_equal(responses[0], want.response)
-            design = design_matrix(window, model_id, days, lam, temp_mode)
-            assert design.rows == want.rows and design.names == want.names
-            assert np.array_equal(design.matrix, want.matrix)
-            assert np.array_equal(design.response, want.response)
             block = target_regressors(window, model_id, lam, temp_mode)
             target = oracles.day_regressors(
                 window, window.target_date, model_id, lam, temp_mode

@@ -104,6 +104,46 @@ def test_ensemble_mean_overflow_is_rejected_as_the_oracle_rejects_it():
     assert engine_profile(ensemble_mean(np.stack((hi, lo, mid)))) == want
 
 
+@pytest.mark.parametrize("pair", ["ab", "bc", "ac"])
+def test_an_overflowing_ensemble_mean_aborts_at_eq4(stub_criticals, pair):
+    # Two models predict above DBL_MAX / 2 at hour 5, so (mid - lo) + (hi - lo)
+    # passes the double range there; those values' centered squares overflow
+    # first, at Eq. (4).
+    raws = {m: np.full(24, 3000.0) for m in "abc"}
+    for m, value in zip(pair, (1.6e308, 1.7e308)):
+        raws[m][4] = value
+    fits = {m: fit_predicting(raws[m]) for m in "abc"}
+    _, ensemble, [aborted] = run_day(make_window(), stub_criticals, fits=[fits])
+    assert not np.isfinite(ensemble[0, 4])
+    assert str(aborted) == "second moments of the centered profiles overflow (Eq. (4))"
+
+
+def test_a_profile_whose_mean_overflows_aborts_at_eq4(stub_criticals):
+    raws = {"a": np.full(24, 1.7e308), "b": np.full(24, 1.6e308), "c": np.full(24, 3000.0)}
+    fits = {m: fit_predicting(raws[m]) for m in "abc"}
+    _, ensemble, [aborted] = run_day(make_window(), stub_criticals, fits=[fits])
+    assert not np.isfinite(ensemble).any()
+    assert str(aborted) == "second moments of the centered profiles overflow (Eq. (4))"
+
+
+def test_every_overflowing_ensemble_of_a_seeded_sweep_aborts_at_eq4(stub_criticals):
+    # Each model predicts values in [DBL_MAX / 2, DBL_MAX) at a random set of
+    # hours, or nowhere; 2,000 triples whose ensemble mean overflows are kept.
+    rng = np.random.default_rng(20071)
+    top = np.finfo(np.float64).max
+    days = []
+    while len(days) < 2000:
+        raws = [random_hours(rng, (*NEAR_FLOOR, 3000.0)) for _ in "abc"]
+        for raw in raws:
+            if rng.random() < 0.8:
+                hours = rng.choice(24, rng.integers(1, 25), replace=False)
+                raw[hours] = rng.uniform(0.5, 1.0, len(hours)) * top
+        if not np.isfinite(ensemble_mean(np.stack(raws))).all():
+            days.append(dict(zip("abc", map(fit_predicting, raws))))
+    _, _, scores = run_day(make_window(), stub_criticals, fits=days)
+    assert all(isinstance(s, DegeneracyError) and s.equation == "(4)" for s in scores)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0],
                          ids=["nan", "inf", "-inf", "0", "-0", "negative"])
 @pytest.mark.parametrize("hour", [1, 24])

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dayahead.backtest import BacktestRow, summarize_monthly
-from dayahead.errors import ValidationError
 from dayahead.ingest import SynthParams
 from dayahead.pipeline import EngineSettings
 from dayahead.cli import forecast_report
@@ -46,11 +45,6 @@ def test_price_continuous_at_one():
     below = price(0.8, 1.0 - eps)
     above = price(0.8, 1.0 + eps)
     assert abs(below - above) < 1e-7
-
-
-def test_price_rejects_nonpositive_sigma():
-    with pytest.raises(ValidationError):
-        price(0.5, 0.0)
 
 
 @given(st.floats(min_value=1e-6, max_value=2.0), st.floats(min_value=0.0, max_value=5.0))
