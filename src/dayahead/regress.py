@@ -42,6 +42,9 @@ try:  # the gufunc behind np.linalg.lstsq; older numpy splits it in two
     from numpy.linalg._umath_linalg import lstsq as _LSTSQ_GUFUNC
 except ImportError:
     _LSTSQ_GUFUNC = None
+# The gufuncs behind np.linalg.cholesky and np.linalg.solve: a stack whose
+# factor fails comes back as NaN instead of raising.
+from numpy.linalg._umath_linalg import cholesky_lo as _CHOLESKY, solve as _SOLVE
 
 
 @dataclass(frozen=True)
@@ -200,10 +203,200 @@ _SSR_FLOOR = 1e-12
 _HALF_MAX = float(np.finfo(np.float64).max) / 2.0
 
 
+# The rho search needs only the outcome of each comparison fc >= fd of two
+# log-likelihoods, each computed from the SSR of a dgelsd solve of the
+# whitened system.  _GramSearch gives each a value within a proven radius of
+# that log-likelihood, at the cost of one small Cholesky factor, and where
+# two values differ by more than their radii the comparison has the exact
+# outcome.  The argument, per slice, with u = 2**-53, gamma(m) = m u / (1 -
+# m u), n rows, k columns and K = k + 1 (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., ch. 3, 8, 10 and 20):
+#
+# - Scaling.  The columns of S = [X | y] are scaled by powers of two, which
+#   is exact, to norms in [1/2, 1].  The AR(1) whitening W (||W|| < 2) is
+#   linear, so the Gram matrix of W S is G = A0 + rho A1 + rho**2 A2 with
+#   A0 = S'S, A1 = -(S1'S0 + S0'S1) and A2 = S'S over rows 1 .. n-2 (S1
+#   and S0 drop the first and the last row).  With v = [-c; 1] the scaled
+#   SSR of c is v'Gv, whose least value s* is the square of the last
+#   diagonal entry of G's Cholesky factor L.
+# - Gram error.  The whitening the exact path computes moves each entry by
+#   at most u (|s_t| + 2.01 |rho s_t-1|), and the first row, whose
+#   sqrt(1 - rho**2) carries rho**2's rounding, by omega u |s_0|, omega =
+#   2 + 0.5 / (1 - rho**2) <= OMEGA at RHO_BOUND.  With the moments' dot
+#   products, the product forming G, and the factor's backward error
+#   (Higham Thm 10.3, plus one rounding for a reciprocal), L L' is the Gram
+#   matrix of the exact path's scaled system plus F, |F_ij| <= eps
+#   (_bound_constants).
+# - Inverse.  The factor of [[G, J], [J', T I]], J the first k columns of
+#   the identity, holds L and below it Z, the first k rows of inv(L)'.  By
+#   the same theorem L_xx Z_xx' = I + E1 with ||E1|| <= t = gamma(2k + 3)
+#   ||L_xx||_F h, h = ||Z_xx||_F and ||L_xx||_F**2 <= 4.02 k; so where t <=
+#   1/2 the exact path's Gram matrix of X has least eigenvalue lam >= ((1 -
+#   t) / h)**2 - k eps.  T = 2**200 keeps the factor from failing.
+# - Coefficients.  c = -l_yy Z_y.  The computed ||l_y - L_xx'c||, plus
+#   gamma(K) (2.01 + ||L_xx||_F ||c||) for its rounding, times ||L_xx||_F,
+#   plus K eps ||v||, bounds by gb the gradient g of the exact path's SSR at
+#   c, so s*, which is that SSR less g'inv(G_xx)g, is within gb**2 / lam
+#   of it.
+# - A posteriori.  The whitened residual of c computed from S is within
+#   zc = (2.01 gamma(K) + 2.02 u (omega + 3.01)) ||v||_1 of the exact
+#   path's, and its SSR, computed within gamma(n+1), is x**2.
+# - dgelsd.  Stated model: dgelsd is normwise backward stable; its solution
+#   is the exact least-squares solution of X + E, y + f, and its rank the
+#   rank of X + E, with ||E||_F <= p u ||X||_F, ||f|| <= p u ||y|| and p =
+#   8 n k (Higham's gamma~(nk), ch. 20, with its constant made explicit).
+#   In scaled units ||E|| <= e_a = p u nu, nu = 2.01 max(d) sqrt(sum(d**-2))
+#   over the column scales d of X.  Where sqrt(lam) > 2 nu (rcond + 2 p u)
+#   no singular value falls under dgelsd's rcond and e_a <= sqrt(lam) / 4;
+#   its solution's exact SSR exceeds s* by at most phi**2 (Pythagoras), phi
+#   = a_d (1 + e_a / s1), a_d = e_a (1.0001 x / s1 + ||c*||) + 2.01 p u,
+#   s1 = sqrt(lam) - e_a, ||c*|| <= ||c|| + gb / lam; its computed residual
+#   is within zd = 2.02 gamma(K) (||v||_1 + sqrt(k) (gb / lam + a_d / s1))
+#   of exact, its SSR within gamma(n+1).
+# - Log-likelihood.  With a = (zc + zd) / x, P = phi**2 / x**2 and D =
+#   gb**2 / (lam x**2), where a + P + D <= 2**-19, the exact path's SSR and
+#   x**2 both lie in [lo, hi] with hi / lo - 1 <= W = (1 + 2**-14) (5
+#   gamma(n+1) + 4 a + P + 2 D) (first order in each; the remainder is
+#   under 2**-14 of it).  So the two log-likelihoods differ by at most 0.5
+#   n W (log x <= x - 1) plus the rounding of both evaluations, under
+#   2**-44 (n (3 + |log(ssr/n)|) + 8).  Norms computed in floating point
+#   are within 2**-40 of exact, which a factor 1 + 2**-12 on W covers.
+#
+# Every column's largest magnitude lies in [2**-250, 2**250] and the scaled
+# SSR x**2 is at least 2**-299, so nothing overflows, the exact SSR is
+# positive, and every underflow error is under 2**-270 of what it perturbs,
+# which the margins of 0.01 cover.  Other slices, and those whose rho = 0
+# solve is rank-deficient, are searched with dgelsd throughout.  A failed
+# factor (NaN), a near-singular one, a tiny SSR and a bound outside its
+# first-order range get an infinite radius.
+_U = 2.0 ** -53
+_OMEGA = 2.0 + 0.5 / (1.0 - RHO_BOUND * RHO_BOUND)
+_SCALE_RANGE = 2.0 ** 250
+_SCALED_SSR_FLOOR = 2.0 ** -299
+_T = 2.0 ** 200
+
+
+def _gamma(m: int) -> float:
+    return m * _U / (1.0 - m * _U)
+
+
+def _in_range(stack: np.ndarray) -> np.ndarray:
+    """Whether every column of each slice has its largest magnitude in
+    [2**-250, 2**250], where the bound above holds."""
+    top = np.abs(stack).max(axis=1)
+    return ((top >= 1.0 / _SCALE_RANGE) & (top <= _SCALE_RANGE)).all(axis=1)
+
+
+class _GramSearch:
+    """The log-likelihoods of a stack of in-range ``[design | response]``
+    systems at their probes, each with the radius the argument above gives
+    (infinite where it fails).  ``rows`` are the slices' positions in their
+    search; ``keep`` drops the slices whose search turns exact."""
+
+    def __init__(self, stack: np.ndarray, rows: np.ndarray):
+        count, n, width = stack.shape
+        k = width - 1
+        exponent = np.frexp(np.abs(stack).max(axis=1))[1]
+        unit = np.ldexp(stack, -exponent[:, None, :])
+        exponent += np.frexp(np.sqrt(np.vecdot(unit, unit, axis=1)))[1]
+        scaled = np.ldexp(stack, -exponent[:, None, :])
+        lagged = np.matmul(scaled[:, 1:].swapaxes(1, 2), scaled[:, :-1])
+        # The moments of [[G, J], [J', T I]], whose product with (1, rho,
+        # rho**2) fills the G block and leaves J and T I as they are.
+        moments = np.zeros((count, width + k, width + k, 3))
+        moments[:, :width, :width, 0] = np.matmul(scaled.swapaxes(1, 2), scaled)
+        moments[:, :width, :width, 1] = -(lagged + lagged.swapaxes(1, 2))
+        moments[:, :width, :width, 2] = np.matmul(scaled[:, 1:-1].swapaxes(1, 2),
+                                                  scaled[:, 1:-1])
+        moments[:, width:, :k, 0] = moments[:, :k, width:, 0] = np.eye(k)
+        moments[:, width:, width:, 0] = _T * np.eye(k)
+        scale = np.ldexp(1.0, -exponent[:, :k])
+        nu = 2.01 * scale.max(axis=1) * np.sqrt((scale ** -2.0).sum(axis=1))
+        self.constants = _bound_constants(n, k)
+        pu, rcond = self.constants[3], np.finfo(np.float64).eps * max(n, k)
+        self.rows = rows
+        self.moments = moments.reshape(count, (width + k) ** 2, 3)
+        self.powers = np.ones((count, 3, 1))
+        self.design, self.response = scaled[:, :, :k].copy(), scaled[:, :, k].copy()
+        # Per slice: e_a, the least lam with no rcond truncation, and the
+        # power of two that scales the SSR back.
+        self.per_slice = (pu * nu, (2.0 * nu * (rcond + 2.0 * pu)) ** 2, 2 * exponent[:, k])
+
+    def keep(self, mask: np.ndarray) -> None:
+        self.rows, self.moments, self.powers, self.design, self.response = (
+            a[mask] for a in (self.rows, self.moments, self.powers, self.design, self.response))
+        self.per_slice = tuple(a[mask] for a in self.per_slice)
+
+    def loglik(self, rho: np.ndarray) -> np.ndarray:
+        """Value and radius, (2, slices), of each kept slice at its ``rho``."""
+        k = self.design.shape[2]
+        self.powers[:, 1, 0] = rho
+        np.multiply(rho, rho, out=self.powers[:, 2, 0])
+        fac = _CHOLESKY(np.matmul(self.moments, self.powers).reshape(-1, 2 * k + 1, 2 * k + 1))
+        z = fac[:, k + 1:, :k + 1]
+        q = z[:, :, k] * fac[:, k, k, None]  # -c
+        e = self.response + np.matmul(self.design, q[:, :, None])[:, :, 0]
+        r = e[:, 1:] - rho[:, None] * e[:, :-1]
+        res = fac[:, k, :k] + np.matmul(q[:, None, :], fac[:, :k, :k])[:, 0]
+        squares = np.vecdot(z, z, axis=1)
+        columns = (rho, np.vecdot(r, r), e[:, 0], np.abs(q).sum(axis=1),
+                   squares[:, k] * (fac[:, k, k] * fac[:, k, k]), squares[:, :k].sum(axis=1),
+                   np.vecdot(res, res), *self.per_slice)
+        return np.array([_loglik_bound(self.constants, *slice_)
+                         for slice_ in zip(*(a.tolist() for a in columns))]).reshape(-1, 2).T
+
+
+def _bound_constants(n: int, k: int) -> tuple:
+    """The constants of the argument above for n rows and k columns."""
+    eps = (4.02 * _gamma(n) + 16.1 * _U + 4.01 * _U * (_OMEGA + 3.01)
+           + 4.02 * _gamma(2 * k + 3))  # the bound on every entry of F
+    root_k = math.sqrt(4.02 * k)  # bounds ||L_xx||_F
+    gamma_k = _gamma(k + 1)
+    return (n, k * eps, _gamma(2 * k + 3) * root_k, 8.0 * n * k * _U,
+            root_k, 2.01 * root_k * gamma_k, root_k * root_k * gamma_k, (k + 1) * eps,
+            2.01 * gamma_k + 2.02 * _U * 5.01, 2.02 * _U * 0.5, 2.02 * gamma_k, math.sqrt(k),
+            5.0 * _gamma(n + 1), -0.5 * n * (math.log(2.0 * math.pi) + 1.0))
+
+
+_UNCERTIFIED = (math.nan, math.inf)
+
+
+def _loglik_bound(constants, rho, tail, e0, c1, c2_sq, h_sq, res_sq, e_a, lam_min, shift):
+    """``(value, radius)`` of one slice at ``rho``, from the whitened SSR of
+    its residual's tail and its first residual, and from ||c||_1, ||c||**2,
+    ||Z_xx||_F**2 and ||l_y - L_xx'c||**2 (see above)."""
+    (n, k_eps, t_per_h, pu, root_k, g0, g1, g2, z_c, z_w, z_d, root_k1, gamma5,
+     base) = constants
+    h = math.sqrt(h_sq)
+    t = t_per_h * h
+    lam = ((1.0 - t) / h) ** 2 - k_eps
+    if not (t <= 0.5 and lam > lam_min):
+        return _UNCERTIFIED  # a failed or near-singular factor
+    one_less = 1.0 - rho * rho
+    ssr = tail + one_less * (e0 * e0)
+    if not ssr >= _SCALED_SSR_FLOOR:
+        return _UNCERTIFIED  # the exact SSR could underflow: loglik +inf
+    s1 = math.sqrt(lam) - e_a
+    c2, v1, x = math.sqrt(c2_sq), 1.0 + c1, math.sqrt(ssr)
+    gb = root_k * math.sqrt(res_sq) + g0 + g1 * c2 + g2 * v1
+    gl = gb / lam
+    a_d = e_a * (1.0001 * x / s1 + c2 + gl) + 2.01 * pu
+    a = ((z_c + z_w / one_less) * v1 + z_d * (v1 + root_k1 * (gl + a_d / s1))) / x
+    p = (a_d * (1.0 + e_a / s1)) ** 2 / ssr
+    d = gb * gl / ssr
+    if not a + p + d <= 2.0 ** -19:
+        return _UNCERTIFIED
+    log_ssr = math.log(math.ldexp(ssr, shift) / n)
+    width = (1.0 + 2.0 ** -12) * (1.0 + 2.0 ** -14) * (gamma5 + 4.0 * a + p + 2.0 * d)
+    return (base - 0.5 * n * log_ssr + 0.5 * math.log(one_less),
+            0.5 * n * width + 2.0 ** -44 * (n * (3.0 + abs(log_ssr)) + 8.0))
+
+
 # Loads near the double range overflow y @ y and the SSRs: the tie-break test
 # rescales, and an infinite SSR has likelihood -inf and ranks last on the
-# decay grid.
-@np.errstate(over="ignore")
+# decay grid.  A failed Gram factor is NaN, and log-likelihoods compared in
+# the rho search can be infinite.
+@np.errstate(over="ignore", invalid="ignore")
 def _exact_ml_stack(matrices: np.ndarray, responses: np.ndarray, group: int = 1) -> list:
     """Exact-ML AR(1) fit of every slice of a stack, as
     ``(coef, residuals, ssr, rho, diagnostics)``, or ``None`` for a slice
@@ -212,10 +405,12 @@ def _exact_ml_stack(matrices: np.ndarray, responses: np.ndarray, group: int = 1)
     The stack is made of consecutive groups of ``group`` slices that share
     their response and compete for the smallest final SSR, as a window's
     decays do in ``fit_models``.  The rho searches run in lockstep: each
-    golden-section step whitens every slice, each at its own probe, and
-    solves them in one stacked call.  Every search takes ``RHO_STEPS`` steps,
-    as it would alone, and the branches it would take alone, so every slice's
-    result has the same bits.
+    golden-section step evaluates every slice at its own probe.  A slice's
+    comparisons are decided by its Gram-matrix log-likelihoods while their
+    radii (see ``_GramSearch``) allow; from the first they do not, it is
+    whitened and solved with dgelsd, stacked with the other such slices.
+    Every search takes ``RHO_STEPS`` steps, as it would alone, and the
+    branches it would take alone, so every slice's result has the same bits.
 
     The rho = 0 solve gives every slice's OLS SSR, which its final SSR cannot
     be below.  So a first lockstep searches each group's slice with the
@@ -250,17 +445,41 @@ def _exact_ml_stack(matrices: np.ndarray, responses: np.ndarray, group: int = 1)
             return
         search = np.array(slices, dtype=int)
         stack = systems[search]
+        exact = (rank0[search] < k) | ~_in_range(stack)
+        gram = _GramSearch(stack[~exact], np.flatnonzero(~exact))
+        exact_rows, exact_stack = np.flatnonzero(exact), stack[exact]
+
+        def probe(rho: np.ndarray) -> np.ndarray:
+            """Each slice's log-likelihood at its rho and a radius that
+            bounds its distance from the exact one (0 where it is exact)."""
+            out = np.zeros((2, len(search)))
+            if len(exact_rows):
+                out[0, exact_rows] = objective(exact_stack, rho[exact_rows])
+            if len(gram.rows):
+                out[:, gram.rows] = gram.loglik(rho[gram.rows])
+            return out
+
         lo = np.full(len(search), -RHO_BOUND)
         hi = np.full(len(search), RHO_BOUND)
         c = hi - _GOLDEN * (hi - lo)
         d = lo + _GOLDEN * (hi - lo)
-        fc, fd = objective(stack, c), objective(stack, d)
+        fc, fd = probe(c), probe(d)
         for _ in range(RHO_STEPS):
-            left = fc >= fd  # a NaN comparison moves the bracket right
+            # A comparison the radii cannot decide is made with dgelsd, and
+            # its slice is searched with dgelsd from then on.
+            unsure = ~exact & ~(np.abs(fc[0] - fd[0]) > fc[1] + fd[1])
+            if unsure.any():
+                exact |= unsure
+                gram.keep(~unsure[gram.rows])
+                exact_rows, exact_stack = np.flatnonzero(exact), stack[exact]
+                both = objective(np.concatenate((stack[unsure], stack[unsure])),
+                                 np.concatenate((c[unsure], d[unsure])))
+                fc[0, unsure], fd[0, unsure] = np.split(both, 2)
+            left = fc[0] >= fd[0]  # a NaN comparison moves the bracket right
             lo, hi = np.where(left, lo, c), np.where(left, d, hi)
             step = _GOLDEN * (hi - lo)
             c, d = np.where(left, hi - step, d), np.where(left, c, lo + step)
-            value = objective(stack, np.where(left, c, d))
+            value = probe(np.where(left, c, d))
             fc, fd = np.where(left, value, fd), np.where(left, fc, value)
         rho_hat = 0.5 * (lo + hi)
         coef_hat, ssr_hat, rank_hat = _gls_stack(stack, rho_hat)

@@ -1,8 +1,12 @@
 import datetime as dt
+import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dayahead import backtest, regress
 from dayahead.errors import ValidationError
@@ -532,6 +536,212 @@ def test_rho_search_never_beaten_by_likelihood_grid(seed):
                 for rho in grid
             )
             assert best <= fit.diagnostics["loglik"] + 1e-9, (model_id, fit.rho)
+
+
+# --- Certified comparisons in the rho search ---------------------------------
+
+def counting_solves(monkeypatch) -> list:
+    """Record the slices of every dgelsd call; returns the running list."""
+    solved = []
+    lstsq_stack = regress._lstsq_stack
+
+    def counting(matrices, responses):
+        solved.append(matrices.shape[0])
+        return lstsq_stack(matrices, responses)
+
+    monkeypatch.setattr(regress, "_lstsq_stack", counting)
+    return solved
+
+
+def same_repr(got, want) -> None:
+    """One ``_exact_ml_stack`` result against an oracle fit, field by field
+    through ``repr``: no tolerance, and -0.0 is not 0.0."""
+    coef, residuals, ssr, rho, diagnostics = got
+    assert repr(coef.tolist()) == repr(want.coef.tolist())
+    assert repr(residuals.tolist()) == repr(want.residuals.tolist())
+    assert (repr(ssr), repr(rho), repr(diagnostics)) == (
+        repr(want.ssr), repr(want.rho), repr(want.diagnostics))
+
+
+def bare_design(matrix: np.ndarray, y: np.ndarray):
+    """What ``oracles.exact_ml_ar1_fit`` reads of a design, for matrices
+    without an intercept column."""
+    return SimpleNamespace(model_id="a", matrix=matrix, response=y)
+
+
+def test_bimodal_profile_search_keeps_its_lower_mode(monkeypatch):
+    # Seed 1, day lags, 2004-02-02, model b at lambda 0.1: the likelihood has
+    # two interior maxima, and the golden-section search ends on the lower
+    # one at rho 0.26 while the higher one is near rho 0.93.  Certified
+    # comparisons must not move the search to the other mode.
+    window = assemble_window(backtest_data(40, 1), dt.date(2004, 2, 2))
+    design = design_matrix(window, "b", legal_training_days(window, "b", "day"), 0.1, "day")
+    solved = counting_solves(monkeypatch)
+    got = regress._exact_ml_stack(design.matrix[None], design.response[None])[0]
+    assert sum(solved) < 35  # some comparisons were certified
+    same_repr(got, oracles.exact_ml_ar1_fit(design))
+    n = len(design.response)
+    higher = _concentrated_loglik(
+        oracles.gls_at_rho(design.matrix, design.response, 0.93)[1], 0.93, n)
+    assert abs(got[3] - 0.26) < 0.01 and higher > got[4]["loglik"] + 0.5
+
+
+ALTERNATING = (-1.0) ** np.arange(48)
+
+
+@st.composite
+def adversarial_designs(draw):
+    """A design and response: column scales from 1e-3 to 1e6, an optional
+    nearly collinear pair, AR(1) noise, and optionally a design closed under
+    flipping the sign of every other row, so that the likelihood is even in
+    rho and the first two probes tie to within a few ulps."""
+    k = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = 10.0 ** np.array(draw(st.lists(st.floats(-3.0, 6.0), min_size=k, max_size=k)))
+    rho = draw(st.sampled_from([-0.99, 0.0, 0.95, 0.999]))
+    noise = rng.normal(size=48)
+    u = np.empty(48)
+    u[0] = noise[0] / math.sqrt(1.0 - rho * rho)
+    for t in range(1, 48):
+        u[t] = rho * u[t - 1] + noise[t]
+    if draw(st.booleans()):
+        half = rng.normal(size=(48, k)) * scales
+        matrix = np.column_stack([half, ALTERNATING[:, None] * half])
+        y = u + ALTERNATING * u
+        y = y * (1.0 + draw(st.sampled_from([0.0, 1e-15, 4e-15])) * rng.normal(size=48))
+    else:
+        matrix = rng.normal(size=(48, k)) * scales
+        gap = draw(st.sampled_from([0.0, 1e-6, 1e-9, 1e-12]))
+        if gap:
+            matrix[:, 1] = matrix[:, 0] * (1.0 + gap * rng.normal(size=48))
+        y = matrix @ rng.normal(size=k) + u * scales.mean()
+    return matrix, y
+
+
+@settings(max_examples=60, deadline=None)
+@given(adversarial_designs(), st.integers(1, 3))
+def test_certified_search_matches_the_oracle_on_adversarial_designs(case, group):
+    matrix, y = case
+    # A group shares its response; its other slices span the same columns,
+    # so rounding decides which fit is smallest.
+    rng = np.random.default_rng(group)
+    k = matrix.shape[1]
+    matrices = np.stack([matrix] + [matrix @ (np.eye(k) + 0.1 * rng.normal(size=(k, k)))
+                                    for _ in range(group - 1)])
+    solved = regress._exact_ml_stack(matrices, np.repeat(y[None], group, axis=0), group)
+    alone = [oracles.exact_ml_ar1_fit(bare_design(m, y)) for m in matrices]
+    assert first_minimum(solved) == min(range(group), key=lambda i: alone[i].ssr)
+    for got, want in zip(solved, alone):
+        if got is not None:
+            same_repr(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(adversarial_designs(), st.lists(st.floats(-0.999, 0.999), min_size=1, max_size=8))
+def test_every_radius_covers_the_exact_log_likelihood(case, rhos):
+    matrix, y = case
+    rho = np.array(rhos)
+    stack = np.repeat(np.column_stack((matrix, y))[None], len(rho), axis=0)
+    with np.errstate(invalid="ignore"):  # a factor that fails is NaN
+        value, radius = regress._GramSearch(stack, np.arange(len(rho))).loglik(rho)
+    _, ssr, _ = regress._gls_stack(stack, rho)
+    exact = np.array([_concentrated_loglik(s, r, len(y)) for s, r in zip(ssr, rhos)])
+    sure = np.isfinite(radius)
+    assert (np.abs(exact - value)[sure] <= radius[sure]).all()
+
+
+def test_a_near_singular_factor_gets_no_radius():
+    # Two columns equal to a relative 1e-7: dgelsd keeps full rank at rho =
+    # 0, but the Gram factor is too near singular to bound anything.
+    rng = np.random.default_rng(8)
+    matrix = rng.normal(size=(48, 3))
+    matrix[:, 1] = matrix[:, 0] * (1.0 + 1e-7 * rng.normal(size=48))
+    y = matrix @ [1.0, 2.0, 3.0] + rng.normal(size=48)
+    assert regress._lstsq_stack(matrix[None], y[None])[1][0] == 3
+    gram = regress._GramSearch(np.column_stack((matrix, y))[None], np.arange(1))
+    assert np.isinf(gram.loglik(np.array([0.3]))[1]).all()
+    same_repr(regress._exact_ml_stack(matrix[None], y[None])[0],
+              oracles.exact_ml_ar1_fit(bare_design(matrix, y)))
+
+
+def test_a_vanishing_cheap_ssr_gets_no_radius():
+    # A whitened SSR this small could be 0 in the exact path, whose
+    # log-likelihood is then +inf; nothing is certified on it.
+    constants = regress._bound_constants(48, 3)
+    for tail, e0 in ((0.0, 0.0), (2.0 ** -320, 0.0)):
+        value, radius = regress._loglik_bound(constants, 0.3, tail, e0, 1.0, 1.0, 1.0, 0.0,
+                                              1e-12, 1e-20, 0)
+        assert radius == math.inf
+
+
+def test_a_bound_outside_its_first_order_range_gets_no_radius():
+    # A dgelsd backward error as large as the least singular value: the
+    # linearized width would understate the SSR's range, so nothing is
+    # certified.
+    constants = regress._bound_constants(48, 3)
+    value, radius = regress._loglik_bound(constants, 0.3, 1e-4, 0.0, 1.0, 1.0, 1.0, 0.0,
+                                          0.2, 0.0, 0)
+    assert radius == math.inf
+
+
+def test_a_non_finite_value_is_never_certified(monkeypatch):
+    # Every probe's value is NaN with radius 0: no comparison can be
+    # decided on it, so every search falls back to dgelsd and ends as alone.
+    monkeypatch.setattr(regress, "_loglik_bound", lambda *args: (math.nan, 0.0))
+    design = full_rank_design("b", seed=17, lam=0.4)
+    same_repr(regress._exact_ml_stack(design.matrix[None], design.response[None])[0],
+              oracles.exact_ml_ar1_fit(design))
+
+
+def recording_gram(monkeypatch) -> list:
+    """Record the stack of every ``_GramSearch``; returns the running list."""
+    seen = []
+
+    class Recording(regress._GramSearch):
+        def __init__(self, stack, rows):
+            seen.append(stack)
+            super().__init__(stack, rows)
+
+    monkeypatch.setattr(regress, "_GramSearch", Recording)
+    return seen
+
+
+def test_rank_deficient_slices_never_reach_the_gram_bound(monkeypatch):
+    # In day-lag mode model c's designs are rank 7 of 9 at rho = 0: their
+    # searches run on dgelsd from the first probe.
+    seen = recording_gram(monkeypatch)
+    fits = regress.fit_models(run_window(backtest_data(40, 1), 0, 2), "c", temp_mode="day")
+    assert all(fit.diagnostics.get("rank_deficient") for fit in fits)
+    assert sum(len(stack) for stack in seen) == 0
+
+
+def test_slices_near_the_double_range_never_reach_the_gram_bound(monkeypatch):
+    # A slice holding magnitudes above DBL_MAX / 2 is searched with dgelsd
+    # from its first probe, whose whitening overflows and raises as alone;
+    # the other slice of its stack may still be certified.
+    rng = np.random.default_rng(4)
+    fine = rng.normal(size=(48, 3))
+    y = fine @ np.array([3.0, -1.0, 2.0]) + rng.normal(size=48)
+    huge = rng.uniform(0.9, 1.0, size=(48, 3)) * 1.7e308
+    assert huge.min() >= regress._HALF_MAX
+    seen = recording_gram(monkeypatch)
+    with pytest.raises(FloatingPointError):
+        regress._exact_ml_stack(np.stack([fine, huge]), np.stack([y, y]))
+    assert [len(stack) for stack in seen] == [1]
+    assert np.array_equal(seen[0][0, :, :3], fine)
+
+
+@pytest.mark.parametrize("temp_mode, most", [("hour", 12_000), ("day", 21_126)])
+def test_certification_cuts_the_backtest_solves(monkeypatch, temp_mode, most):
+    # dgelsd slices of the fits of the 31-day exact-ML backtest of synth
+    # --days 40 --seed 1: 20,004 in hour mode and 21,126 in day mode
+    # without certification.  Day mode's model c cannot be certified and
+    # must cost no more.
+    solved = counting_solves(monkeypatch)
+    data = backtest_data(40, 1)
+    for model_id in ("a", "b", "c"):
+        run_fits(data, 31, model_id, temp_mode)
+    assert sum(solved) <= most
 
 
 # --- Stacked least-squares helper -------------------------------------------
