@@ -4,10 +4,13 @@ The harness checks the requested range and its nine history days once, then
 forecasts each day from the dataset rows before it and scores each model and
 the ensemble against the actual load.  Consecutive days are fitted in runs:
 a run is one row slice of the dataset, its days go through one stacked solve
-per model and are then scored together, each with its own fits.  Days on which
-the computation chain degenerates are flagged as aborted, carry no numeric
-results, and are excluded from the monthly summary (their count is reported
-instead of being imputed).
+per model and are then scored together, each with its own fits.  A model's
+fit of a run holds one ``[design | response]`` system per day and decay, and
+an exact-ML fit also holds, per slice it searches, a scaled copy of its
+system, its Gram moments and an augmented factor (see ``regress``).  Days on
+which the computation chain degenerates are flagged as aborted, carry no
+numeric results, and are excluded from the monthly summary (their count is
+reported instead of being imputed).
 """
 
 from __future__ import annotations
@@ -27,10 +30,17 @@ from .report import daily_relative_error
 from .verdict import CriticalValues
 
 
-# The most least-squares systems a model's stacked solve takes: a run of days
-# fits each of its days at every decay together, and peak RSS grows with the
-# stack (see README).  40 is 40 days without the decay grid, 4 with it.
-_SYSTEMS_PER_SOLVE = 40
+# Peak RSS grows with the systems a run stacks per model, and the time per
+# day falls with them only up to a point (see README): a run stacks at most
+# _SYSTEMS_PER_RUN systems and spans at most _MAX_RUN_DAYS days.
+_SYSTEMS_PER_RUN = 160
+_MAX_RUN_DAYS = 40
+
+
+def _run_length(decays) -> int:
+    """The days of a backtest run: 16 with the ten decays of the grid, 40
+    with one decay (``--koyck off`` or ``fixed=``)."""
+    return max(1, min(_MAX_RUN_DAYS, _SYSTEMS_PER_RUN // max(1, len(decays))))
 
 
 @dataclass(frozen=True)
@@ -81,7 +91,7 @@ def run_backtest(
     n_days = (to_date - from_date).days + 1 if gap is None else (gap[0] - from_date).days
 
     days = [from_date + dt.timedelta(days=k) for k in range(n_days)]
-    run_length = max(1, _SYSTEMS_PER_SOLVE // max(1, len(settings.decays)))
+    run_length = _run_length(settings.decays)
     rows: list[BacktestRow] = []
     for start in range(0, len(days), run_length):
         run = days[start : start + run_length]

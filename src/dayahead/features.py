@@ -156,19 +156,28 @@ def run_designs(window: SeriesWindow, model_id: str, lams, temp_mode: str = "hou
     """Training designs and target-day regressors of every target day of a
     window, at every decay.
 
-    Returns ``(matrices, responses, targets)``: for target day i,
-    ``matrices[i, j]`` and ``responses[i]`` are the design and response over
-    its training rows (``training_rows`` plus i) at decay ``lams[j]``, and
-    ``targets[i, j]`` is its own regressor block (row 9 + i).  Each row's
-    blocks, whether it trains a day or is one's target, are built in one pass.
+    Returns ``(systems, targets)``: for target day i, ``systems[i, j]`` is
+    ``[design | response]`` over its training rows (``training_rows`` plus
+    i) at decay ``lams[j]``, and ``targets[i, j]`` is its own regressor block
+    (row 9 + i).  Each row's blocks, whether it trains a day or is one's
+    target, are built in one pass.  Both are views of one array, so the
+    blocks are not held beside the systems.
     """
     train = training_rows(model_id, temp_mode)
     first, loads, temps, n = train[0], window.loads, window.temps, window.days
     # blocks[row - first] holds the blocks of window row ``row``.
     blocks = _blocks(loads, temps, np.arange(first, len(temps)), model_id, lams, temp_mode)
-    matrices = np.concatenate([blocks[row - first : row - first + n] for row in train], axis=2)
-    responses = np.concatenate([loads[row : row + n] for row in train], axis=1)
-    return matrices, responses, blocks[HISTORY_DAYS - first :]
+    k = blocks.shape[-1]
+    # Day i's last training row is target day i - 1's row (9 + i - 1), so
+    # one day past the window holds the last target's blocks; its response
+    # would be a load past the window, and is NaN.
+    systems = np.empty((n + 1, len(lams), 24 * len(train), k + 1))
+    for j, row in enumerate(train):
+        hours = slice(24 * j, 24 * (j + 1))
+        systems[:, :, hours, :k] = blocks[row - first : row - first + n + 1]
+        systems[:n, :, hours, k] = loads[row : row + n, None]
+    systems[n, :, :, k] = np.nan
+    return systems[:n], systems[1:, :, -24:, :k]
 
 
 # No command calls this; the benchmark tracer (perfbench/tracing.py) looks it up.

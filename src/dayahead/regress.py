@@ -42,9 +42,9 @@ try:  # the gufunc behind np.linalg.lstsq; older numpy splits it in two
     from numpy.linalg._umath_linalg import lstsq as _LSTSQ_GUFUNC
 except ImportError:
     _LSTSQ_GUFUNC = None
-# The gufuncs behind np.linalg.cholesky and np.linalg.solve: a stack whose
-# factor fails comes back as NaN instead of raising.
-from numpy.linalg._umath_linalg import cholesky_lo as _CHOLESKY, solve as _SOLVE
+# The gufunc behind np.linalg.cholesky: a stack whose factor fails comes
+# back as NaN instead of raising.
+from numpy.linalg._umath_linalg import cholesky_lo as _CHOLESKY
 
 
 @dataclass(frozen=True)
@@ -132,20 +132,20 @@ def _lstsq_stack(matrices: np.ndarray, responses: np.ndarray) -> tuple[np.ndarra
     return coef[..., 0], rank
 
 
-def _ar1_whiten(systems: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Stationary AR(1) whitening transform that keeps the first row, applied
-    to a stack of [design | response] systems with one rho per slice."""
-    scale = np.sqrt(1.0 - rho * rho)
-    white = systems.copy()
-    white[:, 0] *= scale[:, None]
-    white[:, 1:] -= rho[:, None, None] * systems[:, :-1]
-    return white
-
-
-def _gls_stack(systems: np.ndarray, rho: np.ndarray):
-    """GLS coefficients, whitened SSR and rank of every slice at its rho."""
+def _gls_stack(systems: np.ndarray, rows: np.ndarray, rho: np.ndarray):
+    """GLS coefficients, whitened SSR and rank of every slice ``systems[rows]``
+    at its rho.  The slices are copied once and whitened in place by the
+    stationary AR(1) transform that keeps the first row."""
+    white = systems[rows]
+    n = white.shape[1]
+    # Blocks of rows, the last first, so that each reads rows not yet
+    # whitened and needs a temporary of at most about eight slices.
+    size = -(-n * 8 // max(8, len(rows)))
     with np.errstate(over="ignore", invalid="ignore"):  # _solve rejects it
-        white = _ar1_whiten(systems, rho)
+        for stop in range(n, 1, -size):
+            start = max(1, stop - size)
+            white[:, start:stop] -= rho[:, None, None] * white[:, start - 1:stop - 1]
+        white[:, 0] *= np.sqrt(1.0 - rho * rho)[:, None]
     coef, _, ssr, rank = _solve(white)
     return coef, ssr, rank
 
@@ -182,7 +182,7 @@ def exact_ml_ar1_fit(design) -> FitResult:
     broken at rho = 0.  The returned rho never has lower exact likelihood
     than rho = 0 with the OLS coefficients.
     """
-    solved = _exact_ml_stack(design.matrix[None], design.response[None])[0]
+    solved = _exact_ml_stack(np.column_stack((design.matrix, design.response))[None])[0]
     return FitResult(design.model_id, "exact_ml_ar1", 0.0, *solved)
 
 
@@ -280,62 +280,92 @@ def _gamma(m: int) -> float:
     return m * _U / (1.0 - m * _U)
 
 
-def _in_range(stack: np.ndarray) -> np.ndarray:
-    """Whether every column of each slice has its largest magnitude in
-    [2**-250, 2**250], where the bound above holds."""
-    top = np.abs(stack).max(axis=1)
-    return ((top >= 1.0 / _SCALE_RANGE) & (top <= _SCALE_RANGE)).all(axis=1)
+def _column_tops(systems: np.ndarray) -> np.ndarray:
+    """The largest magnitude of every column of each slice, (slices,
+    columns), without a temporary the size of the stack."""
+    return np.maximum(systems.max(axis=1), -systems.min(axis=1))
+
+
+def _compact(stack: np.ndarray, dropped: list) -> np.ndarray:
+    """``stack`` without its slices ``dropped`` (ascending): the others moved
+    into the leading slices of the C-contiguous ``stack`` and returned as a
+    view of them, or copied to a smaller array once at most half of its
+    buffer would be in use."""
+    flat, size = stack.reshape(-1), stack[0].size
+    # The slices between the shift-th dropped one and the next move down by
+    # shift, as one block; a one-dimensional copy to a lower address is safe
+    # in place.
+    for shift, (gap, stop) in enumerate(zip(dropped, dropped[1:] + [len(stack)]), 1):
+        flat[(gap + 1 - shift) * size:(stop - shift) * size] = flat[(gap + 1) * size:stop * size]
+    kept = stack[:len(stack) - len(dropped)]
+    return kept.copy() if 2 * len(kept) <= len(kept.base) else kept
 
 
 class _GramSearch:
     """The log-likelihoods of a stack of in-range ``[design | response]``
     systems at their probes, each with the radius the argument above gives
     (infinite where it fails).  ``rows`` are the slices' positions in their
-    search; ``keep`` drops the slices whose search turns exact."""
+    search; ``keep`` drops the slices whose search turns exact.
+
+    Per slice it holds the system, scaled in place in ``stack`` (each probe
+    reads its design and response through views), the three moments of the
+    lower triangle of G, and the augmented matrix, which each probe fills
+    (the factor reads only the lower triangle) and factors in place.
+    ``keep`` moves the kept slices down in place."""
 
     def __init__(self, stack: np.ndarray, rows: np.ndarray):
         count, n, width = stack.shape
         k = width - 1
-        exponent = np.frexp(np.abs(stack).max(axis=1))[1]
-        unit = np.ldexp(stack, -exponent[:, None, :])
-        exponent += np.frexp(np.sqrt(np.vecdot(unit, unit, axis=1)))[1]
-        scaled = np.ldexp(stack, -exponent[:, None, :])
-        lagged = np.matmul(scaled[:, 1:].swapaxes(1, 2), scaled[:, :-1])
-        # The moments of [[G, J], [J', T I]], whose product with (1, rho,
-        # rho**2) fills the G block and leaves J and T I as they are.
-        moments = np.zeros((count, width + k, width + k, 3))
-        moments[:, :width, :width, 0] = np.matmul(scaled.swapaxes(1, 2), scaled)
-        moments[:, :width, :width, 1] = -(lagged + lagged.swapaxes(1, 2))
-        moments[:, :width, :width, 2] = np.matmul(scaled[:, 1:-1].swapaxes(1, 2),
-                                                  scaled[:, 1:-1])
-        moments[:, width:, :k, 0] = moments[:, :k, width:, 0] = np.eye(k)
-        moments[:, width:, width:, 0] = _T * np.eye(k)
+        exponent = np.frexp(_column_tops(stack))[1]
+        np.ldexp(stack, -exponent[:, None, :], out=stack)
+        norms = np.frexp(np.sqrt(np.vecdot(stack, stack, axis=1)))[1]
+        np.ldexp(stack, -norms[:, None, :], out=stack)
+        exponent += norms
+        self.lower = i, j = np.tril_indices(width)
+        lagged = np.matmul(stack[:, 1:].swapaxes(1, 2), stack[:, :-1])
+        # G = A0 + rho A1 + rho**2 A2 is their product with (1, rho, rho**2).
+        moments = np.empty((count, len(i), 3))
+        moments[..., 0] = np.matmul(stack.swapaxes(1, 2), stack)[:, i, j]
+        moments[..., 1] = -(lagged + lagged.swapaxes(1, 2))[:, i, j]
+        moments[..., 2] = np.matmul(stack[:, 1:-1].swapaxes(1, 2), stack[:, 1:-1])[:, i, j]
+        # The rows of [J', T I] below G, which each factor overwrites.
+        self.below = np.hstack((np.eye(k), np.zeros((k, 1)), _T * np.eye(k)))
         scale = np.ldexp(1.0, -exponent[:, :k])
         nu = 2.01 * scale.max(axis=1) * np.sqrt((scale ** -2.0).sum(axis=1))
         self.constants = _bound_constants(n, k)
         pu, rcond = self.constants[3], np.finfo(np.float64).eps * max(n, k)
         self.rows = rows
-        self.moments = moments.reshape(count, (width + k) ** 2, 3)
+        self.scaled = stack
+        self.moments = moments
+        self.augmented = np.empty((count, width + k, width + k))
         self.powers = np.ones((count, 3, 1))
-        self.design, self.response = scaled[:, :, :k].copy(), scaled[:, :, k].copy()
         # Per slice: e_a, the least lam with no rcond truncation, and the
         # power of two that scales the SSR back.
         self.per_slice = (pu * nu, (2.0 * nu * (rcond + 2.0 * pu)) ** 2, 2 * exponent[:, k])
 
     def keep(self, mask: np.ndarray) -> None:
-        self.rows, self.moments, self.powers, self.design, self.response = (
-            a[mask] for a in (self.rows, self.moments, self.powers, self.design, self.response))
+        self.rows = self.rows[mask]
         self.per_slice = tuple(a[mask] for a in self.per_slice)
+        dropped = np.flatnonzero(~mask).tolist()
+        # One at a time, so that a copy frees its buffer before the next.
+        self.scaled = _compact(self.scaled, dropped)
+        self.moments = _compact(self.moments, dropped)
+        self.augmented = _compact(self.augmented, dropped)
+        self.powers = _compact(self.powers, dropped)
 
     def loglik(self, rho: np.ndarray) -> np.ndarray:
         """Value and radius, (2, slices), of each kept slice at its ``rho``."""
-        k = self.design.shape[2]
+        k = self.scaled.shape[2] - 1
         self.powers[:, 1, 0] = rho
         np.multiply(rho, rho, out=self.powers[:, 2, 0])
-        fac = _CHOLESKY(np.matmul(self.moments, self.powers).reshape(-1, 2 * k + 1, 2 * k + 1))
+        fac = self.augmented
+        fac[:, k + 1:] = self.below
+        i, j = self.lower
+        fac[:, i, j] = np.matmul(self.moments, self.powers)[:, :, 0]
+        _CHOLESKY(fac, out=fac)
         z = fac[:, k + 1:, :k + 1]
         q = z[:, :, k] * fac[:, k, k, None]  # -c
-        e = self.response + np.matmul(self.design, q[:, :, None])[:, :, 0]
+        e = self.scaled[:, :, k] + np.matmul(self.scaled[:, :, :k], q[:, :, None])[:, :, 0]
         r = e[:, 1:] - rho[:, None] * e[:, :-1]
         res = fac[:, k, :k] + np.matmul(q[:, None, :], fac[:, :k, :k])[:, 0]
         squares = np.vecdot(z, z, axis=1)
@@ -392,15 +422,82 @@ def _loglik_bound(constants, rho, tail, e0, c1, c2_sq, h_sq, res_sq, e_a, lam_mi
             0.5 * n * width + 2.0 ** -44 * (n * (3.0 + abs(log_ssr)) + 8.0))
 
 
+# The most slices that the rho = 0 and rho-hat solves and the final
+# residuals copy at a time.  Each runs once per search, so chunking adds no
+# call to a golden-section step.
+_CHUNK = 32
+
+
+def _gls_chunks(systems: np.ndarray, rows: np.ndarray, rho: np.ndarray):
+    """``_gls_stack(systems, rows, rho)`` in chunks of at most ``_CHUNK``
+    slices."""
+    coef, ssr, rank = zip(*(_gls_stack(systems, rows[i:i + _CHUNK], rho[i:i + _CHUNK])
+                            for i in range(0, len(rows), _CHUNK)))
+    return np.concatenate(coef), [s for part in ssr for s in part], np.concatenate(rank)
+
+
+def _exact_loglik(systems: np.ndarray, rows: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The log-likelihood of each slice ``systems[rows]`` at its ``rho``, from
+    the SSR of a dgelsd solve of its whitened system."""
+    _, ssr, _ = _gls_stack(systems, rows, rho)
+    n = systems.shape[1]
+    return np.array([_concentrated_loglik(s, r, n) for s, r in zip(ssr, rho.tolist())])
+
+
+def _rho_search(systems: np.ndarray, search: np.ndarray, exact: np.ndarray) -> np.ndarray:
+    """The golden-section estimate of rho of every slice ``systems[search]``,
+    searched in lockstep for ``RHO_STEPS`` steps.  Comparisons are decided by
+    ``_GramSearch`` while its radii allow; the slices marked ``exact``, and
+    each slice from its first comparison that the radii cannot decide, are
+    whitened and solved with dgelsd at every probe."""
+    gram = _GramSearch(systems[search[~exact]], np.flatnonzero(~exact))
+    exact_rows = np.flatnonzero(exact)
+
+    def probe(rho: np.ndarray) -> np.ndarray:
+        """Each slice's log-likelihood at its rho and a radius that bounds
+        its distance from the exact one (0 where it is exact)."""
+        out = np.zeros((2, len(search)))
+        if len(exact_rows):
+            out[0, exact_rows] = _exact_loglik(systems, search[exact_rows], rho[exact_rows])
+        if len(gram.rows):
+            out[:, gram.rows] = gram.loglik(rho[gram.rows])
+        return out
+
+    lo = np.full(len(search), -RHO_BOUND)
+    hi = np.full(len(search), RHO_BOUND)
+    c = hi - _GOLDEN * (hi - lo)
+    d = lo + _GOLDEN * (hi - lo)
+    fc, fd = probe(c), probe(d)
+    for _ in range(RHO_STEPS):
+        # A comparison the radii cannot decide is made with dgelsd, and its
+        # slice is searched with dgelsd from then on.
+        unsure = ~exact & ~(np.abs(fc[0] - fd[0]) > fc[1] + fd[1])
+        if unsure.any():
+            exact |= unsure
+            exact_rows = np.flatnonzero(exact)
+            gram.keep(~unsure[gram.rows])
+            rows = search[unsure]
+            both = _exact_loglik(systems, np.concatenate((rows, rows)),
+                                 np.concatenate((c[unsure], d[unsure])))
+            fc[0, unsure], fd[0, unsure] = np.split(both, 2)
+        left = fc[0] >= fd[0]  # a NaN comparison moves the bracket right
+        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
+        step = _GOLDEN * (hi - lo)
+        c, d = np.where(left, hi - step, d), np.where(left, c, lo + step)
+        value = probe(np.where(left, c, d))
+        fc, fd = np.where(left, value, fd), np.where(left, fc, value)
+    return 0.5 * (lo + hi)
+
+
 # Loads near the double range overflow y @ y and the SSRs: the tie-break test
 # rescales, and an infinite SSR has likelihood -inf and ranks last on the
 # decay grid.  A failed Gram factor is NaN, and log-likelihoods compared in
 # the rho search can be infinite.
 @np.errstate(over="ignore", invalid="ignore")
-def _exact_ml_stack(matrices: np.ndarray, responses: np.ndarray, group: int = 1) -> list:
-    """Exact-ML AR(1) fit of every slice of a stack, as
-    ``(coef, residuals, ssr, rho, diagnostics)``, or ``None`` for a slice
-    whose fit cannot win its group.
+def _exact_ml_stack(systems: np.ndarray, group: int = 1) -> list:
+    """Exact-ML AR(1) fit of every slice of a stack of ``[design |
+    response]`` systems, as ``(coef, residuals, ssr, rho, diagnostics)``, or
+    ``None`` for a slice whose fit cannot win its group.
 
     The stack is made of consecutive groups of ``group`` slices that share
     their response and compete for the smallest final SSR, as a window's
@@ -421,17 +518,23 @@ def _exact_ml_stack(matrices: np.ndarray, responses: np.ndarray, group: int = 1)
     solve is rank-deficient (dgelsd's truncation can leave its SSR above the
     minimum), nor anywhere in a stack holding a value of magnitude at least
     DBL_MAX / 2 (a skipped search could have overflowed and raised).
+
+    Beside the stack, a slice holds its response, its rho = 0 fit and,
+    while searched, its ``_GramSearch`` state.  Whitened copies are made
+    only of the slices solved with dgelsd at a probe, and of at most
+    ``_CHUNK`` slices in the rho = 0 and rho-hat solves.
     """
-    count, n, k = matrices.shape
-    if n < k + 1:
-        raise ValidationError(f"need at least {k + 1} rows, got {n}")
-    systems = np.concatenate((matrices, responses[:, :, None]), axis=2)
+    count, n, width = systems.shape
+    k = width - 1
+    if n < width:
+        raise ValidationError(f"need at least {width} rows, got {n}")
+    responses = np.ascontiguousarray(systems[:, :, k])  # y @ y sums a contiguous y
+    tops = _column_tops(systems)
+    # Where the argument above holds: every column's largest magnitude lies
+    # in [2**-250, 2**250].
+    in_range = ((tops >= 1.0 / _SCALE_RANGE) & (tops <= _SCALE_RANGE)).all(axis=1)
 
-    def objective(stack: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        _, ssr, _ = _gls_stack(stack, rho)
-        return np.array([_concentrated_loglik(s, r, n) for s, r in zip(ssr, rho.tolist())])
-
-    coef0, ssr0, rank0 = _gls_stack(systems, np.zeros(count))
+    coef0, ssr0, rank0 = _gls_chunks(systems, np.arange(count), np.zeros(count))
     ties = [i for i in range(count) if _residuals_vanish(ssr0[i], responses[i])]
     fits = {}
     if ties:
@@ -444,45 +547,8 @@ def _exact_ml_stack(matrices: np.ndarray, responses: np.ndarray, group: int = 1)
         if not slices:
             return
         search = np.array(slices, dtype=int)
-        stack = systems[search]
-        exact = (rank0[search] < k) | ~_in_range(stack)
-        gram = _GramSearch(stack[~exact], np.flatnonzero(~exact))
-        exact_rows, exact_stack = np.flatnonzero(exact), stack[exact]
-
-        def probe(rho: np.ndarray) -> np.ndarray:
-            """Each slice's log-likelihood at its rho and a radius that
-            bounds its distance from the exact one (0 where it is exact)."""
-            out = np.zeros((2, len(search)))
-            if len(exact_rows):
-                out[0, exact_rows] = objective(exact_stack, rho[exact_rows])
-            if len(gram.rows):
-                out[:, gram.rows] = gram.loglik(rho[gram.rows])
-            return out
-
-        lo = np.full(len(search), -RHO_BOUND)
-        hi = np.full(len(search), RHO_BOUND)
-        c = hi - _GOLDEN * (hi - lo)
-        d = lo + _GOLDEN * (hi - lo)
-        fc, fd = probe(c), probe(d)
-        for _ in range(RHO_STEPS):
-            # A comparison the radii cannot decide is made with dgelsd, and
-            # its slice is searched with dgelsd from then on.
-            unsure = ~exact & ~(np.abs(fc[0] - fd[0]) > fc[1] + fd[1])
-            if unsure.any():
-                exact |= unsure
-                gram.keep(~unsure[gram.rows])
-                exact_rows, exact_stack = np.flatnonzero(exact), stack[exact]
-                both = objective(np.concatenate((stack[unsure], stack[unsure])),
-                                 np.concatenate((c[unsure], d[unsure])))
-                fc[0, unsure], fd[0, unsure] = np.split(both, 2)
-            left = fc[0] >= fd[0]  # a NaN comparison moves the bracket right
-            lo, hi = np.where(left, lo, c), np.where(left, d, hi)
-            step = _GOLDEN * (hi - lo)
-            c, d = np.where(left, hi - step, d), np.where(left, c, lo + step)
-            value = probe(np.where(left, c, d))
-            fc, fd = np.where(left, value, fd), np.where(left, fc, value)
-        rho_hat = 0.5 * (lo + hi)
-        coef_hat, ssr_hat, rank_hat = _gls_stack(stack, rho_hat)
+        rho_hat = _rho_search(systems, search, (rank0[search] < k) | ~in_range[search])
+        coef_hat, ssr_hat, rank_hat = _gls_chunks(systems, search, rho_hat)
 
         kept = []
         coefs = np.empty((len(search), k))
@@ -497,14 +563,17 @@ def _exact_ml_stack(matrices: np.ndarray, responses: np.ndarray, group: int = 1)
                 rho, loglik, coefs[j], rank = 0.0, loglik0, coef0[i], rank0[i]
             kept.append((rho, {"loglik": loglik, "iterations": RHO_STEPS,
                                **_rank_diagnostics(rank, k)}))
-        residuals, ssr = _residuals(matrices[search], responses[search], coefs)
-        for j, i in enumerate(search.tolist()):
-            fits[i] = (coefs[j], residuals[j], ssr[j], *kept[j])
+        for start in range(0, len(search), _CHUNK):
+            part = search[start:start + _CHUNK]
+            residuals, ssr = _residuals(systems[part, :, :k], responses[part],
+                                        coefs[start:start + _CHUNK])
+            for j, i in enumerate(part.tolist()):
+                fits[i] = (coefs[start + j], residuals[j], ssr[j], *kept[start + j])
 
     starts = range(0, count, group)
     firsts = [min(range(g, g + group), key=ssr0.__getitem__) for g in starts]
     search_rho([i for i in firsts if i not in fits])
-    prune = group > 1 and max(systems.max(), -systems.min()) < _HALF_MAX
+    prune = group > 1 and tops.max() < _HALF_MAX
     rest = []
     for g, first in zip(starts, firsts):
         rivals = [i for i in range(g, g + group) if i not in fits]
@@ -558,18 +627,16 @@ def fit_models(
     """
     if not decays:
         raise ValidationError("no Koyck decay to fit")
-    matrices, responses, targets = design_matrix(window, model_id, decays, temp_mode)
-    count, n_decays, n, k = matrices.shape
-    matrices = matrices.reshape(count * n_decays, n, k)
-    responses = np.repeat(responses, n_decays, axis=0)
+    systems, targets = design_matrix(window, model_id, decays, temp_mode)
+    count, n_decays, n, width = systems.shape
+    systems = systems.reshape(count * n_decays, n, width)
     try:
         if method == "ols":
-            systems = np.concatenate((matrices, responses[:, :, None]), axis=2)
             coef, residuals, ssr, rank = _solve(systems)
-            solved = [(coef[i], residuals[i], ssr[i], 0.0, _rank_diagnostics(rank[i], k))
+            solved = [(coef[i], residuals[i], ssr[i], 0.0, _rank_diagnostics(rank[i], width - 1))
                       for i in range(len(ssr))]
         elif method == "exact_ml_ar1":
-            solved = _exact_ml_stack(matrices, responses, n_decays)
+            solved = _exact_ml_stack(systems, n_decays)
         else:
             raise ValidationError(f"unknown estimation method {method!r}")
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
@@ -580,8 +647,9 @@ def fit_models(
         ssr = [math.inf if s is None else s[2] for s in solved[i * n_decays:(i + 1) * n_decays]]
         best = min(range(n_decays), key=ssr.__getitem__)
         *fitted, diagnostics = solved[i * n_decays + best]
+        # A copy, so that the fit does not keep the run's blocks alive.
         fits.append(FitResult(model_id, method, decays[best], *fitted,
-                              {**diagnostics, "temp_mode": temp_mode}, targets[i, best]))
+                              {**diagnostics, "temp_mode": temp_mode}, targets[i, best].copy()))
     return fits
 
 

@@ -18,13 +18,13 @@ output, and ``tests/test_output_digest.py`` checks every command against it.
 The commands: seeds 1, 7 and 20071 in both temperature-lag modes, each under
 exact ML with the decay grid and without the lag and OLS with the grid,
 without the lag and at the fixed decay 0.35, as a 31-day backtest and as a
-forecast; 391-day OLS backtests; exact ML with every load times 1e9, 1e150,
-1e300 and 1.87e303; OLS without the lag and with the decay grid on
-temperatures of -0.0 at hour 3 and 0.0 at hour 4; backtests with a load of 0
-on a history day, mid-range and on the last day; a three-day backtest whose
-middle day aborts at Eq. (8), and the forecast of that day; a backtest whose
-actual loads of 1e-307 overflow the MMRE; and two coverage errors.  That is
-87 commands.
+forecast; 391-day OLS backtests; a 50-day exact-ML backtest on the decay
+grid; exact ML with every load times 1e9, 1e150, 1e300 and 1.87e303; OLS
+without the lag and with the decay grid on temperatures of -0.0 at hour 3
+and 0.0 at hour 4; backtests with a load of 0 on a history day, mid-range
+and on the last day; a three-day backtest whose middle day aborts at Eq. (8),
+and the forecast of that day; a backtest whose actual loads of 1e-307
+overflow the MMRE; and two coverage errors.  That is 88 commands.
 """
 
 from __future__ import annotations
@@ -175,6 +175,9 @@ def digest(out: Path) -> list:
     for mode, setting in (("hour", "ols-off"), ("hour", "ols-grid"), ("day", "ols-off")):
         backtest(f"backtest-391d-{mode}-{setting}", year, first, first + dt.timedelta(days=390),
                  [*SETTINGS[setting], "--temp-lag-mode", mode])
+    # 50 days of exact ML on the decay grid: three full runs and a short one.
+    backtest("backtest-50d-hour-exact-grid", year, first, first + dt.timedelta(days=49),
+             SETTINGS["exact-grid"])
 
     raw = out / "synth-s1-d40" / "data.csv"
     for label, factor in (("1e9", 1e9), ("1e150", 1e150), ("1e300", 1e300),

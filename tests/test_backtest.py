@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from dayahead import backtest
+from dayahead import backtest, cli
 from dayahead.backtest import render_backtest_csv, run_backtest
 from dayahead.errors import DegeneracyError, ValidationError
 from dayahead.ingest import Dataset, SeriesWindow, SynthParams, synth_dataset
@@ -148,11 +148,18 @@ def _singular(window, settings):
     raise DegeneracyError("model a: SVD did not converge in Linear Least Squares", "(1)")
 
 
+def test_grid_runs_are_16_days_and_single_decay_runs_40():
+    assert backtest._run_length(cli._parse_koyck("grid")) == 16
+    assert backtest._run_length(cli._parse_koyck("off")) == 40
+    assert backtest._run_length(cli._parse_koyck("fixed=0.35")) == 40
+
+
 @pytest.mark.parametrize("replacement", [_alone, _singular])
 @pytest.mark.parametrize("settings, span", [
     (OLS_OFF, 45),  # two runs: 40 days, then 5
-    (EngineSettings(), 6),  # runs of 4 days under the decay grid
+    (EngineSettings(), 6),  # one run under the decay grid
     (EngineSettings(method="ols", decays=(0.5,), temp_mode="day"), 41),
+    (EngineSettings(), 18),  # runs of 16 days under the decay grid, then 2
 ])
 def test_runs_of_days_score_as_days_fitted_alone(
         monkeypatch, stub_criticals, settings, span, replacement):
@@ -174,11 +181,12 @@ def test_runs_of_days_score_as_days_fitted_alone(
     (OLS_OFF, "2004-02-23", "2004-01-10", -3.5),  # the first target day
     (OLS_OFF, "2004-02-23", "2004-01-30", -0.0),  # mid-run
     (OLS_OFF, "2004-02-23", "2004-02-23", 0.0),  # the last day, in the second run
-    # Runs of 4 days under the decay grid: 2004-01-10 .. 2004-01-13, ...
-    (EngineSettings(), "2004-01-19", "2004-01-03", -0.0),
-    (EngineSettings(), "2004-01-19", "2004-01-10", 0.0),
-    (EngineSettings(), "2004-01-19", "2004-01-15", -3.5),
-    (EngineSettings(), "2004-01-19", "2004-01-19", 0.0),
+    # Runs of 16 days under the decay grid: 2004-01-10 .. 2004-01-25, then
+    # 2004-01-26 .. 2004-01-28.
+    (EngineSettings(), "2004-01-28", "2004-01-03", -0.0),
+    (EngineSettings(), "2004-01-28", "2004-01-10", 0.0),
+    (EngineSettings(), "2004-01-28", "2004-01-18", -3.5),
+    (EngineSettings(), "2004-01-28", "2004-01-28", 0.0),
 ], ids=["ols-history", "ols-first", "ols-mid-run", "ols-last",
         "grid-history", "grid-first", "grid-mid-run", "grid-last"])
 def test_days_before_a_non_positive_load_are_scored_first(

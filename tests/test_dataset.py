@@ -134,7 +134,8 @@ def assert_oracle_designs(records, first, n, lams):
         assert not windows[i].loads.flags.writeable
     for temp_mode in ("hour", "day"):
         for model_id in MODEL_IDS:
-            matrices, responses, blocks = run_designs(run, model_id, lams, temp_mode)
+            systems, blocks = run_designs(run, model_id, lams, temp_mode)
+            matrices, responses = systems[..., :-1], systems[:, 0, :, -1]
             for i, (window, want_window) in enumerate(zip(windows, want_windows)):
                 days = oracles.legal_training_days(want_window, model_id, temp_mode)
                 for j, lam in enumerate(lams):

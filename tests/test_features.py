@@ -217,7 +217,8 @@ def test_signed_zero_temperatures_give_oracle_designs_bit_for_bit(temp_mode):
     for model_id in MODEL_IDS:
         days = legal_training_days(window, model_id, temp_mode)
         for lams in ((0.0,), LAMBDA_GRID):
-            matrices, responses, targets = run_designs(window, model_id, lams, temp_mode)
+            systems, targets = run_designs(window, model_id, lams, temp_mode)
+            matrices, responses = systems[..., :-1], systems[:, 0, :, -1]
             for lam, matrix, target_block in zip(lams, matrices[0], targets[0]):
                 want = oracles.design_matrix(window, model_id, days, lam, temp_mode)
                 assert same_bits(matrix, want.matrix)
@@ -260,8 +261,8 @@ def test_koyck_validates_arguments():
 def design(window, model_id: str, lam: float) -> tuple:
     """``run_designs``' training design and response of a one-day window's
     day at one decay."""
-    matrices, responses, _ = run_designs(window, model_id, (lam,))
-    return matrices[0, 0], responses[0]
+    systems, _ = run_designs(window, model_id, (lam,))
+    return systems[0, 0, :, :-1], systems[0, 0, :, -1]
 
 
 def test_design_matrix_shapes_and_intercept():
@@ -332,7 +333,8 @@ def test_design_matrices_match_decay_by_decay_oracle(temp_mode):
     window = last_day_window(SynthParams(days=12, seed=4))
     for model_id in MODEL_IDS:
         days = legal_training_days(window, model_id, temp_mode)
-        matrices, responses, targets = run_designs(window, model_id, LAMBDA_GRID, temp_mode)
+        systems, targets = run_designs(window, model_id, LAMBDA_GRID, temp_mode)
+        matrices, responses = systems[..., :-1], systems[:, 0, :, -1]
         for lam, matrix, target_block in zip(LAMBDA_GRID, matrices[0], targets[0]):
             want = oracles.design_matrix(window, model_id, days, lam, temp_mode)
             assert np.array_equal(matrix, want.matrix)

@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from dayahead import backtest, regress
 from dayahead.errors import ValidationError
-from dayahead.features import LAMBDA_GRID, target_regressors
+from dayahead.features import LAMBDA_GRID, run_designs, target_regressors
 from dayahead.ingest import Dataset, SynthParams, assemble_window, synth_dataset
 from dayahead.regress import (
     _concentrated_loglik,
@@ -346,9 +347,9 @@ def test_fit_models_match_each_window_fitted_alone(case, seed, temp_mode):
     synth_days, n_days, method, decays = RUN_CASES[case]
     data = backtest_data(synth_days, seed)
     windows = day_windows(data, n_days)
-    run_length = max(1, backtest._SYSTEMS_PER_SOLVE // len(decays))
+    run_length = backtest._run_length(decays)
     # (first day, days) of one window over every day (well past the
-    # backtest's cap), of the backtest's runs, and of a run of one day.
+    # backtest's run length), of the backtest's runs, and of a run of one day.
     runs = [(0, n_days), *((i, min(run_length, n_days - i)) for i in range(0, n_days, run_length)),
             (n_days // 2, 1)]
     for model_id in ("a", "b", "c"):
@@ -367,19 +368,44 @@ def test_fit_models_match_each_window_fitted_alone(case, seed, temp_mode):
 
 def run_fits(data: Dataset, n_days: int, model_id: str, temp_mode="hour"):
     """fit_models over the backtest's runs of the first ``n_days`` days."""
-    run_length = backtest._SYSTEMS_PER_SOLVE // len(LAMBDA_GRID)
+    run_length = backtest._run_length(LAMBDA_GRID)
     return [fit for i in range(0, n_days, run_length)
             for fit in regress.fit_models(run_window(data, i, min(run_length, n_days - i)),
                                           model_id, temp_mode=temp_mode)]
+
+
+def exact_ml_stack(matrices, responses, group=1) -> list:
+    """``regress._exact_ml_stack`` of the ``[design | response]`` systems of
+    a stack of designs and responses."""
+    return regress._exact_ml_stack(np.concatenate((matrices, responses[:, :, None]), axis=2),
+                                   group)
+
+
+def test_a_grid_run_fits_in_a_bounded_heap():
+    # Model a over one full-length grid run (16 days) of synth --days 40
+    # --seed 1.  Measured with numpy 2.4.6: a 1.98 MB peak.  Holding the
+    # moments of the whole (2k+1)-square augmented matrix per slice, as an
+    # earlier form did, raises it to 2.89 MB; with the copies that form also
+    # made, it peaked at 4.88 MB on 16-day runs and at 1.11 MB on 4-day runs.
+    window = run_window(backtest_data(40, 1), 0, backtest._run_length(LAMBDA_GRID))
+    assert window.days == 16
+    regress.fit_models(window, "a")  # imports and caches
+    tracemalloc.start()
+    try:
+        regress.fit_models(window, "a")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_300_000
 
 
 def test_exact_ml_grid_skips_decays_that_cannot_win(monkeypatch):
     solved = []
     gls_stack = regress._gls_stack
 
-    def counting(systems, rho):
-        solved.append(len(systems))
-        return gls_stack(systems, rho)
+    def counting(systems, rows, rho):
+        solved.append(len(rows))
+        return gls_stack(systems, rows, rho)
 
     monkeypatch.setattr(regress, "_gls_stack", counting)
     data = backtest_data(40, 1)
@@ -432,8 +458,8 @@ def test_rounding_ties_are_searched():
     # first fit's; without it some of these groups keep another decay.
     for seed in range(40):
         matrices, responses = same_span_group(seed)
-        pruned = regress._exact_ml_stack(matrices, responses, group=len(matrices))
-        alone = [regress._exact_ml_stack(m[None], y[None])[0]
+        pruned = exact_ml_stack(matrices, responses, group=len(matrices))
+        alone = [exact_ml_stack(m[None], y[None])[0]
                  for m, y in zip(matrices, responses)]
         best = first_minimum(alone)
         assert first_minimum(pruned) == best, seed
@@ -452,11 +478,11 @@ def test_a_search_that_would_overflow_is_not_skipped():
     huge = rng.uniform(0.9, 1.0, size=(n, k)) * 1.7e308
     matrices, responses = np.stack([fine, huge]), np.stack([y, y])
     with pytest.raises(FloatingPointError):
-        regress._exact_ml_stack(huge[None], y[None])
-    solved = regress._exact_ml_stack(fine[None], y[None])
+        exact_ml_stack(huge[None], y[None])
+    solved = exact_ml_stack(fine[None], y[None])
     assert solved[0][2] < 1e3 * n
     with pytest.raises(FloatingPointError):
-        regress._exact_ml_stack(matrices, responses, group=2)
+        exact_ml_stack(matrices, responses, group=2)
 
 
 @pytest.mark.parametrize("decays", [(), (1.0,), (0.0, 1.0)])
@@ -471,8 +497,8 @@ def test_lockstep_stack_with_tie_break_slice():
     designs = [design_matrix(window, "c", days, lam) for lam in LAMBDA_GRID]
     constant = with_response(designs[4], np.full(len(designs[4].rows), 7.5))
     stack = designs[:4] + [constant] + designs[4:]
-    solved = regress._exact_ml_stack(np.stack([d.matrix for d in stack]),
-                                     np.stack([d.response for d in stack]))
+    solved = exact_ml_stack(np.stack([d.matrix for d in stack]),
+                            np.stack([d.response for d in stack]))
     got = [regress.FitResult("c", "exact_ml_ar1", 0.0, *s) for s in solved]
     assert got[4].diagnostics.get("rho_tie_break") is True
     assert sum("rho_tie_break" in fit.diagnostics for fit in got) == 1
@@ -577,7 +603,7 @@ def test_bimodal_profile_search_keeps_its_lower_mode(monkeypatch):
     window = assemble_window(backtest_data(40, 1), dt.date(2004, 2, 2))
     design = design_matrix(window, "b", legal_training_days(window, "b", "day"), 0.1, "day")
     solved = counting_solves(monkeypatch)
-    got = regress._exact_ml_stack(design.matrix[None], design.response[None])[0]
+    got = exact_ml_stack(design.matrix[None], design.response[None])[0]
     assert sum(solved) < 35  # some comparisons were certified
     same_repr(got, oracles.exact_ml_ar1_fit(design))
     n = len(design.response)
@@ -628,7 +654,7 @@ def test_certified_search_matches_the_oracle_on_adversarial_designs(case, group)
     k = matrix.shape[1]
     matrices = np.stack([matrix] + [matrix @ (np.eye(k) + 0.1 * rng.normal(size=(k, k)))
                                     for _ in range(group - 1)])
-    solved = regress._exact_ml_stack(matrices, np.repeat(y[None], group, axis=0), group)
+    solved = exact_ml_stack(matrices, np.repeat(y[None], group, axis=0), group)
     alone = [oracles.exact_ml_ar1_fit(bare_design(m, y)) for m in matrices]
     assert first_minimum(solved) == min(range(group), key=lambda i: alone[i].ssr)
     for got, want in zip(solved, alone):
@@ -643,8 +669,8 @@ def test_every_radius_covers_the_exact_log_likelihood(case, rhos):
     rho = np.array(rhos)
     stack = np.repeat(np.column_stack((matrix, y))[None], len(rho), axis=0)
     with np.errstate(invalid="ignore"):  # a factor that fails is NaN
-        value, radius = regress._GramSearch(stack, np.arange(len(rho))).loglik(rho)
-    _, ssr, _ = regress._gls_stack(stack, rho)
+        value, radius = regress._GramSearch(stack.copy(), np.arange(len(rho))).loglik(rho)
+    _, ssr, _ = regress._gls_stack(stack, np.arange(len(rho)), rho)
     exact = np.array([_concentrated_loglik(s, r, len(y)) for s, r in zip(ssr, rhos)])
     sure = np.isfinite(radius)
     assert (np.abs(exact - value)[sure] <= radius[sure]).all()
@@ -660,7 +686,7 @@ def test_a_near_singular_factor_gets_no_radius():
     assert regress._lstsq_stack(matrix[None], y[None])[1][0] == 3
     gram = regress._GramSearch(np.column_stack((matrix, y))[None], np.arange(1))
     assert np.isinf(gram.loglik(np.array([0.3]))[1]).all()
-    same_repr(regress._exact_ml_stack(matrix[None], y[None])[0],
+    same_repr(exact_ml_stack(matrix[None], y[None])[0],
               oracles.exact_ml_ar1_fit(bare_design(matrix, y)))
 
 
@@ -689,7 +715,7 @@ def test_a_non_finite_value_is_never_certified(monkeypatch):
     # decided on it, so every search falls back to dgelsd and ends as alone.
     monkeypatch.setattr(regress, "_loglik_bound", lambda *args: (math.nan, 0.0))
     design = full_rank_design("b", seed=17, lam=0.4)
-    same_repr(regress._exact_ml_stack(design.matrix[None], design.response[None])[0],
+    same_repr(exact_ml_stack(design.matrix[None], design.response[None])[0],
               oracles.exact_ml_ar1_fit(design))
 
 
@@ -699,7 +725,7 @@ def recording_gram(monkeypatch) -> list:
 
     class Recording(regress._GramSearch):
         def __init__(self, stack, rows):
-            seen.append(stack)
+            seen.append(stack.copy())
             super().__init__(stack, rows)
 
     monkeypatch.setattr(regress, "_GramSearch", Recording)
@@ -726,9 +752,65 @@ def test_slices_near_the_double_range_never_reach_the_gram_bound(monkeypatch):
     assert huge.min() >= regress._HALF_MAX
     seen = recording_gram(monkeypatch)
     with pytest.raises(FloatingPointError):
-        regress._exact_ml_stack(np.stack([fine, huge]), np.stack([y, y]))
+        exact_ml_stack(np.stack([fine, huge]), np.stack([y, y]))
     assert [len(stack) for stack in seen] == [1]
     assert np.array_equal(seen[0][0, :, :3], fine)
+
+
+def grid_systems(data: Dataset, n_days: int, model_id: str) -> list:
+    """The ``[design | response]`` stacks of the backtest's runs of the
+    first ``n_days`` days, every day at every decay, as ``fit_models``
+    solves them."""
+    run_length = backtest._run_length(LAMBDA_GRID)
+    stacks = []
+    for i in range(0, n_days, run_length):
+        systems, _ = run_designs(run_window(data, i, min(run_length, n_days - i)), model_id,
+                                 LAMBDA_GRID)
+        stacks.append(systems.reshape(-1, *systems.shape[2:]))
+    return stacks
+
+
+@pytest.mark.parametrize("pull", [0.0, 0.99])
+def test_every_certified_radius_covers_the_dgelsd_log_likelihood(monkeypatch, pull):
+    # Every probe of the 31-day grid at seed 1 with hour lags that the Gram
+    # bound certifies, against the log-likelihood of a dgelsd solve at its
+    # rho.  With the actual responses, the two differ by at most about 6e-13
+    # nats, under the radius's rounding term (about 3e-11).  Pulling each
+    # response 99 % of the way to its OLS fit leaves a residual whose
+    # rounding moves both by up to about 1e-10, which only the first-order
+    # width W covers: a W too small by 1e-4 fails there.
+    distance, radii = [], []
+
+    class Checking(regress._GramSearch):
+        def __init__(self, stack, rows):
+            self.stack = stack.copy()
+            super().__init__(stack, rows)
+
+        def keep(self, mask):
+            super().keep(mask)
+            self.stack = self.stack[mask]
+
+        def loglik(self, rho):
+            value, radius = super().loglik(rho)
+            _, ssr, _ = regress._gls_stack(self.stack, np.arange(len(rho)), rho)
+            n = self.stack.shape[1]
+            exact = [_concentrated_loglik(s, r, n) for s, r in zip(ssr, rho.tolist())]
+            sure = np.isfinite(radius)
+            distance.extend(np.abs(np.array(exact) - value)[sure])
+            radii.extend(radius[sure])
+            return np.array([value, radius])
+
+    monkeypatch.setattr(regress, "_GramSearch", Checking)
+    data = backtest_data(40, 1)
+    for model_id in ("a", "b", "c"):
+        for systems in grid_systems(data, 31, model_id):
+            x, y = systems[..., :-1], systems[..., -1]
+            fitted = np.matmul(x, regress._lstsq_stack(x, y)[0][..., None])[..., 0]
+            systems[..., -1] = y - pull * (y - fitted)
+            regress._exact_ml_stack(systems, len(LAMBDA_GRID))
+    distance, radii = np.array(distance), np.array(radii)
+    assert len(radii) > 5_000
+    assert (distance <= radii).all()
 
 
 @pytest.mark.parametrize("temp_mode, most", [("hour", 12_000), ("day", 21_126)])

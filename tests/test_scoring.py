@@ -37,7 +37,7 @@ def synth(days, seed, scale=1.0):
 @pytest.mark.parametrize("seed", [1, 20071])
 @pytest.mark.parametrize("mode", ["hour", "day"])
 def test_exact_ml_grid_rows_equal_the_oracle_rows(seed, mode):
-    # Day mode aborts days at Eq. (11) inside runs of four.
+    # Day mode aborts days at Eq. (11) inside runs of 16.
     data, settings = synth(40, seed), EngineSettings(temp_mode=mode)
     last = FIRST + dt.timedelta(days=30)
     rows, _ = run_backtest(data, FIRST, last, CV, settings)
@@ -131,12 +131,13 @@ def test_a_day_aborting_at_eq8_mid_run_leaves_its_neighbours_the_oracle_bits(tmp
 
 
 def test_a_run_whose_stacked_fit_raises_scores_each_day_as_a_run_of_one(monkeypatch):
-    # Loads of one day times 1e303: the exact-ML fits of the runs holding the
+    # Loads of one day times 1e303: the exact-ML fits of the run holding the
     # days after it raise at model b's formula.
-    records = [r._replace(load_mw=r.load_mw * 1e303) if r.date == DAMAGED else r
-               for r in synth_dataset(SynthParams(days=30, seed=1))]
+    damaged = dt.date(2004, 1, 24)
+    records = [r._replace(load_mw=r.load_mw * 1e303) if r.date == damaged else r
+               for r in synth_dataset(SynthParams(days=42, seed=1))]
     data = parse_csv(serialize_csv(records))
-    first, last = DAMAGED - dt.timedelta(days=2), DAMAGED + dt.timedelta(days=6)
+    first, last = damaged - dt.timedelta(days=14), damaged + dt.timedelta(days=18)
     calls = []
 
     def recorder(window, critical_values, settings, fits):
@@ -145,9 +146,10 @@ def test_a_run_whose_stacked_fit_raises_scores_each_day_as_a_run_of_one(monkeypa
 
     monkeypatch.setattr(backtest, "run_day", recorder)
     rows, _ = run_backtest(data, first, last, CV, EngineSettings())
-    assert "".join({"ok": "."}.get(r.status, r.status[-1]) for r in rows) == "...1224.."
+    assert ("".join({"ok": "."}.get(r.status, r.status[-1]) for r in rows)
+            == "...............1222..322.........")
     assert repr(rows) == repr(oracles.backtest_rows(data, first, last, CV, EngineSettings()))
-    # Runs of four days: the second one's stacked fit raises, so its days
-    # are scored alone; the first and the last run score their fits.
-    alone = [(first + dt.timedelta(days=k), 1, True) for k in range(4, 8)]
-    assert calls == [(first, 4, False), *alone, (last, 1, False)]
+    # Runs of 16 days: the second one's stacked fit raises, so its days are
+    # scored alone; the first and the last run score their fits.
+    alone = [(first + dt.timedelta(days=k), 1, True) for k in range(16, 32)]
+    assert calls == [(first, 16, False), *alone, (last, 1, False)]
