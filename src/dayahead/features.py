@@ -13,25 +13,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
 from .ingest import HISTORY_DAYS, SeriesWindow
 
 MODEL_IDS = ("a", "b", "c")
-
-PULSE_HOURS = (9, 10, 11, 19, 20, 21)
 
 # Truncation order of the distributed (Koyck) lag.
 KOYCK_ORDER = 3
 
 LAMBDA_GRID = tuple(i / 10.0 for i in range(10))
-
-def _row(array: np.ndarray, rows) -> np.ndarray:
-    """Rows ``rows`` (an int or an int array) of a window's loads or temps."""
-    rows = np.asarray(rows)
-    for row in (rows.min(), rows.max()):
-        if not 0 <= row < len(array):
-            raise ValidationError(f"row {row} is absent from a window of {len(array)} rows")
-    return array[rows]
 
 
 def halfday_lag_profile(loads: np.ndarray, rows) -> np.ndarray:
@@ -41,13 +30,11 @@ def halfday_lag_profile(loads: np.ndarray, rows) -> np.ndarray:
     Hours 1..12 take the afternoon of two days back; hours 13..24 take the
     morning of the previous day.
     """
-    return np.concatenate((_row(loads, rows - 2)[..., 12:], _row(loads, rows - 1)[..., :12]), -1)
+    return np.concatenate((loads[rows - 2, 12:], loads[rows - 1, :12]), -1)
 
 
 def indicator(hour: int) -> np.ndarray:
     """Unit pulse at one of the six peak hours, zero elsewhere."""
-    if hour not in PULSE_HOURS:
-        raise ValidationError(f"hour {hour} is not one of the pulse hours {PULSE_HOURS}")
     vec = np.zeros(24)
     vec[hour - 1] = 1.0
     return vec
@@ -61,14 +48,9 @@ def temp_term(temps: np.ndarray, rows, lag: int, mode: str = "hour") -> np.ndarr
     target day's own temperatures are its forecast row.
     mode="day": value(t) is the temperature of row ``rows - lag`` at hour t.
     """
-    if lag not in (2, 8):
-        raise ValidationError(f"temperature lag must be 2 or 8, got {lag}")
     if mode == "day":
-        return _row(temps, rows - lag)
-    if mode != "hour":
-        raise ValidationError(f"unknown temperature lag mode {mode!r}")
-    prev, same = _row(temps, rows - 1), _row(temps, rows)
-    return np.concatenate((prev[..., 24 - lag :], same[..., : 24 - lag]), -1)
+        return temps[rows - lag]
+    return np.concatenate((temps[rows - 1, 24 - lag :], temps[rows, : 24 - lag]), -1)
 
 
 def koyck_transform(series: np.ndarray, lams) -> np.ndarray:
@@ -89,12 +71,7 @@ def koyck_transform(series: np.ndarray, lams) -> np.ndarray:
     a scalar product and keeps -0.0, which a dot through matmul returns as
     +0.0.
     """
-    for lam in lams:
-        if not 0.0 <= lam < 1.0:
-            raise ValidationError(f"lambda must lie in [0, 1), got {lam}")
     x = np.asarray(series, dtype=float)
-    if x.shape[-1:] != (24,):
-        raise ValidationError("koyck_transform expects 24-vectors")
     taps = KOYCK_ORDER + 1
     # Row t - 1 of ``window`` is series(t), series(t-1), ..., zeros before hour 1.
     padded = np.concatenate((x[..., ::-1], np.zeros(x.shape[:-1] + (KOYCK_ORDER,))), -1)
@@ -116,8 +93,6 @@ def training_rows(model_id: str, temp_mode: str = "hour") -> tuple:
     day-lag temperature mode the 8-day temperature lag further restricts
     models b and c to the last one.
     """
-    if model_id not in MODEL_IDS:
-        raise ValidationError(f"unknown model id {model_id!r}")
     rows = (HISTORY_DAYS - 2, HISTORY_DAYS - 1)
     return rows[1:] if model_id in ("b", "c") and temp_mode == "day" else rows
 
@@ -129,22 +104,20 @@ def _blocks(loads, temps, rows: np.ndarray, model_id: str, lams, temp_mode: str)
     """len(rows) x len(lams) x 24 x n_cols regressor blocks for the days of
     window rows ``rows`` (training or target), one per decay in ``lams``.
     Only the two distributed-lag columns depend on the decay."""
-    lag1 = _row(loads, rows - 1)
+    lag1 = loads[rows - 1]
     half = halfday_lag_profile(loads, rows)
-    lag7 = _row(loads, rows - 7)
+    lag7 = loads[rows - 7]
     fixed = [np.ones(24), lag1, half, lag7]
 
     if model_id == "a":
         fixed += [indicator(h) for h in (9, 10, 19, 20)]
         series = [indicator(h)[None] for h in (11, 21)]  # the same for every row
-    elif model_id in ("b", "c"):
+    else:  # "b" or "c"
         t2 = temp_term(temps, rows, 2, temp_mode)
         t8 = temp_term(temps, rows, 8, temp_mode)
         series = [(lag1 - half) * t2, (half - lag7) * t8]
         if model_id == "c":
             fixed += [t2, t8, lag1 * t2 - lag7 * t8]
-    else:
-        raise ValidationError(f"unknown model id {model_id!r}")
     blocks = np.empty((len(rows), len(lams), 24, len(fixed) + 2))
     for c, col in enumerate(fixed):
         blocks[..., c] = col[..., None, :]

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegeneracyError, ValidationError
+from .errors import DegeneracyError
 from .features import LAMBDA_GRID, MODEL_IDS
 from .features import run_designs as design_matrix  # the name the benchmark tracer patches
 from .features import target_regressors  # noqa: F401  the benchmark tracer looks it up here
@@ -97,12 +97,9 @@ def ols_fit(design) -> FitResult:
     solution is returned and the condition is reported in diagnostics; the
     fitted values still minimize the sum of squared residuals exactly.
     """
-    n, k = design.matrix.shape
-    if n < k:
-        raise ValidationError(f"need at least {k} rows, got {n}")
     coef, residuals, ssr, rank = _solve(np.column_stack((design.matrix, design.response))[None])
     return FitResult(design.model_id, "ols", 0.0, coef[0], residuals[0], ssr[0], 0.0,
-                     _rank_diagnostics(rank[0], k))
+                     _rank_diagnostics(rank[0], design.matrix.shape[1]))
 
 
 def _raise_svd_error(err, flag):
@@ -526,8 +523,6 @@ def _exact_ml_stack(systems: np.ndarray, group: int = 1) -> list:
     """
     count, n, width = systems.shape
     k = width - 1
-    if n < width:
-        raise ValidationError(f"need at least {width} rows, got {n}")
     responses = np.ascontiguousarray(systems[:, :, k])  # y @ y sums a contiguous y
     tops = _column_tops(systems)
     # Where the argument above holds: every column's largest magnitude lies
@@ -625,8 +620,6 @@ def fit_models(
     that is not finite raises :class:`DegeneracyError` naming the model's
     formula, and so does an SVD that does not converge.
     """
-    if not decays:
-        raise ValidationError("no Koyck decay to fit")
     systems, targets = design_matrix(window, model_id, decays, temp_mode)
     count, n_decays, n, width = systems.shape
     systems = systems.reshape(count * n_decays, n, width)
@@ -635,10 +628,8 @@ def fit_models(
             coef, residuals, ssr, rank = _solve(systems)
             solved = [(coef[i], residuals[i], ssr[i], 0.0, _rank_diagnostics(rank[i], width - 1))
                       for i in range(len(ssr))]
-        elif method == "exact_ml_ar1":
-            solved = _exact_ml_stack(systems, n_decays)
         else:
-            raise ValidationError(f"unknown estimation method {method!r}")
+            solved = _exact_ml_stack(systems, n_decays)
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise DegeneracyError(f"model {model_id}: {exc}", EQUATIONS[model_id]) from None
     fits = []

@@ -125,12 +125,9 @@ def peak_bounds(forecasts: np.ndarray) -> np.ndarray:
 def daily_work(
     p1_am: float, p2_am: float, p1_pm: float, p2_pm: float, beta: float
 ) -> tuple[float, float]:
-    """Daily work pair (Eq. 10): W_i = 11.608 + (ln p_i^pm - ln p_i^am)/beta."""
-    for name, value in (
-        ("p1_am", p1_am), ("p2_am", p2_am), ("p1_pm", p1_pm), ("p2_pm", p2_pm)
-    ):
-        if value <= 0.0:
-            raise DegeneracyError(f"non-positive peak {name}={value}", "(10)")
+    """Daily work pair (Eq. 10): W_i = 11.608 + (ln p_i^pm - ln p_i^am)/beta.
+    The peaks are at least 1 MW: ``regress.forecast_day`` clamps every hour,
+    and a forecast that is not finite aborts its day at Eq. (4) first."""
     if beta == 0.0:
         raise DegeneracyError("beta is zero, daily work undefined", "(10)")
     w1 = WORK_OFFSET + (math.log(p1_pm) - math.log(p1_am)) / beta

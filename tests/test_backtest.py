@@ -66,14 +66,6 @@ def test_coverage_check_stops_at_the_first_missing_day(permissive_criticals):
     assert peak < 1_000_000
 
 
-def test_an_empty_decay_list_is_a_validation_error(permissive_criticals):
-    records = synth_dataset(SynthParams(days=12, seed=6))
-    target = records[-1].date
-    with pytest.raises(ValidationError, match="no Koyck decay"):
-        run_backtest(dataset_of(records), target, target, permissive_criticals,
-                     EngineSettings(decays=()))
-
-
 def test_aborted_day_bookkeeping(permissive_criticals):
     degenerate = dt.date(2004, 5, 10)
     records = recoherence_backtest_records(degenerate, tail_days=1)

@@ -142,16 +142,44 @@ def test_forecast_missing_critical_values(tmp_path, capsys, damage):
     assert f"cannot read {unreadable}" in capsys.readouterr().err
 
 
-def test_forecast_bad_koyck_flag(tmp_path, capsys):
+def model_flag_command(tmp_path, command, flags):
+    """A ``forecast`` or ``backtest`` of the last day of a synthetic dataset
+    that writes to standard output, with extra model ``flags``."""
     data = synth_to(tmp_path, "data.csv")
-    hist, fc, target = split_forecast_inputs(tmp_path, data)
-    code = cli.main([
-        "forecast", "--history", str(hist), "--temp-forecast", str(fc),
-        "--target-date", target.isoformat(),
-        "--critical-values", write_cv(tmp_path),
-        "--koyck", "fixed=1.5",
-    ])
+    if command == "forecast":
+        hist, fc, target = split_forecast_inputs(tmp_path, data)
+        inputs = ["--history", str(hist), "--temp-forecast", str(fc),
+                  "--target-date", target.isoformat(), "--out", "-"]
+    else:
+        last = parse_csv_records(data.read_text())[-1].date.isoformat()
+        inputs = ["--data", str(data), "--from", last, "--to", last, "--report", "-"]
+    return [command, *inputs, "--critical-values", write_cv(tmp_path), *flags]
+
+
+# The only gate on the decays the engine fits: cli._parse_koyck.
+@pytest.mark.parametrize("koyck", ["fixed=1.5", "fixed=1.0", "fixed=-0.1", "fixed=nan",
+                                   "fixed=inf", "fixed=", "bogus"])
+@pytest.mark.parametrize("command", ["forecast", "backtest"])
+def test_bad_koyck_flag(tmp_path, capsys, command, koyck):
+    code = cli.main(model_flag_command(tmp_path, command, ["--koyck", koyck]))
+    captured = capsys.readouterr()
     assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("dayahead: error: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+# The only gate on the method and the temperature-lag mode: argparse's choices.
+@pytest.mark.parametrize("flag, value", [("--method", "gls"), ("--temp-lag-mode", "week")])
+@pytest.mark.parametrize("command", ["forecast", "backtest"])
+def test_model_flag_outside_its_choices(tmp_path, capsys, command, flag, value):
+    argv = model_flag_command(tmp_path, command, [flag, value])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"invalid choice: '{value}'" in captured.err
 
 
 def test_forecast_recoherence_fixture_exits_3_naming_eq8(tmp_path, capsys):

@@ -191,8 +191,6 @@ def test_daily_work_unit_log_ratio():
 
 def test_daily_work_guards():
     with pytest.raises(DegeneracyError, match=r"\(10\)"):
-        daily_work(0.0, 1.0, 1.0, 1.0, 0.5)
-    with pytest.raises(DegeneracyError, match=r"\(10\)"):
         daily_work(1.0, 1.0, 1.0, 1.0, 0.0)
 
 
