@@ -183,21 +183,27 @@ def exact_ml_ar1_fit(design) -> FitResult:
     return FitResult(design.model_id, "exact_ml_ar1", 0.0, *solved)
 
 
-# A decay is searched only if its OLS SSR, a lower bound on its exact-ML
-# fit's final SSR, is at most the group's first fit's final SSR times
-# (1 + _SSR_MARGIN) plus _SSR_FLOOR * y @ y.  Both SSRs compared are rounded:
-# each is the square norm of a residual that the solver's backward error and
-# the residual's own matmul move by at most about u * |y|, so each is off by
-# at most about 2u * sqrt(ssr * y @ y).  By the AM-GM inequality the two
-# together, 4u * sqrt(ssr * y @ y), stay under 1e-9 * ssr + 4e9 * u**2 * y @ y,
-# which the margin and the floor cover for u up to 1.6e-11, about 70,000
-# ulps, at every ssr: a vanishing SSR never skips a decay whose residuals are
-# within rounding of it.  A NaN or infinite bound skips nothing.
+# A decay's OLS SSR, a lower bound on its exact-ML fit's final SSR, drops
+# its search only where it is above its group's threshold (another fit's
+# final SSR, or a bound above one; see _exact_ml_stack) times (1 +
+# _SSR_MARGIN) plus _SSR_FLOOR * y @ y.  The SSRs compared are rounded: each
+# is the square norm of a residual that the solver's backward error and the
+# residual's own matmul move by at most about u * |y|, so each is off by at
+# most about 2u * sqrt(ssr * y @ y).  By the AM-GM inequality two together,
+# 4u * sqrt(ssr * y @ y), stay under 1e-9 * ssr + 4e9 * u**2 * y @ y, which
+# the margin and the floor cover for u up to 1.6e-11, about 70,000 ulps, at
+# every ssr: a vanishing SSR never drops a decay whose residuals are within
+# rounding of it.  A NaN or infinite threshold drops nothing.
 _SSR_MARGIN = 1e-9
 _SSR_FLOOR = 1e-12
 # Below this magnitude the AR(1) whitening, |a - rho * b| <= |a| + |b| with
 # |rho| < 1, cannot overflow, so no search can end in a non-finite system.
 _HALF_MAX = float(np.finfo(np.float64).max) / 2.0
+# The golden-section steps before which live rivals' final SSRs are bounded
+# (_final_ssr_bounds).  A bound costs about as much as a probe of the same
+# slices, and on the 31-day backtests, bounded at every step, all but a few
+# of the rivals that are ever dropped are dropped by step 17.
+_BOUND_STEPS = frozenset(range(8, 21, 3))
 
 
 # The rho search needs only the outcome of each comparison fc >= fd of two
@@ -288,6 +294,8 @@ def _compact(stack: np.ndarray, dropped: list) -> np.ndarray:
     into the leading slices of the C-contiguous ``stack`` and returned as a
     view of them, or copied to a smaller array once at most half of its
     buffer would be in use."""
+    if not dropped:
+        return stack
     flat, size = stack.reshape(-1), stack[0].size
     # The slices between the shift-th dropped one and the next move down by
     # shift, as one block; a one-dimensional copy to a lower address is safe
@@ -301,14 +309,17 @@ def _compact(stack: np.ndarray, dropped: list) -> np.ndarray:
 class _GramSearch:
     """The log-likelihoods of a stack of in-range ``[design | response]``
     systems at their probes, each with the radius the argument above gives
-    (infinite where it fails).  ``rows`` are the slices' positions in their
-    search; ``keep`` drops the slices whose search turns exact.
+    (infinite where it fails), and bounds on their final SSRs
+    (``final_ssr``).  ``rows`` are the positions in their search of the
+    slices still certifying, ``held`` of those still searched; ``keep``
+    drops the slices whose search turns exact from ``rows``, ``drop`` the
+    slices that stop searching from both.
 
-    Per slice it holds the system, scaled in place in ``stack`` (each probe
-    reads its design and response through views), the three moments of the
-    lower triangle of G, and the augmented matrix, which each probe fills
-    (the factor reads only the lower triangle) and factors in place.
-    ``keep`` moves the kept slices down in place."""
+    Per certifying slice it holds the system, scaled in place in ``stack``
+    (each probe reads its design and response through views), and the
+    augmented matrix, which each probe fills (the factor reads only the
+    lower triangle) and factors in place; per held slice, the three moments
+    of the lower triangle of G.  Both move the kept slices down in place."""
 
     def __init__(self, stack: np.ndarray, rows: np.ndarray):
         count, n, width = stack.shape
@@ -332,34 +343,54 @@ class _GramSearch:
         self.constants = _bound_constants(n, k)
         pu, rcond = self.constants[3], np.finfo(np.float64).eps * max(n, k)
         self.rows = rows
+        self.held = rows
         self.scaled = stack
         self.moments = moments
         self.augmented = np.empty((count, width + k, width + k))
-        self.powers = np.ones((count, 3, 1))
         # Per slice: e_a, the least lam with no rcond truncation, and the
         # power of two that scales the SSR back.
         self.per_slice = (pu * nu, (2.0 * nu * (rcond + 2.0 * pu)) ** 2, 2 * exponent[:, k])
 
     def keep(self, mask: np.ndarray) -> None:
         self.rows = self.rows[mask]
-        self.per_slice = tuple(a[mask] for a in self.per_slice)
         dropped = np.flatnonzero(~mask).tolist()
         # One at a time, so that a copy frees its buffer before the next.
         self.scaled = _compact(self.scaled, dropped)
-        self.moments = _compact(self.moments, dropped)
         self.augmented = _compact(self.augmented, dropped)
-        self.powers = _compact(self.powers, dropped)
 
-    def loglik(self, rho: np.ndarray) -> np.ndarray:
-        """Value and radius, (2, slices), of each kept slice at its ``rho``."""
-        k = self.scaled.shape[2] - 1
-        self.powers[:, 1, 0] = rho
-        np.multiply(rho, rho, out=self.powers[:, 2, 0])
-        fac = self.augmented
+    def drop(self, live: np.ndarray) -> None:
+        """Forget the slices of the search that ``live`` (over its
+        positions) marks False, and renumber the others."""
+        self.keep(live[self.rows])
+        mask = live[self.held]
+        self.moments = _compact(self.moments, np.flatnonzero(~mask).tolist())
+        self.per_slice = tuple(a[mask] for a in self.per_slice)
+        position = np.cumsum(live) - 1
+        self.rows, self.held = position[self.rows], position[self.held[mask]]
+
+    def _factor(self, moments: np.ndarray, rho: np.ndarray, fac: np.ndarray) -> None:
+        """Fill ``fac`` with [[G, J], [J', T I]] at each slice's rho and
+        factor it in place."""
+        k = self.below.shape[0]
+        powers = np.ones((len(rho), 3, 1))
+        powers[:, 1, 0] = rho
+        powers[:, 2, 0] = rho * rho
         fac[:, k + 1:] = self.below
         i, j = self.lower
-        fac[:, i, j] = np.matmul(self.moments, self.powers)[:, :, 0]
+        fac[:, i, j] = np.matmul(moments, powers)[:, :, 0]
         _CHOLESKY(fac, out=fac)
+
+    def loglik(self, rho: np.ndarray) -> np.ndarray:
+        """Value and radius, (2, slices), of each certifying slice at its
+        ``rho``."""
+        k = self.scaled.shape[2] - 1
+        fac = self.augmented
+        if len(self.rows) == len(self.held):
+            moments, per_slice = self.moments, self.per_slice
+        else:
+            at = np.searchsorted(self.held, self.rows)
+            moments, per_slice = self.moments[at], tuple(a[at] for a in self.per_slice)
+        self._factor(moments, rho, fac)
         z = fac[:, k + 1:, :k + 1]
         q = z[:, :, k] * fac[:, k, k, None]  # -c
         e = self.scaled[:, :, k] + np.matmul(self.scaled[:, :, :k], q[:, :, None])[:, :, 0]
@@ -368,9 +399,32 @@ class _GramSearch:
         squares = np.vecdot(z, z, axis=1)
         columns = (rho, np.vecdot(r, r), e[:, 0], np.abs(q).sum(axis=1),
                    squares[:, k] * (fac[:, k, k] * fac[:, k, k]), squares[:, :k].sum(axis=1),
-                   np.vecdot(res, res), *self.per_slice)
+                   np.vecdot(res, res), *per_slice)
         return np.array([_loglik_bound(self.constants, *slice_)
                          for slice_ in zip(*(a.tolist() for a in columns))]).reshape(-1, 2).T
+
+    def final_ssr(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """For each held slice, whose rho-hat lies in [lo, hi]: bounds on
+        the computed SSR of its final fit at rho-hat, and a floor under the
+        computed log-likelihood at rho-hat, (3, slices) (see the argument
+        beside ``_final_ssr_bounds``); (0, inf, -inf) where they fail."""
+        k = self.below.shape[0]
+        width = k + 1
+        i, j = self.lower
+        out = []
+        # In chunks, which bounds the temporaries.
+        for start in range(0, len(self.held), _CHUNK):
+            part = slice(start, start + _CHUNK)
+            moments, rho = self.moments[part], 0.5 * (lo[part] + hi[part])
+            fac = np.empty((len(rho), width + k, width + k))
+            self._factor(moments, rho, fac)
+            v = np.ones((len(rho), width))
+            v[:, :k] = fac[:, width:, k] * fac[:, k, k, None]  # -c
+            full = np.empty((len(rho), 3, width, width))
+            full[:, :, i, j] = full[:, :, j, i] = moments.swapaxes(1, 2)
+            out.append(_final_ssr_bounds(self.constants, tuple(a[part] for a in self.per_slice),
+                                         lo[part], hi[part], rho, fac[:, width:, :k], v, full))
+        return np.concatenate(out, axis=1)
 
 
 def _bound_constants(n: int, k: int) -> tuple:
@@ -419,6 +473,147 @@ def _loglik_bound(constants, rho, tail, e0, c1, c2_sq, h_sq, res_sq, e_a, lam_mi
             0.5 * n * width + 2.0 ** -44 * (n * (3.0 + abs(log_ssr)) + 8.0))
 
 
+# A rival decay may stop its search once its final SSR is certainly above
+# another slice's in its group (_exact_ml_stack): that slice's final SSR
+# is then below it, so it cannot be the group's first minimum.  A certified
+# comparison has the exact outcome, so at every step its rho-hat, half the
+# sum of its last bracket, lies in its bracket [lo, hi] (each golden-section
+# probe lies in its bracket in floating point too), also after the slice
+# has turned exact.  Its final SSR is the computed ||y - X c_d||**2 of the
+# dgelsd solution c_d at rho-hat, or, if the log-likelihood there is below
+# the one at rho = 0 (fallback), of its rho = 0 solution.  The argument, in
+# the scaled units above, with G(rho) = A0 + rho A1 + rho**2 A2 exact, A2 =
+# S'S over rows 1 .. n-2 positive semidefinite, and w >= |rho-hat - m| for
+# the bracket's midpoint m:
+#
+# - Reference.  The factor of [[G(m), J], [J', T I]] gives L (its xx block
+#   L_xx, H = L_xx L_xx'), Z_xx, and c_m; v = [-c_m; 1].  L Z_xx' = I + E1,
+#   ||E1|| <= t (above), so i = h / (1 - t) >= ||inv(L_xx)||, and H is G_xx(m)
+#   plus F with |F_ij| <= 2 eps (the exact path's Gram and the exact G(m)
+#   differ by the whitening's share of eps), so kF = 2 k eps i**2 bounds
+#   ||inv(L_xx) (G_xx(m) - H) inv(L_xx)'||.
+# - Quantities through Z.  For a vector b computed from the moments, each
+#   entry within eps ||v||_1 of exact, Z_xx'b is inv(L_xx) b within err = i
+#   (sqrt(k) eps ||v||_1 + (t + gamma(k)) ||b||), and a product of two such
+#   vectors within N_a err_b + err_a N_b + gamma(k) N_a N_b, N their computed
+#   norms times 1 + 2**-40 plus err.  For a matrix A of the moments, with
+#   entries within e_A of exact (eps for A0 and A2, 3 eps for G' = A1 + 2 m
+#   A2), ||inv(L_xx) A_xx inv(L_xx)'|| is at most the Frobenius norm of
+#   Z_xx'A_xx Z_xx times 1 + 2**-40, plus i**2 (k e_A + (3 t + 2 gamma(k))
+#   ||A_xx||_F).  This gives zeta**2, mu1 and mu2 for A0, G'(m) and A2.
+# - Coefficients over the bracket.  With tau = rho - m, |tau| <= w: G(rho)
+#   is G(m) + tau G'(m) + tau**2 A2, at least G(m) + tau G'(m) (A2 is
+#   semidefinite), so in the coordinates of L_xx it is at least D = 1 - kF -
+#   w mu1 times I.  c*(rho) - c_m = inv(G_xx(rho)) b(rho), b(rho) = [G(rho)
+#   v]_x = b0 + tau b1 + tau**2 b2, so ||L_xx'(c*(rho) - c_m)|| <= Delta =
+#   (N_b0 + w N_b1 + w**2 N_b2) / D.
+# - SSR over the bracket.  f(rho) = ||y - X c*(rho)||**2 = q - 2 a'(c* - c_m)
+#   + (c* - c_m)'A0_xx(c* - c_m), q = v'A0 v, a = [A0 v]_x.  Expanding
+#   inv(G_xx(rho)) = inv(H) - inv(H) (G_xx(rho) - H) inv(G_xx(rho)), a'(c* -
+#   c_m) is p0 + tau p1 + tau**2 p2 (p_r the product of Z'a and Z'b_r) within
+#   N_a (kF + w mu1 + w**2 mu2) Delta, and the last term is in [0, zeta**2
+#   Delta**2].  q is computed within 2 eps ||v||_1**2.
+# - Final fit.  Let A = W X at rho-hat and b = W y, exact.  The computed
+#   whitened system and dgelsd's backward error make A + E', b + f', ||E'||
+#   <= eE = e_a + u (omega + 3.01) sqrt(k), ||f'|| <= ef = 2.01 p u + u
+#   (omega + 3.01).  sigma = sqrt(D) / i bounds A's least singular value;
+#   where sigma - eE > sqrt(lam_min) nothing is truncated (above).  v'G(rho)
+#   v is a convex quadratic in rho, so at rho-hat the residual of c_m is at
+#   most sqrt(Qmax), Qmax its larger value at lo and hi (within 8 eps
+#   ||v||_1**2), and the perturbed residual of c_d, which is least, at most
+#   R = sqrt(Qmax) + ef + eE ||c_m||.  The perturbed normal equations give
+#   ||A (c_d - c*)|| <= eE (R / sigma + ||c_d||) + ef, and ||c_d|| <= ||c_m||
+#   + i Delta + ||A (c_d - c*)|| / sigma, so ||A (c_d - c*)|| <= phi = (eE (R
+#   / sigma + ||c_m|| + i Delta) + ef) / (1 - eE / sigma) and ||c_d|| <= C =
+#   ||c_m|| + i Delta + phi / sigma.  So ||X (c_d - c*)|| <= zeta phi /
+#   sqrt(D); the residual's rounding adds gamma(K) (1 + sqrt(k) C) and the
+#   SSR's a factor 1 +- gamma(n+1).  The final SSR, unless it falls back,
+#   lies between the bounds so found from f's least and largest values.
+# - No fallback.  The computed whitened SSR at rho-hat is at most U,
+#   sqrt(U) = sqrt(1 + gamma(n+1)) (R + ef + eE C + 2.01 gamma(K) (1 +
+#   sqrt(k) C)), so its computed log-likelihood is at least the floor that
+#   U and 1 - max(lo**2, hi**2) give, less 2**-43 (n (3 + |log(U/n)|) + 8)
+#   for the rounding of both evaluations.  Above the computed rho = 0
+#   log-likelihood, that floor rules the fallback out.
+#
+# Each bound is widened by 2**-44 of its terms' magnitudes for its own
+# rounding.  A failed factor (NaN), t > 1/2, D < 1/2 and sigma - eE <=
+# sqrt(lam_min) give no bound.
+def _final_ssr_bounds(constants, per_slice, lo, hi, mid, z, v, full) -> np.ndarray:
+    """(lower, upper, loglik floor), (3, slices), from the factor at each
+    bracket's midpoint: its Z_xx ``z``, ``v`` and the full moments ``full``
+    (slices, 3, K, K)."""
+    n, k_eps, t_per_h, pu = constants[:4]
+    base = constants[-1]
+    k = z.shape[1]
+    e_a, lam_min, shift = per_slice
+    eps, root_k, g_k, g_big = k_eps / k, math.sqrt(k), _gamma(k), _gamma(k + 1)
+    w = np.maximum(hi - mid, mid - lo) * (1.0 + 2.0 ** -50)
+    h = np.sqrt((z * z).sum(axis=(1, 2)))
+    t = t_per_h * h
+    inv = h / (1.0 - t)
+    v1 = np.abs(v).sum(axis=1)
+    av = np.matmul(full, v[:, None, :, None])[..., 0]  # A0 v, A1 v, A2 v
+    quad = np.vecdot(av, v[:, None, :])
+    mid1, mid2 = mid[:, None], (mid * mid)[:, None]
+    b = np.stack((av[:, 0], av[:, 0] + mid1 * av[:, 1] + mid2 * av[:, 2],
+                  av[:, 1] + 2.0 * mid1 * av[:, 2], av[:, 2]), axis=1)[:, :, :k]  # a, b0..b2
+    zb = np.matmul(b, z)
+    err = inv[:, None] * (root_k * eps * v1[:, None]
+                          + (t[:, None] + g_k) * np.sqrt(np.vecdot(b, b)))
+    big = np.sqrt(np.vecdot(zb, zb)) * (1.0 + 2.0 ** -40) + err
+    p = np.vecdot(zb[:, :1], zb[:, 1:])
+    dp = big[:, :1] * err[:, 1:] + err[:, :1] * big[:, 1:] + g_k * big[:, :1] * big[:, 1:]
+    # Z_xx'A Z_xx for A0, A1 and A2; G'(m) = A1 + 2 m A2 by linearity.
+    congruent = np.matmul(z.swapaxes(1, 2)[:, None], np.matmul(full[:, :, :k, :k], z[:, None]))
+    congruent[:, 1] += 2.0 * mid[:, None, None] * congruent[:, 2]
+    flat, whole = congruent.reshape(len(mid), 3, -1), full.reshape(len(mid), 3, -1)
+    size = np.sqrt(np.vecdot(whole, whole))  # ||A||_F >= ||A_xx||_F
+    size[:, 1] += 2.0 * np.abs(mid) * size[:, 2]
+    norms = (np.sqrt(np.vecdot(flat, flat)) * (1.0 + 2.0 ** -40)
+             + (inv * inv)[:, None] * (k * eps * np.array([1.0, 3.0, 1.0])
+                                       + (3.0 * t[:, None] + 2.0 * g_k) * size))
+    zeta_sq, mu1, mu2 = norms.T
+    k_f = 2.0 * k * eps * inv * inv
+    d = 1.0 - k_f - w * mu1
+    delta = (big[:, 1] + w * big[:, 2] + w * w * big[:, 3]) / d
+    drift = (2.0 * (dp[:, 0] + w * dp[:, 1] + w * w * dp[:, 2])
+             + 2.0 * big[:, 0] * (k_f + w * mu1 + w * w * mu2) * delta + 2.0 * eps * v1 * v1)
+    sure = 2.0 * (p[:, 0] + w * np.abs(p[:, 1]))
+    f_lo = quad[:, 0] - sure - 2.0 * w * w * np.maximum(p[:, 2], 0.0) - drift
+    f_hi = (quad[:, 0] - sure + 4.0 * w * np.abs(p[:, 1]) - 2.0 * w * w * np.minimum(p[:, 2], 0.0)
+            + drift + zeta_sq * delta * delta)
+    rounding = 2.0 ** -44 * (quad[:, 0] + 2.0 * (np.abs(p[:, 0]) + w * np.abs(p[:, 1])
+                                                 + w * w * np.abs(p[:, 2]))
+                             + drift + zeta_sq * delta * delta)
+    e_w = _U * (_OMEGA + 3.01)
+    e_big, e_f = e_a + e_w * root_k, 2.01 * pu + e_w
+    sigma = np.sqrt(d) / inv
+    top = np.maximum(np.abs(lo), np.abs(hi))
+    ends = np.stack((lo, hi), axis=1)
+    ends = quad[:, :1] + ends * (quad[:, 1:2] + ends * quad[:, 2:])
+    q_max = (ends.max(axis=1) + 8.0 * eps * v1 * v1) * (1.0 + 2.0 ** -44)
+    c_m = np.sqrt(np.vecdot(v[:, :k], v[:, :k]))
+    r_big = np.sqrt(q_max) + e_f + e_big * c_m
+    phi = (e_big * (r_big / sigma + c_m + inv * delta) + e_f) / (1.0 - e_big / sigma)
+    c_big = c_m + inv * delta + phi / sigma
+    r_f = np.sqrt(zeta_sq) * phi / np.sqrt(d) + g_big * (1.0 + root_k * c_big)
+    scale = np.ldexp(1.0, shift)
+    lower = ((1.0 - _gamma(n + 1)) * (1.0 - 2.0 ** -44) * scale
+             * np.maximum(np.sqrt(np.maximum(f_lo - rounding, 0.0)) - r_f, 0.0) ** 2)
+    upper = ((1.0 + _gamma(n + 1)) * (1.0 + 2.0 ** -44) * scale
+             * (np.sqrt(f_hi + rounding) + r_f) ** 2)
+    u_big = ((1.0 + _gamma(n + 1)) * (1.0 + 2.0 ** -44) * scale
+             * (r_big + e_f + e_big * c_big + 2.01 * g_big * (1.0 + root_k * c_big)) ** 2)
+    log_u = np.log(u_big / n)
+    floor = (base - 0.5 * n * log_u + 0.5 * np.log1p(-top * top)
+             - 2.0 ** -43 * (n * (3.0 + np.abs(log_u)) + 8.0))
+    ok = (t <= 0.5) & (d >= 0.5) & (sigma - e_big > np.sqrt(lam_min)) & np.isfinite(
+        lower + upper + floor)
+    return np.where(ok, np.array([lower, upper, floor]),
+                    np.array([0.0, math.inf, -math.inf])[:, None])
+
+
 # The most slices that the rho = 0 and rho-hat solves and the final
 # residuals copy at a time.  Each runs once per search, so chunking adds no
 # call to a golden-section step.
@@ -441,12 +636,28 @@ def _exact_loglik(systems: np.ndarray, rows: np.ndarray, rho: np.ndarray) -> np.
     return np.array([_concentrated_loglik(s, r, n) for s, r in zip(ssr, rho.tolist())])
 
 
-def _rho_search(systems: np.ndarray, search: np.ndarray, exact: np.ndarray) -> np.ndarray:
+def _rho_search(systems: np.ndarray, search: np.ndarray, exact: np.ndarray,
+                losing=None) -> np.ndarray:
     """The golden-section estimate of rho of every slice ``systems[search]``,
     searched in lockstep for ``RHO_STEPS`` steps.  Comparisons are decided by
     ``_GramSearch`` while its radii allow; the slices marked ``exact``, and
     each slice from its first comparison that the radii cannot decide, are
-    whitened and solved with dgelsd at every probe."""
+    whitened and solved with dgelsd at every probe.
+
+    ``losing(slices, lower, upper, floor)``, where given, marks the slices
+    that cannot win their group from bounds on their final SSRs and floors
+    under their log-likelihoods at rho-hat (see ``_final_ssr_bounds``;
+    ``(0, inf, -inf)`` where there are none): it is asked before the first
+    probe without bounds and at the steps ``_BOUND_STEPS`` with them, and
+    the slices it marks stop their search and get rho NaN."""
+    unbounded = np.array([0.0, math.inf, -math.inf])[:, None]
+    rho_hat = np.full(len(search), math.nan)
+    live = np.arange(len(search))
+    if losing is not None:
+        kept = ~losing(search, *np.repeat(unbounded, len(search), axis=1))
+        live, search, exact = live[kept], search[kept], exact[kept]
+    if not len(search):
+        return rho_hat
     gram = _GramSearch(systems[search[~exact]], np.flatnonzero(~exact))
     exact_rows = np.flatnonzero(exact)
 
@@ -465,7 +676,19 @@ def _rho_search(systems: np.ndarray, search: np.ndarray, exact: np.ndarray) -> n
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
     fc, fd = probe(c), probe(d)
-    for _ in range(RHO_STEPS):
+    for index in range(RHO_STEPS):
+        if losing is not None and index in _BOUND_STEPS and len(gram.held):
+            bounds = np.repeat(unbounded, len(search), axis=1)
+            bounds[:, gram.held] = gram.final_ssr(lo[gram.held], hi[gram.held])
+            kept = ~losing(search, *bounds)
+            if not kept.all():
+                gram.drop(kept)
+                live, search, exact, lo, hi, c, d = (
+                    a[kept] for a in (live, search, exact, lo, hi, c, d))
+                fc, fd = fc[:, kept], fd[:, kept]
+                exact_rows = np.flatnonzero(exact)
+                if not len(search):
+                    return rho_hat
         # A comparison the radii cannot decide is made with dgelsd, and its
         # slice is searched with dgelsd from then on.
         unsure = ~exact & ~(np.abs(fc[0] - fd[0]) > fc[1] + fd[1])
@@ -483,7 +706,8 @@ def _rho_search(systems: np.ndarray, search: np.ndarray, exact: np.ndarray) -> n
         c, d = np.where(left, hi - step, d), np.where(left, c, lo + step)
         value = probe(np.where(left, c, d))
         fc, fd = np.where(left, value, fd), np.where(left, fc, value)
-    return 0.5 * (lo + hi)
+    rho_hat[live] = 0.5 * (lo + hi)
+    return rho_hat
 
 
 # Loads near the double range overflow y @ y and the SSRs: the tie-break test
@@ -506,15 +730,22 @@ def _exact_ml_stack(systems: np.ndarray, group: int = 1) -> list:
     Every search takes ``RHO_STEPS`` steps, as it would alone, and the
     branches it would take alone, so every slice's result has the same bits.
 
-    The rho = 0 solve gives every slice's OLS SSR, which its final SSR cannot
-    be below.  So a first lockstep searches each group's slice with the
-    smallest OLS SSR, and a second only the slices whose OLS SSR is not above
-    that fit's final SSR (within the margin above).  A skipped slice's final
-    SSR would have been strictly above that fit's, so it could not be its
-    group's first minimum.  Nothing is skipped from a slice whose rho = 0
-    solve is rank-deficient (dgelsd's truncation can leave its SSR above the
-    minimum), nor anywhere in a stack holding a value of magnitude at least
-    DBL_MAX / 2 (a skipped search could have overflowed and raised).
+    A first lockstep searches each group's slice with the smallest OLS SSR
+    (the rho = 0 solve), a second the others, its rivals.  A rival stops, or
+    never starts, its search once its final SSR is certainly above another
+    slice's in its group: above the threshold, the smaller of the first
+    fit's final SSR and every live rival's upper bound (see
+    ``_final_ssr_bounds``).  Its final SSR is at least its OLS SSR (within
+    the margin above), and, where a floor under its log-likelihood at
+    rho-hat rules out the fallback to rho = 0, at least its lower bound.  A
+    dropped rival's final SSR would have been strictly above another's, so
+    it could not be its group's first minimum, and the second lockstep ends
+    once no rival is live.  Nothing is dropped from a group holding a
+    rank-deficient rho = 0 solve (dgelsd's truncation can leave its SSR above
+    the minimum), nor anywhere in a stack holding a value of magnitude at
+    least DBL_MAX / 2 (a dropped search could have overflowed and raised);
+    slices outside the argument's range, and where a factor fails or is near
+    singular, get no bounds.
 
     Beside the stack, a slice holds its response, its rho = 0 fit and,
     while searched, its ``_GramSearch`` state.  Whitened copies are made
@@ -538,11 +769,15 @@ def _exact_ml_stack(systems: np.ndarray, group: int = 1) -> list:
             fits[i] = (coef[j], resid[j], ssr[j], 0.0,
                        {**_rank_diagnostics(rank[j], k), "rho_tie_break": True})
 
-    def search_rho(slices: list) -> None:
+    def search_rho(slices: list, losing=None) -> None:
         if not slices:
             return
         search = np.array(slices, dtype=int)
-        rho_hat = _rho_search(systems, search, (rank0[search] < k) | ~in_range[search])
+        rho_hat = _rho_search(systems, search, (rank0[search] < k) | ~in_range[search], losing)
+        searched = ~np.isnan(rho_hat)  # the others cannot win their group
+        search, rho_hat = search[searched], rho_hat[searched]
+        if not len(search):
+            return
         coef_hat, ssr_hat, rank_hat = _gls_chunks(systems, search, rho_hat)
 
         kept = []
@@ -568,18 +803,32 @@ def _exact_ml_stack(systems: np.ndarray, group: int = 1) -> list:
     starts = range(0, count, group)
     firsts = [min(range(g, g + group), key=ssr0.__getitem__) for g in starts]
     search_rho([i for i in firsts if i not in fits])
-    prune = group > 1 and tops.max() < _HALF_MAX
-    rest = []
-    for g, first in zip(starts, firsts):
-        rivals = [i for i in range(g, g + group) if i not in fits]
-        top = float(np.max(np.abs(responses[first]))) if prune else 0.0
-        if top > 0.0:  # in units of top**2, so that y @ y cannot overflow
-            unit = responses[first] / top
-            bound = (fits[first][2] / top / top * (1.0 + _SSR_MARGIN)
-                     + _SSR_FLOOR * float(unit @ unit))
-            rivals = [i for i in rivals if rank0[i] < k or not ssr0[i] / top / top > bound]
-        rest += rivals
-    search_rho(rest)
+
+    # Each group's SSRs in units of top**2, the square of its response's
+    # largest magnitude, so that y @ y cannot overflow.
+    top = np.max(np.abs(responses[firsts]), axis=1)
+    able = (top > 0.0) & (rank0.reshape(-1, group) == k).all(axis=1) & (tops.max() < _HALF_MAX)
+    top = np.where(able, top, 1.0)
+    unit = responses[firsts] / top[:, None]
+    ssr_floor = _SSR_FLOOR * np.vecdot(unit, unit)
+    ceiling = np.array([fits[first][2] for first in firsts]) / top / top
+    ols = np.array(ssr0) / np.repeat(top, group) / np.repeat(top, group)
+    loglik0 = np.array([_concentrated_loglik(s, 0.0, n) for s in ssr0])
+
+    def losing(slices, lower, upper, floor):
+        """The slices whose final SSR is certainly above another's in their
+        group: above the first fit's, or above a live rival's upper bound."""
+        g = slices // group
+        threshold = ceiling.copy()
+        np.minimum.at(threshold, g, upper / top[g] / top[g])
+        threshold = threshold[g]
+        # The final SSR is at least the OLS SSR (within the margin), and
+        # where the fallback to rho = 0 is ruled out, at least ``lower``.
+        above = (ols[slices] > threshold * (1.0 + _SSR_MARGIN) + ssr_floor[g]) | (
+            (floor > loglik0[slices]) & (lower / top[g] / top[g] > threshold))
+        return able[g] & above
+
+    search_rho([i for i in range(count) if i not in fits], losing)
     return [fits.get(i) for i in range(count)]
 
 
@@ -613,10 +862,10 @@ def fit_models(
     together, in one stacked least-squares call for OLS or two lockstep rho
     searches for exact ML; each day's fit has the same bits as when its
     one-day window is fitted alone.  Exact ML prunes the decays: one whose
-    OLS SSR is already above the final SSR of the day's best-OLS decay
-    cannot have the minimal final SSR, so its rho is not searched (see
-    ``_exact_ml_stack``) and it ranks last.  The kept decay, and every bit
-    of its fit, are those of the full list.  A design or whitened system
+    final SSR is certainly above another decay's, from its OLS SSR before
+    its rho search or from bounds during it, cannot have the minimal final
+    SSR, so its search stops (see ``_exact_ml_stack``) and it ranks last.
+    The kept decay, and every bit of its fit, are those of the full list.  A design or whitened system
     that is not finite raises :class:`DegeneracyError` naming the model's
     formula, and so does an SVD that does not converge.
     """
@@ -634,7 +883,7 @@ def fit_models(
         raise DegeneracyError(f"model {model_id}: {exc}", EQUATIONS[model_id]) from None
     fits = []
     for i in range(count):
-        # A decay whose exact-ML search was skipped could not win: it ranks last.
+        # A decay whose exact-ML search was dropped could not win: it ranks last.
         ssr = [math.inf if s is None else s[2] for s in solved[i * n_decays:(i + 1) * n_decays]]
         best = min(range(n_decays), key=ssr.__getitem__)
         *fitted, diagnostics = solved[i * n_decays + best]

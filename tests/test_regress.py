@@ -369,7 +369,8 @@ def exact_ml_stack(matrices, responses, group=1) -> list:
 
 def test_a_grid_run_fits_in_a_bounded_heap():
     # Model a over one full-length grid run (16 days) of synth --days 40
-    # --seed 1.  Measured with numpy 2.4.6: a 1.98 MB peak.  Holding the
+    # --seed 1.  Measured with numpy 2.4.6: a 2.14 MB peak (1.98 MB before
+    # rivals' final SSRs were bounded during their search).  Holding the
     # moments of the whole (2k+1)-square augmented matrix per slice, as an
     # earlier form did, raises it to 2.89 MB; with the copies that form also
     # made, it peaked at 4.88 MB on 16-day runs and at 1.11 MB on 4-day runs.
@@ -793,17 +794,183 @@ def test_every_certified_radius_covers_the_dgelsd_log_likelihood(monkeypatch, pu
     assert (distance <= radii).all()
 
 
-@pytest.mark.parametrize("temp_mode, most", [("hour", 12_000), ("day", 21_126)])
-def test_certification_cuts_the_backtest_solves(monkeypatch, temp_mode, most):
+@pytest.mark.parametrize("temp_mode, seed, most", [
+    ("hour", 1, 2_470), ("day", 1, 12_385), ("hour", 20071, 2_471), ("day", 20071, 12_408)])
+def test_certification_cuts_the_backtest_solves(monkeypatch, temp_mode, seed, most):
     # dgelsd slices of the fits of the 31-day exact-ML backtest of synth
-    # --days 40 --seed 1: 20,004 in hour mode and 21,126 in day mode
-    # without certification.  Day mode's model c cannot be certified and
-    # must cost no more.
+    # --days 40: at seed 1, 20,004 in hour mode and 21,126 in day mode
+    # without certification; 7,492 and 14,776 with certified comparisons
+    # and rivals skipped only before their search (7,644 and 14,882 at seed
+    # 20071).  The bounds are the counts with rivals also dropped during
+    # their search.  Day mode's model c cannot be certified and must cost no
+    # more.
     solved = counting_solves(monkeypatch)
-    data = backtest_data(40, 1)
+    data = backtest_data(40, seed)
     for model_id in ("a", "b", "c"):
         run_fits(data, 31, model_id, temp_mode)
     assert sum(solved) <= most
+
+
+# --- Rival decays dropped in the middle of their search ----------------------
+
+def recording_bounds(monkeypatch) -> list:
+    """Record every ``_final_ssr_bounds`` result; returns the running list."""
+    seen = []
+    final_ssr_bounds = regress._final_ssr_bounds
+
+    def recording(*args):
+        seen.append(final_ssr_bounds(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(regress, "_final_ssr_bounds", recording)
+    return seen
+
+
+def test_decays_tied_within_rounding_are_not_dropped(monkeypatch):
+    # Each group's designs span one column space, conditioned about 1e6, so
+    # every decay has the same exact final SSR at every rho, and rounding
+    # moves the computed ones apart by up to 1.8e-7 (relative).  Their
+    # bounds must cover that at every step: no decay is dropped, and each
+    # group keeps the decay searched alone.  Dropping all of the bounds'
+    # rounding and dgelsd allowances fails here.
+    seen = recording_bounds(monkeypatch)
+    monkeypatch.setattr(regress, "_BOUND_STEPS", frozenset(range(regress.RHO_STEPS)))
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        n, k = 48, 4
+        turn, _ = np.linalg.qr(rng.normal(size=(k, k)))
+        x = rng.normal(size=(n, k)) @ turn @ np.diag(np.logspace(0, -6, k))
+        noise = np.empty(n)
+        noise[0] = rng.normal()
+        for t in range(1, n):
+            noise[t] = 0.7 * noise[t - 1] + rng.normal()
+        y = x @ rng.normal(size=k) * 1e3 + noise
+        matrices = np.stack([x] + [x @ (np.eye(k) + 0.3 * rng.normal(size=(k, k)))
+                                   for _ in range(3)])
+        responses = np.repeat(y[None], len(matrices), axis=0)
+        pruned = exact_ml_stack(matrices, responses, group=len(matrices))
+        alone = [exact_ml_stack(m[None], y[None])[0] for m in matrices]
+        assert all(fit is not None for fit in pruned), seed
+        best = first_minimum(alone)
+        assert first_minimum(pruned) == best, seed
+        same_repr(pruned[best], oracles.exact_ml_ar1_fit(bare_design(matrices[best], y)))
+    assert sum(np.isfinite(bounds[1]).sum() for bounds in seen) > 500
+
+
+# A rival whose search ends at rho 0.49, on the lower of its likelihood's
+# two modes and below its likelihood at rho = 0, so that its fit falls back
+# to its OLS coefficients; and a first fit with a smaller OLS SSR but a
+# larger final SSR (at rho 0.40).  Found by a random search over small
+# designs.
+FALLBACK_Y = [0.88, 0.47, -0.19, 1.19, 1.22, 0.96, -1.29, -0.76, -1.72, 1.09, -1.73, -0.29]
+FALLBACK_RIVAL = [
+    [1.34, -1.61, -1.03, -1.12, -0.12, -0.88, 0.46, 0.02, -0.34, 1.35, -1.37, -0.38],
+    [1.02, 0.14, -0.06, -1.05, 0.99, 1.11, -0.41, 0.07, 1.22, 0.29, -0.02, 0.97],
+    [1.05, 0.67, 1.08, -0.25, 0.04, -0.81, 0.37, -1.0, 0.19, -0.06, -1.33, -0.42]]
+FALLBACK_FIRST = [
+    [0.42, -1.57, -0.34, -1.18, 0.28, -0.22, 1.0, -1.78, -0.17, 2.33, -1.72, -1.95],
+    [1.53, -0.75, 0.8, 0.15, 1.36, 0.8, 1.33, -0.41, 1.32, 0.24, -0.38, 0.51],
+    [0.95, 1.48, 3.31, -0.38, 0.31, -0.77, -0.48, -0.91, 1.38, -0.53, -1.56, -0.85]]
+
+
+def test_a_rival_that_falls_back_to_rho_zero_can_win(monkeypatch):
+    # Its SSR over its bracket stays above the first fit's final SSR, but it
+    # falls back and wins on its OLS SSR: without the certificate that rules
+    # the fallback out, its search would be dropped.
+    y = np.array(FALLBACK_Y)
+    first, rival = np.array(FALLBACK_FIRST).T, np.array(FALLBACK_RIVAL).T
+    alone = [oracles.exact_ml_ar1_fit(bare_design(m, y)) for m in (first, rival)]
+    assert alone[1].rho == 0.0 and alone[1].ssr < alone[0].ssr
+    assert ols_fit(bare_design(first, y)).ssr < ols_fit(bare_design(rival, y)).ssr
+    seen = recording_bounds(monkeypatch)
+    solved = exact_ml_stack(np.stack([first, rival]), np.stack([y, y]), group=2)
+    assert [bounds.shape[1] for bounds in seen] == [1] * len(regress._BOUND_STEPS)
+    assert all(bounds[0, 0] > alone[0].ssr for bounds in seen[-2:])
+    for got, want in zip(solved, alone):
+        same_repr(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(adversarial_designs(), st.integers(1, 3))
+def test_every_final_ssr_bound_covers_the_final_fit(case, group):
+    # Bounds taken before every step of each slice's search, never acted
+    # on: each must hold the computed SSR of the dgelsd fit at rho-hat, and
+    # each floor must lie under the computed log-likelihood there.
+    matrix, y = case
+    rng = np.random.default_rng(group)
+    k = matrix.shape[1]
+    systems = np.stack([np.column_stack((matrix @ (np.eye(k) + 0.1 * rng.normal(size=(k, k))), y))
+                        for _ in range(group)])
+    seen = []
+
+    def recording(slices, lower, upper, floor):
+        seen.append((slices, lower, upper, floor))
+        return np.zeros(len(slices), dtype=bool)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        rank = regress._lstsq_stack(systems[..., :k], systems[..., k])[1]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(regress, "_BOUND_STEPS", frozenset(range(regress.RHO_STEPS)))
+            rho = regress._rho_search(systems, np.arange(group), rank < k, recording)
+    coef, ssr, _ = regress._gls_stack(systems, np.arange(group), rho)
+    final = regress._residuals(systems[..., :k], systems[..., k], coef)[1]
+    loglik = [_concentrated_loglik(s, r, len(y)) for s, r in zip(ssr, rho.tolist())]
+    for slices, lower, upper, floor in seen:
+        for i, low, high, least in zip(slices, lower, upper, floor):
+            assert low <= final[i] <= high
+            assert least <= loglik[i]
+
+
+def test_rank_deficient_groups_drop_nothing():
+    # At loads x 1e9 dgelsd's rcond drops columns at rho = 0 in some decays:
+    # no decay of such a group is dropped, and their fits are those alone.
+    records = synth_dataset(SynthParams(days=40, seed=1))
+    data = dataset_of([r._replace(load_mw=r.load_mw * 1e9) for r in records])
+    k = None
+    for model_id in ("a", "b", "c"):
+        for systems in grid_systems(data, 12, model_id):
+            k = systems.shape[2] - 1
+            solved = regress._exact_ml_stack(systems.copy(), len(LAMBDA_GRID))
+            rank = regress._lstsq_stack(systems[..., :-1], systems[..., -1])[1]
+            for g in range(0, len(systems), len(LAMBDA_GRID)):
+                if (rank[g:g + len(LAMBDA_GRID)] < k).any():
+                    assert all(s is not None for s in solved[g:g + len(LAMBDA_GRID)])
+    assert k is not None
+
+
+def test_out_of_range_slices_get_no_final_ssr_bound(monkeypatch):
+    # Every column, the response's too, scaled to about 2**260, above the
+    # argument's range.  The designs span one column space, so no decay is
+    # dropped before its search; none is bounded during it.
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(48, 3))
+    y = x @ np.array([1.0, -2.0, 0.5]) + 3.0 * rng.normal(size=48)
+    others = [x @ (np.eye(3) + 0.3 * rng.normal(size=(3, 3))) for _ in range(3)]
+    matrices = np.stack([x, *others]) * 2.0 ** 260
+    responses = np.repeat(y[None] * 2.0 ** 260, len(matrices), axis=0)
+    seen = recording_bounds(monkeypatch)
+    solved = exact_ml_stack(matrices, responses, group=len(matrices))
+    assert seen == []
+    alone = [oracles.exact_ml_ar1_fit(bare_design(m, r)) for m, r in zip(matrices, responses)]
+    assert first_minimum(solved) == min(range(len(alone)), key=lambda i: alone[i].ssr)
+    for got, want in zip(solved, alone):
+        if got is not None:
+            same_repr(got, want)
+
+
+def test_a_failed_or_near_singular_factor_gets_no_final_ssr_bound():
+    # Two columns equal to a relative 1e-7, as in the radius test above, and
+    # a factor that fails (NaN moments): neither bounds anything.
+    rng = np.random.default_rng(8)
+    matrix = rng.normal(size=(48, 3))
+    matrix[:, 1] = matrix[:, 0] * (1.0 + 1e-7 * rng.normal(size=48))
+    y = matrix @ [1.0, 2.0, 3.0] + rng.normal(size=48)
+    stack = np.repeat(np.column_stack((matrix, y))[None], 2, axis=0)
+    gram = regress._GramSearch(stack, np.arange(2))
+    gram.moments[1] = math.nan
+    with np.errstate(invalid="ignore"):
+        bounds = gram.final_ssr(np.array([0.1, 0.1]), np.array([0.2, 0.2]))
+    assert np.array_equal(bounds, np.array([[0.0, 0.0], [math.inf] * 2, [-math.inf] * 2]))
 
 
 # --- Stacked least-squares helper -------------------------------------------
