@@ -7,10 +7,10 @@ a run is one row slice of the dataset, its days go through one stacked solve
 per model and are then scored together, each with its own fits.  A model's
 fit of a run holds one ``[design | response]`` system per day and decay, and
 an exact-ML fit also holds, per slice it searches, a scaled copy of its
-system, its Gram moments and an augmented factor (see ``regress``).  Days on
-which the computation chain degenerates are flagged as aborted, carry no
-numeric results, and are excluded from the monthly summary (their count is
-reported instead of being imputed).
+system and its Gram moments (see ``regress``).  Days on which the
+computation chain degenerates are flagged as aborted, carry no numeric
+results, and are excluded from the monthly summary (their count is reported
+instead of being imputed).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ _MAX_RUN_DAYS = 40
 def _run_length(decays) -> int:
     """The days of a backtest run: 16 with the ten decays of the grid, 40
     with one decay (``--koyck off`` or ``fixed=``)."""
-    return max(1, min(_MAX_RUN_DAYS, _SYSTEMS_PER_RUN // max(1, len(decays))))
+    return min(_MAX_RUN_DAYS, _SYSTEMS_PER_RUN // len(decays))
 
 
 @dataclass(frozen=True)

@@ -38,13 +38,10 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 RHO_STEPS = math.ceil(math.log(RHO_TOL / (2.0 * RHO_BOUND)) / math.log(_GOLDEN))
 assert 2.0 * RHO_BOUND * _GOLDEN**RHO_STEPS <= RHO_TOL < 2.0 * RHO_BOUND * _GOLDEN**(RHO_STEPS - 1)
 
-try:  # the gufunc behind np.linalg.lstsq; older numpy splits it in two
-    from numpy.linalg._umath_linalg import lstsq as _LSTSQ_GUFUNC
-except ImportError:
-    _LSTSQ_GUFUNC = None
-# The gufunc behind np.linalg.cholesky: a stack whose factor fails comes
-# back as NaN instead of raising.
+# The gufuncs behind np.linalg.cholesky, where a stack whose factor fails
+# comes back as NaN instead of raising, and behind np.linalg.lstsq.
 from numpy.linalg._umath_linalg import cholesky_lo as _CHOLESKY
+from numpy.linalg._umath_linalg import lstsq as _LSTSQ_GUFUNC
 
 
 @dataclass(frozen=True)
@@ -113,12 +110,8 @@ def _lstsq_stack(matrices: np.ndarray, responses: np.ndarray) -> tuple[np.ndarra
     This calls the LAPACK (dgelsd) gufunc that ``np.linalg.lstsq`` calls, with
     the same rcond and floating-point error handling, so every slice's
     solution and rank have the same bits as the public call and a slice the
-    SVD cannot solve raises ``LinAlgError``.  Where numpy does not expose the
-    gufunc the public call is looped.
+    SVD cannot solve raises ``LinAlgError``.
     """
-    if _LSTSQ_GUFUNC is None:
-        solved = [np.linalg.lstsq(a, b, rcond=None) for a, b in zip(matrices, responses)]
-        return np.array([s[0] for s in solved]), np.array([s[2] for s in solved])
     m, n = matrices.shape[-2:]
     rcond = np.finfo(np.float64).eps * max(m, n)
     with np.errstate(call=_raise_svd_error, invalid="call",
@@ -129,22 +122,28 @@ def _lstsq_stack(matrices: np.ndarray, responses: np.ndarray) -> tuple[np.ndarra
     return coef[..., 0], rank
 
 
+# The most slices that a whitened dgelsd solve (_gls_stack) or a bound on
+# final SSRs (_GramSearch.final_ssr) works on at a time, which bounds their
+# temporaries; every slice is solved alone, so chunks keep its bits.
+_CHUNK = 32
+
+
 def _gls_stack(systems: np.ndarray, rows: np.ndarray, rho: np.ndarray):
     """GLS coefficients, whitened SSR and rank of every slice ``systems[rows]``
-    at its rho.  The slices are copied once and whitened in place by the
-    stationary AR(1) transform that keeps the first row."""
-    white = systems[rows]
-    n = white.shape[1]
-    # Blocks of rows, the last first, so that each reads rows not yet
-    # whitened and needs a temporary of at most about eight slices.
-    size = -(-n * 8 // max(8, len(rows)))
-    with np.errstate(over="ignore", invalid="ignore"):  # _solve rejects it
-        for stop in range(n, 1, -size):
-            start = max(1, stop - size)
-            white[:, start:stop] -= rho[:, None, None] * white[:, start - 1:stop - 1]
-        white[:, 0] *= np.sqrt(1.0 - rho * rho)[:, None]
-    coef, _, ssr, rank = _solve(white)
-    return coef, ssr, rank
+    at its rho, ``_CHUNK`` slices at a time.  Each chunk is copied once and
+    whitened in place by the stationary AR(1) transform that keeps the first
+    row."""
+    coef, ssr, rank = [], [], []
+    for start in range(0, len(rows), _CHUNK):
+        white, part = systems[rows[start:start + _CHUNK]], rho[start:start + _CHUNK]
+        with np.errstate(over="ignore", invalid="ignore"):  # _solve rejects it
+            white[:, 1:] -= part[:, None, None] * white[:, :-1]
+            white[:, 0] *= np.sqrt(1.0 - part * part)[:, None]
+        part_coef, _, part_ssr, part_rank = _solve(white)
+        coef.append(part_coef)
+        ssr += part_ssr
+        rank.append(part_rank)
+    return np.concatenate(coef), ssr, np.concatenate(rank)
 
 
 def _concentrated_loglik(ssr_white: float, rho: float, n: int) -> float:
@@ -283,29 +282,6 @@ def _gamma(m: int) -> float:
     return m * _U / (1.0 - m * _U)
 
 
-def _column_tops(systems: np.ndarray) -> np.ndarray:
-    """The largest magnitude of every column of each slice, (slices,
-    columns), without a temporary the size of the stack."""
-    return np.maximum(systems.max(axis=1), -systems.min(axis=1))
-
-
-def _compact(stack: np.ndarray, dropped: list) -> np.ndarray:
-    """``stack`` without its slices ``dropped`` (ascending): the others moved
-    into the leading slices of the C-contiguous ``stack`` and returned as a
-    view of them, or copied to a smaller array once at most half of its
-    buffer would be in use."""
-    if not dropped:
-        return stack
-    flat, size = stack.reshape(-1), stack[0].size
-    # The slices between the shift-th dropped one and the next move down by
-    # shift, as one block; a one-dimensional copy to a lower address is safe
-    # in place.
-    for shift, (gap, stop) in enumerate(zip(dropped, dropped[1:] + [len(stack)]), 1):
-        flat[(gap + 1 - shift) * size:(stop - shift) * size] = flat[(gap + 1) * size:stop * size]
-    kept = stack[:len(stack) - len(dropped)]
-    return kept.copy() if 2 * len(kept) <= len(kept.base) else kept
-
-
 class _GramSearch:
     """The log-likelihoods of a stack of in-range ``[design | response]``
     systems at their probes, each with the radius the argument above gives
@@ -316,15 +292,14 @@ class _GramSearch:
     slices that stop searching from both.
 
     Per certifying slice it holds the system, scaled in place in ``stack``
-    (each probe reads its design and response through views), and the
-    augmented matrix, which each probe fills (the factor reads only the
-    lower triangle) and factors in place; per held slice, the three moments
-    of the lower triangle of G.  Both move the kept slices down in place."""
+    (each probe reads its design and response through views); per held
+    slice, the three moments of the lower triangle of G, which is all the
+    factor reads."""
 
     def __init__(self, stack: np.ndarray, rows: np.ndarray):
         count, n, width = stack.shape
         k = width - 1
-        exponent = np.frexp(_column_tops(stack))[1]
+        exponent = np.frexp(np.abs(stack).max(axis=1))[1]
         np.ldexp(stack, -exponent[:, None, :], out=stack)
         norms = np.frexp(np.sqrt(np.vecdot(stack, stack, axis=1)))[1]
         np.ldexp(stack, -norms[:, None, :], out=stack)
@@ -346,51 +321,46 @@ class _GramSearch:
         self.held = rows
         self.scaled = stack
         self.moments = moments
-        self.augmented = np.empty((count, width + k, width + k))
         # Per slice: e_a, the least lam with no rcond truncation, and the
         # power of two that scales the SSR back.
         self.per_slice = (pu * nu, (2.0 * nu * (rcond + 2.0 * pu)) ** 2, 2 * exponent[:, k])
 
     def keep(self, mask: np.ndarray) -> None:
         self.rows = self.rows[mask]
-        dropped = np.flatnonzero(~mask).tolist()
-        # One at a time, so that a copy frees its buffer before the next.
-        self.scaled = _compact(self.scaled, dropped)
-        self.augmented = _compact(self.augmented, dropped)
+        self.scaled = self.scaled[mask]
 
     def drop(self, live: np.ndarray) -> None:
         """Forget the slices of the search that ``live`` (over its
         positions) marks False, and renumber the others."""
         self.keep(live[self.rows])
         mask = live[self.held]
-        self.moments = _compact(self.moments, np.flatnonzero(~mask).tolist())
+        self.moments = self.moments[mask]
         self.per_slice = tuple(a[mask] for a in self.per_slice)
         position = np.cumsum(live) - 1
         self.rows, self.held = position[self.rows], position[self.held[mask]]
 
-    def _factor(self, moments: np.ndarray, rho: np.ndarray, fac: np.ndarray) -> None:
-        """Fill ``fac`` with [[G, J], [J', T I]] at each slice's rho and
-        factor it in place."""
+    def _factor(self, moments: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        """The factor of [[G, J], [J', T I]] at each slice's rho."""
         k = self.below.shape[0]
         powers = np.ones((len(rho), 3, 1))
         powers[:, 1, 0] = rho
         powers[:, 2, 0] = rho * rho
+        fac = np.empty((len(rho), 2 * k + 1, 2 * k + 1))
         fac[:, k + 1:] = self.below
         i, j = self.lower
         fac[:, i, j] = np.matmul(moments, powers)[:, :, 0]
-        _CHOLESKY(fac, out=fac)
+        return _CHOLESKY(fac, out=fac)
 
     def loglik(self, rho: np.ndarray) -> np.ndarray:
         """Value and radius, (2, slices), of each certifying slice at its
         ``rho``."""
         k = self.scaled.shape[2] - 1
-        fac = self.augmented
         if len(self.rows) == len(self.held):
             moments, per_slice = self.moments, self.per_slice
         else:
             at = np.searchsorted(self.held, self.rows)
             moments, per_slice = self.moments[at], tuple(a[at] for a in self.per_slice)
-        self._factor(moments, rho, fac)
+        fac = self._factor(moments, rho)
         z = fac[:, k + 1:, :k + 1]
         q = z[:, :, k] * fac[:, k, k, None]  # -c
         e = self.scaled[:, :, k] + np.matmul(self.scaled[:, :, :k], q[:, :, None])[:, :, 0]
@@ -412,12 +382,10 @@ class _GramSearch:
         width = k + 1
         i, j = self.lower
         out = []
-        # In chunks, which bounds the temporaries.
         for start in range(0, len(self.held), _CHUNK):
             part = slice(start, start + _CHUNK)
             moments, rho = self.moments[part], 0.5 * (lo[part] + hi[part])
-            fac = np.empty((len(rho), width + k, width + k))
-            self._factor(moments, rho, fac)
+            fac = self._factor(moments, rho)
             v = np.ones((len(rho), width))
             v[:, :k] = fac[:, width:, k] * fac[:, k, k, None]  # -c
             full = np.empty((len(rho), 3, width, width))
@@ -614,20 +582,6 @@ def _final_ssr_bounds(constants, per_slice, lo, hi, mid, z, v, full) -> np.ndarr
                     np.array([0.0, math.inf, -math.inf])[:, None])
 
 
-# The most slices that the rho = 0 and rho-hat solves and the final
-# residuals copy at a time.  Each runs once per search, so chunking adds no
-# call to a golden-section step.
-_CHUNK = 32
-
-
-def _gls_chunks(systems: np.ndarray, rows: np.ndarray, rho: np.ndarray):
-    """``_gls_stack(systems, rows, rho)`` in chunks of at most ``_CHUNK``
-    slices."""
-    coef, ssr, rank = zip(*(_gls_stack(systems, rows[i:i + _CHUNK], rho[i:i + _CHUNK])
-                            for i in range(0, len(rows), _CHUNK)))
-    return np.concatenate(coef), [s for part in ssr for s in part], np.concatenate(rank)
-
-
 def _exact_loglik(systems: np.ndarray, rows: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """The log-likelihood of each slice ``systems[rows]`` at its ``rho``, from
     the SSR of a dgelsd solve of its whitened system."""
@@ -748,19 +702,19 @@ def _exact_ml_stack(systems: np.ndarray, group: int = 1) -> list:
     singular, get no bounds.
 
     Beside the stack, a slice holds its response, its rho = 0 fit and,
-    while searched, its ``_GramSearch`` state.  Whitened copies are made
-    only of the slices solved with dgelsd at a probe, and of at most
-    ``_CHUNK`` slices in the rho = 0 and rho-hat solves.
+    while searched, its ``_GramSearch`` state.  Every whitened dgelsd solve
+    and every bound on final SSRs works on at most ``_CHUNK`` slices at a
+    time.
     """
     count, n, width = systems.shape
     k = width - 1
     responses = np.ascontiguousarray(systems[:, :, k])  # y @ y sums a contiguous y
-    tops = _column_tops(systems)
+    tops = np.abs(systems).max(axis=1)
     # Where the argument above holds: every column's largest magnitude lies
     # in [2**-250, 2**250].
     in_range = ((tops >= 1.0 / _SCALE_RANGE) & (tops <= _SCALE_RANGE)).all(axis=1)
 
-    coef0, ssr0, rank0 = _gls_chunks(systems, np.arange(count), np.zeros(count))
+    coef0, ssr0, rank0 = _gls_stack(systems, np.arange(count), np.zeros(count))
     ties = [i for i in range(count) if _residuals_vanish(ssr0[i], responses[i])]
     fits = {}
     if ties:
@@ -778,7 +732,7 @@ def _exact_ml_stack(systems: np.ndarray, group: int = 1) -> list:
         search, rho_hat = search[searched], rho_hat[searched]
         if not len(search):
             return
-        coef_hat, ssr_hat, rank_hat = _gls_chunks(systems, search, rho_hat)
+        coef_hat, ssr_hat, rank_hat = _gls_stack(systems, search, rho_hat)
 
         kept = []
         coefs = np.empty((len(search), k))
@@ -793,12 +747,9 @@ def _exact_ml_stack(systems: np.ndarray, group: int = 1) -> list:
                 rho, loglik, coefs[j], rank = 0.0, loglik0, coef0[i], rank0[i]
             kept.append((rho, {"loglik": loglik, "iterations": RHO_STEPS,
                                **_rank_diagnostics(rank, k)}))
-        for start in range(0, len(search), _CHUNK):
-            part = search[start:start + _CHUNK]
-            residuals, ssr = _residuals(systems[part, :, :k], responses[part],
-                                        coefs[start:start + _CHUNK])
-            for j, i in enumerate(part.tolist()):
-                fits[i] = (coefs[start + j], residuals[j], ssr[j], *kept[start + j])
+        residuals, ssr = _residuals(systems[search, :, :k], responses[search], coefs)
+        for j, i in enumerate(search.tolist()):
+            fits[i] = (coefs[j], residuals[j], ssr[j], *kept[j])
 
     starts = range(0, count, group)
     firsts = [min(range(g, g + group), key=ssr0.__getitem__) for g in starts]

@@ -367,19 +367,21 @@ def exact_ml_stack(matrices, responses, group=1) -> list:
                                    group)
 
 
-def test_a_grid_run_fits_in_a_bounded_heap():
-    # Model a over one full-length grid run (16 days) of synth --days 40
-    # --seed 1.  Measured with numpy 2.4.6: a 2.14 MB peak (1.98 MB before
-    # rivals' final SSRs were bounded during their search).  Holding the
-    # moments of the whole (2k+1)-square augmented matrix per slice, as an
-    # earlier form did, raises it to 2.89 MB; with the copies that form also
-    # made, it peaked at 4.88 MB on 16-day runs and at 1.11 MB on 4-day runs.
-    window = run_window(backtest_data(40, 1), 0, backtest._run_length(LAMBDA_GRID))
+@pytest.mark.parametrize("seed", [1, 20071])
+@pytest.mark.parametrize("temp_mode", ["hour", "day"])
+@pytest.mark.parametrize("model_id", ["a", "b", "c"])
+def test_a_grid_run_fits_in_a_bounded_heap(model_id, temp_mode, seed):
+    # One full-length grid run (16 days) of synth --days 40.  Measured with
+    # numpy 2.4.6, the largest peak is model a's: 1.88 MB at seed 1 and
+    # 1.97 MB at seed 20071, in either lag mode; b and c peak at 0.49 to
+    # 1.51 MB.  Without the chunks of final_ssr model a peaks at 2.57 and
+    # 2.72 MB.
+    window = run_window(backtest_data(40, seed), 0, backtest._run_length(LAMBDA_GRID))
     assert window.days == 16
-    regress.fit_models(window, "a")  # imports and caches
+    regress.fit_models(window, model_id, temp_mode=temp_mode)  # imports and caches
     tracemalloc.start()
     try:
-        regress.fit_models(window, "a")
+        regress.fit_models(window, model_id, temp_mode=temp_mode)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -987,10 +989,7 @@ def _random_stack(seed, size=7, n=48, k=9):
     return matrices, responses
 
 
-@pytest.mark.parametrize("gufunc", ["present", "missing"])
-def test_lstsq_stack_bit_equal_to_public_lstsq(monkeypatch, gufunc):
-    if gufunc == "missing":
-        monkeypatch.setattr(regress, "_LSTSQ_GUFUNC", None)
+def test_lstsq_stack_bit_equal_to_public_lstsq():
     for seed in range(20):
         matrices, responses = _random_stack(seed)
         matrices[3, :, 5] = matrices[3, :, 2]  # one rank-deficient slice
@@ -1002,10 +1001,26 @@ def test_lstsq_stack_bit_equal_to_public_lstsq(monkeypatch, gufunc):
             assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("gufunc", ["present", "missing"])
-def test_lstsq_stack_nan_slice_raises(monkeypatch, gufunc):
-    if gufunc == "missing":
-        monkeypatch.setattr(regress, "_LSTSQ_GUFUNC", None)
+def test_gls_stack_keeps_each_slices_bits_across_chunk_seams():
+    # Two chunk seams, slices gathered in shuffled order, each at its own
+    # rho (a sixth of them at 0), one of them rank-deficient.
+    count = 2 * regress._CHUNK + 5
+    matrices, responses = _random_stack(7, size=count)
+    matrices[11, :, 5] = matrices[11, :, 2]
+    rng = np.random.default_rng(8)
+    rows = rng.permutation(count)
+    rho = rng.uniform(-regress.RHO_BOUND, regress.RHO_BOUND, count)
+    rho[::6] = 0.0
+    systems = np.concatenate((matrices, responses[:, :, None]), axis=2)
+    coef, ssr, rank = regress._gls_stack(systems, rows, rho)
+    assert len(ssr) == count and rank[rows.tolist().index(11)] == 8
+    for j, (i, r) in enumerate(zip(rows.tolist(), rho.tolist())):
+        want_coef, want_ssr, want_rank = oracles.gls_at_rho(matrices[i], responses[i], r)
+        assert same_bits(coef[j], want_coef)
+        assert same_bits(np.float64(ssr[j]), np.float64(want_ssr)) and rank[j] == want_rank
+
+
+def test_lstsq_stack_nan_slice_raises():
     matrices, responses = _random_stack(99)
     matrices[2, 10, 1] = np.nan
     with pytest.raises(np.linalg.LinAlgError):
@@ -1014,8 +1029,3 @@ def test_lstsq_stack_nan_slice_raises(monkeypatch, gufunc):
         regress._lstsq_stack(matrices, responses)
 
 
-def test_fit_model_without_gufunc_matches(monkeypatch):
-    window = last_day_window(SynthParams(days=12, seed=30))
-    fast = fit_model(window, "b")
-    monkeypatch.setattr(regress, "_LSTSQ_GUFUNC", None)
-    assert_same_fit(fit_model(window, "b"), fast)
