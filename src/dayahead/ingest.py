@@ -38,32 +38,6 @@ class Record(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
-class DayProfile:
-    """24 hourly loads for one calendar day, as a read-only float array.
-
-    Loads must be strictly positive because logarithms of load peaks are
-    taken downstream.
-    """
-
-    date: dt.date
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        if vals.shape != (24,):
-            raise ValidationError(
-                f"profile for {self.date} has {vals.size} values, expected 24"
-            )
-        bad = ~np.isfinite(vals) | (vals <= 0.0)
-        if bad.any():
-            h = int(bad.argmax())
-            problem = "non-positive load" if np.isfinite(vals[h]) else "non-finite value"
-            raise ValidationError(f"{problem} at ({self.date}, hour {h + 1})")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-
-@dataclass(frozen=True, eq=False)
 class SeriesWindow:
     """The dataset rows of a run of ``days`` consecutive target days: the
     nine history days of the first, then each target day in turn.

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import __version__
 from .errors import ValidationError
-from .ingest import DayProfile
 from .thermo import ThermoState
 from .verdict import ReserveTestResult, TimeTestResult
 
@@ -48,20 +47,6 @@ class DayScore:
     price_c: float
     delta_pct: float
     temp_equiv_c: float
-
-
-@dataclass(frozen=True)
-class DispatchReport(DayScore):
-    """Everything the engine reports for one target day.
-
-    ``forecasts`` maps model ids "a"/"b"/"c" to their 24-hour profiles;
-    the fit diagnostics are not part of the report schema.
-    """
-
-    target_date: dt.date
-    forecasts: dict
-    ensemble: DayProfile
-    meta: dict
 
 
 def price(beta: float, sigma: float) -> float:
@@ -108,15 +93,40 @@ def score(thermo: ThermoState, time_test: TimeTestResult,
 
 
 def build_report(target_date: dt.date, forecasts: np.ndarray, ensemble: np.ndarray,
-                 day: DayScore, config: Optional[dict] = None) -> DispatchReport:
-    """Assemble a day's report from its forecasts (3 x 24, models a, b, c),
-    ensemble mean and scores."""
+                 day: DayScore, config: Optional[dict] = None) -> dict:
+    """A day's report payload, in schema order, from its forecasts (3 x 24,
+    models a, b, c), ensemble mean and scores; the fit diagnostics are not
+    part of the schema."""
     meta = {"p_v": P_V, "p_r": P_R, "engine_version": __version__}
     if config is not None:
         meta["config"] = dict(config)
-    profiles = {m: DayProfile(target_date, f) for m, f in zip("abc", forecasts)}
-    return DispatchReport(**vars(day), target_date=target_date, forecasts=profiles,
-                          ensemble=DayProfile(target_date, ensemble), meta=meta)
+    t, r = day.time_test, day.reserve_test
+    return {
+        "target_date": target_date.isoformat(),
+        "forecasts": dict(zip("abc", forecasts.tolist())),
+        "ensemble": ensemble.tolist(),
+        "thermo": {name: getattr(day.thermo, name) for name in (
+            "theta1", "theta2", "beta", "w1", "w2", "mu", "sigma", "delta_s", "delta_sp")},
+        "time_test": {
+            "t6_1": t.t6_1,
+            "t6_2": t.t6_2,
+            "t16": t.t16,
+            "t24": t.t24,
+            "exponents": {"i": t.i, "k": t.k, "m": t.m, "n": t.n},
+            "verdicts": {
+                "t6": t.pass_t6,
+                "t16": t.pass_t16,
+                "t24": t.pass_t24,
+                "t16_branch": t.branch_t16,
+                "t24_branch": t.branch_t24,
+            },
+        },
+        "reserve_test": {"r1": r.r1, "r2": r.r2, "pass": r.passed},
+        "price_c": day.price_c,
+        "delta_pct": day.delta_pct,
+        "temp_equiv_c": day.temp_equiv_c,
+        "meta": meta,
+    }
 
 
 def _num(x: float) -> str:
@@ -137,8 +147,6 @@ def _json_value(obj) -> str:
         return _num(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, dt.date):
-        return json.dumps(obj.isoformat())
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_json_value(v) for v in obj) + "]"
     if isinstance(obj, dict):
@@ -147,38 +155,6 @@ def _json_value(obj) -> str:
     raise ValidationError(f"cannot serialize {type(obj).__name__}")
 
 
-def serialize_report(report: DispatchReport) -> str:
-    """Deterministic JSON rendering of the report schema."""
-    t = report.time_test
-    payload = {
-        "target_date": report.target_date,
-        "forecasts": {m: report.forecasts[m].values.tolist() for m in ("a", "b", "c")},
-        "ensemble": report.ensemble.values.tolist(),
-        "thermo": {name: getattr(report.thermo, name) for name in (
-            "theta1", "theta2", "beta", "w1", "w2", "mu", "sigma", "delta_s", "delta_sp")},
-        "time_test": {
-            "t6_1": t.t6_1,
-            "t6_2": t.t6_2,
-            "t16": t.t16,
-            "t24": t.t24,
-            "exponents": {"i": t.i, "k": t.k, "m": t.m, "n": t.n},
-            "verdicts": {
-                "t6": t.pass_t6,
-                "t16": t.pass_t16,
-                "t24": t.pass_t24,
-                "t16_branch": t.branch_t16,
-                "t24_branch": t.branch_t24,
-            },
-        },
-        "reserve_test": {
-            "r1": report.reserve_test.r1,
-            "r2": report.reserve_test.r2,
-            "pass": report.reserve_test.passed,
-        },
-        "price_c": report.price_c,
-        "delta_pct": report.delta_pct,
-        "temp_equiv_c": report.temp_equiv_c,
-        "meta": report.meta,
-    }
-    return _json_value(payload) + "\n"
-
+def serialize_report(report: dict) -> str:
+    """Deterministic JSON rendering of a report payload."""
+    return _json_value(report) + "\n"

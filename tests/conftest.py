@@ -6,7 +6,6 @@ import pytest
 
 from dayahead.ingest import (
     Dataset,
-    DayProfile,
     Record,
     SeriesWindow,
     SynthParams,
@@ -17,6 +16,8 @@ from dayahead.ingest import (
 )
 from dayahead.verdict import CriticalValues
 
+from oracles import Profile
+
 TARGET = dt.date(2004, 5, 10)
 
 
@@ -25,18 +26,13 @@ def day(offset: int) -> dt.date:
     return TARGET - dt.timedelta(days=offset)
 
 
-def profile(date, values) -> DayProfile:
-    return DayProfile(date, tuple(float(v) for v in values))
+def profile(date, values) -> Profile:
+    return Profile(date, tuple(float(v) for v in values))
 
 
 def stacked(*profiles) -> np.ndarray:
     """The values of day profiles as one array, (len(profiles), 24)."""
     return np.stack([p.values for p in profiles])
-
-
-def same_profile(a, b) -> bool:
-    """Two profiles carry the same date and equal values at every hour."""
-    return a.date == b.date and np.array_equal(a.values, b.values)
 
 
 def same_bits(a, b) -> bool:

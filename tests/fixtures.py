@@ -1,4 +1,5 @@
-"""Engineered datasets for the degeneracy-routing tests.
+"""Engineered datasets for the degeneracy-routing tests, and temperatures
+that the generator cannot make.
 
 The recoherence fixture forces theta1 = theta2 through the structure of the
 data rather than through luck: the target day's lag-1 load, half-day
@@ -102,3 +103,13 @@ def recoherence_backtest_records(degenerate_day: dt.date, tail_days: int = 1):
         else:
             records[(rec.date, rec.hour)] = rec
     return sorted(records.values(), key=lambda r: (r.date, r.hour))
+
+
+def perturbed_temperatures(records) -> list[Record]:
+    """``records`` with 0.3 sin(1.7 i**2 mod 11) degC added to the
+    temperature of the i-th.  ``synth`` makes each temperature a function of
+    the hour plus one of the day, so under day lags model c's design is
+    rank-deficient at every decay; this deterministic jitter breaks that
+    structure."""
+    return [r._replace(temp_c=r.temp_c + 0.3 * math.sin(1.7 * i * i % 11))
+            for i, r in enumerate(records)]

@@ -12,12 +12,11 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 
-from dayahead import __version__, regress, report, thermo, verdict
+from dayahead import regress, report, thermo, verdict
 from dayahead.backtest import BacktestRow
 from dayahead.errors import DegeneracyError, ValidationError
 from dayahead.features import LAMBDA_GRID, MODEL_IDS, indicator
-from dayahead.ingest import CSV_HEADER, HOURS, DayProfile, Record, SeriesWindow
-from dayahead.report import DispatchReport
+from dayahead.ingest import CSV_HEADER, HOURS, Record, SeriesWindow
 from dayahead.regress import (
     RHO_BOUND,
     RHO_TOL,
@@ -529,7 +528,7 @@ def fit_model(window, model_id: str, method: str = "exact_ml_ar1",
 
 # --- Tuple form of the day profiles -----------------------------------------
 # Hour-by-hour loops over 24 Python floats: the reference for the engine's
-# read-only profile arrays, its clamp and its ensemble mean.
+# clamp and its ensemble mean, and the profiles of the scoring chain below.
 
 
 def profile_problem(date, values):
@@ -544,6 +543,23 @@ def profile_problem(date, values):
         if v <= 0.0:
             return f"non-positive load at ({date}, hour {h})"
     return None
+
+
+@dataclass(frozen=True, eq=False)
+class Profile:
+    """24 hourly loads of one day as a read-only float array: a profile
+    ``profile_problem`` accepts, or a ``ValidationError`` with its message."""
+
+    date: dt.date
+    values: np.ndarray
+
+    def __post_init__(self):
+        problem = profile_problem(self.date, self.values)
+        if problem is not None:
+            raise ValidationError(problem)
+        vals = np.array(self.values, dtype=float)
+        vals.flags.writeable = False
+        object.__setattr__(self, "values", vals)
 
 
 def clamp(raw) -> tuple:
@@ -568,7 +584,7 @@ def ensemble_mean(a, b, c) -> tuple:
 
 
 def forecast_profiles(window, fits: dict) -> dict:
-    """``{model_id: DayProfile}``: each model's ``target_block @ coef``,
+    """``{model_id: Profile}``: each model's ``target_block @ coef``,
     clamped at the floor; a prediction that is not finite raises at its
     model's formula, in model order."""
     out = {}
@@ -579,15 +595,15 @@ def forecast_profiles(window, fits: dict) -> dict:
         if not np.isfinite(raw).all():
             raise DegeneracyError(f"model {model_id}: forecast is not finite",
                                   regress.EQUATIONS[model_id])
-        out[model_id] = DayProfile(window.target_date, clamp(raw))
+        out[model_id] = Profile(window.target_date, clamp(raw))
     return out
 
 
-def ensemble_profile(forecasts: dict) -> DayProfile:
-    """The sorted-triple mean of the three profiles; ``DayProfile`` rejects
-    a mean past the double range."""
+def ensemble_profile(forecasts: dict) -> Profile:
+    """The sorted-triple mean of the three profiles; ``Profile`` rejects a
+    mean past the double range."""
     a, b, c = (forecasts[m].values for m in MODEL_IDS)
-    return DayProfile(forecasts["a"].date, ensemble_mean(a, b, c))
+    return Profile(forecasts["a"].date, ensemble_mean(a, b, c))
 
 
 def demean(x) -> np.ndarray:
@@ -628,9 +644,10 @@ def daily_relative_error(actual, forecast) -> float:
     return err / max(actual_mw) * 100.0
 
 
-def run_day(window, critical_values, settings, fits=None, config=None) -> DispatchReport:
-    """One day's report; each model is fitted on the window alone when no
-    fits are given.  Raises the first degeneracy of the chain."""
+def score_day(window, critical_values, settings, fits=None) -> tuple:
+    """One day's ``(forecasts, ensemble, DayScore)``; each model is fitted
+    on the window alone when no fits are given.  Raises the first
+    degeneracy of the chain."""
     if fits is None:
         fits = {m: regress.fit_model(window, m, **asdict(settings)) for m in MODEL_IDS}
     forecasts = forecast_profiles(window, fits)
@@ -640,12 +657,17 @@ def run_day(window, critical_values, settings, fits=None, config=None) -> Dispat
                                    critical_values)
     reserve_test = verdict.energy_test(state.w1, state.w2, state.beta)
     delta_pct = report.error_reduction(state.w1, state.mu, state.delta_s)
-    meta = {"p_v": report.P_V, "p_r": report.P_R, "engine_version": __version__}
-    if config is not None:
-        meta["config"] = dict(config)
-    return DispatchReport(state, time_test, reserve_test, report.price(state.beta, state.sigma),
-                          delta_pct, report.temp_equivalence(delta_pct), window.target_date,
-                          forecasts, ensemble, meta)
+    day = report.DayScore(state, time_test, reserve_test, report.price(state.beta, state.sigma),
+                          delta_pct, report.temp_equivalence(delta_pct))
+    return forecasts, ensemble, day
+
+
+def run_day(window, critical_values, settings, fits=None, config=None) -> dict:
+    """One day's report payload, built by ``report.build_report`` from the
+    scores of :func:`score_day`."""
+    forecasts, ensemble, day = score_day(window, critical_values, settings, fits)
+    stack = np.stack([forecasts[m].values for m in MODEL_IDS])
+    return report.build_report(window.target_date, stack, ensemble.values, day, config)
 
 
 def backtest_rows(dataset, first: dt.date, last: dt.date, critical_values,
@@ -655,14 +677,15 @@ def backtest_rows(dataset, first: dt.date, last: dt.date, critical_values,
     rows = []
     for k in range((last - first).days + 1):
         day = first + dt.timedelta(days=k)
-        actual = DayProfile(day, dataset.loads[dataset.index[day]])
+        actual = Profile(day, dataset.loads[dataset.index[day]])
         try:
-            dispatch = run_day(dataset.window(day), critical_values, settings)
+            forecasts, ensemble, scores = score_day(dataset.window(day), critical_values,
+                                                    settings)
         except DegeneracyError as exc:
             rows.append(BacktestRow(day, None, None, None, None, None,
                                     f"aborted:eq{exc.equation.strip('()')}"))
             continue
-        mmres = [daily_relative_error(actual, dispatch.forecasts[m]) for m in MODEL_IDS]
-        rows.append(BacktestRow(day, *mmres, daily_relative_error(actual, dispatch.ensemble),
-                                dispatch.delta_pct, "ok"))
+        mmres = [daily_relative_error(actual, forecasts[m]) for m in MODEL_IDS]
+        rows.append(BacktestRow(day, *mmres, daily_relative_error(actual, ensemble),
+                                scores.delta_pct, "ok"))
     return rows

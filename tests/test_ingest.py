@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from dayahead.errors import ValidationError
 from dayahead.ingest import (
-    DayProfile,
     Record,
     SeriesWindow,
     SynthParams,
@@ -158,13 +157,6 @@ def test_assemble_window_requires_forecast_hours():
     ]
     with pytest.raises(ValidationError, match=rf"{TARGET}, hour 7"):
         assemble_window(dataset_of(records), TARGET)
-
-
-def test_profile_validation():
-    with pytest.raises(ValidationError, match="expected 24"):
-        DayProfile(TARGET, (1.0,) * 23)
-    with pytest.raises(ValidationError, match="non-positive load"):
-        DayProfile(TARGET, (0.0,) + (1.0,) * 23)
 
 
 def test_synth_degenerate_generator_is_flat():

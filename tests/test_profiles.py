@@ -1,8 +1,9 @@
-"""Day profiles as read-only arrays, against the tuple form in oracles.py.
+"""Day profiles as arrays, against the tuple form in oracles.py.
 
-The clamp in ``forecast_day``, the sorted-triple ``ensemble_mean`` and the
-validation in ``DayProfile`` must give the bits, or the message, of the
-hour-by-hour loops over Python floats.
+The clamp in ``forecast_day`` and the sorted-triple ``ensemble_mean`` must
+give the bits, or the ``profile_problem`` message, of the hour-by-hour loops
+over Python floats, and no profile that ``profile_problem`` rejects reaches
+a report.
 """
 
 import itertools
@@ -11,8 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dayahead.errors import DegeneracyError, ValidationError
-from dayahead.ingest import DayProfile
+from dayahead.errors import DegeneracyError
 from dayahead.pipeline import run_day
 from dayahead.regress import CLAMP_FLOOR_MW, FitResult, ensemble_mean, forecast_day
 
@@ -28,14 +28,6 @@ def oracle_profile(values):
     """The oracle's verdict on ``values``: their bits, or its message."""
     problem = oracles.profile_problem(TARGET, values)
     return problem if problem is not None else np.array(values, dtype=float).tobytes()
-
-
-def engine_profile(values):
-    """The engine's verdict on ``values``: its profile's bits, or its message."""
-    try:
-        return DayProfile(TARGET, values).values.tobytes()
-    except ValidationError as exc:
-        return str(exc)
 
 
 def random_hours(rng, pool) -> np.ndarray:
@@ -92,7 +84,7 @@ def test_ensemble_mean_matches_the_sorted_triple_oracle():
             triple = [random_hours(rng, (*NEAR_FLOOR, 2.5, 3000.0)) for _ in "abc"]
         want = oracle_profile(oracles.ensemble_mean(*triple))
         for order in itertools.permutations(triple):
-            assert engine_profile(ensemble_mean(np.stack(order))) == want, trial
+            assert oracle_profile(ensemble_mean(np.stack(order))) == want, trial
 
 
 def test_ensemble_mean_overflow_is_rejected_as_the_oracle_rejects_it():
@@ -101,7 +93,7 @@ def test_ensemble_mean_overflow_is_rejected_as_the_oracle_rejects_it():
     lo[4], mid[4], hi[4] = 1.0, 1.6e308, 1.7e308
     want = oracles.profile_problem(TARGET, oracles.ensemble_mean(lo, mid, hi))
     assert want == f"non-finite value at ({TARGET}, hour 5)"
-    assert engine_profile(ensemble_mean(np.stack((hi, lo, mid)))) == want
+    assert oracle_profile(ensemble_mean(np.stack((hi, lo, mid)))) == want
 
 
 @pytest.mark.parametrize("pair", ["ab", "bc", "ac"])
@@ -147,25 +139,22 @@ def test_every_overflowing_ensemble_of_a_seeded_sweep_aborts_at_eq4(stub_critica
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0],
                          ids=["nan", "inf", "-inf", "0", "-0", "negative"])
 @pytest.mark.parametrize("hour", [1, 24])
-def test_profile_validation_names_the_oracles_first_bad_hour(bad, hour):
+def test_profile_validation_names_the_oracles_first_bad_hour(stub_criticals, bad, hour):
+    # The oracle names a profile's first bad hour.  No profile it rejects
+    # reaches a report: a prediction that is not finite aborts at its
+    # model's formula, and any other is clamped to one the oracle accepts.
     rng = np.random.default_rng(hour)
-    values = rng.uniform(1.0, 6000.0, 24)
-    values[hour - 1] = bad
-    assert engine_profile(values) == oracle_profile(values)
-    assert f"hour {hour})" in engine_profile(values)
+    raws = rng.uniform(1.0, 6000.0, (3, 24))
+    raws[2, hour - 1] = bad
+    assert f"hour {hour})" in oracle_profile(raws[2])
     if hour == 1:  # a second bad hour later on does not change the message
-        values[23] = np.nan if bad == 0.0 else 0.0
-        assert engine_profile(values) == oracle_profile(values)
-
-
-def test_profile_holds_a_read_only_copy_of_its_values():
-    rng = np.random.default_rng(13)
-    for trial in range(50):
-        values = random_hours(rng, NEAR_FLOOR)
-        assert engine_profile(values) == oracle_profile(values)
-        assert engine_profile(values.tolist()) == oracle_profile(values)
-        prof = DayProfile(TARGET, values)
-        values[0] = -1.0
-        assert prof.values[0] != -1.0 and not prof.values.flags.writeable
-    for n in (0, 23, 25):
-        assert engine_profile(np.ones(n)) == oracle_profile(np.ones(n))
+        later = raws[2].copy()
+        later[23] = np.nan if bad == 0.0 else 0.0
+        assert oracle_profile(later) == oracle_profile(raws[2])
+    fits = dict(zip("abc", map(fit_predicting, raws)))
+    forecasts, ensemble, [day] = run_day(make_window(), stub_criticals, fits=[fits])
+    if np.isfinite(bad):
+        for values in (*forecasts[:, 0], ensemble[0]):
+            assert oracles.profile_problem(TARGET, values) is None
+    else:
+        assert str(day) == "model c: forecast is not finite (Eq. (3))"

@@ -134,3 +134,21 @@ TRACER_ONLY = {"regress.ols_fit", "regress.exact_ml_ar1_fit", "features.target_r
 
 def test_the_definitions_only_the_tracer_reaches_are_named():
     assert reached() - reached(patches=()) == TRACER_ONLY
+
+
+# The scoring layers work on plain arrays and floats: nothing they import,
+# directly or through another module of the package, is the data layer's.
+SCORING = ("thermo", "verdict", "report")
+DATA_LAYERS = {"ingest", "features", "regress"}
+
+
+def test_the_scoring_layers_import_nothing_from_the_data_layers():
+    _, _, _, imports = parse_package()
+    for module in SCORING:
+        seen, work = set(), [module]
+        while work:
+            for target, _ in imports.get(work.pop(), {}).values():
+                if target not in seen:
+                    seen.add(target)
+                    work.append(target)
+        assert not seen & DATA_LAYERS, (module, sorted(seen & DATA_LAYERS))

@@ -22,6 +22,7 @@ from dayahead.regress import (
 )
 
 import oracles
+from fixtures import perturbed_temperatures
 from conftest import (
     TARGET,
     dataset_of,
@@ -285,12 +286,9 @@ def assert_same_fit(got, want):
     assert np.array_equal(got.residuals, want.residuals)
 
 
-@pytest.mark.parametrize("seed", [1, 20071])
-@pytest.mark.parametrize("temp_mode", ["hour", "day"])
-def test_fit_model_matches_scalar_oracle_over_backtest(seed, temp_mode):
-    # Every day of the 31-day acceptance backtest on synth --days 40.
-    records = synth_dataset(SynthParams(days=40, seed=seed))
-    data = dataset_of(records)
+def assert_backtest_fits_match_scalar_oracle(data: Dataset, temp_mode: str):
+    """Every fit of the 31-day acceptance backtest of ``data`` (from synth
+    --days 40) equals the scalar oracle's."""
     target = dt.date(2004, 1, 10)
     while target <= dt.date(2004, 2, 9):
         window = assemble_window(data, target)
@@ -299,6 +297,18 @@ def test_fit_model_matches_scalar_oracle_over_backtest(seed, temp_mode):
             want = oracles.fit_model_grid(window, model_id, temp_mode)
             assert_same_fit(got, want)
         target += dt.timedelta(days=1)
+
+
+@pytest.mark.parametrize("seed", [1, 20071])
+@pytest.mark.parametrize("temp_mode", ["hour", "day"])
+def test_fit_model_matches_scalar_oracle_over_backtest(seed, temp_mode):
+    assert_backtest_fits_match_scalar_oracle(backtest_data(40, seed), temp_mode)
+
+
+def test_fit_model_matches_scalar_oracle_over_perturbed_day_lag_backtest():
+    # Model c's day-lag designs are full rank here, so its searches run on
+    # the Gram path that synth's own temperatures never reach.
+    assert_backtest_fits_match_scalar_oracle(backtest_data(40, 1, perturbed=True), "day")
 
 
 # synth --days, backtest days from 2004-01-10, method, decays
@@ -312,8 +322,11 @@ RUN_CASES = {
 FIRST = dt.date(2004, 1, 10)
 
 
-def backtest_data(synth_days: int, seed: int) -> Dataset:
-    return dataset_of(synth_dataset(SynthParams(days=synth_days, seed=seed)))
+def backtest_data(synth_days: int, seed: int, perturbed: bool = False) -> Dataset:
+    """The dataset of synth --days ``synth_days``, its temperatures
+    perturbed by ``fixtures.perturbed_temperatures`` if asked."""
+    records = synth_dataset(SynthParams(days=synth_days, seed=seed))
+    return dataset_of(perturbed_temperatures(records) if perturbed else records)
 
 
 def day_windows(data: Dataset, n_days: int) -> list:
@@ -326,12 +339,10 @@ def run_window(data: Dataset, start: int, days: int):
     return data.window(FIRST + dt.timedelta(days=start), days)
 
 
-@pytest.mark.parametrize("case", sorted(RUN_CASES))
-@pytest.mark.parametrize("seed", [1, 20071])
-@pytest.mark.parametrize("temp_mode", ["hour", "day"])
-def test_fit_models_match_each_window_fitted_alone(case, seed, temp_mode):
-    synth_days, n_days, method, decays = RUN_CASES[case]
-    data = backtest_data(synth_days, seed)
+def assert_runs_match_each_window_fitted_alone(case: str, data: Dataset, temp_mode: str):
+    """The fits of ``data``'s runs, at the method and decays of ``case``,
+    equal each day's fit of its one-day window alone."""
+    _, n_days, method, decays = RUN_CASES[case]
     windows = day_windows(data, n_days)
     run_length = backtest._run_length(decays)
     # (first day, days) of one window over every day (well past the
@@ -348,6 +359,20 @@ def test_fit_models_match_each_window_fitted_alone(case, seed, temp_mode):
                 assert_same_fit(fit, alone)
                 block = target_regressors(window, model_id, alone.lam, temp_mode)
                 assert np.array_equal(fit.target_block, block)
+
+
+@pytest.mark.parametrize("case", sorted(RUN_CASES))
+@pytest.mark.parametrize("seed", [1, 20071])
+@pytest.mark.parametrize("temp_mode", ["hour", "day"])
+def test_fit_models_match_each_window_fitted_alone(case, seed, temp_mode):
+    assert_runs_match_each_window_fitted_alone(case, backtest_data(RUN_CASES[case][0], seed),
+                                               temp_mode)
+
+
+@pytest.mark.parametrize("case", sorted(RUN_CASES))
+def test_fit_models_match_each_window_fitted_alone_on_perturbed_day_lags(case):
+    data = backtest_data(RUN_CASES[case][0], 1, perturbed=True)
+    assert_runs_match_each_window_fitted_alone(case, data, "day")
 
 
 # --- Pruning the exact-ML decay grid ----------------------------------------
@@ -375,7 +400,8 @@ def test_a_grid_run_fits_in_a_bounded_heap(model_id, temp_mode, seed):
     # numpy 2.4.6, the largest peak is model a's: 1.88 MB at seed 1 and
     # 1.97 MB at seed 20071, in either lag mode; b and c peak at 0.49 to
     # 1.51 MB.  Without the chunks of final_ssr model a peaks at 2.57 and
-    # 2.72 MB.
+    # 2.72 MB, and with _gls_stack solving every slice in one chunk at
+    # 2.26 MB.
     window = run_window(backtest_data(40, seed), 0, backtest._run_length(LAMBDA_GRID))
     assert window.days == 16
     regress.fit_models(window, model_id, temp_mode=temp_mode)  # imports and caches
@@ -385,7 +411,7 @@ def test_a_grid_run_fits_in_a_bounded_heap(model_id, temp_mode, seed):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2_300_000
+    assert peak < 2_100_000
 
 
 def test_exact_ml_grid_skips_decays_that_cannot_win(monkeypatch):
@@ -811,6 +837,17 @@ def test_certification_cuts_the_backtest_solves(monkeypatch, temp_mode, seed, mo
     for model_id in ("a", "b", "c"):
         run_fits(data, 31, model_id, temp_mode)
     assert sum(solved) <= most
+
+
+def test_certification_cuts_the_perturbed_day_lag_solves(monkeypatch):
+    # The day-lag case of the test above on perturbed temperatures at seed
+    # 1: model c's designs are full rank, so its searches are certified too
+    # and the backtest solves 2,354 dgelsd slices instead of 12,385.
+    solved = counting_solves(monkeypatch)
+    data = backtest_data(40, 1, perturbed=True)
+    for model_id in ("a", "b", "c"):
+        run_fits(data, 31, model_id, "day")
+    assert sum(solved) <= 2_354
 
 
 # --- Rival decays dropped in the middle of their search ----------------------

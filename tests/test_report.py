@@ -1,7 +1,7 @@
 import datetime as dt
 import json
 import math
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 
 from dayahead.backtest import BacktestRow, summarize_monthly
 from dayahead.ingest import SynthParams
-from dayahead.pipeline import EngineSettings
+from dayahead.pipeline import EngineSettings, run_day
 from dayahead.cli import forecast_report
 from dayahead.report import (
     MU_NORMALIZATION,
     P_R,
     P_V,
-    DayScore,
     build_report,
     daily_relative_error,
     error_reduction,
@@ -127,18 +126,20 @@ def test_monthly_mmre_groups_by_calendar_month():
     assert may.mmre_ensemble == pytest.approx(6.0)
 
 
+def _sample_window():
+    return last_day_window(SynthParams(days=12, seed=3))
+
+
 def _sample_report(stub):
-    window = last_day_window(SynthParams(days=12, seed=3))
-    dispatch = forecast_report(window, stub, EngineSettings(), {"method": "exact-ml"})
-    return dispatch
+    return forecast_report(_sample_window(), stub, EngineSettings(), {"method": "exact-ml"})
 
 
 def test_report_meta_constants(stub_criticals):
-    dispatch = _sample_report(stub_criticals)
-    assert dispatch.meta["p_v"] == P_V == 0.8803
-    assert dispatch.meta["p_r"] == P_R == 0.96806
-    assert dispatch.meta["engine_version"]
-    assert dispatch.meta["config"] == {"method": "exact-ml"}
+    meta = _sample_report(stub_criticals)["meta"]
+    assert meta["p_v"] == P_V == 0.8803
+    assert meta["p_r"] == P_R == 0.96806
+    assert meta["engine_version"]
+    assert meta["config"] == {"method": "exact-ml"}
 
 
 def test_report_schema_keys(stub_criticals):
@@ -167,23 +168,7 @@ def test_report_round_trip(stub_criticals):
     # 17 significant digits are lossless: every number reads back equal.
     dispatch = _sample_report(stub_criticals)
     text = serialize_report(dispatch)
-    obj = json.loads(text)
-    assert obj["target_date"] == dispatch.target_date.isoformat()
-    assert obj["forecasts"] == {m: list(p.values) for m, p in dispatch.forecasts.items()}
-    assert obj["ensemble"] == list(dispatch.ensemble.values)
-    assert obj["thermo"] == asdict(dispatch.thermo)
-    t = dispatch.time_test
-    assert obj["time_test"] == {
-        "t6_1": t.t6_1, "t6_2": t.t6_2, "t16": t.t16, "t24": t.t24,
-        "exponents": {"i": t.i, "k": t.k, "m": t.m, "n": t.n},
-        "verdicts": {"t6": t.pass_t6, "t16": t.pass_t16, "t24": t.pass_t24,
-                     "t16_branch": t.branch_t16, "t24_branch": t.branch_t24},
-    }
-    r = dispatch.reserve_test
-    assert obj["reserve_test"] == {"r1": r.r1, "r2": r.r2, "pass": r.passed}
-    assert (obj["price_c"], obj["delta_pct"], obj["temp_equiv_c"]) == (
-        dispatch.price_c, dispatch.delta_pct, dispatch.temp_equiv_c)
-    assert obj["meta"] == dispatch.meta
+    assert json.loads(text) == dispatch
     # The rendering is deterministic, also for the report of a fresh run.
     assert serialize_report(dispatch) == text
     assert serialize_report(_sample_report(stub_criticals)) == text
@@ -192,19 +177,30 @@ def test_report_round_trip(stub_criticals):
 def test_report_numbers_have_seventeen_significant_digits(stub_criticals):
     dispatch = _sample_report(stub_criticals)
     text = serialize_report(dispatch)
-    rendered = format(dispatch.thermo.theta1, ".17g")
+    rendered = format(dispatch["thermo"]["theta1"], ".17g")
     assert rendered in text
 
 
 def test_build_report_dates_every_profile_with_the_target_day(stub_criticals):
     dispatch = _sample_report(stub_criticals)
+    forecasts, ensemble, [scores] = run_day(_sample_window(), stub_criticals)
     day = TARGET + dt.timedelta(days=9)
-    forecasts = stacked(*dispatch.forecasts.values())
-    scores = DayScore(dispatch.thermo, dispatch.time_test, dispatch.reserve_test,
-                      dispatch.price_c, dispatch.delta_pct, dispatch.temp_equiv_c)
-    rebuilt = build_report(day, forecasts, dispatch.ensemble.values, scores)
-    assert [p.date for p in rebuilt.forecasts.values()] == [day] * 3
-    assert rebuilt.ensemble.date == day
-    assert np.array_equal(stacked(*rebuilt.forecasts.values()), forecasts)
+    rebuilt = build_report(day, forecasts[:, 0], ensemble[0], scores)
+    assert rebuilt["target_date"] == day.isoformat()
+    assert rebuilt["forecasts"] == dict(zip("abc", forecasts[:, 0].tolist()))
+    assert rebuilt["ensemble"] == ensemble[0].tolist()
+    assert rebuilt["thermo"] == asdict(scores.thermo)
+    t = scores.time_test
+    assert rebuilt["time_test"] == {
+        "t6_1": t.t6_1, "t6_2": t.t6_2, "t16": t.t16, "t24": t.t24,
+        "exponents": {"i": t.i, "k": t.k, "m": t.m, "n": t.n},
+        "verdicts": {"t6": t.pass_t6, "t16": t.pass_t16, "t24": t.pass_t24,
+                     "t16_branch": t.branch_t16, "t24_branch": t.branch_t24},
+    }
+    r = scores.reserve_test
+    assert rebuilt["reserve_test"] == {"r1": r.r1, "r2": r.r2, "pass": r.passed}
+    assert (rebuilt["price_c"], rebuilt["delta_pct"], rebuilt["temp_equiv_c"]) == (
+        scores.price_c, scores.delta_pct, scores.temp_equiv_c)
+    assert "config" not in rebuilt["meta"]
     assert serialize_report(rebuilt) == serialize_report(
-        replace(dispatch, target_date=day, meta=rebuilt.meta))
+        {**dispatch, "target_date": day.isoformat(), "meta": rebuilt["meta"]})
