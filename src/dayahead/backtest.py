@@ -1,7 +1,7 @@
 """Multi-day evaluation harness.
 
-The harness checks the requested range and its nine history days once, then
-forecasts each day from the dataset rows before it and scores each model and
+The harness checks the requested range and its nine history days before it
+fits anything, then forecasts each day from the dataset rows before it and scores each model and
 the ensemble against the actual load.  Consecutive days are fitted in runs:
 a run is one row slice of the dataset, its days go through one stacked solve
 per model and are then scored together, each with its own fits.  A model's
@@ -66,6 +66,10 @@ class MonthlySummary:
     excluded_days: int
 
 
+_COVERAGE_GAPS = {"record": "insufficient coverage: missing",
+                  "load": "insufficient coverage: missing load for"}
+
+
 def run_backtest(
     dataset: Dataset,
     from_date: dt.date,
@@ -81,16 +85,10 @@ def run_backtest(
         raise ValidationError("from_date must not exceed to_date")
     first = history_start(from_date)
     span = (to_date - first).days + 1
-    gap = dataset.first_gap(first, span, "load")
-    if gap is not None:
-        day, hour, lack = gap
-        what = "missing" if lack == "record" else "missing load for"
-        raise ValidationError(f"insufficient coverage: {what} ({day}, hour {hour})")
-    # The days before the first non-positive load are scored, then it is raised.
-    gap = dataset.first_gap(first, span, "positive")
-    n_days = (to_date - from_date).days + 1 if gap is None else (gap[0] - from_date).days
+    dataset.check_gaps(first, span, _COVERAGE_GAPS)  # a coverage gap anywhere comes first
+    dataset.check_gaps(first, span, {**_COVERAGE_GAPS, "positive": "non-positive load at"})
 
-    days = [from_date + dt.timedelta(days=k) for k in range(n_days)]
+    days = [from_date + dt.timedelta(days=k) for k in range((to_date - from_date).days + 1)]
     run_length = _run_length(settings.decays)
     rows: list[BacktestRow] = []
     for start in range(0, len(days), run_length):
@@ -103,9 +101,6 @@ def run_backtest(
             windows = [(dataset.window(day), None) for day in run]
         for window, fits in windows:
             rows += _score_run(dataset, window, critical_values, settings, fits)
-    if gap is not None:
-        raise ValidationError(f"non-positive load at ({gap[0]}, hour {gap[1]})")
-
     return rows, summarize_monthly(rows)
 
 

@@ -52,12 +52,6 @@ class SeriesWindow:
     loads: np.ndarray
     temps: np.ndarray
 
-    def __post_init__(self):
-        n = self.days
-        want = ((HISTORY_DAYS - 1 + n, 24), (HISTORY_DAYS + n, 24))
-        if n < 1 or (self.loads.shape, self.temps.shape) != want:
-            raise ValidationError("window requires (9 + n) x 24 temps and (8 + n) x 24 loads")
-
     @property
     def days(self) -> int:
         """The number of target days."""
@@ -104,26 +98,23 @@ class Dataset:
         row, hour = np.divmod(self.slots, 24)
         return days[row], hour + 1, self.loads.flat[self.slots], self.temps.flat[self.slots]
 
-    def first_gap(
-        self, first: dt.date, days: int, need: str = "record"
-    ) -> Optional[tuple[dt.date, int, str]]:
-        """The first (day, hour, lack) in (day, hour) order over ``days``
-        days from ``first``, checking the levels of ``GAP_LEVELS`` up to
-        ``need``; None when nothing is lacking."""
+    def check_gaps(self, first: dt.date, days: int, messages: dict) -> None:
+        """Raise the first (day, hour), in (day, hour) order over ``days``
+        days from ``first``, that lacks one of the levels of ``GAP_LEVELS``
+        that ``messages`` names, as ``"{messages[lack]} (day, hour h)"``."""
         rows = []
         for k in range(days):
             rows.append(self.index.get(first + dt.timedelta(days=k), -1))
             if rows[-1] < 0:  # a day without records: its hour 1 is a gap
                 break
         loads = self.loads[rows]
-        masks = (~np.isnan(self.temps[rows]), ~np.isnan(loads), loads > 0.0)
-        masks = masks[: GAP_LEVELS.index(need) + 1]
-        ok = np.logical_and.reduce(masks)
-        if ok.all():
-            return None
-        d, h = divmod(int(ok.argmin()), 24)
-        lack = next(level for level, mask in zip(GAP_LEVELS, masks) if not mask[d, h])
-        return first + dt.timedelta(days=d), h + 1, lack
+        has = dict(zip(GAP_LEVELS, (~np.isnan(self.temps[rows]), ~np.isnan(loads), loads > 0.0)))
+        checked = [level for level in GAP_LEVELS if level in messages]
+        ok = np.logical_and.reduce([has[level] for level in checked])
+        if not ok.all():
+            d, h = divmod(int(ok.argmin()), 24)
+            lack = next(level for level in checked if not has[level][d, h])
+            raise ValidationError(f"{messages[lack]} ({first + dt.timedelta(days=d)}, hour {h + 1})")
 
     def window(self, target_date: dt.date, days: int = 1) -> SeriesWindow:
         """The window of ``days`` target days from ``target_date``, as
@@ -348,16 +339,8 @@ def assemble_window(data: Dataset, target_date: dt.date) -> SeriesWindow:
     value (e.g. in a backtest dataset); it is ignored here.  Returns
     ``data.window(target_date)``.
     """
-    first = history_start(target_date)
-    gap = data.first_gap(first, HISTORY_DAYS, "positive")
-    if gap is not None:
-        day, hour, lack = gap
-        raise ValidationError(f"{_WINDOW_GAPS[lack]} ({day}, hour {hour})")
-    gap = data.first_gap(target_date, 1)
-    if gap is not None:
-        raise ValidationError(
-            f"missing forecast temperature for ({target_date}, hour {gap[1]})"
-        )
+    data.check_gaps(history_start(target_date), HISTORY_DAYS, _WINDOW_GAPS)
+    data.check_gaps(target_date, 1, {"record": "missing forecast temperature for"})
     return data.window(target_date)
 
 

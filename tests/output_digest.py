@@ -24,7 +24,10 @@ without the lag and with the decay grid on temperatures of -0.0 at hour 3
 and 0.0 at hour 4; backtests with a load of 0 on a history day, mid-range
 and on the last day; a three-day backtest whose middle day aborts at Eq. (8),
 and the forecast of that day; a backtest whose actual loads of 1e-307
-overflow the MMRE; and two coverage errors.  That is 88 commands.
+overflow the MMRE; two coverage errors; and exact ML with the decay grid
+and day lags on seed 1's temperatures perturbed by
+``fixtures.perturbed_temperatures``, as a backtest and as a forecast.  That
+is 90 commands.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ from pathlib import Path
 import numpy as np
 
 from dayahead import cli
-from dayahead.ingest import serialize_csv
-from fixtures import recoherence_backtest_records
+from dayahead.ingest import SynthParams, serialize_csv, synth_dataset
+from fixtures import perturbed_temperatures, recoherence_backtest_records
 
 TOKEN = "<OUT>"
 CRITICAL_VALUES = ('{"lvl1_5pct": 5.5, "lvl1_10pct": 4.8, "lvl2_5pct": 12.0, '
@@ -193,7 +196,7 @@ def digest(out: Path) -> list:
     forecast("forecast-signed-zero-grid", data, last, SETTINGS["ols-grid"])
 
     # A load of 0 at hour 17 of a history day, mid-range and on the last
-    # day: the days before it are scored, then the backtest exits 2.
+    # day: the backtest exits 2 before it fits any day.
     for label, day, setting in (("history", START + dt.timedelta(days=4), "ols-off"),
                                 ("mid", first + dt.timedelta(days=13), "ols-grid"),
                                 ("last", last, "exact-grid")):
@@ -223,6 +226,14 @@ def digest(out: Path) -> list:
     lines.append(run("forecast-coverage", [
         "forecast", "--history", str(hist), "--temp-forecast", str(fc),
         "--target-date", last.isoformat(), "--critical-values", str(cv), "--out", "-"], out))
+
+    # Temperatures that synth cannot make: model c's day-lag designs are
+    # full rank, so its searches run on the Gram path.
+    data = inputs / "perturbed.csv"
+    data.write_text(serialize_csv(perturbed_temperatures(synth_dataset(SynthParams(seed=1)))))
+    flags = [*SETTINGS["exact-grid"], "--temp-lag-mode", "day"]
+    backtest("backtest-perturbed-day-exact-grid", data, first, last, flags)
+    forecast("forecast-perturbed-day-exact-grid", data, last, flags)
     return lines
 
 

@@ -183,30 +183,29 @@ def test_runs_of_days_score_as_days_fitted_alone(
         "grid-history", "grid-first", "grid-mid-run", "grid-last"])
 def test_days_before_a_non_positive_load_are_scored_first(
         monkeypatch, permissive_criticals, settings, last, bad, value):
+    # Despite the name, kept for its case ids, no day is fitted or scored:
+    # every case raises before the first fit.
     first, bad = dt.date(2004, 1, 10), dt.date.fromisoformat(bad)
     records = [r._replace(load_mw=value) if (r.date, r.hour) == (bad, 17) else r
                for r in synth_dataset(SynthParams(days=54, seed=5))]
-    scored = []
-
-    def recorder(window, critical_values, settings, fits):
-        scored.extend(window.target_date + dt.timedelta(days=i) for i in range(window.days))
-        return run_day(window, critical_values, settings, fits=fits)
-
-    monkeypatch.setattr(backtest, "run_day", recorder)
+    monkeypatch.setattr(backtest, "fit_windows", None)  # a call would raise
+    monkeypatch.setattr(backtest, "run_day", None)
     with pytest.raises(ValidationError) as exc:
         run_backtest(dataset_of(records), first, dt.date.fromisoformat(last),
                      permissive_criticals, settings)
     assert str(exc.value) == f"non-positive load at ({bad}, hour 17)"
-    assert scored == [first + dt.timedelta(days=k) for k in range((bad - first).days)]
 
 
 def test_a_backtest_checks_its_range_in_two_scans(monkeypatch, permissive_criticals):
-    scans, first_gap = [], Dataset.first_gap
-    monkeypatch.setattr(Dataset, "first_gap",
-                        lambda self, *args: scans.append(args) or first_gap(self, *args))
+    scans, check_gaps = [], Dataset.check_gaps
+    monkeypatch.setattr(Dataset, "check_gaps",
+                        lambda self, *args: scans.append(args) or check_gaps(self, *args))
     monkeypatch.setattr(backtest, "assemble_window", None)  # a call would raise
     data = dataset_of(synth_dataset(SynthParams(days=60, seed=6)))
     rows, _ = run_backtest(data, dt.date(2004, 1, 10), dt.date(2004, 2, 29),
                            permissive_criticals, OLS_OFF)
     assert len(rows) == 51
-    assert scans == [(dt.date(2004, 1, 1), 60, "load"), (dt.date(2004, 1, 1), 60, "positive")]
+    coverage = {"record": "insufficient coverage: missing",
+                "load": "insufficient coverage: missing load for"}
+    assert scans == [(dt.date(2004, 1, 1), 60, coverage),
+                     (dt.date(2004, 1, 1), 60, {**coverage, "positive": "non-positive load at"})]

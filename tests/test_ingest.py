@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from dayahead.errors import ValidationError
 from dayahead.ingest import (
     Record,
-    SeriesWindow,
     SynthParams,
     assemble_window,
     parse_csv,
@@ -118,6 +117,7 @@ def test_assemble_window_complete():
     rebuilt = assemble_window(dataset_of(records), TARGET)
     assert same_window(rebuilt, window)
     assert (rebuilt.loads.shape, rebuilt.temps.shape) == ((9, 24), (10, 24))
+    assert rebuilt.days == 1
     assert not rebuilt.loads.flags.writeable
 
 
@@ -210,17 +210,3 @@ def test_synth_params_validation():
         SynthParams(noise_sd_mw=-1.0)
     with pytest.raises(ValidationError):
         SynthParams(base_mw=0.0)
-
-
-def test_window_rejects_mismatched_or_short_arrays():
-    window = make_window()
-    loads, temps = window.loads, window.temps
-    assert window.days == 1
-    for bad_loads, bad_temps in (
-        (loads[:-1], temps),  # one load row short of the temperatures
-        (np.vstack([loads, loads[:1]]), temps),  # one load row too many
-        (loads[:-1], temps[:-1]),  # nine temperature rows: no target day
-        (loads[:, :23], temps),
-    ):
-        with pytest.raises(ValidationError, match="window requires"):
-            SeriesWindow(TARGET, bad_loads, bad_temps)

@@ -73,20 +73,26 @@ def runs(node) -> list:
     return list(ast.iter_child_nodes(node))
 
 
-def reached(patches=PATCHES) -> set:
-    """The qualified names of the definitions reached from the roots, and
-    from the names in ``patches`` (the tracer's, by default)."""
-    trees, defs, methods, imports = parse_package()
-    found, work = set(), []  # work: (module, node) of code that runs
+def resolver(defs, imports):
+    """``resolve(module, name)``: what ``name`` denotes in ``module``, the
+    qualified name of a definition or the name of a module."""
 
     def resolve(module, name):
-        """What ``name`` denotes in ``module``: the qualified name of a
-        definition, or the name of a module."""
         while f"{module}.{name}" not in defs and name in imports[module]:
             module, name = imports[module][name]
             if name is None:
                 return module
         return f"{module}.{name}"
+
+    return resolve
+
+
+def reached(patches=PATCHES) -> set:
+    """The qualified names of the definitions reached from the roots, and
+    from the names in ``patches`` (the tracer's, by default)."""
+    trees, defs, methods, imports = parse_package()
+    found, work = set(), []  # work: (module, node) of code that runs
+    resolve = resolver(defs, imports)
 
     def reach(qualified):
         if qualified in defs and qualified not in found:
@@ -152,3 +158,25 @@ def test_the_scoring_layers_import_nothing_from_the_data_layers():
                     seen.add(target)
                     work.append(target)
         assert not seen & DATA_LAYERS, (module, sorted(seen & DATA_LAYERS))
+
+
+# Input is checked once, at the boundary (ingest, the CLI, the critical
+# values): the modules that fit and score a window raise no ValidationError,
+# so none of them names it, by import or through a module it imports.
+CHECKED_INPUT = ("features", "regress", "pipeline", "thermo")
+
+
+def test_the_layers_past_the_boundary_name_no_validation_error():
+    trees, defs, _, imports = parse_package()
+    resolve = resolver(defs, imports)
+    for module in CHECKED_INPUT:
+        names = set()
+        for node in ast.walk(trees[module]):
+            if isinstance(node, ast.Name):
+                names.add(resolve(module, node.id))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                owner = resolve(module, node.value.id)
+                if owner in trees:  # an attribute of an imported module
+                    names.add(resolve(owner, node.attr))
+        names |= {resolve(module, name) for name in imports[module]}
+        assert "errors.ValidationError" not in names, module

@@ -2,11 +2,13 @@ import datetime as dt
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
+from operator import mul
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dayahead import backtest, regress
@@ -311,6 +313,10 @@ def test_fit_model_matches_scalar_oracle_over_perturbed_day_lag_backtest():
     assert_backtest_fits_match_scalar_oracle(backtest_data(40, 1, perturbed=True), "day")
 
 
+def test_fit_model_matches_scalar_oracle_over_perturbed_hour_lag_backtest():
+    assert_backtest_fits_match_scalar_oracle(backtest_data(40, 1, perturbed=True), "hour")
+
+
 # synth --days, backtest days from 2004-01-10, method, decays
 RUN_CASES = {
     "exact_ml_grid": (40, 31, "exact_ml_ar1", LAMBDA_GRID),
@@ -373,6 +379,12 @@ def test_fit_models_match_each_window_fitted_alone(case, seed, temp_mode):
 def test_fit_models_match_each_window_fitted_alone_on_perturbed_day_lags(case):
     data = backtest_data(RUN_CASES[case][0], 1, perturbed=True)
     assert_runs_match_each_window_fitted_alone(case, data, "day")
+
+
+@pytest.mark.parametrize("case", sorted(RUN_CASES))
+def test_fit_models_match_each_window_fitted_alone_on_perturbed_hour_lags(case):
+    data = backtest_data(RUN_CASES[case][0], 1, perturbed=True)
+    assert_runs_match_each_window_fitted_alone(case, data, "hour")
 
 
 # --- Pruning the exact-ML decay grid ----------------------------------------
@@ -850,6 +862,17 @@ def test_certification_cuts_the_perturbed_day_lag_solves(monkeypatch):
     assert sum(solved) <= 2_354
 
 
+def test_certification_cuts_the_perturbed_hour_lag_solves(monkeypatch):
+    # The hour-lag case on the same perturbed temperatures: hour-lag designs
+    # are full rank on synth's own temperatures too, and the backtest solves
+    # 2,438 dgelsd slices against 2,470 unperturbed.
+    solved = counting_solves(monkeypatch)
+    data = backtest_data(40, 1, perturbed=True)
+    for model_id in ("a", "b", "c"):
+        run_fits(data, 31, model_id, "hour")
+    assert sum(solved) <= 2_438
+
+
 # --- Rival decays dropped in the middle of their search ----------------------
 
 def recording_bounds(monkeypatch) -> list:
@@ -929,12 +952,10 @@ def test_a_rival_that_falls_back_to_rho_zero_can_win(monkeypatch):
         same_repr(got, want)
 
 
-@settings(max_examples=60, deadline=None)
-@given(adversarial_designs(), st.integers(1, 3))
-def test_every_final_ssr_bound_covers_the_final_fit(case, group):
-    # Bounds taken before every step of each slice's search, never acted
-    # on: each must hold the computed SSR of the dgelsd fit at rho-hat, and
-    # each floor must lie under the computed log-likelihood there.
+def bounds_over_search(case, group):
+    """A group of ``group`` slices from an adversarial case, searched with
+    their final SSRs bounded before every step and never acted on:
+    ``(systems, rho-hat, [(slices, lower, upper, floor), ...])``."""
     matrix, y = case
     rng = np.random.default_rng(group)
     k = matrix.shape[1]
@@ -951,13 +972,128 @@ def test_every_final_ssr_bound_covers_the_final_fit(case, group):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(regress, "_BOUND_STEPS", frozenset(range(regress.RHO_STEPS)))
             rho = regress._rho_search(systems, np.arange(group), rank < k, recording)
+    return systems, rho, seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(adversarial_designs(), st.integers(1, 3))
+def test_every_final_ssr_bound_covers_the_final_fit(case, group):
+    # Bounds taken before every step of each slice's search, never acted
+    # on: each must hold the computed SSR of the dgelsd fit at rho-hat, and
+    # each floor must lie under the computed log-likelihood there.
+    systems, rho, seen = bounds_over_search(case, group)
+    n, k = systems.shape[1], systems.shape[2] - 1
     coef, ssr, _ = regress._gls_stack(systems, np.arange(group), rho)
     final = regress._residuals(systems[..., :k], systems[..., k], coef)[1]
-    loglik = [_concentrated_loglik(s, r, len(y)) for s, r in zip(ssr, rho.tolist())]
+    loglik = [_concentrated_loglik(s, r, n) for s, r in zip(ssr, rho.tolist())]
     for slices, lower, upper, floor in seen:
         for i, low, high, least in zip(slices, lower, upper, floor):
             assert low <= final[i] <= high
             assert least <= loglik[i]
+
+
+def exact_solve(matrix, rhs) -> list:
+    """The solution of a nonsingular square system of Fractions, exactly."""
+    rows = [[*row, value] for row, value in zip(matrix, rhs)]
+    k = len(rows)
+    for col in range(k):
+        pivot = next(r for r in range(col, k) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(k):
+            if r != col and rows[r][col]:
+                factor = rows[r][col] / rows[col][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return [rows[i][k] / rows[i][i] for i in range(k)]
+
+
+def exact_normal(a, b) -> tuple:
+    """A'A and A'b of a Fraction system, exactly."""
+    columns = list(zip(*a))
+    return ([[sum(map(mul, p, q)) for q in columns] for p in columns],
+            [sum(map(mul, p, b)) for p in columns])
+
+
+def fits_at_the_edge_of_dgelsd(system: np.ndarray, rho: float) -> list:
+    """The final fits at ``rho`` that the stated dgelsd model allows to lie
+    furthest from the exact one along the unwhitened SSR, raising it, then
+    lowering it: the exact least-squares solutions, rounded to float64, of
+    the exactly whitened system A, b plus E, f with ||E||_F = p u ||A||_F and
+    ||f|| = p u ||b|| (p = 8 n k), in the directions of first order."""
+    n, k = system.shape[0], system.shape[1] - 1
+    exact = [[Fraction(v) for v in row] for row in system.tolist()]
+    rho_q = Fraction(rho)
+    white = [[Fraction(math.sqrt(1.0 - rho * rho)) * v for v in exact[0]]] + [
+        [v - rho_q * w for v, w in zip(row, prev)] for prev, row in zip(exact, exact[1:])]
+    a, b = [row[:k] for row in white], [row[k] for row in white]
+    gram, moment = exact_normal(a, b)
+    c_star = exact_solve(gram, moment)
+    # The first-order move delta of the solution changes the unwhitened SSR
+    # by -2 alpha'delta, alpha = X'r, and alpha'delta = (A g)'f + <E, M>
+    # with g = inv(A'A) alpha and M = r_w g' - (A g) c*'.
+    residual = [row[k] - sum(map(mul, row[:k], c_star)) for row in exact]
+    alpha = [sum(map(mul, column, residual)) for column in list(zip(*exact))[:k]]
+    g = np.array(exact_solve(gram, alpha), dtype=float)
+    a_f, c_f = np.array(a, dtype=float), np.array(c_star, dtype=float)
+    a_g = a_f @ g
+    m = np.outer(np.array(b, dtype=float) - a_f @ c_f, g) - np.outer(a_g, c_f)
+    edge = Fraction(8 * n * k, 2 ** 53)
+    a_sq, b_sq = sum(v * v for row in a for v in row), sum(v * v for v in b)
+    fits = []
+    for sign in (-1.0, 1.0):  # alpha'delta < 0 raises the SSR
+        e = sign * float(edge) * math.sqrt(a_sq) * (1.0 - 2.0 ** -40) * m / np.linalg.norm(m)
+        f = sign * float(edge) * math.sqrt(b_sq) * (1.0 - 2.0 ** -40) * a_g / np.linalg.norm(a_g)
+        assert sum(Fraction(v) ** 2 for v in e.ravel().tolist()) <= edge * edge * a_sq
+        assert sum(Fraction(v) ** 2 for v in f.tolist()) <= edge * edge * b_sq
+        moved = [[v + Fraction(d) for v, d in zip(row, step)] for row, step in zip(a, e.tolist())]
+        gram_e, moment_e = exact_normal(moved, [v + Fraction(d) for v, d in zip(b, f.tolist())])
+        fits.append(np.array(exact_solve(gram_e, moment_e), dtype=float))
+    return fits
+
+
+def regression_on_ar1_noise(seed: int, n: int, k: int, rho: float):
+    """An intercept and k - 1 normal columns, small coefficients and AR(1)
+    noise at ``rho``: a design and response."""
+    rng = np.random.default_rng(seed)
+    matrix = np.column_stack([np.ones(n), rng.normal(size=(n, k - 1))])
+    noise, u = rng.normal(size=n), np.zeros(n)
+    for t in range(n):
+        u[t] = rho * (u[t - 1] if t else 0.0) + noise[t]
+    return matrix, matrix @ (0.01 * rng.normal(size=k)) + u
+
+
+@settings(max_examples=60, deadline=None)
+@given(adversarial_designs(), st.integers(1, 3))
+# With the bracket shrunk to rho-hat, only the allowance r_f for the dgelsd
+# model keeps this case's bounds around its fits at the edge of the model.
+@example(regression_on_ar1_noise(3, 200, 8, 0.9), 1)
+def test_every_final_ssr_bound_covers_a_fit_at_the_edge_of_the_dgelsd_model(case, group):
+    # The final fit at rho-hat as far from the exact one, both ways along
+    # the unwhitened SSR, as the dgelsd model allows: each bound, also one
+    # from the bracket [rho-hat, rho-hat], must still hold its computed
+    # SSR, and each floor lie under its computed log-likelihood.
+    systems, rho, seen = bounds_over_search(case, group)
+    n, k = systems.shape[1], systems.shape[2] - 1
+    bounded = np.array(sorted({i for slices, _, upper, _ in seen
+                               for i, high in zip(slices.tolist(), upper) if math.isfinite(high)}),
+                       dtype=int)
+    if not len(bounded):
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = regress._GramSearch(systems[bounded].copy(), np.arange(len(bounded)))
+        seen.append((bounded, *gram.final_ssr(rho[bounded], rho[bounded])))
+    for i in bounded.tolist():
+        white = systems[i:i + 1].copy()  # whitened as _gls_stack does
+        white[:, 1:] -= rho[i] * white[:, :-1]
+        white[:, 0] *= np.sqrt(1.0 - rho[i] * rho[i])
+        for coef in fits_at_the_edge_of_dgelsd(systems[i], float(rho[i])):
+            final = regress._residuals(systems[i:i + 1, :, :k], systems[i:i + 1, :, k],
+                                       coef[None])[1][0]
+            ssr = regress._residuals(white[..., :k], white[..., k], coef[None])[1][0]
+            loglik = _concentrated_loglik(ssr, float(rho[i]), n)
+            for slices, lower, upper, floor in seen:
+                at = slices == i
+                assert (lower[at] <= final).all() and (final <= upper[at]).all()
+                assert (floor[at] <= loglik).all()
 
 
 def test_rank_deficient_groups_drop_nothing():
