@@ -25,7 +25,8 @@ import numpy as np
 from .errors import DegeneracyError, ValidationError
 from .ingest import Dataset, history_start
 from .ingest import assemble_window  # noqa: F401  the benchmark tracer looks it up here
-from .pipeline import EngineSettings, fit_windows, run_day
+from .pipeline import fit_windows, run_day
+from .regress import EngineSettings
 from .report import daily_relative_error
 from .verdict import CriticalValues
 

@@ -26,7 +26,8 @@ from .backtest import render_backtest_csv, run_backtest
 from .errors import DegeneracyError, ValidationError
 from .features import LAMBDA_GRID
 from .ingest import SynthParams, assemble_window, parse_csv, serialize_csv, synth_dataset
-from .pipeline import EngineSettings, run_day
+from .pipeline import run_day
+from .regress import EngineSettings
 from .report import serialize_report
 from .verdict import load_critical_values
 

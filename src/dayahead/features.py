@@ -40,10 +40,10 @@ def indicator(hour: int) -> np.ndarray:
     return vec
 
 
-def temp_term(temps: np.ndarray, rows, lag: int, mode: str = "hour") -> np.ndarray:
+def temp_term(temps: np.ndarray, rows, lag: int, mode: str) -> np.ndarray:
     """Lagged temperature vector for the day of each window row in ``rows``.
 
-    mode="hour" (default): value(t) is the temperature ``lag`` hours earlier,
+    mode="hour": value(t) is the temperature ``lag`` hours earlier,
     wrapping into hour 24+(t-lag) of the previous day when t-lag < 1.  A
     target day's own temperatures are its forecast row.
     mode="day": value(t) is the temperature of row ``rows - lag`` at hour t.
@@ -84,7 +84,7 @@ def koyck_transform(series: np.ndarray, lams) -> np.ndarray:
     return out
 
 
-def training_rows(model_id: str, temp_mode: str = "hour") -> tuple:
+def training_rows(model_id: str, temp_mode: str) -> tuple:
     """The window rows that train the first target day (row 9): those whose
     every lag resolves inside the window.  Target day i trains on these
     rows plus i.
@@ -125,7 +125,7 @@ def _blocks(loads, temps, rows: np.ndarray, model_id: str, lams, temp_mode: str)
     return blocks
 
 
-def run_designs(window: SeriesWindow, model_id: str, lams, temp_mode: str = "hour"):
+def run_designs(window: SeriesWindow, model_id: str, lams, temp_mode: str):
     """Training designs and target-day regressors of every target day of a
     window, at every decay.
 
@@ -154,9 +154,7 @@ def run_designs(window: SeriesWindow, model_id: str, lams, temp_mode: str = "hou
 
 
 # No command calls this; the benchmark tracer (perfbench/tracing.py) looks it up.
-def target_regressors(
-    window: SeriesWindow, model_id: str, lam: float = 0.0, temp_mode: str = "hour"
-) -> np.ndarray:
+def target_regressors(window: SeriesWindow, model_id: str, lam: float, temp_mode: str):
     """24 x n_cols regressor block for the first target day (row 9); its
     temperature terms are drawn from the forecast."""
     rows = np.array([HISTORY_DAYS])

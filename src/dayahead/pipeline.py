@@ -7,37 +7,26 @@ gets the :class:`DegeneracyError` naming the failing formula.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from typing import Optional
 
 from . import regress, report, thermo, verdict
 from .errors import DegeneracyError
-from .features import LAMBDA_GRID, MODEL_IDS
+from .features import MODEL_IDS
 from .ingest import SeriesWindow
 from .verdict import CriticalValues
 
 
-@dataclass(frozen=True)
-class EngineSettings:
-    """How every model is fitted: the estimation method, the Koyck decays
-    each model chooses its lag from by smallest SSR (one decay fixes it), and
-    the temperature-lag mode."""
-    method: str = "exact_ml_ar1"
-    decays: tuple = LAMBDA_GRID
-    temp_mode: str = "hour"
-
-
-def fit_windows(window: SeriesWindow, settings: EngineSettings) -> list[dict]:
+def fit_windows(window: SeriesWindow, settings: regress.EngineSettings) -> list[dict]:
     """The three model fits of each target day of a window, at the
     settings' decays and method; each equals the fit of that day's one-day
     window alone."""
-    # EngineSettings' fields are the estimation keywords of regress.fit_model(s).
-    per_model = [regress.fit_models(window, m, **asdict(settings)) for m in MODEL_IDS]
+    per_model = [regress.fit_models(window, m, settings) for m in MODEL_IDS]
     return [dict(zip(MODEL_IDS, fits)) for fits in zip(*per_model)]
 
 
 def run_day(window: SeriesWindow, critical_values: CriticalValues,
-            settings: EngineSettings = EngineSettings(), fits: Optional[list] = None) -> tuple:
+            settings: regress.EngineSettings = regress.EngineSettings(),
+            fits: Optional[list] = None) -> tuple:
     """Score every target day of a window: ``(forecasts, ensemble, scores)``.
 
     One array stage computes the window's forecasts (3 x days x 24), their
@@ -52,7 +41,7 @@ def run_day(window: SeriesWindow, critical_values: CriticalValues,
     window's one day is fitted here, and a fit that fails raises.
     """
     if fits is None:
-        fits = [{m: regress.fit_model(window, m, **asdict(settings)) for m in MODEL_IDS}]
+        fits = [{m: regress.fit_model(window, m, settings) for m in MODEL_IDS}]
     forecasts, finite = regress.forecast_day(fits)
     ensemble = regress.ensemble_mean(forecasts)
     scores = []

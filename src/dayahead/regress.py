@@ -45,6 +45,16 @@ from numpy.linalg._umath_linalg import lstsq as _LSTSQ_GUFUNC
 
 
 @dataclass(frozen=True)
+class EngineSettings:
+    """How every model is fitted: the estimation method, the Koyck decays
+    each model chooses its lag from by smallest SSR (one decay fixes it), and
+    the temperature-lag mode."""
+    method: str = "exact_ml_ar1"
+    decays: tuple = LAMBDA_GRID
+    temp_mode: str = "hour"
+
+
+@dataclass(frozen=True)
 class FitResult:
     model_id: str
     method: str
@@ -784,47 +794,38 @@ def _exact_ml_stack(systems: np.ndarray, group: int = 1) -> list:
 
 
 # The benchmark tracer (perfbench/tracing.py) also looks this name up.
-def fit_model(
-    window: SeriesWindow,
-    model_id: str,
-    method: str = "exact_ml_ar1",
-    decays: tuple = LAMBDA_GRID,
-    temp_mode: str = "hour",
-) -> FitResult:
+def fit_model(window: SeriesWindow, model_id: str, settings: EngineSettings) -> FitResult:
     """Fit one model for the first target day of a window:
-    ``fit_models(window, ...)[0]``."""
-    return fit_models(window, model_id, method, decays, temp_mode)[0]
+    ``fit_models(window, model_id, settings)[0]``."""
+    return fit_models(window, model_id, settings)[0]
 
 
-def fit_models(
-    window: SeriesWindow,
-    model_id: str,
-    method: str = "exact_ml_ar1",
-    decays: tuple = LAMBDA_GRID,
-    temp_mode: str = "hour",
-) -> list[FitResult]:
-    """Fit one model to each target day of a window, over each day's
-    training rows (see ``run_designs``).
+def fit_models(window: SeriesWindow, model_id: str, settings: EngineSettings) -> list[FitResult]:
+    """Fit one model to each target day of a window by ``settings.method``,
+    over each day's training rows in ``settings.temp_mode`` (see
+    ``run_designs``).
 
-    Each day is fitted at every Koyck decay in ``decays`` (by default the
-    grid {0.0, ..., 0.9}; ``(0.0,)`` turns the lag off) and keeps the
-    minimal-SSR fit, the earliest decay on a tie, with its target-day
-    regressors at that decay.  The designs of every day and decay are solved
-    together, in one stacked least-squares call for OLS or two lockstep rho
-    searches for exact ML; each day's fit has the same bits as when its
-    one-day window is fitted alone.  Exact ML prunes the decays: one whose
-    final SSR is certainly above another decay's, from its OLS SSR before
-    its rho search or from bounds during it, cannot have the minimal final
-    SSR, so its search stops (see ``_exact_ml_stack``) and it ranks last.
-    The kept decay, and every bit of its fit, are those of the full list.  A design or whitened system
-    that is not finite raises :class:`DegeneracyError` naming the model's
-    formula, and so does an SVD that does not converge.
+    Each day is fitted at every Koyck decay in ``settings.decays`` (the
+    grid {0.0, ..., 0.9} of ``EngineSettings()``; ``(0.0,)`` turns the lag
+    off) and keeps the minimal-SSR fit, the earliest decay on a tie, with
+    its target-day regressors at that decay.  The designs of every day and
+    decay are solved together, in one stacked least-squares call for OLS or
+    two lockstep rho searches for exact ML; each day's fit has the same bits
+    as when its one-day window is fitted alone.  Exact ML prunes the decays:
+    one whose final SSR is certainly above another decay's, from its OLS SSR
+    before its rho search or from bounds during it, cannot have the minimal
+    final SSR, so its search stops (see ``_exact_ml_stack``) and it ranks
+    last.  The kept decay, and every bit of its fit, are those of the full
+    list.  A design or whitened system that is not finite raises
+    :class:`DegeneracyError` naming the model's formula, and so does an SVD
+    that does not converge.
     """
+    decays, temp_mode = settings.decays, settings.temp_mode
     systems, targets = design_matrix(window, model_id, decays, temp_mode)
     count, n_decays, n, width = systems.shape
     systems = systems.reshape(count * n_decays, n, width)
     try:
-        if method == "ols":
+        if settings.method == "ols":
             coef, residuals, ssr, rank = _solve(systems)
             solved = [(coef[i], residuals[i], ssr[i], 0.0, _rank_diagnostics(rank[i], width - 1))
                       for i in range(len(ssr))]
@@ -839,7 +840,7 @@ def fit_models(
         best = min(range(n_decays), key=ssr.__getitem__)
         *fitted, diagnostics = solved[i * n_decays + best]
         # A copy, so that the fit does not keep the run's blocks alive.
-        fits.append(FitResult(model_id, method, decays[best], *fitted,
+        fits.append(FitResult(model_id, settings.method, decays[best], *fitted,
                               {**diagnostics, "temp_mode": temp_mode}, targets[i, best].copy()))
     return fits
 

@@ -137,7 +137,3 @@ def stub_criticals() -> CriticalValues:
 def permissive_criticals() -> CriticalValues:
     # Dominance sentinel: every statistic passes.
     return CriticalValues(-1e18, -1e18, -1e18, -1e18, -1e18)
-
-
-def assert_close(a, b, tol):
-    assert abs(a - b) <= tol, f"|{a} - {b}| = {abs(a - b)} > {tol}"

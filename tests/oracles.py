@@ -7,7 +7,7 @@ number.
 
 import datetime as dt
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -649,7 +649,7 @@ def score_day(window, critical_values, settings, fits=None) -> tuple:
     on the window alone when no fits are given.  Raises the first
     degeneracy of the chain."""
     if fits is None:
-        fits = {m: regress.fit_model(window, m, **asdict(settings)) for m in MODEL_IDS}
+        fits = {m: regress.fit_model(window, m, settings) for m in MODEL_IDS}
     forecasts = forecast_profiles(window, fits)
     state = compute_state(forecasts["a"], forecasts["b"], forecasts["c"])
     ensemble = ensemble_profile(forecasts)

@@ -199,7 +199,7 @@ def test_criterion_5_anchored_constants(tmp_path):
 
     window = last_day_window(SynthParams(days=12, seed=3))
     from dayahead.cli import forecast_report
-    from dayahead.pipeline import EngineSettings
+    from dayahead.regress import EngineSettings
     from dayahead.report import serialize_report
     from dayahead.verdict import load_critical_values
 

@@ -7,7 +7,8 @@ from dayahead import backtest, cli
 from dayahead.backtest import render_backtest_csv, run_backtest
 from dayahead.errors import DegeneracyError, ValidationError
 from dayahead.ingest import Dataset, SeriesWindow, SynthParams, synth_dataset
-from dayahead.pipeline import EngineSettings, fit_windows, run_day
+from dayahead.pipeline import fit_windows, run_day
+from dayahead.regress import EngineSettings
 
 from conftest import dataset_of
 from fixtures import recoherence_backtest_records

@@ -182,6 +182,18 @@ def test_model_flag_outside_its_choices(tmp_path, capsys, command, flag, value):
     assert f"invalid choice: '{value}'" in captured.err
 
 
+# The flag defaults and EngineSettings' field defaults are the only two places
+# the defaults are written; without model flags they must agree.
+@pytest.mark.parametrize("argv", [
+    ["forecast", "--history", "h.csv", "--temp-forecast", "f.csv",
+     "--target-date", "2004-05-10", "--critical-values", "cv.json"],
+    ["backtest", "--data", "d.csv", "--from", "2004-01-10", "--to", "2004-02-09",
+     "--critical-values", "cv.json", "--report", "-"],
+])
+def test_model_flag_defaults_are_the_engine_defaults(argv):
+    assert cli._settings(cli.build_parser().parse_args(argv)) == regress.EngineSettings()
+
+
 def test_forecast_recoherence_fixture_exits_3_naming_eq8(tmp_path, capsys):
     target = dt.date(2004, 5, 10)
     records = recoherence_fixture_records(target)

@@ -122,6 +122,17 @@ def test_first_error_in_file_order_wins(monkeypatch, chunk_chars):
             parse_csv(text)
 
 
+def test_the_three_date_forms_name_one_day():
+    # date.fromisoformat (Python >= 3.11) reads the extended, the basic and
+    # the ISO week-date forms alike.
+    rows = ["2004-05-01,1,4100.0,10.0", "20040501,1,4100.0,10.0", "2004-W18-6,1,4100.0,10.0"]
+    first = parse_csv(f"{CSV_HEADER}\n{rows[0]}\n")
+    for row in rows[1:]:
+        assert same_dataset(parse_csv(f"{CSV_HEADER}\n{row}\n"), first)
+        message = "line 3: duplicate key (2004-05-01, hour 1)"
+        assert assert_same_outcome(f"{CSV_HEADER}\n{rows[0]}\n{row}\n") == message
+
+
 def test_special_fields_match_the_oracle():
     row = "2004-05-01,{hour},{load},{temp}"
     cases = [

@@ -211,7 +211,7 @@ def test_koyck_linear_in_series(lam, a, b):
 def design(window, model_id: str, lam: float) -> tuple:
     """``run_designs``' training design and response of a one-day window's
     day at one decay."""
-    systems, _ = run_designs(window, model_id, (lam,))
+    systems, _ = run_designs(window, model_id, (lam,), "hour")
     return systems[0, 0, :, :-1], systems[0, 0, :, -1]
 
 
@@ -249,7 +249,7 @@ def test_legal_training_days_default_window():
     window = make_window()
     for model_id in MODEL_IDS:
         assert legal_training_days(window, model_id) == [day(2), day(1)]
-        assert training_rows(model_id) == (row(2), row(1))
+        assert training_rows(model_id, "hour") == (row(2), row(1))
     # day-lagged temperatures push the 8-day lag outside the window for d-2
     assert legal_training_days(window, "b", "day") == [day(1)]
     assert legal_training_days(window, "a", "day") == [day(2), day(1)]
@@ -260,7 +260,7 @@ def test_legal_training_days_default_window():
 def test_target_regressors_share_columns_with_training():
     window = make_window()
     for model_id in MODEL_IDS:
-        block = target_regressors(window, model_id, 0.1)
+        block = target_regressors(window, model_id, 0.1, "hour")
         matrix, _ = design(window, model_id, 0.1)
         assert block.shape == (24, matrix.shape[1])
         assert np.all(block[:, 0] == 1.0)

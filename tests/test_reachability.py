@@ -180,3 +180,24 @@ def test_the_layers_past_the_boundary_name_no_validation_error():
                     names.add(resolve(owner, node.attr))
         names |= {resolve(module, name) for name in imports[module]}
         assert "errors.ValidationError" not in names, module
+
+
+# The estimation defaults are written once, as EngineSettings' field defaults
+# (and as the CLI's flag defaults): no function of the layers below the CLI
+# gives a setting's parameter a default of its own.
+SETTING_PARAMS = {"method", "decays", "temp_mode", "mode", "lam"}
+
+
+def test_no_layer_below_the_cli_defaults_a_setting():
+    trees, _, _, _ = parse_package()
+    defaulted = []
+    for module in ("features", "regress", "pipeline", "backtest"):
+        for node in ast.walk(trees[module]):
+            if isinstance(node, FUNCTIONS):
+                args = node.args
+                # defaults pair with the last positional parameters
+                pairs = [*zip((args.posonlyargs + args.args)[::-1], args.defaults[::-1]),
+                         *zip(args.kwonlyargs, args.kw_defaults)]
+                defaulted += [f"{module}.{node.name}({arg.arg})" for arg, default in pairs
+                              if default is not None and arg.arg in SETTING_PARAMS]
+    assert defaulted == []

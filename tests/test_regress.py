@@ -15,6 +15,7 @@ from dayahead import backtest, regress
 from dayahead.features import LAMBDA_GRID, run_designs, target_regressors
 from dayahead.ingest import Dataset, SynthParams, assemble_window, synth_dataset
 from dayahead.regress import (
+    EngineSettings,
     _concentrated_loglik,
     ensemble_mean,
     exact_ml_ar1_fit,
@@ -174,7 +175,8 @@ def test_tie_break_test_survives_an_overflowing_response():
         return replace(window, loads=loads)
 
     for model_id in "abc":
-        big, ref = fit_model(scaled(1e150), model_id), fit_model(scaled(1e140), model_id)
+        big = fit_model(scaled(1e150), model_id, EngineSettings())
+        ref = fit_model(scaled(1e140), model_id, EngineSettings())
         assert "rho_tie_break" not in big.diagnostics
         assert big.lam == ref.lam
         assert abs(big.rho - ref.rho) <= 1e-5
@@ -202,7 +204,7 @@ def test_fit_model_grid_recovers_zero_decay_generator():
     records = model_a_records(12)
     target = records[-1].date
     window = assemble_window(dataset_of(records), target)
-    fit = fit_model(window, "a", method="ols", decays=LAMBDA_GRID)
+    fit = fit_model(window, "a", EngineSettings("ols", LAMBDA_GRID))
     assert fit.lam == 0.0
     coefficients = dict(zip(COLUMN_NAMES["a"], fit.coef))
     for name, value in MODEL_A_COEFFS.items():
@@ -211,7 +213,7 @@ def test_fit_model_grid_recovers_zero_decay_generator():
 
 def test_fit_model_shape():
     window = last_day_window(SynthParams(days=12, seed=5))
-    fit = fit_model(window, "a", method="exact_ml_ar1", decays=(0.0,))
+    fit = fit_model(window, "a", EngineSettings("exact_ml_ar1", (0.0,)))
     assert fit.coef.shape == (10,) and fit.coef.dtype == np.float64
     assert -1.0 < fit.rho < 1.0
 
@@ -228,7 +230,7 @@ def test_forecast_day_fixed_point_on_identical_days():
         temp_by_offset={k: [10.0] * 24 for k in range(1, 10)},
         forecast=[10.0] * 24,
     )
-    fits = {m: fit_model(window, m, method="ols", decays=(0.0,))
+    fits = {m: fit_model(window, m, EngineSettings("ols", (0.0,)))
             for m in ("a", "b", "c")}
     forecasts, _ = forecast_day([fits])
     predicted = forecasts[0, 0]
@@ -237,7 +239,7 @@ def test_forecast_day_fixed_point_on_identical_days():
 
 def test_forecast_day_clamps_negative_predictions():
     window = last_day_window(SynthParams(days=12, seed=6))
-    fits = {m: fit_model(window, m, method="ols", decays=(0.0,))
+    fits = {m: fit_model(window, m, EngineSettings("ols", (0.0,)))
             for m in ("a", "b", "c")}
     # Force a negative prediction through a doctored intercept.
     coef = fits["a"].coef.copy()
@@ -251,7 +253,7 @@ def test_forecast_day_clamps_negative_predictions():
 
 def test_forecast_day_deterministic():
     window = last_day_window(SynthParams(days=12, seed=13))
-    fits = {m: fit_model(window, m) for m in ("a", "b", "c")}
+    fits = {m: fit_model(window, m, EngineSettings()) for m in ("a", "b", "c")}
     first, _ = forecast_day([fits])
     second, _ = forecast_day([fits])
     assert same_bits(first, second)
@@ -270,7 +272,7 @@ def test_ensemble_mean_of_constants():
 
 def test_ensemble_mean_identical_and_symmetric():
     window = last_day_window(SynthParams(days=12, seed=3))
-    fits = {m: fit_model(window, m, method="ols") for m in ("a", "b", "c")}
+    fits = {m: fit_model(window, m, EngineSettings("ols")) for m in ("a", "b", "c")}
     forecasts, _ = forecast_day([fits])
     same = ensemble_mean(forecasts[[0, 0, 0]])
     assert same_bits(same, forecasts[0])
@@ -295,7 +297,7 @@ def assert_backtest_fits_match_scalar_oracle(data: Dataset, temp_mode: str):
     while target <= dt.date(2004, 2, 9):
         window = assemble_window(data, target)
         for model_id in ("a", "b", "c"):
-            got = fit_model(window, model_id, temp_mode=temp_mode)
+            got = fit_model(window, model_id, EngineSettings(temp_mode=temp_mode))
             want = oracles.fit_model_grid(window, model_id, temp_mode)
             assert_same_fit(got, want)
         target += dt.timedelta(days=1)
@@ -358,8 +360,8 @@ def assert_runs_match_each_window_fitted_alone(case: str, data: Dataset, temp_mo
     for model_id in ("a", "b", "c"):
         want = [oracles.fit_model(w, model_id, method, decays, temp_mode) for w in windows]
         for start, days in runs:
-            got = regress.fit_models(run_window(data, start, days), model_id, method, decays,
-                                     temp_mode)
+            got = regress.fit_models(run_window(data, start, days), model_id,
+                                     EngineSettings(method, decays, temp_mode))
             assert len(got) == days
             for fit, window, alone in zip(got, windows[start:], want[start:]):
                 assert_same_fit(fit, alone)
@@ -394,7 +396,7 @@ def run_fits(data: Dataset, n_days: int, model_id: str, temp_mode="hour"):
     run_length = backtest._run_length(LAMBDA_GRID)
     return [fit for i in range(0, n_days, run_length)
             for fit in regress.fit_models(run_window(data, i, min(run_length, n_days - i)),
-                                          model_id, temp_mode=temp_mode)]
+                                          model_id, EngineSettings(temp_mode=temp_mode))]
 
 
 def exact_ml_stack(matrices, responses, group=1) -> list:
@@ -416,10 +418,11 @@ def test_a_grid_run_fits_in_a_bounded_heap(model_id, temp_mode, seed):
     # 2.26 MB.
     window = run_window(backtest_data(40, seed), 0, backtest._run_length(LAMBDA_GRID))
     assert window.days == 16
-    regress.fit_models(window, model_id, temp_mode=temp_mode)  # imports and caches
+    settings = EngineSettings(temp_mode=temp_mode)
+    regress.fit_models(window, model_id, settings)  # imports and caches
     tracemalloc.start()
     try:
-        regress.fit_models(window, model_id, temp_mode=temp_mode)
+        regress.fit_models(window, model_id, settings)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -757,7 +760,8 @@ def test_rank_deficient_slices_never_reach_the_gram_bound(monkeypatch):
     # In day-lag mode model c's designs are rank 7 of 9 at rho = 0: their
     # searches run on dgelsd from the first probe.
     seen = recording_gram(monkeypatch)
-    fits = regress.fit_models(run_window(backtest_data(40, 1), 0, 2), "c", temp_mode="day")
+    fits = regress.fit_models(run_window(backtest_data(40, 1), 0, 2), "c",
+                              EngineSettings(temp_mode="day"))
     assert all(fit.diagnostics.get("rank_deficient") for fit in fits)
     assert sum(len(stack) for stack in seen) == 0
 
@@ -786,7 +790,7 @@ def grid_systems(data: Dataset, n_days: int, model_id: str) -> list:
     stacks = []
     for i in range(0, n_days, run_length):
         systems, _ = run_designs(run_window(data, i, min(run_length, n_days - i)), model_id,
-                                 LAMBDA_GRID)
+                                 LAMBDA_GRID, "hour")
         stacks.append(systems.reshape(-1, *systems.shape[2:]))
     return stacks
 

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from dayahead.backtest import BacktestRow, summarize_monthly
 from dayahead.ingest import SynthParams
-from dayahead.pipeline import EngineSettings, run_day
+from dayahead.pipeline import run_day
+from dayahead.regress import EngineSettings
 from dayahead.cli import forecast_report
 from dayahead.report import (
     MU_NORMALIZATION,

@@ -15,7 +15,8 @@ from dayahead import backtest, cli
 from dayahead.backtest import render_backtest_csv, run_backtest, summarize_monthly
 from dayahead.cli import forecast_report
 from dayahead.ingest import SynthParams, parse_csv, serialize_csv, synth_dataset
-from dayahead.pipeline import EngineSettings, run_day
+from dayahead.pipeline import run_day
+from dayahead.regress import EngineSettings
 from dayahead.report import serialize_report
 from dayahead.verdict import load_critical_values
 
