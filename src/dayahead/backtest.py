@@ -1,16 +1,16 @@
 """Multi-day evaluation harness.
 
 The harness checks the requested range and its nine history days before it
-fits anything, then forecasts each day from the dataset rows before it and scores each model and
-the ensemble against the actual load.  Consecutive days are fitted in runs:
-a run is one row slice of the dataset, its days go through one stacked solve
-per model and are then scored together, each with its own fits.  A model's
-fit of a run holds one ``[design | response]`` system per day and decay, and
-an exact-ML fit also holds, per slice it searches, a scaled copy of its
-system and its Gram moments (see ``regress``).  Days on which the
-computation chain degenerates are flagged as aborted, carry no numeric
-results, and are excluded from the monthly summary (their count is reported
-instead of being imputed).
+fits anything, then forecasts each day from the dataset rows before it and
+scores each model and the ensemble against the actual load.  Consecutive
+days are fitted in runs: a run is one row slice of the dataset, and each
+model fits its days in one stacked solve whose kept fits stay arrays, one
+``regress.RunFit``, through the run's forecasts and scores.  The solve holds
+one ``[design | response]`` system per day and decay, and exact ML also, per
+slice it searches, a scaled copy of its system and its Gram moments (see
+``regress``).  Days on which the computation chain degenerates are flagged
+as aborted, carry no numeric results, and are excluded from the monthly
+summary (their count is reported instead of being imputed).
 """
 
 from __future__ import annotations

@@ -16,17 +16,16 @@ from .ingest import SeriesWindow
 from .verdict import CriticalValues
 
 
-def fit_windows(window: SeriesWindow, settings: regress.EngineSettings) -> list[dict]:
-    """The three model fits of each target day of a window, at the
-    settings' decays and method; each equals the fit of that day's one-day
-    window alone."""
-    per_model = [regress.fit_models(window, m, settings) for m in MODEL_IDS]
-    return [dict(zip(MODEL_IDS, fits)) for fits in zip(*per_model)]
+def fit_windows(window: SeriesWindow, settings: regress.EngineSettings) -> dict:
+    """Each model's fits of the target days of a window, ``{model_id:
+    RunFit}``, at the settings' decays and method; day i of each equals the
+    fit of that day's one-day window alone."""
+    return {m: regress.fit_models(window, m, settings) for m in MODEL_IDS}
 
 
 def run_day(window: SeriesWindow, critical_values: CriticalValues,
             settings: regress.EngineSettings = regress.EngineSettings(),
-            fits: Optional[list] = None) -> tuple:
+            fits: Optional[dict] = None) -> tuple:
     """Score every target day of a window: ``(forecasts, ensemble, scores)``.
 
     One array stage computes the window's forecasts (3 x days x 24), their
@@ -37,11 +36,11 @@ def run_day(window: SeriesWindow, critical_values: CriticalValues,
     with, and scoring raises nothing.  An ensemble mean can pass the double
     range only where some profile holds a value above DBL_MAX / 2, whose
     centered second moment overflows, so that day has aborted at Eq. (4).  ``fits``
-    are each day's three fits (see :func:`fit_windows`); without them the
-    window's one day is fitted here, and a fit that fails raises.
+    hold each model's fits of the days (:func:`fit_windows`); without them
+    ``regress.fit_model`` fits the window's one day, raising if a fit fails.
     """
     if fits is None:
-        fits = [{m: regress.fit_model(window, m, settings) for m in MODEL_IDS}]
+        fits = {m: regress.fit_model(window, m, settings) for m in MODEL_IDS}
     forecasts, finite = regress.forecast_day(fits)
     ensemble = regress.ensemble_mean(forecasts)
     scores = []

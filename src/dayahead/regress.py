@@ -70,6 +70,30 @@ class FitResult:
     target_block: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
 
+@dataclass(frozen=True, eq=False)
+class RunFit:
+    """One model's fits of a run's days, as arrays; ``run[i]`` builds day i's :class:`FitResult`."""
+    model_id: str
+    method: str
+    temp_mode: str
+    lam: np.ndarray
+    rho: np.ndarray
+    ssr: np.ndarray
+    coef: np.ndarray
+    residuals: np.ndarray
+    diagnostics: list
+    target_block: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.coef)
+
+    def __getitem__(self, i: int) -> FitResult:
+        return FitResult(self.model_id, self.method, float(self.lam[i]), self.coef[i],
+                         self.residuals[i], float(self.ssr[i]), float(self.rho[i]),
+                         {**self.diagnostics[i], "temp_mode": self.temp_mode},
+                         self.target_block[i])
+
+
 def _rank_diagnostics(rank: int, k: int) -> dict:
     return {"rank_deficient": True, "rank": int(rank)} if rank < k else {}
 
@@ -800,18 +824,27 @@ def fit_model(window: SeriesWindow, model_id: str, settings: EngineSettings) -> 
     return fit_models(window, model_id, settings)[0]
 
 
-def fit_models(window: SeriesWindow, model_id: str, settings: EngineSettings) -> list[FitResult]:
+def _kept_decays(ssr: np.ndarray) -> np.ndarray:
+    """Each row's first minimum, as ``min(range(n), key=row.__getitem__)``
+    picks it: a NaN only at decay 0, where ``np.argmin`` keeps the first."""
+    best = np.zeros(len(ssr), dtype=int)
+    for j in range(1, ssr.shape[1]):
+        best[ssr[:, j] < ssr[np.arange(len(ssr)), best]] = j
+    return best
+
+
+def fit_models(window: SeriesWindow, model_id: str, settings: EngineSettings) -> RunFit:
     """Fit one model to each target day of a window by ``settings.method``,
     over each day's training rows in ``settings.temp_mode`` (see
     ``run_designs``).
 
-    Each day is fitted at every Koyck decay in ``settings.decays`` (the
-    grid {0.0, ..., 0.9} of ``EngineSettings()``; ``(0.0,)`` turns the lag
-    off) and keeps the minimal-SSR fit, the earliest decay on a tie, with
-    its target-day regressors at that decay.  The designs of every day and
-    decay are solved together, in one stacked least-squares call for OLS or
-    two lockstep rho searches for exact ML; each day's fit has the same bits
-    as when its one-day window is fitted alone.  Exact ML prunes the decays:
+    Each day is fitted at every Koyck decay in ``settings.decays`` (the grid
+    {0.0, ..., 0.9} of ``EngineSettings()``; ``(0.0,)`` turns the lag off)
+    and keeps the minimal-SSR fit, the earliest decay on a tie, with its
+    target-day regressors at that decay.  The designs of every day and decay
+    are solved together, in one stacked least-squares call for OLS or two
+    lockstep rho searches for exact ML; day i of the :class:`RunFit` has the
+    bits of its one-day window fitted alone.  Exact ML prunes the decays:
     one whose final SSR is certainly above another decay's, from its OLS SSR
     before its rho search or from bounds during it, cannot have the minimal
     final SSR, so its search stops (see ``_exact_ml_stack``) and it ranks
@@ -827,36 +860,34 @@ def fit_models(window: SeriesWindow, model_id: str, settings: EngineSettings) ->
     try:
         if settings.method == "ols":
             coef, residuals, ssr, rank = _solve(systems)
-            solved = [(coef[i], residuals[i], ssr[i], 0.0, _rank_diagnostics(rank[i], width - 1))
-                      for i in range(len(ssr))]
         else:
             solved = _exact_ml_stack(systems, n_decays)
+            # A decay whose search was dropped could not win: it ranks last.
+            ssr = [math.inf if s is None else s[2] for s in solved]
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise DegeneracyError(f"model {model_id}: {exc}", EQUATIONS[model_id]) from None
-    fits = []
-    for i in range(count):
-        # A decay whose exact-ML search was dropped could not win: it ranks last.
-        ssr = [math.inf if s is None else s[2] for s in solved[i * n_decays:(i + 1) * n_decays]]
-        best = min(range(n_decays), key=ssr.__getitem__)
-        *fitted, diagnostics = solved[i * n_decays + best]
-        # A copy, so that the fit does not keep the run's blocks alive.
-        fits.append(FitResult(model_id, settings.method, decays[best], *fitted,
-                              {**diagnostics, "temp_mode": temp_mode}, targets[i, best].copy()))
-    return fits
+    best = _kept_decays(np.reshape(ssr, (count, n_decays)))
+    kept = np.arange(count) * n_decays + best
+    if settings.method == "ols":
+        coef, residuals, ssr, rho = coef[kept], residuals[kept], np.take(ssr, kept), np.zeros(count)
+        diagnostics = [_rank_diagnostics(r, width - 1) for r in rank[kept].tolist()]
+    else:
+        coef, residuals, ssr, rho, diagnostics = zip(*(solved[i] for i in kept.tolist()))
+    return RunFit(model_id, settings.method, temp_mode, np.take(decays, best), np.asarray(rho),
+                  np.asarray(ssr), np.asarray(coef), np.asarray(residuals), list(diagnostics),
+                  targets[np.arange(count), best])
 
 
-def forecast_day(fits: list) -> tuple[np.ndarray, np.ndarray]:
+def forecast_day(fits: dict) -> tuple[np.ndarray, np.ndarray]:
     """The forecasts of a run of days, (3, days, 24) in model order, from
-    each day's ``{model_id: FitResult}``: each fit applied to the
-    target-day regressors it carries (the gemv of ``target_block @ coef``,
-    as one slice of a stacked matmul), clamped to 1 MW from below.  Also
-    returns whether each model's prediction is finite, (3, days).  Every
-    fit comes from ``fit_models``, which gives each its target-day regressors.
-    """
+    ``{model_id: RunFit}``, or ``{model_id: FitResult}`` for one day: each
+    day's target-day regressors times its coefficients (the gemv of
+    ``target_block @ coef``, as one slice of a stacked matmul), clamped to
+    1 MW from below.  Also returns whether each model's prediction is
+    finite, (3, days)."""
     with np.errstate(over="ignore", invalid="ignore"):  # the mask marks it
-        raw = np.stack([np.matmul(np.stack([day[m].target_block for day in fits]),
-                                  np.stack([day[m].coef for day in fits])[:, :, None])[..., 0]
-                        for m in MODEL_IDS])
+        raw = np.stack([np.matmul(fits[m].target_block, fits[m].coef[..., None])[..., 0]
+                        .reshape(-1, 24) for m in MODEL_IDS])
         return np.maximum(raw, CLAMP_FLOOR_MW), np.isfinite(raw).all(axis=2)
 
 

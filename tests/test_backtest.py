@@ -1,11 +1,14 @@
 import datetime as dt
 import tracemalloc
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
-from dayahead import backtest, cli
+from dayahead import backtest, cli, regress
 from dayahead.backtest import render_backtest_csv, run_backtest
 from dayahead.errors import DegeneracyError, ValidationError
+from dayahead.features import MODEL_IDS
 from dayahead.ingest import Dataset, SeriesWindow, SynthParams, synth_dataset
 from dayahead.pipeline import fit_windows, run_day
 from dayahead.regress import EngineSettings
@@ -130,10 +133,19 @@ def test_render_backtest_csv_shape(permissive_criticals):
 
 
 def _alone(window, settings):
-    """The fits of each day of the window, fitted on its own one-day window."""
-    return [fit_windows(SeriesWindow(window.target_date + dt.timedelta(days=i),
-                                     window.loads[i:i + 9], window.temps[i:i + 10]),
-                        settings)[0] for i in range(window.days)]
+    """The fits of each day of the window, fitted on its own one-day window
+    and joined into one ``RunFit`` per model."""
+    days = [fit_windows(SeriesWindow(window.target_date + dt.timedelta(days=i),
+                                     window.loads[i:i + 9], window.temps[i:i + 10]), settings)
+            for i in range(window.days)]
+    return {m: _joined([day[m] for day in days]) for m in MODEL_IDS}
+
+
+def _joined(runs):
+    """One ``RunFit`` of the days of ``runs``, in order."""
+    arrays = {f.name: np.concatenate([getattr(run, f.name) for run in runs])
+              for f in fields(runs[0]) if isinstance(getattr(runs[0], f.name), np.ndarray)}
+    return replace(runs[0], diagnostics=[d for run in runs for d in run.diagnostics], **arrays)
 
 
 def _singular(window, settings):
@@ -210,3 +222,26 @@ def test_a_backtest_checks_its_range_in_two_scans(monkeypatch, permissive_critic
                 "load": "insufficient coverage: missing load for"}
     assert scans == [(dt.date(2004, 1, 1), 60, coverage),
                      (dt.date(2004, 1, 1), 60, {**coverage, "positive": "non-positive load at"})]
+
+
+def test_a_backtest_builds_no_per_day_fit(monkeypatch, permissive_criticals):
+    # A run's fits stay arrays from the solve to the forecast: no backtest
+    # day builds a FitResult.  A forecast, fitted model by model through
+    # regress.fit_model, builds one per model.
+    built = []
+
+    class Counting(regress.FitResult):
+        def __init__(self, *args, **kwargs):
+            built.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(regress, "FitResult", Counting)
+    data = dataset_of(synth_dataset(SynthParams(days=60, seed=6)))
+    first = dt.date(2004, 1, 10)
+    for settings, days in ((EngineSettings(), 3), (OLS_OFF, 45)):
+        rows, _ = run_backtest(data, first, first + dt.timedelta(days=days - 1),
+                               permissive_criticals, settings)
+        assert [row.status for row in rows] == ["ok"] * days
+    assert built == []
+    run_day(data.window(first), permissive_criticals, OLS_OFF)
+    assert built == ["a", "b", "c"]

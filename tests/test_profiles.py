@@ -14,7 +14,7 @@ import pytest
 
 from dayahead.errors import DegeneracyError
 from dayahead.pipeline import run_day
-from dayahead.regress import CLAMP_FLOOR_MW, FitResult, ensemble_mean, forecast_day
+from dayahead.regress import CLAMP_FLOOR_MW, FitResult, RunFit, ensemble_mean, forecast_day
 
 import oracles
 from conftest import TARGET, make_window
@@ -43,13 +43,22 @@ def fit_predicting(raw) -> FitResult:
                      target_block=np.eye(24))
 
 
+def run_predicting(raws) -> RunFit:
+    """A run of fits whose prediction of day i is ``raws[i]``: each day's
+    regressors are the 24 x 24 identity and its coefficients the raw values."""
+    days = len(raws)
+    return RunFit("a", "ols", "hour", np.zeros(days), np.zeros(days), np.zeros(days),
+                  np.array(raws, dtype=float), np.zeros((days, 48)), [{}] * days,
+                  np.repeat(np.eye(24)[None], days, axis=0))
+
+
 def test_clamp_matches_the_hourly_oracle():
     rng = np.random.default_rng(11)
     pool = (*NEAR_FLOOR, 0.0, -0.0, -1.0, -1e6, 0.5, 1e-300, 2.0)
     for trial in range(200):
         raws = [random_hours(rng, pool) for _ in "abc"]
         fits = dict(zip("abc", map(fit_predicting, raws)))
-        got, finite = forecast_day([fits])
+        got, finite = forecast_day(fits)
         assert finite.all()
         for i, (m, raw) in enumerate(zip("abc", raws)):
             assert np.array_equal(fits[m].target_block @ fits[m].coef, raw)
@@ -67,8 +76,8 @@ def test_a_prediction_that_is_not_finite_names_its_model(stub_criticals, scale, 
     raw[23] = bad
     fits = {m: fit_predicting(np.full(24, 5000.0)) for m in "abc"}
     fits["c"] = replace(fit_predicting(raw), target_block=np.eye(24) * scale)
-    assert forecast_day([fits])[1].tolist() == [[True], [True], [False]]
-    _, _, [aborted] = run_day(make_window(), stub_criticals, fits=[fits])
+    assert forecast_day(fits)[1].tolist() == [[True], [True], [False]]
+    _, _, [aborted] = run_day(make_window(), stub_criticals, fits=fits)
     assert isinstance(aborted, DegeneracyError)
     assert str(aborted) == "model c: forecast is not finite (Eq. (3))"
 
@@ -105,7 +114,7 @@ def test_an_overflowing_ensemble_mean_aborts_at_eq4(stub_criticals, pair):
     for m, value in zip(pair, (1.6e308, 1.7e308)):
         raws[m][4] = value
     fits = {m: fit_predicting(raws[m]) for m in "abc"}
-    _, ensemble, [aborted] = run_day(make_window(), stub_criticals, fits=[fits])
+    _, ensemble, [aborted] = run_day(make_window(), stub_criticals, fits=fits)
     assert not np.isfinite(ensemble[0, 4])
     assert str(aborted) == "second moments of the centered profiles overflow (Eq. (4))"
 
@@ -113,7 +122,7 @@ def test_an_overflowing_ensemble_mean_aborts_at_eq4(stub_criticals, pair):
 def test_a_profile_whose_mean_overflows_aborts_at_eq4(stub_criticals):
     raws = {"a": np.full(24, 1.7e308), "b": np.full(24, 1.6e308), "c": np.full(24, 3000.0)}
     fits = {m: fit_predicting(raws[m]) for m in "abc"}
-    _, ensemble, [aborted] = run_day(make_window(), stub_criticals, fits=[fits])
+    _, ensemble, [aborted] = run_day(make_window(), stub_criticals, fits=fits)
     assert not np.isfinite(ensemble).any()
     assert str(aborted) == "second moments of the centered profiles overflow (Eq. (4))"
 
@@ -131,8 +140,9 @@ def test_every_overflowing_ensemble_of_a_seeded_sweep_aborts_at_eq4(stub_critica
                 hours = rng.choice(24, rng.integers(1, 25), replace=False)
                 raw[hours] = rng.uniform(0.5, 1.0, len(hours)) * top
         if not np.isfinite(ensemble_mean(np.stack(raws))).all():
-            days.append(dict(zip("abc", map(fit_predicting, raws))))
-    _, _, scores = run_day(make_window(), stub_criticals, fits=days)
+            days.append(raws)
+    fits = {m: run_predicting([day[i] for day in days]) for i, m in enumerate("abc")}
+    _, _, scores = run_day(make_window(), stub_criticals, fits=fits)
     assert all(isinstance(s, DegeneracyError) and s.equation == "(4)" for s in scores)
 
 
@@ -152,7 +162,7 @@ def test_profile_validation_names_the_oracles_first_bad_hour(stub_criticals, bad
         later[23] = np.nan if bad == 0.0 else 0.0
         assert oracle_profile(later) == oracle_profile(raws[2])
     fits = dict(zip("abc", map(fit_predicting, raws)))
-    forecasts, ensemble, [day] = run_day(make_window(), stub_criticals, fits=[fits])
+    forecasts, ensemble, [day] = run_day(make_window(), stub_criticals, fits=fits)
     if np.isfinite(bad):
         for values in (*forecasts[:, 0], ensemble[0]):
             assert oracles.profile_problem(TARGET, values) is None

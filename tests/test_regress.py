@@ -232,7 +232,7 @@ def test_forecast_day_fixed_point_on_identical_days():
     )
     fits = {m: fit_model(window, m, EngineSettings("ols", (0.0,)))
             for m in ("a", "b", "c")}
-    forecasts, _ = forecast_day([fits])
+    forecasts, _ = forecast_day(fits)
     predicted = forecasts[0, 0]
     assert np.max(np.abs(predicted - np.asarray(base))) < 1e-6
 
@@ -247,15 +247,15 @@ def test_forecast_day_clamps_negative_predictions():
     fits["a"] = replace(fits["a"], coef=coef)
     raw = fits["a"].target_block @ fits["a"].coef
     assert np.all(raw < regress.CLAMP_FLOOR_MW)
-    forecasts, finite = forecast_day([fits])
+    forecasts, finite = forecast_day(fits)
     assert all(v == 1.0 for v in forecasts[0, 0]) and finite.all()
 
 
 def test_forecast_day_deterministic():
     window = last_day_window(SynthParams(days=12, seed=13))
     fits = {m: fit_model(window, m, EngineSettings()) for m in ("a", "b", "c")}
-    first, _ = forecast_day([fits])
-    second, _ = forecast_day([fits])
+    first, _ = forecast_day(fits)
+    second, _ = forecast_day(fits)
     assert same_bits(first, second)
 
 
@@ -273,7 +273,7 @@ def test_ensemble_mean_of_constants():
 def test_ensemble_mean_identical_and_symmetric():
     window = last_day_window(SynthParams(days=12, seed=3))
     fits = {m: fit_model(window, m, EngineSettings("ols")) for m in ("a", "b", "c")}
-    forecasts, _ = forecast_day([fits])
+    forecasts, _ = forecast_day(fits)
     same = ensemble_mean(forecasts[[0, 0, 0]])
     assert same_bits(same, forecasts[0])
     permuted = ensemble_mean(forecasts[[1, 2, 0]])
@@ -387,6 +387,35 @@ def test_fit_models_match_each_window_fitted_alone_on_perturbed_day_lags(case):
 def test_fit_models_match_each_window_fitted_alone_on_perturbed_hour_lags(case):
     data = backtest_data(RUN_CASES[case][0], 1, perturbed=True)
     assert_runs_match_each_window_fitted_alone(case, data, "hour")
+
+
+KEPT_DECAY_ROWS = [
+    ([1.0, 1.0], 0),  # a tie keeps the earlier decay
+    ([math.inf, 1.0], 1),  # a dropped exact-ML decay ranks last
+    ([math.nan, 1.0], 0),  # a NaN is kept at decay 0 ...
+    ([1.0, math.nan, 0.5], 2),  # ... and passed over anywhere else
+    ([math.inf] * 10, 0),  # days whose decays all rank last keep decay 0
+    ([3.0, 2.0, math.nan, 1.0, math.nan], 3),  # np.argmin keeps the first NaN, 2
+]
+
+
+@pytest.mark.parametrize("row, want", KEPT_DECAY_ROWS)
+def test_a_day_keeps_the_first_minimum_of_its_ssrs(row, want):
+    # fit_models keeps the decay of min(range(n), key=ssr.__getitem__).
+    assert min(range(len(row)), key=row.__getitem__) == want
+    assert regress._kept_decays(np.array([row, row])).tolist() == [want, want]
+
+
+def test_the_kept_decay_is_not_the_argmin():
+    row = np.array(KEPT_DECAY_ROWS[-1][0])
+    assert np.argmin(row) == 2 != regress._kept_decays(row[None])[0]
+
+
+def test_the_kept_decays_of_random_rows_are_their_first_minima():
+    rng = np.random.default_rng(27)
+    ssr = rng.choice([0.5, 1.0, 2.0, math.inf, math.nan, -0.0, 0.0], (500, 10))
+    want = [min(range(10), key=row.__getitem__) for row in ssr.tolist()]
+    assert regress._kept_decays(ssr).tolist() == want
 
 
 # --- Pruning the exact-ML decay grid ----------------------------------------
