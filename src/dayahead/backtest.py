@@ -8,9 +8,11 @@ model fits its days in one stacked solve whose kept fits stay arrays, one
 ``regress.RunFit``, through the run's forecasts and scores.  The solve holds
 one ``[design | response]`` system per day and decay, and exact ML also, per
 slice it searches, a scaled copy of its system and its Gram moments (see
-``regress``).  Days on which the computation chain degenerates are flagged
-as aborted, carry no numeric results, and are excluded from the monthly
-summary (their count is reported instead of being imputed).
+``regress``).  A backtest holds one run at a time: a run's windows and fits
+are freed before the next run is fitted.  Days on which the computation
+chain degenerates are flagged as aborted, carry no numeric results, and are
+excluded from the monthly summary (their count is reported instead of being
+imputed).
 """
 
 from __future__ import annotations
@@ -31,17 +33,20 @@ from .report import daily_relative_error
 from .verdict import CriticalValues
 
 
-# Peak RSS grows with the systems a run stacks per model, and the time per
-# day falls with them only up to a point (see README): a run stacks at most
-# _SYSTEMS_PER_RUN systems and spans at most _MAX_RUN_DAYS days.
+# The heap of a run grows with the systems it stacks per model (see README):
+# a run stacks _SYSTEMS_PER_RUN systems, and an exact-ML run spans at most
+# _MAX_RUN_DAYS days.
 _SYSTEMS_PER_RUN = 160
 _MAX_RUN_DAYS = 40
 
 
-def _run_length(decays) -> int:
-    """The days of a backtest run: 16 with the ten decays of the grid, 40
-    with one decay (``--koyck off`` or ``fixed=``)."""
-    return min(_MAX_RUN_DAYS, _SYSTEMS_PER_RUN // len(decays))
+def _run_length(settings: EngineSettings) -> int:
+    """The days of a backtest run: 16 with the ten decays of the grid; with
+    one decay (``--koyck off`` or ``fixed=``), 160 for OLS and 40 for exact
+    ML, whose first lockstep searches every day of the run and holds Gram
+    state for each."""
+    days = _SYSTEMS_PER_RUN // len(settings.decays)
+    return days if settings.method == "ols" else min(_MAX_RUN_DAYS, days)
 
 
 @dataclass(frozen=True)
@@ -90,19 +95,23 @@ def run_backtest(
     dataset.check_gaps(first, span, {**_COVERAGE_GAPS, "positive": "non-positive load at"})
 
     days = [from_date + dt.timedelta(days=k) for k in range((to_date - from_date).days + 1)]
-    run_length = _run_length(settings.decays)
+    run_length = _run_length(settings)
     rows: list[BacktestRow] = []
     for start in range(0, len(days), run_length):
-        run = days[start : start + run_length]
-        window = dataset.window(run[0], len(run))
-        try:
-            windows = [(window, fit_windows(window, settings))]
-        except DegeneracyError:
-            # Each day is then a run of one, so the error comes from its own day.
-            windows = [(dataset.window(day), None) for day in run]
-        for window, fits in windows:
-            rows += _score_run(dataset, window, critical_values, settings, fits)
+        rows += _run_rows(dataset, days[start : start + run_length], critical_values, settings)
     return rows, summarize_monthly(rows)
+
+
+def _run_rows(dataset, run, critical_values, settings) -> list[BacktestRow]:
+    """The rows of a run's days; its windows and fits are freed on return."""
+    window = dataset.window(run[0], len(run))
+    try:
+        windows = [(window, fit_windows(window, settings))]
+    except DegeneracyError:
+        # Each day is then a run of one, so the error comes from its own day.
+        windows = [(dataset.window(day), None) for day in run]
+    return [row for window, fits in windows
+            for row in _score_run(dataset, window, critical_values, settings, fits)]
 
 
 def _score_run(dataset, window, critical_values, settings, fits) -> list[BacktestRow]:

@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,18 @@ def same_window(a, b) -> bool:
     return a.target_date == b.target_date and all(
         np.array_equal(getattr(a, f), getattr(b, f)) for f in ("loads", "temps")
     )
+
+
+def heap_peak(call) -> int:
+    """The peak of the heap that ``call()`` allocates, traced by
+    ``tracemalloc`` on a second call, after a first for imports and caches."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_window(load_by_offset=None, temp_by_offset=None, forecast=None,

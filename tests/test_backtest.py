@@ -13,7 +13,7 @@ from dayahead.ingest import Dataset, SeriesWindow, SynthParams, synth_dataset
 from dayahead.pipeline import fit_windows, run_day
 from dayahead.regress import EngineSettings
 
-from conftest import dataset_of
+from conftest import dataset_of, heap_peak
 from fixtures import recoherence_backtest_records
 from oracles import model_a_records
 
@@ -153,18 +153,37 @@ def _singular(window, settings):
     raise DegeneracyError("model a: SVD did not converge in Linear Least Squares", "(1)")
 
 
-def test_grid_runs_are_16_days_and_single_decay_runs_40():
-    assert backtest._run_length(cli._parse_koyck("grid")) == 16
-    assert backtest._run_length(cli._parse_koyck("off")) == 40
-    assert backtest._run_length(cli._parse_koyck("fixed=0.35")) == 40
+def test_ols_runs_stack_160_systems_and_exact_ml_runs_span_at_most_40_days():
+    for method, single_decay_days in (("ols", 160), ("exact_ml_ar1", 40)):
+        assert backtest._run_length(EngineSettings(method, cli._parse_koyck("grid"))) == 16
+        for koyck in ("off", "fixed=0.35"):
+            settings = EngineSettings(method, cli._parse_koyck(koyck))
+            assert backtest._run_length(settings) == single_decay_days
+
+
+def test_a_backtest_holds_one_run_at_a_time(permissive_criticals):
+    # Two full-length OLS runs peak within 10 % of the first run alone: a
+    # run's windows and fits are freed before the next run is fitted.
+    # Measured with numpy 2.4.6: 1.70 MB for one 160-day run and 1.76 MB for
+    # two.  Holding the first run's windows and fits through the second's
+    # fit peaks at 2.76 MB.
+    days = backtest._run_length(OLS_OFF)
+    data = dataset_of(synth_dataset(SynthParams(days=2 * days + 9, seed=1)))
+    first = dt.date(2004, 1, 10)
+    one, two = (heap_peak(lambda: run_backtest(data, first, first + dt.timedelta(days=n * days - 1),
+                                               permissive_criticals, OLS_OFF))
+                for n in (1, 2))
+    assert two < 1.1 * one
 
 
 @pytest.mark.parametrize("replacement", [_alone, _singular])
 @pytest.mark.parametrize("settings, span", [
-    (OLS_OFF, 45),  # two runs: 40 days, then 5
+    (OLS_OFF, 45),  # one OLS run
     (EngineSettings(), 6),  # one run under the decay grid
     (EngineSettings(method="ols", decays=(0.5,), temp_mode="day"), 41),
     (EngineSettings(), 18),  # runs of 16 days under the decay grid, then 2
+    (OLS_OFF, 165),  # two OLS runs: 160 days, then 5
+    (EngineSettings(method="ols", decays=(0.5,), temp_mode="day"), 165),
 ])
 def test_runs_of_days_score_as_days_fitted_alone(
         monkeypatch, stub_criticals, settings, span, replacement):
@@ -181,11 +200,11 @@ def test_runs_of_days_score_as_days_fitted_alone(
 
 
 @pytest.mark.parametrize("settings, last, bad, value", [
-    # Runs of 40 days: 2004-01-10 .. 2004-02-18, then 2004-02-19 .. 2004-02-23.
-    (OLS_OFF, "2004-02-23", "2004-01-05", 0.0),  # a history day
-    (OLS_OFF, "2004-02-23", "2004-01-10", -3.5),  # the first target day
-    (OLS_OFF, "2004-02-23", "2004-01-30", -0.0),  # mid-run
-    (OLS_OFF, "2004-02-23", "2004-02-23", 0.0),  # the last day, in the second run
+    # Runs of 160 days: 2004-01-10 .. 2004-06-17, then 2004-06-18 .. 2004-06-22.
+    (OLS_OFF, "2004-06-22", "2004-01-05", 0.0),  # a history day
+    (OLS_OFF, "2004-06-22", "2004-01-10", -3.5),  # the first target day
+    (OLS_OFF, "2004-06-22", "2004-01-30", -0.0),  # mid-run
+    (OLS_OFF, "2004-06-22", "2004-06-22", 0.0),  # the last day, in the second run
     # Runs of 16 days under the decay grid: 2004-01-10 .. 2004-01-25, then
     # 2004-01-26 .. 2004-01-28.
     (EngineSettings(), "2004-01-28", "2004-01-03", -0.0),
@@ -200,7 +219,7 @@ def test_days_before_a_non_positive_load_are_scored_first(
     # every case raises before the first fit.
     first, bad = dt.date(2004, 1, 10), dt.date.fromisoformat(bad)
     records = [r._replace(load_mw=value) if (r.date, r.hour) == (bad, 17) else r
-               for r in synth_dataset(SynthParams(days=54, seed=5))]
+               for r in synth_dataset(SynthParams(days=174, seed=5))]
     monkeypatch.setattr(backtest, "fit_windows", None)  # a call would raise
     monkeypatch.setattr(backtest, "run_day", None)
     with pytest.raises(ValidationError) as exc:

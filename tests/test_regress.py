@@ -1,6 +1,5 @@
 import datetime as dt
 import math
-import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from operator import mul
@@ -14,6 +13,7 @@ from hypothesis import strategies as st
 from dayahead import backtest, regress
 from dayahead.features import LAMBDA_GRID, run_designs, target_regressors
 from dayahead.ingest import Dataset, SynthParams, assemble_window, synth_dataset
+from dayahead.pipeline import fit_windows
 from dayahead.regress import (
     EngineSettings,
     _concentrated_loglik,
@@ -30,6 +30,7 @@ from conftest import (
     TARGET,
     dataset_of,
     day,
+    heap_peak,
     last_day_window,
     make_window,
     profile,
@@ -322,7 +323,7 @@ def test_fit_model_matches_scalar_oracle_over_perturbed_hour_lag_backtest():
 # synth --days, backtest days from 2004-01-10, method, decays
 RUN_CASES = {
     "exact_ml_grid": (40, 31, "exact_ml_ar1", LAMBDA_GRID),
-    "ols_off": (72, 63, "ols", (0.0,)),
+    "ols_off": (174, 165, "ols", (0.0,)),  # two runs: 160 days, then 5
     "ols_grid": (72, 63, "ols", LAMBDA_GRID),
 }
 
@@ -352,7 +353,7 @@ def assert_runs_match_each_window_fitted_alone(case: str, data: Dataset, temp_mo
     equal each day's fit of its one-day window alone."""
     _, n_days, method, decays = RUN_CASES[case]
     windows = day_windows(data, n_days)
-    run_length = backtest._run_length(decays)
+    run_length = backtest._run_length(EngineSettings(method, decays))
     # (first day, days) of one window over every day (well past the
     # backtest's run length), of the backtest's runs, and of a run of one day.
     runs = [(0, n_days), *((i, min(run_length, n_days - i)) for i in range(0, n_days, run_length)),
@@ -422,7 +423,7 @@ def test_the_kept_decays_of_random_rows_are_their_first_minima():
 
 def run_fits(data: Dataset, n_days: int, model_id: str, temp_mode="hour"):
     """fit_models over the backtest's runs of the first ``n_days`` days."""
-    run_length = backtest._run_length(LAMBDA_GRID)
+    run_length = backtest._run_length(EngineSettings())
     return [fit for i in range(0, n_days, run_length)
             for fit in regress.fit_models(run_window(data, i, min(run_length, n_days - i)),
                                           model_id, EngineSettings(temp_mode=temp_mode))]
@@ -445,17 +446,42 @@ def test_a_grid_run_fits_in_a_bounded_heap(model_id, temp_mode, seed):
     # 1.51 MB.  Without the chunks of final_ssr model a peaks at 2.57 and
     # 2.72 MB, and with _gls_stack solving every slice in one chunk at
     # 2.26 MB.
-    window = run_window(backtest_data(40, seed), 0, backtest._run_length(LAMBDA_GRID))
+    window = run_window(backtest_data(40, seed), 0, backtest._run_length(EngineSettings()))
     assert window.days == 16
     settings = EngineSettings(temp_mode=temp_mode)
-    regress.fit_models(window, model_id, settings)  # imports and caches
-    tracemalloc.start()
-    try:
-        regress.fit_models(window, model_id, settings)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    assert heap_peak(lambda: regress.fit_models(window, model_id, settings)) < 2_100_000
+
+
+@pytest.mark.parametrize("seed", [1, 20071])
+@pytest.mark.parametrize("temp_mode", ["hour", "day"])
+def test_a_single_decay_ols_run_fits_and_scores_in_the_grid_runs_heap(
+        permissive_criticals, temp_mode, seed):
+    # One full-length OLS run with one decay (160 days) of synth --days 169,
+    # fitted by fit_windows and scored by _score_run.  Measured with numpy
+    # 2.4.6, it peaks at 1.66 to 1.69 MB: fit_windows alone at 1.66 MB with
+    # hour lags and 1.42 MB with day lags, _score_run alone at 0.66 MB.
+    settings = EngineSettings("ols", (0.0,), temp_mode)
+    data = backtest_data(169, seed)
+    window = run_window(data, 0, backtest._run_length(settings))
+    assert window.days == 160
+    peak = heap_peak(lambda: backtest._score_run(data, window, permissive_criticals, settings,
+                                                 fit_windows(window, settings)))
     assert peak < 2_100_000
+
+
+@pytest.mark.parametrize("seed", [1, 20071])
+@pytest.mark.parametrize("temp_mode", ["hour", "day"])
+@pytest.mark.parametrize("model_id", ["a", "b", "c"])
+def test_a_single_decay_exact_ml_run_fits_in_the_grid_runs_heap(model_id, temp_mode, seed):
+    # One full-length exact-ML run with one decay (40 days) of synth --days
+    # 169.  Its first lockstep searches every day of the run, and the Gram
+    # state it holds grows with the run.  Measured with numpy 2.4.6, model a
+    # peaks at 0.71 to 0.72 MB, b and c at 0.28 to 0.66 MB.  Without the
+    # 40-day cap, a 160-day run peaks at 2.82 MB for model a and at 2.46 to
+    # 2.50 MB for model c with hour lags.
+    settings = EngineSettings(decays=(0.0,), temp_mode=temp_mode)
+    window = run_window(backtest_data(169, seed), 0, backtest._run_length(settings))
+    assert heap_peak(lambda: regress.fit_models(window, model_id, settings)) < 2_100_000
 
 
 def test_exact_ml_grid_skips_decays_that_cannot_win(monkeypatch):
@@ -815,7 +841,7 @@ def grid_systems(data: Dataset, n_days: int, model_id: str) -> list:
     """The ``[design | response]`` stacks of the backtest's runs of the
     first ``n_days`` days, every day at every decay, as ``fit_models``
     solves them."""
-    run_length = backtest._run_length(LAMBDA_GRID)
+    run_length = backtest._run_length(EngineSettings())
     stacks = []
     for i in range(0, n_days, run_length):
         systems, _ = run_designs(run_window(data, i, min(run_length, n_days - i)), model_id,
